@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / true verdict, 1 false verdict, 2 input error,
-3 budget exhaustion.  Output is JSON first; --format text renders summaries
-from the same data.
+3 budget exhaustion, 4 internal error (traceback on stderr).  Output is JSON
+first; --format text renders summaries from the same data.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import io as mio
 from .base import base_from_descriptor, chain_base, rad2nak_base, stable_base
@@ -19,13 +20,13 @@ from .enumerate import enumerate_bounded, enumerate_mono_rad2, kronecker_family
 from .mimo import mimo, stable_reduce, transfer
 from .quiver import quiver_from_descriptor
 from .rep import f_shriek, kopf, l1_kopf
-from .serialmod import serial_module
 from .suites import DEFAULT_SUITE_ORDER, run_suite
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def parse_base(text: str):
@@ -34,11 +35,11 @@ def parse_base(text: str):
     if text.startswith("{"):
         return base_from_descriptor(json.loads(text))
     parts = text.split(":")
-    if parts[0] == "chain":
+    if parts[0] == "chain" and len(parts) == 4:
         return chain_base(parts[1], int(parts[2]), int(parts[3]))
-    if parts[0] == "rad2nak":
+    if parts[0] == "rad2nak" and len(parts) == 3:
         return rad2nak_base(int(parts[1]), int(parts[2]))
-    if parts[0] == "stable":
+    if parts[0] == "stable" and len(parts) > 1:
         return stable_base(parse_base(":".join(parts[1:])))
     raise ValueError(f"cannot parse base descriptor {text!r}")
 
@@ -101,9 +102,18 @@ def cmd_mimo(args):
 def cmd_fshriek(args):
     with open(args.input) as fh:
         data = json.load(fh)
-    base = base_from_descriptor(data["base"]) if "base" in data else parse_base(args.base)
-    quiver = quiver_from_descriptor(data["quiver"]) if "quiver" in data else parse_quiver(args.quiver)
-    modules = {v: serial_module(base, d.get("parts", [])) for v, d in data.get("modules", {}).items()}
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    base = quiver = None
+    if "base" not in data:
+        if args.base is None:
+            raise ValueError("the input has no base; pass --base")
+        base = parse_base(args.base)
+    if "quiver" not in data:
+        if args.quiver is None:
+            raise ValueError("the input has no quiver; pass --quiver")
+        quiver = parse_quiver(args.quiver)
+    base, quiver, modules = mio.vertex_modules_from_json(data, base, quiver)
     rep = f_shriek(base, quiver, modules)
     _emit(args, mio.representation_to_json(rep), [f"path-indexed representation: {rep.length_vector()}"])
     return EXIT_OK
@@ -120,7 +130,7 @@ def cmd_kopf(args):
 
 def cmd_decompose(args):
     rep = _load_rep(args)
-    factors = decompose(rep, seed=args.seed, budget=args.budget)
+    factors = decompose(rep, budget=args.budget)
     data = {
         "factors": [
             {"representation": mio.representation_to_json(r), "multiplicity": m, "certificate": c}
@@ -193,7 +203,6 @@ def build_parser():
             p.add_argument("--input", "-i", required=True, help="input JSON file")
         p.add_argument("--output", "-o", help="output file (default stdout)")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=default_budget)
 
     p = sub.add_parser("validate", help="re-validate and round-trip a representation file")
@@ -253,6 +262,7 @@ def build_parser():
                    help="a1..a7, a4-full, p1..p4, rad2-count, or 'all'")
     p.add_argument("--base", help="base for parametrized suites")
     p.add_argument("--quiver", help="quiver for parametrized suites")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_suite)
 
     return parser
@@ -272,6 +282,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .exact import image, solve_right
 from .serialmod import (
     SerialModule,
     SerialMorphism,
-    apply_morphism,
     module_elements,
     morphism,
     serial_module,
@@ -43,18 +42,6 @@ class ConcreteModule:
 
     def _lengths(self):
         return [self.base.length(p) for p in self.module.parts]
-
-    def add(self, i: int, j: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[i][j]
-        a, b = self.elements[i], self.elements[j]
-        lengths = self._lengths()
-        return self.index[tuple((x + y).truncate(l) for x, y, l in zip(a, b, lengths))]
-
-    def smul(self, c, i: int) -> int:
-        a = self.elements[i]
-        lengths = self._lengths()
-        return self.index[tuple((c * x).truncate(l) for x, l in zip(a, lengths))]
 
     def build_tables(self):
         if self._add_table is not None:
@@ -225,16 +212,6 @@ class ConcreteModule:
         S, incl, _ = image(phi)
         self._inclusion_cache[mask] = (S, incl)
         return S, incl
-
-    def morphism_image_mask(self, f: SerialMorphism, source_mask_elems=None) -> int:
-        """Bitmask of the image of a morphism into this concrete module."""
-        out = 1 << self.zero
-        src = ConcreteModule(f.source) if source_mask_elems is None else None
-        elems = src.elements if src else source_mask_elems
-        for e in elems:
-            v = apply_morphism(f, e)
-            out |= 1 << self.index[tuple(x.truncate(l) for x, l in zip(v, self._lengths()))]
-        return out
 
 
 def chain_of_inclusions(concrete: ConcreteModule, masks: List[int]):

@@ -2,22 +2,26 @@
 
 A representation splits along any endomorphism that is neither nilpotent nor
 invertible: the stable kernel and stable image of a high power are
-complementary subrepresentations.  Generators of the endomorphism group are
-tried first, then bounded random combinations, then an exhaustive scan of the
-endomorphism group; indecomposability is only declared with the exhaustive
-certificate (every endomorphism nilpotent or invertible, i.e. a local
-endomorphism ring).
+complementary subrepresentations.  Such an endomorphism is looked for in the
+residue algebra of the endomorphism ring, where invertibility and
+nilpotency are decided blockwise over F_p; the Fitting splitting is computed
+only for the witness found there.  Indecomposability is declared only with
+the exhaustive certificate (every residue element blockwise invertible or
+blockwise nilpotent, i.e. a local endomorphism ring).
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from typing import List, Tuple
 
-from .exact import image, kernel, solve_right
+from .exact import image, is_iso, kernel, solve_right
 from .rep import (
     Representation,
     RepMorphism,
+    ResidueSpace,
+    _fp_invertible,
+    _fp_nilpotent,
     hom_reps,
     is_iso_reps,
     rep_identity,
@@ -89,65 +93,43 @@ def fitting_split(r: Representation, phi: RepMorphism):
             mor_compose(k_inc.components[v], projs[0]),
             mor_compose(i_inc.components[v], projs[1]),
         )
-        from .exact import is_iso
         if total.parts != r.modules[v].parts or not is_iso(u):
             return None
     return k_rep, i_rep
 
 
 def _residue_witness(r: Representation, budget: int):
-    """Scan the residue algebra of End(r) for an element that is neither
-    blockwise invertible nor blockwise nilpotent.
+    """A lifted endomorphism of r whose residue blocks are neither all
+    invertible nor all nilpotent, or None when End(r) is local.
 
-    Returns (None, space) when the endomorphism ring is local (exhaustive
-    certificate) or (witness RepMorphism, space) otherwise.  Valid over every
-    backing: residues of composites multiply blockwise."""
-    from .rep import ResidueSpace, _fp_invertible, _fp_nilpotent
-
+    The residue map is a ring homomorphism with kernel inside rad End(r), so
+    such an element exists iff End(r) is not local, and it is exactly an
+    endomorphism that is neither invertible nor nilpotent.  The basis of the
+    residue space is tried at any budget; the whole space only when p^rank
+    is within the budget, otherwise an undecided scan raises BudgetExceeded.
+    Valid over every backing: residues of composites multiply blockwise."""
     space = hom_reps(r, r)
     res = ResidueSpace(space)
     p = res.p
-    if p ** res.rank > budget:
+    basis = [tuple(int(i == k) for i in range(res.rank)) for k in range(res.rank)]
+    within_budget = p ** res.rank <= budget
+    for combo in itertools.chain(basis, res.combos() if within_budget else ()):
+        mats = res.block_matrices(res.residue_of(combo))
+        if all(_fp_invertible(m, p) for m in mats) or all(_fp_nilpotent(m, p) for m in mats):
+            continue
+        return space._to_rep_morphism(space.solution._trunc(res.lift_of(combo)))
+    if not within_budget:
         raise BudgetExceeded(
-            f"endomorphism residue space p^{res.rank} exceeds the budget {budget}"
+            f"endomorphism residue space p^{res.rank} exceeds the budget {budget} "
+            "and no basis element decides it"
         )
-    for combo in res.combos():
-        vec = res.residue_of(combo)
-        mats = res.block_matrices(vec)
-        if all(_fp_invertible(m, p) for m in mats):
-            continue
-        if all(_fp_nilpotent(m, p) for m in mats):
-            continue
-        phi = space._to_rep_morphism(space.solution._trunc(res.lift_of(combo)))
-        return phi, space
-    return None, space
-
-
-def _fitting_probe(r: Representation, rng, max_random: int):
-    """Cheap splitting attempts: group generators of End(r), then random
-    combinations."""
-    space = hom_reps(r, r)
-    gens = [space._to_rep_morphism(space.solution._trunc(g)) for g in space.solution.generators]
-    for phi in gens:
-        split = fitting_split(r, phi)
-        if split:
-            return split
-    for _ in range(max_random):
-        phi = space.random(rng)
-        split = fitting_split(r, phi)
-        if split:
-            return split
     return None
 
 
-def _try_split(r: Representation, rng, budget: int, max_random: int):
-    split = _fitting_probe(r, rng, max_random)
-    if split:
-        return split, None
-    # Exhaustive certificate inside the residue algebra: the endomorphism ring
-    # is local iff every residue element is blockwise invertible or blockwise
-    # nilpotent; any other element lifts to a splitting endomorphism.
-    witness, _ = _residue_witness(r, budget)
+def _try_split(r: Representation, budget: int):
+    """(split, None) along a residue witness, or (None, "exhaustive") when
+    End(r) is local."""
+    witness = _residue_witness(r, budget)
     if witness is None:
         return None, "exhaustive"
     split = fitting_split(r, witness)
@@ -156,10 +138,8 @@ def _try_split(r: Representation, rng, budget: int, max_random: int):
     return split, None
 
 
-def decompose(r: Representation, seed: int = 0, budget: int = 1 << 20,
-              max_random: int = 32) -> List[tuple]:
+def decompose(r: Representation, budget: int = 1 << 20) -> List[tuple]:
     """List of (indecomposable factor, multiplicity, certificate)."""
-    rng = random.Random(seed)
     if r.is_zero():
         return []
     pieces: List[Representation] = []
@@ -169,7 +149,7 @@ def decompose(r: Representation, seed: int = 0, budget: int = 1 << 20,
         cur = stack.pop()
         if cur.is_zero():
             continue
-        split, cert = _try_split(cur, rng, budget, max_random)
+        split, cert = _try_split(cur, budget)
         if split is None:
             pieces.append(cur)
             certs.append(cert)
@@ -186,15 +166,9 @@ def decompose(r: Representation, seed: int = 0, budget: int = 1 << 20,
     return grouped
 
 
-def is_indecomposable(r: Representation, seed: int = 0, budget: int = 1 << 20,
-                      max_random: int = 16) -> bool:
+def is_indecomposable(r: Representation, budget: int = 1 << 20) -> bool:
     """Locality of the endomorphism ring, decided in its residue algebra;
-    works over abelian and stable backings alike.  Over abelian backings a
-    cheap splitting probe runs first so large decomposable inputs never reach
-    the exhaustive scan."""
+    works over abelian and stable backings alike."""
     if r.is_zero():
         return False
-    if r.base.is_abelian and _fitting_probe(r, random.Random(seed), max_random):
-        return False
-    witness, _ = _residue_witness(r, budget)
-    return witness is None
+    return _residue_witness(r, budget) is None

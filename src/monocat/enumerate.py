@@ -371,6 +371,10 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")
     if not isinstance(caps, dict):
+        caps = list(caps)
+        if len(caps) != len(quiver.vertices):
+            raise ValueError(f"expected {len(quiver.vertices)} caps, one per vertex, "
+                             f"got {len(caps)}")
         caps = dict(zip(quiver.vertices, caps))
     classifier = IsoClassifier()
     use_linear = mono_only and base.backing == CHAIN and is_linear_chain(quiver) is not None

@@ -23,7 +23,7 @@ always holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .base import CHAIN, RAD2NAK, SerialBase
 from .chainring import ChainRingElem
@@ -593,16 +593,6 @@ def _morphism_grade_matrices(f: SerialMorphism, sv: _GradedView, tv: _GradedView
     return mats
 
 
-def _vector_to_column(base, view: _GradedView, grade: int, vec) -> Tuple[list, list]:
-    """Express a grade vector over the ambient module's parts: returns
-    (labels with nonzero coefficient kinds) as a list of (part index, coeff digit)."""
-    out = []
-    for idx, x in enumerate(vec):
-        if x % view.p:
-            out.append((idx, x % view.p))
-    return out, view.basis_roles(grade)
-
-
 def _rad2nak_subobject_to_morphism(view: _GradedView, chosen):
     """Build (K, inclusion K -> M) from chosen part data.
 
@@ -660,10 +650,6 @@ def _rad2nak_decompose_graded(view: _GradedView, subspace_bases):
         null = _fp_nullspace(p, coeff_rows, len(coeff_rows), len(W)) if imgs else []
         kernels[g] = [_combine(p, W, coords) for coords in null]
         # tops: complement of the kernel inside W
-        null_rr = _Rref(p, [c for c in null], len(W))
-        for c in range(len(W)):
-            if c not in null_rr.pivots and len(null_rr.pivots) + _count_before(null_rr.pivots, c) <= len(W):
-                pass
         top_coords = _complement_coords(p, null, len(W))
         succ = base._succ(g)
         for coords in top_coords:
@@ -694,9 +680,6 @@ def _combine(p, basis, coords):
         if c % p:
             out = [(x + c * y) % p for x, y in zip(out, v)]
     return out
-
-def _count_before(lst, c):
-    return sum(1 for x in lst if x < c)
 
 def _complement_coords(p, subspace_coords, dim):
     """Coordinate vectors extending a subspace (given by coordinate rows) to full space."""

@@ -18,8 +18,22 @@ def module_to_json(m: SerialModule) -> dict:
     return {"parts": list(m.parts)}
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               (str, dict): "a name or an object"}
+
+
+def _expect(value, kind, what: str):
+    """``value`` if it has the JSON type ``kind``, else ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
+    return value
+
+
 def module_from_json(base: SerialBase, data: dict) -> SerialModule:
-    return serial_module(base, data["parts"])
+    parts = _expect(_expect(data, dict, "module")["parts"], list, "module parts")
+    for label in parts:
+        _expect(label, str, "module part label")
+    return serial_module(base, parts)
 
 
 def morphism_to_json(f: SerialMorphism) -> dict:
@@ -33,15 +47,23 @@ def morphism_from_json(source: SerialModule, target: SerialModule, data: Optiona
     base = source.base
     zero = base.ring.zero
     rows = []
-    raw = (data or {}).get("entries", [])
+    raw = [] if data is None else _expect(_expect(data, dict, "map").get("entries", []),
+                                          list, "map entries")
     for i in range(target.rank):
-        row_data = raw[i] if i < len(raw) else []
+        row_data = _expect(raw[i], list, "map entry row") if i < len(raw) else []
         row = []
         for j in range(source.rank):
             cell = row_data[j] if j < len(row_data) else None
-            row.append(zero if cell is None else base.ring.elem(cell["coeff"]))
+            row.append(zero if cell is None else _coeff_from_json(base.ring, cell))
         rows.append(row)
     return morphism(source, target, rows)
+
+
+def _coeff_from_json(ring, cell):
+    digits = _expect(_expect(cell, dict, "map entry")["coeff"], list, "coefficient")
+    for d in digits:
+        _expect(d, int, "coefficient digit")
+    return ring.elem(digits)
 
 
 def representation_to_json(r: Representation) -> dict:
@@ -53,18 +75,30 @@ def representation_to_json(r: Representation) -> dict:
     }
 
 
-def representation_from_json(data: dict, base: Optional[SerialBase] = None,
-                             quiver: Optional[Quiver] = None) -> Representation:
-    base = base or base_from_descriptor(data["base"])
-    quiver = quiver or quiver_from_descriptor(data["quiver"])
+def vertex_modules_from_json(data: dict, base: Optional[SerialBase] = None,
+                             quiver: Optional[Quiver] = None):
+    """(base, quiver, module at every vertex) of a document; a base or quiver
+    passed in replaces the document's, and absent vertices get zero modules."""
+    base = base or base_from_descriptor(_expect(data["base"], dict, "base descriptor"))
+    quiver = quiver or quiver_from_descriptor(_expect(data["quiver"], (str, dict),
+                                                      "quiver descriptor"))
+    module_data = _expect(data.get("modules", {}), dict, "modules")
     modules = {
-        v: module_from_json(base, data.get("modules", {}).get(v, {"parts": []}))
+        v: module_from_json(base, module_data.get(v, {"parts": []}))
         for v in quiver.vertices
     }
+    return base, quiver, modules
+
+
+def representation_from_json(data: dict, base: Optional[SerialBase] = None,
+                             quiver: Optional[Quiver] = None) -> Representation:
+    _expect(data, dict, "representation")
+    base, quiver, modules = vertex_modules_from_json(data, base, quiver)
+    map_data = _expect(data.get("maps", {}), dict, "maps")
     maps = {}
     for a in quiver.arrows:
         maps[a.name] = morphism_from_json(
-            modules[a.source], modules[a.target], data.get("maps", {}).get(a.name)
+            modules[a.source], modules[a.target], map_data.get(a.name)
         )
     return Representation(quiver, base, modules, maps)
 
@@ -84,11 +118,6 @@ def report_to_json(report: EnumerationReport) -> dict:
 
 def dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def load_representation(path: str) -> Representation:
-    with open(path) as fh:
-        return representation_from_json(json.load(fh))
 
 
 def save_representation(path: str, r: Representation):

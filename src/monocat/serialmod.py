@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .base import SerialBase
-from .chainring import ChainRingElem
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,6 @@ class SerialMorphism:
     def base(self) -> SerialBase:
         return self.source.base
 
-    def entry(self, i: int, j: int) -> ChainRingElem:
-        return self.entries[i][j]
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -107,27 +103,6 @@ def mor_add(f: SerialMorphism, g: SerialMorphism) -> SerialMorphism:
     rows = tuple(
         tuple(
             base.coeff(f.source.parts[j], f.target.parts[i], f.entries[i][j] + g.entries[i][j])
-            for j in range(f.source.rank)
-        )
-        for i in range(f.target.rank)
-    )
-    return SerialMorphism(f.source, f.target, rows)
-
-
-def mor_neg(f: SerialMorphism) -> SerialMorphism:
-    rows = tuple(tuple(-e for e in row) for row in f.entries)
-    return SerialMorphism(f.source, f.target, rows)
-
-
-def mor_sub(f: SerialMorphism, g: SerialMorphism) -> SerialMorphism:
-    return mor_add(f, mor_neg(g))
-
-
-def mor_scale(c: ChainRingElem, f: SerialMorphism) -> SerialMorphism:
-    base = f.base
-    rows = tuple(
-        tuple(
-            base.coeff(f.source.parts[j], f.target.parts[i], c * f.entries[i][j])
             for j in range(f.source.rank)
         )
         for i in range(f.target.rank)
@@ -285,18 +260,6 @@ class HomSpace:
     def size(self) -> int:
         p = self.base.ring.p
         return p ** sum(sum(row) for row in self.moduli)
-
-    def generators(self):
-        """Additive generators pi^k * E_ij of the hom group."""
-        gens = []
-        for i in range(self.target.rank):
-            for j in range(self.source.rank):
-                for k in range(self.moduli[i][j]):
-                    f = zero_morphism(self.source, self.target)
-                    rows = [list(r) for r in f.entries]
-                    rows[i][j] = self.base.ring.pi_pow(k)
-                    gens.append(SerialMorphism(self.source, self.target, tuple(tuple(r) for r in rows)))
-        return gens
 
     def __iter__(self) -> Iterator[SerialMorphism]:
         slots = [

@@ -381,10 +381,6 @@ def suite_p2(seed: int = 0, budget: int = 10_000_000, samples: int = 500) -> dic
                    failures=failures[:10])
 
 
-def _iterate_all(space, budget):
-    return space.iterate(budget)
-
-
 def suite_p3(seed: int = 0, budget: int = 10_000_000, samples: int = 200) -> dict:
     """The minimal monic approximation contract on random representations."""
     failures = []
@@ -426,7 +422,7 @@ def suite_p3(seed: int = 0, budget: int = 10_000_000, samples: int = 200) -> dic
             # injective vertex-module summands, i.e. after stripping)
             stripped, _ = strip_injective_summands(r)
             ms, _ = mimo(stripped)
-            for factor, mult, cert in decompose(ms, seed=seed):
+            for factor, mult, cert in decompose(ms):
                 if injective_rep_recognize(factor) is not None and not factor.is_zero():
                     failures.append(("injective summand in approximation", repr(r)))
             # independence of the chosen lift

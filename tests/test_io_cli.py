@@ -145,6 +145,60 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["mono-check", "-i", str(tmp_path / "missing.json")]) == 2
 
 
+def _write_json(tmp_path, payload):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_cli_modules_list_is_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path, {"base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2},
+                                  "quiver": "An-linear:2", "modules": [], "maps": {}})
+    assert main(["mono-check", "-i", path]) == 2
+    assert "modules must be an object" in capsys.readouterr().err
+
+
+def test_cli_fshriek_modules_list_is_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path, {"base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2},
+                                  "quiver": "kronecker", "modules": []})
+    assert main(["fshriek", "-i", path]) == 2
+    assert "modules must be an object" in capsys.readouterr().err
+    path = _write_json(tmp_path, [])
+    assert main(["fshriek", "-i", path]) == 2
+    assert "input must be a JSON object" in capsys.readouterr().err
+
+
+def test_cli_top_level_array_is_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path, [{"base": "chain:poly:2:2"}])
+    assert main(["mono-check", "-i", path]) == 2
+    assert "representation must be an object" in capsys.readouterr().err
+
+
+def test_cli_short_base_descriptor_is_input_error(capsys):
+    rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2"])
+    assert rc == 2
+    assert "cannot parse base descriptor" in capsys.readouterr().err
+
+
+def test_cli_caps_count_mismatch_is_input_error(capsys):
+    rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2",
+               "--caps", "2"])
+    assert rc == 2
+    assert "expected 2 caps, one per vertex, got 1" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    import monocat.cli as cli
+
+    def broken(args):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(cli, "cmd_kronecker", broken)
+    rc = main(["kronecker", "--base", "chain:poly:2:2", "--family", "P", "--index", "1"])
+    assert rc == 4
+    assert "AssertionError: injected" in capsys.readouterr().err
+
+
 def test_cli_fshriek(tmp_path, capsys):
     payload = {
         "base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2},

@@ -390,12 +390,23 @@ def stable_base(of: SerialBase) -> StableBase:
     return StableBase(of)
 
 
+def _field(desc: dict, key: str, kind: type):
+    """``desc[key]`` if it is a ``kind`` (bool is not an integer), else ValueError."""
+    value = desc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"base descriptor field {key!r} must be {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
 def base_from_descriptor(desc: dict) -> SerialBase:
+    if not isinstance(desc, dict):
+        raise ValueError(f"base descriptor must be an object, not {type(desc).__name__}")
     kind = desc.get("kind")
     if kind == "chain":
-        return chain_base(desc["arith"], desc["p"], desc["n"])
+        return chain_base(_field(desc, "arith", str), _field(desc, "p", int), _field(desc, "n", int))
     if kind == "rad2nak":
-        return rad2nak_base(desc["m"], desc["p"])
+        return rad2nak_base(_field(desc, "m", int), _field(desc, "p", int))
     if kind == "stable":
         return stable_base(base_from_descriptor(desc["of"]))
     raise ValueError(f"unknown base descriptor {desc!r}")

@@ -350,19 +350,3 @@ class ChainRingElem:
 
     def __repr__(self):
         return f"[{';'.join(str(d) for d in self.digits)}]"
-
-
-def elem_add(a: ChainRingElem, b: ChainRingElem) -> ChainRingElem:
-    return a + b
-
-
-def elem_mul(a: ChainRingElem, b: ChainRingElem) -> ChainRingElem:
-    return a * b
-
-
-def elem_unit_inverse(a: ChainRingElem) -> ChainRingElem:
-    return a.inverse()
-
-
-def elem_valuation(a: ChainRingElem) -> int:
-    return a.valuation()

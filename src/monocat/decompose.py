@@ -27,7 +27,7 @@ from .rep import (
     rep_identity,
     rep_morphism_compose,
 )
-from .serialmod import direct_sum, mor_add, mor_compose
+from .serialmod import assemble, mor_compose
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,12 +88,9 @@ def fitting_split(r: Representation, phi: RepMorphism):
     i_rep, i_inc = _subrep_from_inclusions(r, img_incl)
     # verify that [incl_K | incl_I] is an isomorphism from the direct sum
     for v in r.quiver.vertices:
-        total, _, projs = direct_sum(r.base, [k_rep.modules[v], i_rep.modules[v]])
-        u = mor_add(
-            mor_compose(k_inc.components[v], projs[0]),
-            mor_compose(i_inc.components[v], projs[1]),
-        )
-        if total.parts != r.modules[v].parts or not is_iso(u):
+        u, _, _ = assemble(r.base, [k_rep.modules[v], i_rep.modules[v]], [r.modules[v]],
+                           {(0, 0): k_inc.components[v], (0, 1): i_inc.components[v]})
+        if u.source.parts != r.modules[v].parts or not is_iso(u):
             return None
     return k_rep, i_rep
 

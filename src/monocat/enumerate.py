@@ -509,7 +509,7 @@ def kronecker_family(base: SerialBase, which: str, n: int, param=None) -> Repres
     p = base.ring.p
     from .exact import cokernel
     from .quiver import builtin_quiver
-    from .serialmod import direct_sum, identity_morphism, mor_add, mor_compose, zero_morphism
+    from .serialmod import assemble, identity_morphism, mor_block, mor_compose, zero_morphism
 
     quiver = builtin_quiver("kronecker")
     base1 = chain_base(INT, p, 1)
@@ -556,16 +556,14 @@ def kronecker_family(base: SerialBase, which: str, n: int, param=None) -> Repres
         top = [row + [(a * qn1[i]) % p] for i, row in enumerate(top0)]
         bot = [row + [(b * qn1[i]) % p] for i, row in enumerate(bot0)]
 
-    W11, injs, _ = direct_sum(base1, [W1, W1])
     if K.rank:
-        topm = morphism(K, W1, top)
-        botm = morphism(K, W1, bot)
-        incl = mor_add(mor_compose(injs[0], topm), mor_compose(injs[1], botm))
+        incl, _, (pos1, pos2) = assemble(base1, [K], [W1, W1],
+                                         {(0, 0): morphism(K, W1, top), (1, 0): morphism(K, W1, bot)})
         retract = solve_left(incl, identity_morphism(K))
         if retract is None:
             raise AssertionError("kernel inclusion must split over a field")
-        r1 = mor_compose(retract, injs[0])
-        r2 = mor_compose(retract, injs[1])
+        r1 = mor_block(retract, range(K.rank), pos1)
+        r2 = mor_block(retract, range(K.rank), pos2)
     else:
         r1 = zero_morphism(W1, K)
         r2 = zero_morphism(W1, K)

@@ -12,17 +12,10 @@ Two engines back the abelian operations:
   (one vector space per simple composition factor plus the radical action)
   and kernels/cokernels are plain Gaussian elimination; the serial normal
   form is read off the radical ranks.
-
-The morphism-level ``snf`` performs greedy diagonalization by valid pivots.
-Over bases of Loewy length >= 3 not every morphism splits into maps between
-indecomposables (the classification of indecomposables forbids it), so the
-result carries a ``diagonal`` flag; U, V are isomorphisms and U o f o V = D
-always holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .base import CHAIN, RAD2NAK, SerialBase
@@ -905,156 +898,3 @@ def invert(f: SerialMorphism) -> SerialMorphism:
     if inv is None or not mor_equal(mor_compose(inv, f), identity_morphism(f.source)):
         raise AssertionError("inverse computation failed")
     return inv
-
-
-# -- morphism-level Smith reduction -------------------------------------------------
-
-
-@dataclass
-class SnfResult:
-    """U o f o V = D with U, V isomorphisms.
-
-    ``diagonal`` reports whether D has at most one nonzero entry per row and
-    per column (a split decomposition of f into maps between indecomposable
-    parts).  Over chain rings of Loewy length >= 3 some morphisms are
-    indecomposable with more than one part and cannot be diagonalized.
-    """
-
-    U: SerialMorphism
-    D: SerialMorphism
-    V: SerialMorphism
-    diagonal: bool
-
-    def summands(self):
-        """Pieces (source part or None, target part or None, entry) of a diagonal D."""
-        if not self.diagonal:
-            raise ValueError("not diagonal: no split decomposition certificate")
-        src_used, out = set(), []
-        for i, tp in enumerate(self.D.target.parts):
-            hit = [j for j in range(self.D.source.rank) if not self.D.entries[i][j].is_zero()]
-            if hit:
-                out.append((self.D.source.parts[hit[0]], tp, self.D.entries[i][hit[0]]))
-                src_used.add(hit[0])
-            else:
-                out.append((None, tp, None))
-        for j, sp in enumerate(self.D.source.parts):
-            if j not in src_used:
-                out.append((sp, None, None))
-        return out
-
-
-def _divide_coeff(base, target, A, q):
-    """u with A*u = target mod pi^q, or None; canonical minimal-digit choice."""
-    t = target.truncate(q)
-    a = A.truncate(q)
-    if t.is_zero():
-        return base.ring.zero
-    if a.is_zero() or a.valuation() > t.valuation():
-        return None
-    va = a.valuation()
-    return (t.shift_down(va)) * (a.shift_down(va).inverse())
-
-
-def snf(f: SerialMorphism) -> SnfResult:
-    """Greedy diagonalization by pivots that can clear their row and column."""
-    _require_abelian(f.base, "snf")
-    base = f.base
-    one = base.one_coeff()
-    M, N = f.source, f.target
-    U = identity_morphism(N)
-    V = identity_morphism(M)
-    work = [list(row) for row in f.entries]
-    spent_rows, spent_cols = set(), set()
-    diagonal = True
-
-    def k_val(i, j):
-        a = base.length(M.parts[j])
-        b = base.length(N.parts[i])
-        return work[i][j].valuation() + max(0, b - a)
-
-    def row_clearable(i, j, j2):
-        A = base.compose_coeff(M.parts[j2], M.parts[j], N.parts[i], work[i][j], one)
-        q = base.hom_length(M.parts[j2], N.parts[i])
-        return _divide_coeff(base, -work[i][j2], A, q) is not None
-
-    def col_clearable(i, j, i2):
-        A = base.compose_coeff(M.parts[j], N.parts[i], N.parts[i2], one, work[i][j])
-        q = base.hom_length(M.parts[j], N.parts[i2])
-        return _divide_coeff(base, -work[i2][j], A, q) is not None
-
-    while True:
-        candidates = [
-            (i, j)
-            for i in range(N.rank)
-            for j in range(M.rank)
-            if i not in spent_rows and j not in spent_cols and not work[i][j].is_zero()
-        ]
-        if not candidates:
-            break
-        candidates.sort(key=lambda ij: (k_val(*ij), base.length(M.parts[ij[1]]),
-                                        -base.length(N.parts[ij[0]]), ij))
-        pivot = None
-        for (i, j) in candidates:
-            ok = all(row_clearable(i, j, j2) for (i2, j2) in candidates if i2 == i and j2 != j)
-            ok = ok and all(col_clearable(i, j, i2) for (i2, j2) in candidates if j2 == j and i2 != i)
-            if ok:
-                pivot = (i, j)
-                break
-        if pivot is None:
-            pivot = candidates[0]
-            diagonal = False
-        i, j = pivot
-
-        # column operations clear the pivot row
-        for (i2, j2) in [c for c in candidates if c[0] == i and c[1] != j]:
-            A = base.compose_coeff(M.parts[j2], M.parts[j], N.parts[i], work[i][j], one)
-            q = base.hom_length(M.parts[j2], N.parts[i])
-            u = _divide_coeff(base, -work[i][j2], A, q)
-            if u is None:
-                continue
-            for i3 in range(N.rank):
-                add = base.compose_coeff(M.parts[j2], M.parts[j], N.parts[i3], work[i3][j], u)
-                work[i3][j2] = base.coeff(M.parts[j2], N.parts[i3], work[i3][j2] + add)
-            Vw = [list(r) for r in V.entries]
-            for r in range(M.rank):
-                add = base.compose_coeff(M.parts[j2], M.parts[j], M.parts[r], V.entries[r][j], u)
-                Vw[r][j2] = base.coeff(M.parts[j2], M.parts[r], Vw[r][j2] + add)
-            V = SerialMorphism(M, M, tuple(tuple(r) for r in Vw))
-        # row operations clear the pivot column
-        for (i2, j2) in [c for c in candidates if c[1] == j and c[0] != i]:
-            A = base.compose_coeff(M.parts[j], N.parts[i], N.parts[i2], one, work[i][j])
-            q = base.hom_length(M.parts[j], N.parts[i2])
-            w = _divide_coeff(base, -work[i2][j], A, q)
-            if w is None:
-                continue
-            for j3 in range(M.rank):
-                add = base.compose_coeff(M.parts[j3], N.parts[i], N.parts[i2], w, work[i][j3])
-                work[i2][j3] = base.coeff(M.parts[j3], N.parts[i2], work[i2][j3] + add)
-            Uw = [list(r) for r in U.entries]
-            for cidx in range(N.rank):
-                add = base.compose_coeff(N.parts[cidx], N.parts[i], N.parts[i2], w, U.entries[i][cidx])
-                Uw[i2][cidx] = base.coeff(N.parts[cidx], N.parts[i2], Uw[i2][cidx] + add)
-            U = SerialMorphism(N, N, tuple(tuple(r) for r in Uw))
-
-        # unit-normalize the pivot so the surviving entry is pi^e * generator
-        c = work[i][j]
-        if not c.is_zero() and not (c.shift_down(c.valuation()) - base.ring.one).is_zero():
-            scale = c.shift_down(c.valuation()).inverse()
-            work[i] = [base.coeff(M.parts[jj], N.parts[i], scale * x) for jj, x in enumerate(work[i])]
-            Uw = [list(r) for r in U.entries]
-            Uw[i] = [base.coeff(N.parts[cc], N.parts[i], scale * x) for cc, x in enumerate(Uw[i])]
-            U = SerialMorphism(N, N, tuple(tuple(r) for r in Uw))
-        spent_rows.add(i)
-        spent_cols.add(j)
-
-    D = SerialMorphism(M, N, tuple(tuple(r) for r in work))
-    if diagonal:
-        for i in range(N.rank):
-            nz = [j for j in range(M.rank) if not D.entries[i][j].is_zero()]
-            if len(nz) > 1:
-                diagonal = False
-        for j in range(M.rank):
-            nz = [i for i in range(N.rank) if not D.entries[i][j].is_zero()]
-            if len(nz) > 1:
-                diagonal = False
-    return SnfResult(U=U, D=D, V=V, diagonal=diagonal)

@@ -25,10 +25,11 @@ from .rep import (
 from .serialmod import (
     SerialModule,
     SerialMorphism,
+    assemble,
     direct_sum,
     identity_morphism,
     injective_envelope,
-    mor_add,
+    mor_block,
     mor_compose,
     morphism,
     serial_module,
@@ -55,7 +56,7 @@ def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMor
     in_data = {v: in_map_data(r, v) for v in quiver.vertices}
     envelopes = {}
     for v in quiver.vertices:
-        total, f, arrows, injs = in_data[v]
+        total, f, _, _ = in_data[v]
         J, e = envelope_data.get(v, (zero_module(base), zero_morphism(total, zero_module(base))))
         if not _is_injective_module(base, J):
             raise ValueError(f"envelope module at vertex {v} is not injective")
@@ -66,40 +67,33 @@ def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMor
             raise ValueError(f"envelope map at vertex {v} is not monic on the in-map kernel")
         envelopes[v] = (J, e)
 
+    # vertex v carries r.modules[v] (summand 0) and J_{s(p)} for each path p into v
     paths_into = {v: quiver.paths_into(v) for v in quiver.vertices}
-    blocks = {}   # vertex -> list of summands: r.modules[v] first, then J_{s(p)} per path
-    vertex_mod, injs, projs = {}, {}, {}
-    for v in quiver.vertices:
-        summands = [r.modules[v]] + [envelopes[p.source][0] for p in paths_into[v]]
-        total, i_list, p_list = direct_sum(base, summands)
-        vertex_mod[v] = total
-        blocks[v] = summands
-        injs[v] = {"rep": i_list[0], **{p: i for p, i in zip(paths_into[v], i_list[1:])}}
-        projs[v] = {"rep": p_list[0], **{p: q for p, q in zip(paths_into[v], p_list[1:])}}
-
+    summands = {v: [r.modules[v]] + [envelopes[p.source][0] for p in paths_into[v]]
+                for v in quiver.vertices}
     maps = {}
     for a in quiver.arrows:
         src, tgt = a.source, a.target
-        f = zero_morphism(vertex_mod[src], vertex_mod[tgt])
-        # original arrow map between the rep blocks
-        f = mor_add(f, mor_compose(injs[tgt]["rep"],
-                                   mor_compose(r.maps[a.name], projs[src]["rep"])))
-        # rep block feeds the trivial-path envelope block through e_tgt
-        _, _, arrows_in, in_injs = in_data[tgt]
-        arrow_pos = list(arrows_in).index(a)
-        e_tgt = envelopes[tgt][1]
-        trivial = next(p for p in paths_into[tgt] if p.length == 0)
-        feed = mor_compose(e_tgt, in_injs[arrow_pos])
-        f = mor_add(f, mor_compose(injs[tgt][trivial], mor_compose(feed, projs[src]["rep"])))
+        # the original arrow map between the rep blocks
+        blocks = {(0, 0): r.maps[a.name]}
+        # the rep block feeds the trivial-path envelope block through e_tgt
+        _, _, arrows_in, in_pos = in_data[tgt]
+        J, e_tgt = envelopes[tgt]
+        feed = mor_block(e_tgt, range(J.rank), in_pos[arrows_in.index(a)])
+        trivial = next(k for k, p in enumerate(paths_into[tgt]) if p.length == 0)
+        blocks[(1 + trivial, 0)] = feed
         # path blocks shift identically
-        for p in paths_into[src]:
-            q = quiver.extend_path(a, p)
-            ident = identity_morphism(envelopes[p.source][0])
-            f = mor_add(f, mor_compose(injs[tgt][q], mor_compose(ident, projs[src][p])))
-        maps[a.name] = f
+        for k, p in enumerate(paths_into[src]):
+            q = paths_into[tgt].index(quiver.extend_path(a, p))
+            blocks[(1 + q, 1 + k)] = identity_morphism(envelopes[p.source][0])
+        maps[a.name] = assemble(base, summands[src], summands[tgt], blocks)[0]
 
+    vertex_mod = {v: direct_sum(base, summands[v])[0] for v in quiver.vertices}
     result = Representation(quiver, base, vertex_mod, maps)
-    p_components = {v: projs[v]["rep"] for v in quiver.vertices}
+    p_components = {
+        v: assemble(base, summands[v], [r.modules[v]], {(0, 0): identity_morphism(r.modules[v])})[0]
+        for v in quiver.vertices
+    }
     p = RepMorphism(result, r, p_components)
     return result, p
 
@@ -135,26 +129,16 @@ def strip_injective_summands(r: Representation):
     base = r.base
     if not (base.is_abelian and base.is_selfinjective):
         raise ValueError("stripping needs an abelian self-injective backing")
-    kept_mod, kept_incl, kept_proj, dropped = {}, {}, {}, {}
+    kept_mod, kept_pos, dropped = {}, {}, {}
     for v in r.quiver.vertices:
         m = r.modules[v]
-        kept_parts = [p for p in m.parts if not base.is_injective(p)]
-        drop_parts = [p for p in m.parts if base.is_injective(p)]
-        kept = serial_module(base, kept_parts)
-        dropped[v] = serial_module(base, drop_parts)
-        kept_mod[v] = kept
-        one, zero = base.one_coeff(), base.zero_coeff()
-        # parts are already split by label in normal form, so the compression
-        # is the coordinate projection/inclusion on the kept parts
-        positions = [i for i, p in enumerate(m.parts) if not base.is_injective(p)]
-        incl = [[one if positions[j] == i else zero for j in range(kept.rank)] for i in range(m.rank)]
-        proj = [[one if positions[i] == j else zero for j in range(m.rank)] for i in range(kept.rank)]
-        kept_incl[v] = morphism(kept, m, incl)
-        kept_proj[v] = morphism(m, kept, proj)
-    maps = {}
-    for a in r.quiver.arrows:
-        maps[a.name] = mor_compose(kept_proj[a.target],
-                                   mor_compose(r.maps[a.name], kept_incl[a.source]))
+        kept_pos[v] = [i for i, p in enumerate(m.parts) if not base.is_injective(p)]
+        kept_mod[v] = serial_module(base, [m.parts[i] for i in kept_pos[v]])
+        dropped[v] = serial_module(base, [p for p in m.parts if base.is_injective(p)])
+    # parts are already split by label in normal form, so the compressed arrow
+    # map is the block on the kept rows and columns
+    maps = {a.name: mor_block(r.maps[a.name], kept_pos[a.target], kept_pos[a.source])
+            for a in r.quiver.arrows}
     return Representation(r.quiver, base, kept_mod, maps), dropped
 
 

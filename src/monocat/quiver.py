@@ -47,6 +47,7 @@ class Quiver:
             raise ValueError("duplicate arrow names")
         self.arrows = tuple(arrs)
         self._topo = self._topological_order()
+        self._paths = None
 
     def _topological_order(self):
         indeg = {v: 0 for v in self.vertices}
@@ -77,19 +78,22 @@ class Quiver:
 
     def paths(self) -> Tuple[Path, ...]:
         """All paths, deterministically ordered by length, then arrow names,
-        then source vertex position; includes the length-0 paths e_i."""
-        out = [Path(v, v, ()) for v in self.vertices]
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for a in self.arrows_out_of(p.target):
-                    nxt.append(Path(p.source, a.target, p.arrows + (a.name,)))
-            out.extend(nxt)
-            frontier = nxt
-        return tuple(
-            sorted(out, key=lambda p: (p.length, p.arrows, self.vertices.index(p.source)))
-        )
+        then source vertex position; includes the length-0 paths e_i.
+        Computed once per quiver."""
+        if self._paths is None:
+            out = [Path(v, v, ()) for v in self.vertices]
+            frontier = list(out)
+            while frontier:
+                nxt = []
+                for p in frontier:
+                    for a in self.arrows_out_of(p.target):
+                        nxt.append(Path(p.source, a.target, p.arrows + (a.name,)))
+                out.extend(nxt)
+                frontier = nxt
+            self._paths = tuple(
+                sorted(out, key=lambda p: (p.length, p.arrows, self.vertices.index(p.source)))
+            )
+        return self._paths
 
     def paths_into(self, v: str) -> Tuple[Path, ...]:
         return tuple(p for p in self.paths() if p.target == v)
@@ -284,9 +288,18 @@ def builtin_quiver(name: str) -> Quiver:
 
 
 def quiver_from_descriptor(desc) -> Quiver:
+    """A builtin quiver by name, or a quiver from {"vertices": [names],
+    "arrows": [{"name", "from", "to"}]}; malformed fields raise ValueError."""
     if isinstance(desc, str):
         return builtin_quiver(desc)
-    return Quiver(
-        desc["vertices"],
-        [(a["name"], a["from"], a["to"]) for a in desc["arrows"]],
-    )
+    if not isinstance(desc, dict):
+        raise ValueError(f"quiver descriptor must be a name or an object, not {type(desc).__name__}")
+    vertices, arrows = desc["vertices"], desc["arrows"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ValueError("quiver vertices must be a list of strings")
+    if not isinstance(arrows, list) or not all(isinstance(a, dict) for a in arrows):
+        raise ValueError("quiver arrows must be a list of objects")
+    triples = [(a["name"], a["from"], a["to"]) for a in arrows]
+    if not all(isinstance(x, str) for t in triples for x in t):
+        raise ValueError("quiver arrow name, from and to must be strings")
+    return Quiver(vertices, triples)

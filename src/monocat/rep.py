@@ -25,11 +25,12 @@ from .quiver import Quiver
 from .serialmod import (
     SerialModule,
     SerialMorphism,
+    assemble,
     direct_sum,
     hom_moduli,
     identity_morphism,
-    mor_add,
     mor_compose,
+    mor_direct_sum,
     mor_equal,
     morphism,
     serial_module,
@@ -127,17 +128,8 @@ def rep_direct_sum(r: Representation, s: Representation) -> Representation:
     if r.quiver != s.quiver or r.base != s.base:
         raise ValueError("direct sum requires same quiver and base")
     base = r.base
-    modules, inj_r, inj_s, proj_r, proj_s = {}, {}, {}, {}, {}
-    for v in r.quiver.vertices:
-        total, injs, projs = direct_sum(base, [r.modules[v], s.modules[v]])
-        modules[v] = total
-        inj_r[v], inj_s[v] = injs
-        proj_r[v], proj_s[v] = projs
-    maps = {}
-    for a in r.quiver.arrows:
-        f = mor_compose(inj_r[a.target], mor_compose(r.maps[a.name], proj_r[a.source]))
-        g = mor_compose(inj_s[a.target], mor_compose(s.maps[a.name], proj_s[a.source]))
-        maps[a.name] = mor_add(f, g)
+    modules = {v: direct_sum(base, [r.modules[v], s.modules[v]])[0] for v in r.quiver.vertices}
+    maps = {a.name: mor_direct_sum(base, [r.maps[a.name], s.maps[a.name]]) for a in r.quiver.arrows}
     return Representation(r.quiver, base, modules, maps)
 
 
@@ -145,14 +137,11 @@ def rep_direct_sum(r: Representation, s: Representation) -> Representation:
 
 
 def in_map_data(r: Representation, v: str):
-    """(X_v, in-map X_v -> R_v, arrows into v, injections R_{s(a)} -> X_v)."""
+    """(X_v, in-map X_v -> R_v, arrows into v, positions of each R_{s(a)} in X_v)."""
     arrows = r.quiver.arrows_into(v)
-    sources = [r.modules[a.source] for a in arrows]
-    total, injs, projs = direct_sum(r.base, sources)
-    f = zero_morphism(total, r.modules[v])
-    for a, proj in zip(arrows, projs):
-        f = mor_add(f, mor_compose(r.maps[a.name], proj))
-    return total, f, arrows, injs
+    blocks = {(0, t): r.maps[a.name] for t, a in enumerate(arrows)}
+    f, positions, _ = assemble(r.base, [r.modules[a.source] for a in arrows], [r.modules[v]], blocks)
+    return f.source, f, arrows, positions
 
 
 def in_map(r: Representation, v: str) -> SerialMorphism:
@@ -205,21 +194,15 @@ def f_shriek(base: SerialBase, quiver: Quiver, modules: Dict[str, SerialModule])
     (a o p)-block.  The result is mono with split in-maps."""
     modules = {v: modules.get(v, zero_module(base)) for v in quiver.vertices}
     paths_into = {v: quiver.paths_into(v) for v in quiver.vertices}
-    vertex_mod, injs, projs = {}, {}, {}
-    for v in quiver.vertices:
-        blocks = [modules[p.source] for p in paths_into[v]]
-        total, i_list, p_list = direct_sum(base, blocks)
-        vertex_mod[v] = total
-        injs[v] = dict(zip(paths_into[v], i_list))
-        projs[v] = dict(zip(paths_into[v], p_list))
+    summands = {v: [modules[p.source] for p in paths_into[v]] for v in quiver.vertices}
+    vertex_mod = {v: direct_sum(base, summands[v])[0] for v in quiver.vertices}
     maps = {}
     for a in quiver.arrows:
-        f = zero_morphism(vertex_mod[a.source], vertex_mod[a.target])
-        for p in paths_into[a.source]:
-            q = quiver.extend_path(a, p)
-            ident = identity_morphism(modules[p.source])
-            f = mor_add(f, mor_compose(injs[a.target][q], mor_compose(ident, projs[a.source][p])))
-        maps[a.name] = f
+        blocks = {
+            (paths_into[a.target].index(quiver.extend_path(a, p)), k): identity_morphism(modules[p.source])
+            for k, p in enumerate(paths_into[a.source])
+        }
+        maps[a.name] = assemble(base, summands[a.source], summands[a.target], blocks)[0]
     return Representation(quiver, base, vertex_mod, maps)
 
 
@@ -232,16 +215,20 @@ def vertex_module(base: SerialBase, quiver: Quiver, v: str, m: SerialModule) -> 
 
 
 class RepHomSpace:
-    """Solution space of the naturality system for Hom(R, S)."""
+    """Solution space of the naturality system for Hom(R, S).
+
+    ``slots`` lists the unknowns (vertex, target part, source part),
+    ``slot_index`` inverts it, ``moduli`` gives their hom lengths and ``rows``
+    the naturality equations, in the form ``solve_hom_system`` takes."""
 
     def __init__(self, r: Representation, s: Representation):
         if r.quiver != s.quiver or r.base != s.base:
             raise ValueError("base or quiver mismatch")
         self.r, self.s = r, s
         base = r.base
-        self.slots = []  # (vertex, i target part, j source part)
+        self.slots = []
         self.moduli = []
-        slot_index = {}
+        self.slot_index = slot_index = {}
         for v in r.quiver.vertices:
             mod = hom_moduli(r.modules[v], s.modules[v])
             for i in range(s.modules[v].rank):
@@ -249,7 +236,7 @@ class RepHomSpace:
                     slot_index[(v, i, j)] = len(self.slots)
                     self.slots.append((v, i, j))
                     self.moduli.append(mod[i][j])
-        rows = []
+        self.rows = rows = []
         one = base.one_coeff()
         for a in r.quiver.arrows:
             src, tgt = a.source, a.target
@@ -328,12 +315,11 @@ class ResidueSpace:
             for label in sorted(set(parts), key=base.label_sort_key):
                 pos = [k for k, q in enumerate(parts) if q == label]
                 self.blocks.append((v, label, pos))
-        slot_pos = {slot: idx for idx, slot in enumerate(space.slots)}
         self.coord_slots = []
         for v, label, pos in self.blocks:
             for i in pos:
                 for j in pos:
-                    self.coord_slots.append(slot_pos[(v, i, j)])
+                    self.coord_slots.append(space.slot_index[(v, i, j)])
         # F_p basis of the projected solution space, with lifted generators
         rows = []
         for gen in space.solution.generators:

@@ -2,10 +2,12 @@
 morphisms as block matrices of hom coefficients.
 
 A module is an ordered multiset of indecomposable labels, always kept sorted
-(descending length, then label index); constructors re-sort and all maps
-built from blocks go through explicit injections/projections so the sorting
+(descending length, then label index); constructors re-sort.  A direct sum
+records where each summand's parts land in the sorted sum, and maps built
+from blocks copy each block's entries to those positions, so the sorting
 permutation never leaks.  A morphism stores one canonical coefficient per
-(target part, source part) pair.
+(target part, source part) pair; a copied entry keeps its pair of labels and
+so stays canonical.
 """
 
 from __future__ import annotations
@@ -139,11 +141,8 @@ def mor_equal(f: SerialMorphism, g: SerialMorphism) -> bool:
 
 
 def direct_sum(base: SerialBase, summands: Sequence[SerialModule]):
-    """Direct sum with its canonical injections and projections.
-
-    Parts are re-sorted into normal form; the returned injections/projections
-    absorb the sorting permutation.
-    """
+    """(total, positions): the direct sum in normal form, and for each summand
+    t the increasing indices in ``total.parts`` of its parts."""
     tagged = []
     for t, m in enumerate(summands):
         if m.base != base:
@@ -152,42 +151,42 @@ def direct_sum(base: SerialBase, summands: Sequence[SerialModule]):
             tagged.append((p, t, local))
     order = sorted(range(len(tagged)), key=lambda k: (base.label_sort_key(tagged[k][0]), k))
     total = SerialModule(base, tuple(tagged[k][0] for k in order))
-    position = {(tagged[k][1], tagged[k][2]): pos for pos, k in enumerate(order)}
+    positions = [[0] * m.rank for m in summands]
+    for pos, k in enumerate(order):
+        _, t, local = tagged[k]
+        positions[t][local] = pos
+    return total, positions
 
-    one, z = base.one_coeff(), base.zero_coeff()
-    injections, projections = [], []
-    for t, m in enumerate(summands):
-        inj = [[z] * m.rank for _ in range(total.rank)]
-        for local in range(m.rank):
-            inj[position[(t, local)]][local] = one
-        injections.append(SerialMorphism(m, total, tuple(tuple(r) for r in inj)))
-        proj = [[z] * total.rank for _ in range(m.rank)]
-        for local in range(m.rank):
-            proj[local][position[(t, local)]] = one
-        projections.append(SerialMorphism(total, m, tuple(tuple(r) for r in proj)))
-    return total, injections, projections
+
+def assemble(base: SerialBase, sources: Sequence[SerialModule], targets: Sequence[SerialModule], blocks: dict):
+    """(f, source positions, target positions): the morphism (+)sources ->
+    (+)targets whose block (t_idx, s_idx) is ``blocks[(t_idx, s_idx)]`` and
+    whose other entries are zero."""
+    src, src_pos = direct_sum(base, sources)
+    tgt, tgt_pos = direct_sum(base, targets)
+    z = base.zero_coeff()
+    rows = [[z] * src.rank for _ in range(tgt.rank)]
+    for (ti, si), f in blocks.items():
+        if f.source != sources[si] or f.target != targets[ti]:
+            raise ValueError(f"block ({ti},{si}) has wrong shape")
+        for i, row in zip(tgt_pos[ti], f.entries):
+            for j, e in zip(src_pos[si], row):
+                rows[i][j] = e
+    return SerialMorphism(src, tgt, tuple(tuple(r) for r in rows)), src_pos, tgt_pos
 
 
 def mor_direct_sum(base: SerialBase, morphisms: Sequence[SerialMorphism]) -> SerialMorphism:
     """Block-diagonal sum f1 (+) f2 (+) ... on the sorted direct sums."""
-    src, _, src_proj = direct_sum(base, [f.source for f in morphisms])
-    tgt, tgt_inj, _ = direct_sum(base, [f.target for f in morphisms])
-    total = zero_morphism(src, tgt)
-    for f, p, i in zip(morphisms, src_proj, tgt_inj):
-        total = mor_add(total, mor_compose(i, mor_compose(f, p)))
-    return total
+    blocks = {(t, t): f for t, f in enumerate(morphisms)}
+    return assemble(base, [f.source for f in morphisms], [f.target for f in morphisms], blocks)[0]
 
 
-def assemble(base: SerialBase, sources: Sequence[SerialModule], targets: Sequence[SerialModule], blocks: dict):
-    """Morphism (+)sources -> (+)targets from a sparse dict (t_idx, s_idx) -> block."""
-    src, _, src_proj = direct_sum(base, sources)
-    tgt, tgt_inj, _ = direct_sum(base, targets)
-    total = zero_morphism(src, tgt)
-    for (ti, si), f in blocks.items():
-        if f.source != sources[si] or f.target != targets[ti]:
-            raise ValueError(f"block ({ti},{si}) has wrong shape")
-        total = mor_add(total, mor_compose(tgt_inj[ti], mor_compose(f, src_proj[si])))
-    return total, src, tgt
+def mor_block(f: SerialMorphism, rows: Sequence[int], cols: Sequence[int]) -> SerialMorphism:
+    """The block of f on the target parts at ``rows`` and the source parts at
+    ``cols`` (increasing positions), as a map between those parts."""
+    source = SerialModule(f.base, tuple(f.source.parts[j] for j in cols))
+    target = SerialModule(f.base, tuple(f.target.parts[i] for i in rows))
+    return SerialMorphism(source, target, tuple(tuple(f.entries[i][j] for j in cols) for i in rows))
 
 
 # -- concrete elements (used by oracles and exhaustive checks) ------------------
@@ -306,16 +305,18 @@ def socle(m: SerialModule) -> SerialModule:
     return serial_module(m.base, (m.base.socle_label(p) for p in m.parts))
 
 
+def _generator_sum(base: SerialBase, pairs) -> SerialMorphism:
+    """Direct sum of the canonical generators a -> b over the label pairs."""
+    one = base.one_coeff()
+    return mor_direct_sum(base, [
+        morphism(serial_module(base, (a,)), serial_module(base, (b,)), [[one]]) for a, b in pairs
+    ])
+
+
 def socle_inclusion(m: SerialModule) -> SerialMorphism:
     """The canonical monomorphism socle(M) -> M."""
-    base = m.base
-    socs = [serial_module(base, (base.socle_label(p),)) for p in m.parts]
-    parts = [serial_module(base, (p,)) for p in m.parts]
-    blocks = {}
-    for i, p in enumerate(m.parts):
-        blocks[(i, i)] = morphism(socs[i], parts[i], [[base.one_coeff()]])
-    f, src, tgt = assemble(base, socs, parts, blocks)
-    assert tgt == m and src == socle(m)
+    f = _generator_sum(m.base, [(m.base.socle_label(p), p) for p in m.parts])
+    assert f.target == m and f.source == socle(m)
     return f
 
 
@@ -324,11 +325,6 @@ def injective_envelope(m: SerialModule):
     base = m.base
     if not base.is_selfinjective:
         raise ValueError(f"base {base.descriptor()} has no injective envelopes")
-    envs = [serial_module(base, (base.envelope_label(p),)) for p in m.parts]
-    parts = [serial_module(base, (p,)) for p in m.parts]
-    blocks = {}
-    for i in range(m.rank):
-        blocks[(i, i)] = morphism(parts[i], envs[i], [[base.one_coeff()]])
-    j, src, tgt = assemble(base, parts, envs, blocks)
-    assert src == m
-    return tgt, j
+    j = _generator_sum(base, [(p, base.envelope_label(p)) for p in m.parts])
+    assert j.source == m
+    return j.target, j

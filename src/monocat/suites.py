@@ -401,10 +401,10 @@ def suite_p3(seed: int = 0, budget: int = 10_000_000, samples: int = 200) -> dic
             n = random_representation(base, quiver, rng)
             nm, _ = mimo(n)
             g = hom_reps(nm, r).random(rng)
-            if _lift_through(p, g) is None:
+            if _lift_through(p, g)[1] is None:
                 failures.append(("approximation not surjective", repr(r)))
             # minimality: endomorphisms compatible with p are isomorphisms
-            sols = _compatible_endos(m, p, coset_cap)
+            sols = _compatible_endos(p, coset_cap)
             if sols is None:
                 rng2 = random.Random(seed + 7)
                 space = hom_reps(m, m)
@@ -436,57 +436,28 @@ def suite_p3(seed: int = 0, budget: int = 10_000_000, samples: int = 200) -> dic
 
 
 def _lift_through(p: RepMorphism, g: RepMorphism):
-    """h with p o h = g, or None (exact linear solve)."""
-    r = g.source
-    m = p.source
-    base = r.base
+    """(space, solution): space = Hom(g.source, p.source), and the exact
+    solution of its naturality rows plus the rows of p o h = g, in its slots,
+    or None when no such h exists."""
+    space = hom_reps(g.source, p.source)
+    r, base = g.source, g.source.base
     one = base.one_coeff()
-    slots = []
-    moduli = []
-    slot_index = {}
-    for v in r.quiver.vertices:
-        for i in range(m.modules[v].rank):
-            for j in range(r.modules[v].rank):
-                slot_index[(v, i, j)] = len(slots)
-                slots.append((v, i, j))
-                moduli.append(base.hom_length(r.modules[v].parts[j], m.modules[v].parts[i]))
-    rows = []
-    # naturality of h
-    for a in r.quiver.arrows:
-        src, tgt = a.source, a.target
-        Ra, Ma = r.maps[a.name], m.maps[a.name]
-        for k in range(m.modules[tgt].rank):
-            for j in range(r.modules[src].rank):
-                coeffs = [base.ring.zero] * len(slots)
-                for i in range(m.modules[src].rank):
-                    if Ma.entries[k][i].is_zero():
-                        continue
-                    A = base.compose_coeff(r.modules[src].parts[j], m.modules[src].parts[i],
-                                           m.modules[tgt].parts[k], Ma.entries[k][i], one)
-                    coeffs[slot_index[(src, i, j)]] = coeffs[slot_index[(src, i, j)]] + A
-                for i in range(r.modules[tgt].rank):
-                    if Ra.entries[i][j].is_zero():
-                        continue
-                    B = base.compose_coeff(r.modules[src].parts[j], r.modules[tgt].parts[i],
-                                           m.modules[tgt].parts[k], one, Ra.entries[i][j])
-                    coeffs[slot_index[(tgt, k, i)]] = coeffs[slot_index[(tgt, k, i)]] - B
-                rows.append((coeffs, base.ring.zero,
-                             base.hom_length(r.modules[src].parts[j], m.modules[tgt].parts[k])))
-    # p o h = g
+    rows = list(space.rows)
     for v in r.quiver.vertices:
         pv, gv = p.components[v], g.components[v]
         for k in range(gv.target.rank):
             for j in range(r.modules[v].rank):
-                coeffs = [base.ring.zero] * len(slots)
-                for i in range(m.modules[v].rank):
+                coeffs = [base.ring.zero] * len(space.slots)
+                for i in range(pv.source.rank):
                     if pv.entries[k][i].is_zero():
                         continue
-                    A = base.compose_coeff(r.modules[v].parts[j], m.modules[v].parts[i],
+                    A = base.compose_coeff(r.modules[v].parts[j], pv.source.parts[i],
                                            gv.target.parts[k], pv.entries[k][i], one)
-                    coeffs[slot_index[(v, i, j)]] = coeffs[slot_index[(v, i, j)]] + A
+                    idx = space.slot_index[(v, i, j)]
+                    coeffs[idx] = coeffs[idx] + A
                 rows.append((coeffs, gv.entries[k][j],
                              base.hom_length(r.modules[v].parts[j], gv.target.parts[k])))
-    return solve_hom_system(base.ring, moduli, rows)
+    return space, solve_hom_system(base.ring, space.moduli, rows)
 
 
 def _p_compatible(p: RepMorphism, phi: RepMorphism) -> bool:
@@ -496,19 +467,15 @@ def _p_compatible(p: RepMorphism, phi: RepMorphism) -> bool:
     return True
 
 
-def _compatible_endos(m: Representation, p: RepMorphism, cap: int):
-    """All endomorphisms phi of m with p o phi = p, or None above the cap."""
-    sol = _lift_through(p, p)
+def _compatible_endos(p: RepMorphism, cap: int):
+    """All endomorphisms phi of p.source with p o phi = p, or None above the cap."""
+    space, sol = _lift_through(p, p)
     if sol is None:
         raise AssertionError("identity is always compatible")
     vecs = sol.iterate(cap)
     if vecs is None:
         return None
-    space = hom_reps(m, m)
-    out = []
-    for vec in vecs:
-        out.append(space._to_rep_morphism(vec))
-    return out
+    return [space._to_rep_morphism(vec) for vec in vecs]
 
 
 def _second_lift_data(r: Representation, rng):

@@ -168,6 +168,27 @@ def test_cli_fshriek_modules_list_is_input_error(tmp_path, capsys):
     assert "input must be a JSON object" in capsys.readouterr().err
 
 
+def test_cli_quiver_vertices_not_list_is_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path, {"base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2},
+                                  "quiver": {"vertices": 5, "arrows": []}, "modules": {}, "maps": {}})
+    assert main(["mono-check", "-i", path]) == 2
+    assert "quiver vertices must be a list of strings" in capsys.readouterr().err
+
+
+def test_cli_quiver_arrows_not_list_is_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path, {"base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2},
+                                  "quiver": {"vertices": ["1"], "arrows": 7}, "modules": {}, "maps": {}})
+    assert main(["mono-check", "-i", path]) == 2
+    assert "quiver arrows must be a list of objects" in capsys.readouterr().err
+
+
+def test_cli_base_field_type_is_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path, {"base": {"kind": "chain", "arith": "poly", "p": "x", "n": 2},
+                                  "quiver": "An-linear:2", "modules": {}, "maps": {}})
+    assert main(["mono-check", "-i", path]) == 2
+    assert "base descriptor field 'p' must be int, not str" in capsys.readouterr().err
+
+
 def test_cli_top_level_array_is_input_error(tmp_path, capsys):
     path = _write_json(tmp_path, [{"base": "chain:poly:2:2"}])
     assert main(["mono-check", "-i", path]) == 2

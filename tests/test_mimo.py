@@ -91,9 +91,9 @@ def test_mo_with_padded_injective_adds_induced_summand():
     total, f, _, _ = in_map_data(r, "2")
     J, e = data["2"]
     Jx = serial_module(B2, list(J.parts) + ["M2"])
-    from monocat.serialmod import direct_sum, mor_compose
-    big, injs, _ = direct_sum(B2, [J, serial_module(B2, ["M2"])])
-    data["2"] = (big, mor_compose(injs[0], e))
+    from monocat.serialmod import assemble
+    big_e, _, _ = assemble(B2, [e.source], [J, serial_module(B2, ["M2"])], {(0, 0): e})
+    data["2"] = (big_e.target, big_e)
     padded, _ = mo(r, data)
     extra = f_shriek(B2, A2, vertex_module(B2, A2, "2", serial_module(B2, ["M2"])))
     m, _ = mimo(r)

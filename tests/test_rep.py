@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monocat.base import chain_base, stable_base
+from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.exact import is_injective_map
 from monocat.quiver import Quiver, builtin_quiver
 from monocat.rep import (
@@ -12,6 +12,7 @@ from monocat.rep import (
     find_iso_reps,
     hom_reps,
     in_map,
+    in_map_data,
     is_iso_reps,
     is_mono,
     kopf,
@@ -27,6 +28,7 @@ from monocat.rep import (
 )
 from monocat.serialmod import (
     identity_morphism,
+    mor_block,
     mor_equal,
     morphism,
     serial_module,
@@ -58,6 +60,22 @@ def test_in_map_kronecker_block_row():
     assert f.source.parts == ("M1", "M1")
     assert is_injective_map(f)
     assert is_mono(r)
+
+
+@pytest.mark.parametrize("base", [B3, chain_base("poly", 3, 2), rad2nak_base(2, 3), stable_base(B3)],
+                         ids=["chain-int", "chain-poly", "rad2nak", "stable"])
+def test_in_map_restricts_to_each_arrow_map(base):
+    rng = random.Random(17)
+    for quiver in (KR, builtin_quiver("A4-zigzag"), builtin_quiver("D4")):
+        for _ in range(15):
+            r = random_representation(base, quiver, rng)
+            for v in quiver.vertices:
+                total, f, arrows, positions = in_map_data(r, v)
+                assert total == f.source == serial_module(
+                    base, [p for a in arrows for p in r.modules[a.source].parts])
+                for a, pos in zip(arrows, positions):
+                    block = mor_block(f, range(r.modules[v].rank), pos)
+                    assert mor_equal(block, r.maps[a.name])
 
 
 def test_mono_iff_l1_vanishes_spec_examples():

@@ -13,18 +13,19 @@ from monocat.exact import (
     is_iso,
     is_surjective_map,
     kernel,
-    snf,
     solve,
     solve_left,
     solve_right,
 )
 from monocat.serialmod import (
     apply_morphism,
+    assemble,
     direct_sum,
     hom_space,
     identity_morphism,
     injective_envelope,
     module_elements,
+    mor_block,
     mor_compose,
     mor_direct_sum,
     mor_equal,
@@ -71,6 +72,38 @@ def test_direct_sum_of_morphisms():
     assert mor_equal(lhs, rhs)
     s = mor_direct_sum(B2I, [u, v])
     assert s.source.parts == ("M2", "M1") and s.target.parts == ("M2", "M1")
+    _, src_pos = direct_sum(B2I, [u.source, v.source])
+    _, tgt_pos = direct_sum(B2I, [u.target, v.target])
+    assert src_pos == [[1], [0]] and tgt_pos == [[0], [1]]
+    assert mor_equal(mor_block(s, tgt_pos[0], src_pos[0]), u)
+    assert mor_equal(mor_block(s, tgt_pos[1], src_pos[1]), v)
+    assert mor_block(s, tgt_pos[0], src_pos[1]).is_zero()
+
+
+@pytest.mark.parametrize("base", [B3I, B3P, rad2nak_base(2, 3), stable_base(B3I)],
+                         ids=["chain-int", "chain-poly", "rad2nak", "stable"])
+def test_assemble_places_blocks_by_index(base):
+    rng = random.Random(13)
+    labels = list(base.labels)
+    for _ in range(40):
+        sources = [M(base, *rng.choices(labels, k=rng.randrange(3))) for _ in range(rng.randrange(1, 4))]
+        targets = [M(base, *rng.choices(labels, k=rng.randrange(3))) for _ in range(rng.randrange(1, 4))]
+        blocks = {
+            (ti, si): hom_space(s, t).random(rng)
+            for ti, t in enumerate(targets) for si, s in enumerate(sources) if rng.random() < 0.6
+        }
+        f, src_pos, tgt_pos = assemble(base, sources, targets, blocks)
+        assert f.source == M(base, *[p for s in sources for p in s.parts])
+        assert f.target == M(base, *[p for t in targets for p in t.parts])
+        assert sorted(j for pos in src_pos for j in pos) == list(range(f.source.rank))
+        assert sorted(i for pos in tgt_pos for i in pos) == list(range(f.target.rank))
+        for ti, t in enumerate(targets):
+            for si, s in enumerate(sources):
+                block = mor_block(f, tgt_pos[ti], src_pos[si])
+                if (ti, si) in blocks:
+                    assert mor_equal(block, blocks[(ti, si)])
+                else:
+                    assert block.source == s and block.target == t and block.is_zero()
 
 
 def test_function_model_oracle_random_composites():
@@ -89,64 +122,25 @@ def test_function_model_oracle_random_composites():
                 assert apply_morphism(gf, x) == apply_morphism(g, apply_morphism(f, x))
 
 
-# -- Smith reduction ---------------------------------------------------------------
+# -- inverses -----------------------------------------------------------------------
 
 
-def test_snf_scalar_two_on_z4():
-    m = M(B2I, "M2")
-    res = snf(morphism(m, m, [[2]]))
-    assert res.diagonal
-    assert res.D.entries[0][0] == B2I.ring.pi
-
-
-def test_snf_rank_one_over_dual_numbers():
-    m = M(B2P, "M1", "M1")
-    f = morphism(m, m, [[1, 1], [1, 1]])
-    res = snf(f)
-    assert res.diagonal
-    nonzero = [e for row in res.D.entries for e in row if not e.is_zero()]
-    assert len(nonzero) == 1 and nonzero[0] == B2P.ring.one
-    assert is_iso(res.U) and is_iso(res.V)
-    assert mor_equal(mor_compose(res.U, mor_compose(f, res.V)), res.D)
-
-
-def test_snf_canonical_injection():
-    f = morphism(M(B2I, "M1"), M(B2I, "M2"), [[1]])
-    res = snf(f)
-    assert res.diagonal
-    K, _ = kernel(f)
-    assert K.is_zero()
-
-
-def test_snf_roundtrip_random():
+def test_invert_roundtrip_random():
     rng = random.Random(7)
+    found = 0
     for base in (B3I, B3P, B2P):
         labels = list(base.labels)
         for _ in range(30):
             a = M(base, *[rng.choice(labels) for _ in range(rng.randrange(1, 4))])
-            b = M(base, *[rng.choice(labels) for _ in range(rng.randrange(1, 4))])
-            f = hom_space(a, b).random(rng)
-            res = snf(f)
-            assert is_iso(res.U) and is_iso(res.V)
-            assert mor_equal(mor_compose(res.U, mor_compose(f, res.V)), res.D)
-            back = mor_compose(invert(res.U), mor_compose(res.D, invert(res.V)))
-            assert mor_equal(back, f)
-
-
-def test_snf_nondiagonalizable_projection_inclusion_pair():
-    """Over Loewy length 3 the projection-plus-inclusion column is an
-    indecomposable morphism, so no unimodular reduction can make it diagonal."""
-    f = morphism(M(B3I, "M2"), M(B3I, "M3", "M1"), [[1], [1]])
-    res = snf(f)
-    assert not res.diagonal
-    assert mor_equal(mor_compose(res.U, mor_compose(f, res.V)), res.D)
-
-
-def test_snf_rejects_stable_backing():
-    st = stable_base(B3I)
-    m = serial_module(st, ["M1"])
-    with pytest.raises(ValueError):
-        snf(morphism(m, m, [[1]]))
+            f = hom_space(a, a).random(rng)
+            if not is_iso(f):
+                continue
+            found += 1
+            inv = invert(f)
+            assert mor_equal(mor_compose(inv, f), identity_morphism(a))
+            assert mor_equal(mor_compose(f, inv), identity_morphism(a))
+            assert mor_equal(invert(inv), f)
+    assert found >= 20
 
 
 # -- kernels, cokernels, images ------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import List, Tuple
 
 from .exact import image, is_iso, kernel, solve_right
 from .rep import (
+    BudgetExceeded,
     Representation,
     RepMorphism,
     ResidueSpace,
@@ -28,10 +29,6 @@ from .rep import (
     rep_morphism_compose,
 )
 from .serialmod import assemble, mor_compose
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 def _subrep_from_inclusions(r: Representation, inclusions) -> Tuple[Representation, RepMorphism]:

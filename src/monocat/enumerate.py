@@ -6,9 +6,15 @@
   representations of injective labels, non-injective classes are minimal
   monic approximations of the Gabriel classes placed on each non-injective
   simple.
-* Bounded brute-force enumeration with isomorphism filtering, used as the
-  exhaustive cross-validation oracle; linearly oriented quivers get a fast
-  path through concrete submodule chains.
+* Bounded exhaustive enumeration, the cross-validation oracle.  Over a
+  linearly oriented quiver and a chain ring a monic representation is a chain
+  of submodules of its sink module V, and two chains give isomorphic
+  representations exactly when an automorphism of V carries one onto the
+  other; that path classifies by Aut(V)-orbits of chains, walked with the
+  generators of ``ConcreteModule.automorphism_generators``, and yields its
+  classes in generation order.  Every other quiver and backing searches all
+  arrow maps and filters by isomorphism (fingerprint buckets, then
+  ``is_iso_reps``).
 * The Kronecker families built from the homogeneous two-variable form model.
 """
 
@@ -272,14 +278,44 @@ def _concrete_with_submodules(base: SerialBase, parts: tuple):
     return _LATTICE_CACHE[key]
 
 
-def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int]):
-    """Yield monic chain representations (not yet iso-filtered) for a linearly
-    oriented quiver: submodule chains of each possible sink module."""
+def _orbit_representatives(conc: ConcreteModule, chains: List[tuple]):
+    """Yield the first chain of each Aut(V)-orbit, in the order of ``chains``.
+
+    ``chains`` must be a union of orbits: a generator image outside it means
+    the pruning that built it was not Aut(V)-invariant."""
+    members = set(chains)
+    gens = range(len(conc.automorphism_generators()))
+    seen = set()
+    for chain in chains:
+        if chain in seen:
+            continue
+        seen.add(chain)
+        stack = [chain]
+        while stack:
+            current = stack.pop()
+            for g in gens:
+                moved = tuple(conc.mask_image(g, m) for m in current)
+                if moved not in members:
+                    raise AssertionError("an automorphism moved a candidate chain "
+                                         "out of the candidate set")
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+        yield chain
+
+
+def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
+                            budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield one monic representation per isomorphism class for a linearly
+    oriented quiver: for each sink module V, the Aut(V)-orbit representatives
+    of the pruned submodule chains of V, then the classes the pruning drops.
+    Raises BudgetExceeded when more than ``budget`` chains are built."""
     order = is_linear_chain(quiver)
     k = len(order)
     n = base.ring.n
     arrow_by_pair = {(a.source, a.target): a.name for a in quiver.arrows}
     sink_cap = caps[order[-1]]
+    count = 0
     for top in modules_up_to_length(base, sink_cap):
         # top coverage: S_{k-1} + rad(sink) = sink forces the length of
         # S_{k-1} to be at least the number of parts of the sink module
@@ -287,7 +323,6 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
             continue
         conc, subs = _concrete_with_submodules(base, top.parts)
         lengths = {m: conc.mask_length(m) for m in subs}
-        top_mask = (1 << conc.size) - 1
         rad = conc.radical_mask()
         soc = conc.socle_mask()
         # masks containing an element of maximal order carry an injective
@@ -301,7 +336,7 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
             # position counts how many proper submodules remain to be chosen;
             # builds S_1 <= ... <= S_{k-1} ascending
             if position == 0:
-                yield []
+                yield ()
                 return
             for m in subs:
                 if (
@@ -310,11 +345,13 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
                     and not (n > 1 and position == 1 and has_injective[m])
                 ):
                     for rest in chains(position - 1, m):
-                        yield rest + [m]
+                        yield rest + (m,)
 
+        # every rule below (caps, the injective element, socle coverage) is
+        # Aut(V)-invariant, so the candidates are a union of orbits
         candidates = []
         if k == 1:
-            candidates = [[]]
+            candidates = [()]
         else:
             for m2 in subs:
                 if lengths[m2] > caps[order[-2]]:
@@ -327,8 +364,11 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
                 if soc & ~conc.join(m2, rad):
                     continue
                 for rest in chains(k - 2, m2):
-                    candidates.append(rest + [m2])
-        for chain in candidates:
+                    candidates.append(rest + (m2,))
+        count += len(candidates)
+        if count > budget:
+            raise BudgetExceeded(f"enumeration budget {budget} exceeded")
+        for chain in _orbit_representatives(conc, candidates):
             modules, maps = chain_of_inclusions(conc, chain)
             mod_dict = dict(zip(order, modules))
             map_dict = {
@@ -366,8 +406,16 @@ def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
 
 def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = False,
                       budget: int = DEFAULT_ENUM_BUDGET) -> EnumerationReport:
-    """All indecomposable classes with vertex lengths within the caps, by
-    exhaustive search with isomorphism filtering."""
+    """All indecomposable classes with vertex lengths within the caps.
+
+    Monic classes over a linearly oriented quiver and a chain ring are
+    classified by Aut(V)-orbits of submodule chains (``_linear_mono_candidates``)
+    and come in generation order: sinks in ``modules_up_to_length`` order, then
+    chains in candidate order.  Every other case searches all vertex modules
+    and arrow maps and keeps one member of each isomorphism class
+    (``IsoClassifier``).  Each class found is then tested for
+    indecomposability; ``budget`` bounds the chains or arrow-map tuples built.
+    """
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")
     if not isinstance(caps, dict):
@@ -376,25 +424,15 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
             raise ValueError(f"expected {len(quiver.vertices)} caps, one per vertex, "
                              f"got {len(caps)}")
         caps = dict(zip(quiver.vertices, caps))
-    classifier = IsoClassifier()
-    use_linear = mono_only and base.backing == CHAIN and is_linear_chain(quiver) is not None
-    candidates = (
-        _linear_mono_candidates(quiver, base, caps)
-        if use_linear
-        else _generic_candidates(quiver, base, caps, mono_only, budget)
-    )
-    count = 0
-    for rep in candidates:
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(f"enumeration budget {budget} exceeded")
-        classifier.add(rep)
-    classes = []
-    for rep in classifier.classes():
-        if rep.is_zero():
-            continue
-        if is_indecomposable(rep):
-            classes.append((rep, "exhaustive"))
+    if mono_only and base.backing == CHAIN and is_linear_chain(quiver) is not None:
+        representatives = list(_linear_mono_candidates(quiver, base, caps, budget))
+    else:
+        classifier = IsoClassifier()
+        for rep in _generic_candidates(quiver, base, caps, mono_only, budget):
+            classifier.add(rep)
+        representatives = classifier.classes()
+    classes = [(rep, "exhaustive") for rep in representatives
+               if not rep.is_zero() and is_indecomposable(rep)]
     return EnumerationReport(base, quiver, caps, classes)
 
 

@@ -9,6 +9,7 @@ matrix product g * f.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Dict, Optional, Tuple
@@ -39,6 +40,10 @@ from .serialmod import (
 )
 
 DEFAULT_BUDGET = 1 << 16
+
+
+class BudgetExceeded(RuntimeError):
+    """A search could not decide within its budget; never a negative verdict."""
 
 
 class Representation:
@@ -219,7 +224,8 @@ class RepHomSpace:
 
     ``slots`` lists the unknowns (vertex, target part, source part),
     ``slot_index`` inverts it, ``moduli`` gives their hom lengths and ``rows``
-    the naturality equations, in the form ``solve_hom_system`` takes."""
+    the naturality equations, in the form ``solve_hom_system`` takes.  The
+    system is solved when ``solution`` is first read."""
 
     def __init__(self, r: Representation, s: Representation):
         if r.quiver != s.quiver or r.base != s.base:
@@ -262,7 +268,10 @@ class RepHomSpace:
                         coeffs[idx] = coeffs[idx] - B
                     q = base.hom_length(rs.parts[j], st.parts[k])
                     rows.append((coeffs, base.ring.zero, q))
-        self.solution = solve_hom_system(base.ring, self.moduli, rows)
+
+    @functools.cached_property
+    def solution(self):
+        return solve_hom_system(self.r.base.ring, self.moduli, self.rows)
 
     def _to_rep_morphism(self, vec) -> RepMorphism:
         comps = {}
@@ -426,7 +435,9 @@ def _fp_nilpotent(mat, p) -> bool:
 def find_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BUDGET,
                   seed: int = 0, samples: int = 512) -> Tuple[bool, Optional[RepMorphism], str]:
     """(found, witness, certificate); certificate is 'exhaustive' when the
-    residue search space was fully enumerated, else 'sampled'."""
+    residue search space was fully enumerated, else 'sampled'.  Above the
+    budget a sampled isomorphism is a witness, but no sample found is no
+    verdict: that case raises BudgetExceeded."""
     for v in r.quiver.vertices:
         if r.modules.get(v, None) != s.modules.get(v, None):
             return False, None, "exhaustive"
@@ -444,7 +455,8 @@ def find_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BU
         phi = space.random(rng)
         if phi.is_iso():
             return True, phi, "sampled"
-    return False, None, "sampled"
+    raise BudgetExceeded(f"isomorphism undecided: {res.p}^{res.rank} residue combinations "
+                         f"exceed the budget {budget} and {samples} samples found none")
 
 
 def is_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BUDGET,

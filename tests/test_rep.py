@@ -3,6 +3,7 @@ import random
 import pytest
 
 from monocat.base import chain_base, rad2nak_base, stable_base
+from monocat.decompose import BudgetExceeded
 from monocat.exact import is_injective_map
 from monocat.quiver import Quiver, builtin_quiver
 from monocat.rep import (
@@ -187,6 +188,22 @@ def test_is_iso_reps_positive_and_negative():
     assert not is_iso_reps(r, s)
     ok, witness, cert = find_iso_reps(s, rep_direct_sum(r, r))
     assert ok and witness.is_iso()
+
+
+def test_undecided_iso_raises_budget_exceeded():
+    """Above the budget a sampled isomorphism is a witness, but finding none
+    is no verdict: equal vertex modules, an identity and a zero arrow."""
+    m1 = serial_module(B2, ["M1"])
+    modules = {"1": m1, "2": m1}
+    ident = Representation(A2, B2, modules, {"a1": identity_morphism(m1)})
+    zero = Representation(A2, B2, modules, {"a1": morphism(m1, m1, [[0]])})
+    with pytest.raises(BudgetExceeded):
+        find_iso_reps(ident, zero, budget=1)
+    with pytest.raises(BudgetExceeded):
+        is_iso_reps(zero, ident, budget=1)
+    ok, witness, cert = find_iso_reps(ident, ident, budget=1)
+    assert ok and cert == "sampled" and witness.is_iso()
+    assert find_iso_reps(ident, zero) == (False, None, "exhaustive")
 
 
 def test_partition_and_length_vectors():

@@ -139,7 +139,7 @@ class SerialBase:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, SerialBase) and self.descriptor() == other.descriptor()
+        return self is other or (isinstance(other, SerialBase) and self.descriptor() == other.descriptor())
 
     def __hash__(self):
         import json

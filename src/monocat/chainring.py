@@ -2,14 +2,19 @@
 
 Both rings are local and uniserial with uniformizer pi (= p or x), residue
 field F_p, and pi^n = 0.  Elements are kept in canonical form as a tuple of
-n digits in [0, p), little-endian in powers of pi.  The two kinds share one
-interface; the only arithmetic difference is that addition/multiplication
-carry between digits for the integer kind and do not for the polynomial
-kind.
+n digits in [0, p), little-endian in powers of pi, and each is numbered by
+the integer those digits spell in base p (``to_int``), the same rule for both
+kinds.  Each ring has one set of tables keyed by that number; every entry
+is filled on its first lookup, so a ring of any size pays only for the
+entries it uses.  Elements are interned: equal elements of equal rings are
+one object.  The only arithmetic difference between the kinds is that
+addition/multiplication carry between digits for the integer kind and do not
+for the polynomial kind.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -69,39 +74,31 @@ class ChainRing:
         digits = tuple(int(d) % self.p for d in digits)
         if len(digits) != self.n:
             raise ValueError(f"expected {self.n} digits, got {len(digits)}")
-        return self.tables.elem(digits)
+        return self.tables.elems[_number(self.p, digits)]
 
     def from_int(self, value: int) -> "ChainRingElem":
-        return self.tables.elem(_digits_of(self, value))
+        return self.tables.elems[value % self.size]
 
     @property
     def zero(self) -> "ChainRingElem":
-        return self.tables.elem((0,) * self.n)
+        return self.tables.elems[0]
 
     @property
     def one(self) -> "ChainRingElem":
-        return self.tables.elem((1,) + (0,) * (self.n - 1))
+        return self.tables.elems[1]
 
     @property
     def pi(self) -> "ChainRingElem":
         return self.pi_pow(1)
 
     def pi_pow(self, k: int) -> "ChainRingElem":
-        if k >= self.n:
-            return self.zero
-        digits = [0] * self.n
-        digits[k] = 1
-        return self.tables.elem(tuple(digits))
+        return self.tables.elems[self.p ** k if k < self.n else 0]
 
     def elements(self) -> Iterator["ChainRingElem"]:
         """All p^n elements, in lexicographic digit order."""
-        def rec(prefix):
-            if len(prefix) == self.n:
-                yield self.tables.elem(tuple(prefix))
-                return
-            for d in range(self.p):
-                yield from rec(prefix + [d])
-        yield from rec([])
+        elems = self.tables.elems
+        for digits in itertools.product(range(self.p), repeat=self.n):
+            yield elems[_number(self.p, digits)]
 
     def units(self) -> Iterator["ChainRingElem"]:
         return (e for e in self.elements() if e.valuation() == 0)
@@ -124,203 +121,174 @@ def chain_ring(kind: str, p: int, n: int) -> ChainRing:
 _TABLES: dict = {}
 
 
-class _OpTables:
-    """Interned elements with lookup tables; small rings are fully tabulated,
-    larger ones fill the tables lazily."""
-
-    def __init__(self, ring: "ChainRing"):
-        self.ring = ring
-        n, p = ring.n, ring.p
-        self.elems = {}
-        self.add = {}
-        self.mul = {}
-        self.neg = {}
-        self.val = {}
-        self.trunc = {}
-        self.shup = {}
-        self.indexed = p ** n <= 256
-        if self.indexed:
-            digit_tuples = [()]
-            for _ in range(n):
-                digit_tuples = [t + (d,) for t in digit_tuples for d in range(p)]
-            for t in digit_tuples:
-                self.elems[t] = ChainRingElem(ring, t)
-            for t in digit_tuples:
-                self.neg[t] = self.elems[_neg_digits(ring, t)]
-                self.val[t] = next((i for i, d in enumerate(t) if d), n)
-                for k in range(n + 1):
-                    self.trunc[(t, k)] = self.elems[t[:k] + (0,) * (n - k)]
-                    self.shup[(t, k)] = self.elems[((0,) * k + t[: n - k]) if k < n else (0,) * n]
-            for t1 in digit_tuples:
-                row_add = self.add
-                row_mul = self.mul
-                for t2 in digit_tuples:
-                    row_add[(t1, t2)] = self.elems[_add_digits(ring, t1, t2)]
-                    row_mul[(t1, t2)] = self.elems[_mul_digits(ring, t1, t2)]
-            # flat integer encoding for elimination-heavy code paths
-            self.order = [self.elems[t] for t in digit_tuples]
-            self.index_of = {t: i for i, t in enumerate(digit_tuples)}
-            size = len(digit_tuples)
-            self.add_i = [[self.index_of[_add_digits(ring, t1, t2)] for t2 in digit_tuples]
-                          for t1 in digit_tuples]
-            self.mul_i = [[self.index_of[_mul_digits(ring, t1, t2)] for t2 in digit_tuples]
-                          for t1 in digit_tuples]
-            self.neg_i = [self.index_of[_neg_digits(ring, t)] for t in digit_tuples]
-            self.val_i = [self.val[t] for t in digit_tuples]
-            self.shift_down_i = [
-                [self.index_of[t[k:] + (0,) * k] if self.val[t] >= k else 0
-                 for t in digit_tuples]
-                for k in range(n + 1)
-            ]
-            one_idx = self.index_of[(1,) + (0,) * (n - 1)]
-            self.inv_i = [
-                (row.index(one_idx) if t[0] % p else None)
-                for t, row in zip(digit_tuples, self.mul_i)
-            ]
-
-    def elem(self, digits) -> "ChainRingElem":
-        e = self.elems.get(digits)
-        if e is None:
-            e = ChainRingElem(self.ring, digits)
-            self.elems[digits] = e
-        return e
-
-    def add_op(self, t1, t2):
-        e = self.add.get((t1, t2))
-        if e is None:
-            e = self.elem(_add_digits(self.ring, t1, t2))
-            self.add[(t1, t2)] = e
-        return e
-
-    def mul_op(self, t1, t2):
-        e = self.mul.get((t1, t2))
-        if e is None:
-            e = self.elem(_mul_digits(self.ring, t1, t2))
-            self.mul[(t1, t2)] = e
-        return e
-
-    def neg_op(self, t):
-        e = self.neg.get(t)
-        if e is None:
-            e = self.elem(_neg_digits(self.ring, t))
-            self.neg[t] = e
-        return e
-
-    def val_op(self, t):
-        v = self.val.get(t)
-        if v is None:
-            v = next((i for i, d in enumerate(t) if d), self.ring.n)
-            self.val[t] = v
-        return v
-
-    def trunc_op(self, t, k):
-        e = self.trunc.get((t, k))
-        if e is None:
-            e = self.elem(t[:k] + (0,) * (self.ring.n - k))
-            self.trunc[(t, k)] = e
-        return e
-
-
-def _int_of(ring, digits):
+def _number(p, digits):
     out = 0
     for d in reversed(digits):
-        out = out * ring.p + d
+        out = out * p + d
     return out
 
 
-def _digits_of(ring, value):
-    value %= ring.p ** ring.n
+def _digits_of(p, n, value):
     out = []
-    for _ in range(ring.n):
-        out.append(value % ring.p)
-        value //= ring.p
+    for _ in range(n):
+        value, d = divmod(value, p)
+        out.append(d)
     return tuple(out)
 
 
-def _add_digits(ring, t1, t2):
-    if ring.kind == INT:
-        return _digits_of(ring, _int_of(ring, t1) + _int_of(ring, t2))
-    return tuple((a + b) % ring.p for a, b in zip(t1, t2))
+class _Lazy(dict):
+    """A table whose missing entry is computed by ``fill(key)`` on first
+    lookup and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-def _neg_digits(ring, t):
-    if ring.kind == INT:
-        return _digits_of(ring, -_int_of(ring, t))
-    return tuple((-a) % ring.p for a in t)
+class _OpTables:
+    """The tables of one ring, keyed by element number.
+
+    ``add[a][b]``, ``mul[a][b]``, ``neg[a]``, ``inv[a]`` and, for 0 <= k <= n,
+    ``shift_up[k][a]`` (times pi^k), ``shift_down[k][a]`` (exact division by
+    pi^k) and ``trunc[k][a]`` (modulo pi^k) are element numbers; ``val[a]``
+    is the pi-adic valuation and ``elems[a]`` the interned element.
+    """
+
+    def __init__(self, ring: ChainRing):
+        p, n = ring.p, ring.n
+        q = p ** n
+        self.ring = ring
+        if ring.kind == INT:
+            def add(a, b):
+                return (a + b) % q
+
+            def mul(a, b):
+                return a * b % q
+
+            def neg(a):
+                return -a % q
+        else:
+            def add(a, b):
+                da, db = _digits_of(p, n, a), _digits_of(p, n, b)
+                return _number(p, [(x + y) % p for x, y in zip(da, db)])
+
+            def mul(a, b):
+                da, db = _digits_of(p, n, a), _digits_of(p, n, b)
+                out = [0] * n
+                for i, x in enumerate(da):
+                    if x:
+                        for j in range(n - i):
+                            out[i + j] = (out[i + j] + x * db[j]) % p
+                return _number(p, out)
+
+            def neg(a):
+                return _number(p, [-x % p for x in _digits_of(p, n, a)])
+
+        def val(a):
+            if a == 0:
+                return n
+            v = 0
+            while a % p == 0:
+                a //= p
+                v += 1
+            return v
+
+        self.elems = _Lazy(lambda a: ChainRingElem(ring, self, a))
+        self.add = _Lazy(lambda a: _Lazy(lambda b: add(a, b)))
+        self.mul = _Lazy(lambda a: _Lazy(lambda b: mul(a, b)))
+        self.neg = _Lazy(neg)
+        self.val = _Lazy(val)
+        self.inv = _Lazy(self._inverse)
+        self.shift_up = [_Lazy(lambda a, s=p ** k: a * s % q) for k in range(n + 1)]
+        self.shift_down = [_Lazy(lambda a, s=p ** k: a // s) for k in range(n + 1)]
+        self.trunc = [_Lazy(lambda a, s=p ** k: a % s) for k in range(n + 1)]
+
+    def _inverse(self, a):
+        """Number of the inverse of unit number a: a^(|units| - 1), since the
+        unit group has order (p - 1) p^(n - 1)."""
+        p, n = self.ring.p, self.ring.n
+        if a % p == 0:
+            raise ZeroDivisionError(f"{self.elems[a]} is not a unit")
+        mul = self.mul
+        e = (p - 1) * p ** (n - 1) - 1
+        out, sq = 1, a
+        while e:
+            if e & 1:
+                out = mul[out][sq]
+            sq = mul[sq][sq]
+            e >>= 1
+        return out
 
 
-def _mul_digits(ring, t1, t2):
-    if ring.kind == INT:
-        return _digits_of(ring, _int_of(ring, t1) * _int_of(ring, t2))
-    out = [0] * ring.n
-    for i, a in enumerate(t1):
-        if a == 0:
-            continue
-        for j, b in enumerate(t2):
-            if i + j >= ring.n:
-                break
-            out[i + j] = (out[i + j] + a * b) % ring.p
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class ChainRingElem:
-    """Element in canonical digit form; equality is digit-wise."""
+    """Element in canonical digit form, numbered by ``num`` in the tables
+    ``tab`` of its ring; equality is digit-wise.  Built only by the tables."""
 
-    ring: ChainRing
-    digits: tuple
+    __slots__ = ("ring", "tab", "num", "digits", "_hash")
 
-    def _check(self, other: "ChainRingElem"):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
+    def __init__(self, ring: ChainRing, tab: _OpTables, num: int):
+        self.ring = ring
+        self.tab = tab
+        self.num = num
+        self.digits = _digits_of(ring.p, ring.n, num)
+        self._hash = hash((ring, self.digits))
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, ChainRingElem) and self.num == other.num and self.ring == other.ring
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def _mismatch(self, other: "ChainRingElem"):
+        return ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def to_int(self) -> int:
-        return _int_of(self.ring, self.digits)
+        return self.num
 
     def __add__(self, other: "ChainRingElem") -> "ChainRingElem":
-        self._check(other)
-        return self.ring.tables.add_op(self.digits, other.digits)
+        tab = self.tab
+        if other.tab is not tab:
+            raise self._mismatch(other)
+        return tab.elems[tab.add[self.num][other.num]]
 
     def __neg__(self) -> "ChainRingElem":
-        return self.ring.tables.neg_op(self.digits)
+        tab = self.tab
+        return tab.elems[tab.neg[self.num]]
 
     def __sub__(self, other: "ChainRingElem") -> "ChainRingElem":
-        self._check(other)
-        t = self.ring.tables
-        return t.add_op(self.digits, t.neg_op(other.digits).digits)
+        tab = self.tab
+        if other.tab is not tab:
+            raise self._mismatch(other)
+        return tab.elems[tab.add[self.num][tab.neg[other.num]]]
 
     def __mul__(self, other: "ChainRingElem") -> "ChainRingElem":
-        self._check(other)
-        return self.ring.tables.mul_op(self.digits, other.digits)
+        tab = self.tab
+        if other.tab is not tab:
+            raise self._mismatch(other)
+        return tab.elems[tab.mul[self.num][other.num]]
 
     def valuation(self) -> int:
         """pi-adic valuation: index of the first nonzero digit, n if zero."""
-        return self.ring.tables.val_op(self.digits)
+        return self.tab.val[self.num]
 
     def is_zero(self) -> bool:
-        return not any(self.digits)
+        return self.num == 0
 
     def is_unit(self) -> bool:
         return self.digits[0] != 0
 
     def inverse(self) -> "ChainRingElem":
-        """Inverse of a unit; raises on non-units."""
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self} is not a unit")
-        r = self.ring
-        if r.kind == INT:
-            return r.from_int(pow(self.to_int(), -1, r.p ** r.n))
-        # Series inversion: write self = u*(1 + t) with val(t) >= 1, then
-        # invert u in F_p and sum the geometric series, truncated at x^n.
-        u_inv = pow(self.digits[0], -1, r.p)
-        t = r.elem((0,) + self.digits[1:])
-        scale = r.elem((u_inv,) + (0,) * (r.n - 1))
-        acc = r.one
-        term = r.one
-        for _ in range(r.n - 1):
-            term = -(term * (scale * t))
-            acc = acc + term
-        return acc * scale
+        """Inverse of a unit; raises ZeroDivisionError on non-units."""
+        tab = self.tab
+        return tab.elems[tab.inv[self.num]]
 
     def shift_down(self, k: int) -> "ChainRingElem":
         """Exact division by pi^k; requires valuation >= k."""
@@ -328,25 +296,22 @@ class ChainRingElem:
             return self
         if self.valuation() < k:
             raise ValueError(f"{self} not divisible by pi^{k}")
-        return self.ring.tables.elem(self.digits[k:] + (0,) * k)
+        tab = self.tab
+        return tab.elems[tab.shift_down[k][self.num]]
 
     def shift_up(self, k: int) -> "ChainRingElem":
         """Multiplication by pi^k."""
         if k == 0:
             return self
-        r = self.ring
-        hit = r.tables.shup.get((self.digits, min(k, r.n)))
-        if hit is not None:
-            return hit
-        if k >= r.n:
-            return r.zero
-        return r.tables.elem((0,) * k + self.digits[: r.n - k])
+        tab = self.tab
+        return tab.elems[tab.shift_up[min(k, self.ring.n)][self.num]]
 
     def truncate(self, length: int) -> "ChainRingElem":
         """Canonical form modulo pi^length: zero all digits at index >= length."""
         if length >= self.ring.n:
             return self
-        return self.ring.tables.trunc_op(self.digits, length)
+        tab = self.tab
+        return tab.elems[tab.trunc[length][self.num]]
 
     def __repr__(self):
         return f"[{';'.join(str(d) for d in self.digits)}]"

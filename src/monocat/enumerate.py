@@ -532,7 +532,7 @@ def kronecker_family(base: SerialBase, which: str, n: int, param=None) -> Repres
     """Explicit monic Kronecker-quiver representations over F_p[x]/(x^2).
 
     'P' and 'I' are the two countable families, 'R' the one-parameter family
-    indexed by the projective line.  Each member is assembled from the
+    parametrized by the projective line.  Each member is assembled from the
     homogeneous two-variable form model: vertex 1 carries the form space with
     trivial radical action, vertex 2 adds one length-2 block per kernel
     dimension of the in-map, and the radical rows of the two arrow matrices

@@ -43,15 +43,14 @@ def _require_abelian(base: SerialBase, what: str):
 class FreeSnf:
     """U * A * V = S with S diagonal (entries unit-normalized powers of pi)."""
 
-    def __init__(self, ring, nrows, ncols):
+    def __init__(self, ring, U, S, V, diag_vals: List[int]):
         self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        one, zero = ring.one, ring.zero
-        self.U = [[one if i == j else zero for j in range(nrows)] for i in range(nrows)]
-        self.V = [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
-        self.S = None
-        self.diag_vals: List[int] = []
+        self.nrows = len(U)
+        self.ncols = len(V)
+        self.U = U
+        self.S = S
+        self.V = V
+        self.diag_vals = diag_vals
 
     def apply_U(self, vec):
         return [
@@ -76,25 +75,15 @@ def snf_free(ring, matrix: Sequence[Sequence[ChainRingElem]], nrows: int, ncols:
     """Diagonalize a matrix over the chain ring by unimodular row/column ops.
 
     Pivots of globally minimal valuation divide every remaining entry, so all
-    eliminations are exact.  Small rings run on a flat integer encoding of
-    the element tables.
+    eliminations are exact.  The elimination runs on element numbers through
+    the ring's tables.
     """
     tab = ring.tables
-    if getattr(tab, "indexed", False):
-        return _snf_free_indexed(ring, tab, matrix, nrows, ncols)
-    return _snf_free_objects(ring, matrix, nrows, ncols)
-
-
-def _snf_free_indexed(ring, tab, matrix, nrows, ncols) -> FreeSnf:
-    idx = tab.index_of
-    add, mul, neg, val, sdn, inv = tab.add_i, tab.mul_i, tab.neg_i, tab.val_i, tab.shift_down_i, tab.inv_i
-    order = tab.order
+    add, mul, neg, val, sdn, inv = tab.add, tab.mul, tab.neg, tab.val, tab.shift_down, tab.inv
     n = ring.n
-    zero = idx[(0,) * n]
-    one = idx[(1,) + (0,) * (n - 1)]
-    S = [[idx[e.digits] for e in row] for row in matrix]
-    U = [[one if i == j else zero for j in range(nrows)] for i in range(nrows)]
-    V = [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
+    S = [[e.num for e in row] for row in matrix]
+    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     for k in range(min(nrows, ncols)):
         best = None
@@ -122,7 +111,7 @@ def _snf_free_indexed(ring, tab, matrix, nrows, ncols) -> FreeSnf:
                 row[k], row[bj] = row[bj], row[k]
         e = best_val
         u_inv = inv[sdn[e][S[k][k]]]
-        if u_inv != one:
+        if u_inv != 1:
             mu = mul[u_inv]
             S[k] = [mu[x] for x in S[k]]
             U[k] = [mu[x] for x in U[k]]
@@ -131,10 +120,9 @@ def _snf_free_indexed(ring, tab, matrix, nrows, ncols) -> FreeSnf:
             if i == k:
                 continue
             x = S[i][k]
-            if x == zero:
+            if x == 0:
                 continue
-            c = neg[sdn[e][x]]
-            mc = mul[c]
+            mc = mul[neg[sdn[e][x]]]
             Si, Ui = S[i], U[i]
             S[i] = [add[a][mc[b]] for a, b in zip(Si, Sk)]
             U[i] = [add[a][mc[b]] for a, b in zip(Ui, Uk)]
@@ -142,74 +130,22 @@ def _snf_free_indexed(ring, tab, matrix, nrows, ncols) -> FreeSnf:
             if j == k:
                 continue
             x = Sk[j]
-            if x == zero:
+            if x == 0:
                 continue
-            c = neg[sdn[e][x]]
-            mc = mul[c]
+            mc = mul[neg[sdn[e][x]]]
             for row in S:
                 row[j] = add[row[j]][mc[row[k]]]
             for row in V:
                 row[j] = add[row[j]][mc[row[k]]]
 
-    res = FreeSnf(ring, nrows, ncols)
-    res.U = [[order[x] for x in row] for row in U]
-    res.V = [[order[x] for x in row] for row in V]
-    res.S = [[order[x] for x in row] for row in S]
-    res.diag_vals = [val[S[k][k]] for k in range(min(nrows, ncols))]
-    return res
-
-
-def _snf_free_objects(ring, matrix, nrows, ncols) -> FreeSnf:
-    res = FreeSnf(ring, nrows, ncols)
-    S = [list(row) for row in matrix]
-    n = ring.n
-
-    for k in range(min(nrows, ncols)):
-        best = None
-        best_val = n
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                v = S[i][j].valuation()
-                if v < best_val:
-                    best, best_val = (i, j), v
-                    if v == 0:
-                        break
-            if best_val == 0:
-                break
-        if best is None:
-            break
-        bi, bj = best
-        if bi != k:
-            S[k], S[bi] = S[bi], S[k]
-            res.U[k], res.U[bi] = res.U[bi], res.U[k]
-        if bj != k:
-            for row in S:
-                row[k], row[bj] = row[bj], row[k]
-            for row in res.V:
-                row[k], row[bj] = row[bj], row[k]
-        e = best_val
-        unit_inv = S[k][k].shift_down(e).inverse()
-        if not (unit_inv - ring.one).is_zero():
-            S[k] = [unit_inv * x for x in S[k]]
-            res.U[k] = [unit_inv * x for x in res.U[k]]
-        for i in range(nrows):
-            if i == k or S[i][k].is_zero():
-                continue
-            c = S[i][k].shift_down(e)
-            S[i] = [x - c * y for x, y in zip(S[i], S[k])]
-            res.U[i] = [x - c * y for x, y in zip(res.U[i], res.U[k])]
-        for j in range(ncols):
-            if j == k or S[k][j].is_zero():
-                continue
-            c = S[k][j].shift_down(e)
-            for row in S:
-                row[j] = row[j] - row[k] * c
-            for row in res.V:
-                row[j] = row[j] - row[k] * c
-
-    res.S = S
-    res.diag_vals = [S[k][k].valuation() for k in range(min(nrows, ncols))]
-    return res
+    elems = tab.elems
+    return FreeSnf(
+        ring,
+        [[elems[x] for x in row] for row in U],
+        [[elems[x] for x in row] for row in S],
+        [[elems[x] for x in row] for row in V],
+        [val[S[k][k]] for k in range(min(nrows, ncols))],
+    )
 
 
 # -- linear systems in hom coefficients ------------------------------------------
@@ -491,6 +427,11 @@ class _Rref:
         return coords if not any(x % p for x in v) else None
 
 
+def _fp_invertible(p, mat) -> bool:
+    """Whether a square matrix over F_p (a list of rows) is invertible."""
+    return _Rref(p, mat, len(mat)).rank == len(mat)
+
+
 def _fp_nullspace(p, matrix, nrows, ncols):
     """Basis of the right nullspace of an nrows x ncols matrix over F_p."""
     rr = _Rref(p, matrix if nrows else [], ncols)
@@ -518,7 +459,7 @@ class _GradedView:
         self.module = module
         self.m = base.m
         self.p = base.ring.p
-        self.dims = [0] * (self.m + 1)  # 1-indexed grades
+        self.dims = [0] * (self.m + 1)  # grades 1..m; slot 0 unused
         self.part_vectors = []  # per part: dict role -> (grade, index)
         for part in module.parts:
             i = int(part[1:])
@@ -884,8 +825,7 @@ def is_iso(f: SerialMorphism) -> bool:
     labels = sorted(set(f.source.parts), key=f.base.label_sort_key)
     for label in labels:
         idx = [k for k, q in enumerate(f.source.parts) if q == label]
-        block = [[f.entries[i][j].digits[0] % p for j in idx] for i in idx]
-        if _Rref(p, block, len(idx)).rank != len(idx):
+        if not _fp_invertible(p, [[f.entries[i][j].digits[0] for j in idx] for i in idx]):
             return False
     return True
 

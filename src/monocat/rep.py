@@ -16,6 +16,7 @@ from typing import Dict, Optional, Tuple
 
 from .base import SerialBase
 from .exact import (
+    _fp_invertible,
     cokernel,
     is_iso,
     kernel,
@@ -405,23 +406,6 @@ class ResidueSpace:
         return itertools.product(range(self.p), repeat=self.rank)
 
 
-def _fp_invertible(mat, p) -> bool:
-    d = len(mat)
-    m = [row[:] for row in mat]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if m[r][c] % p), None)
-        if piv is None:
-            return False
-        m[c], m[piv] = m[piv], m[c]
-        inv = pow(m[c][c], -1, p)
-        m[c] = [(x * inv) % p for x in m[c]]
-        for r in range(d):
-            if r != c and m[r][c] % p:
-                f = m[r][c]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
-    return True
-
-
 def _fp_nilpotent(mat, p) -> bool:
     d = len(mat)
     m = [row[:] for row in mat]
@@ -446,7 +430,7 @@ def find_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BU
     if res.rank <= 20 and r.base.ring.p ** res.rank <= budget:
         for combo in res.combos():
             vec = res.residue_of(combo)
-            if all(_fp_invertible(m, res.p) for m in res.block_matrices(vec)):
+            if all(_fp_invertible(res.p, m) for m in res.block_matrices(vec)):
                 phi = space._to_rep_morphism(space.solution._trunc(res.lift_of(combo)))
                 return True, phi, "exhaustive"
         return False, None, "exhaustive"

@@ -143,10 +143,13 @@ def mor_equal(f: SerialMorphism, g: SerialMorphism) -> bool:
 def direct_sum(base: SerialBase, summands: Sequence[SerialModule]):
     """(total, positions): the direct sum in normal form, and for each summand
     t the increasing indices in ``total.parts`` of its parts."""
-    tagged = []
-    for t, m in enumerate(summands):
+    for m in summands:
         if m.base != base:
             raise ValueError("base mismatch among summands")
+    if len(summands) == 1:  # every SerialModule is already in normal form
+        return summands[0], [list(range(summands[0].rank))]
+    tagged = []
+    for t, m in enumerate(summands):
         for local, p in enumerate(m.parts):
             tagged.append((p, t, local))
     order = sorted(range(len(tagged)), key=lambda k: (base.label_sort_key(tagged[k][0]), k))

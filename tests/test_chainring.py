@@ -56,7 +56,7 @@ def test_ring_mismatch_raises():
 
 
 @pytest.mark.parametrize("kind", ["int", "poly"])
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 9), (3, 6)])
 def test_ring_axioms_exhaustive(kind, p, n):
     r = chain_ring(kind, p, n)
     elems = list(r.elements())
@@ -67,6 +67,8 @@ def test_ring_axioms_exhaustive(kind, p, n):
         acc = acc * pi_n
     assert acc.is_zero()  # pi^n = 0
     for a in elems:
+        assert r.from_int(a.to_int()) is a
+        assert r.elem(a.digits) is a
         assert a + r.zero == a
         assert a * r.one == a
         if a.is_unit():

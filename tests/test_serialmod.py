@@ -128,7 +128,7 @@ def test_function_model_oracle_random_composites():
 def test_invert_roundtrip_random():
     rng = random.Random(7)
     found = 0
-    for base in (B3I, B3P, B2P):
+    for base in (B3I, B3P, B2P, chain_base("int", 3, 6), chain_base("poly", 2, 9)):
         labels = list(base.labels)
         for _ in range(30):
             a = M(base, *[rng.choice(labels) for _ in range(rng.randrange(1, 4))])
@@ -173,7 +173,7 @@ def test_kernel_cokernel_zero_map():
 
 def test_exactness_random():
     rng = random.Random(11)
-    for base in (B3I, B3P):
+    for base in (B3I, B3P, chain_base("int", 3, 6), chain_base("poly", 2, 9)):
         labels = list(base.labels)
         for _ in range(40):
             a = M(base, *[rng.choice(labels) for _ in range(rng.randrange(4))])

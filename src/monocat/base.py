@@ -132,9 +132,6 @@ class SerialBase:
     def noninjective_labels(self) -> tuple:
         return tuple(l for l in self.labels if not self.is_injective(l))
 
-    def simple_labels(self) -> tuple:
-        return tuple(l for l in self.labels if self.length(l) == 1)
-
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -232,10 +229,6 @@ class Rad2NakBase(SerialBase):
         self.check_label(label)
         i = self._idx(label)
         return f"S{self._succ(i)}" if label[0] == "P" else label
-
-    def top_label(self, label: str) -> str:
-        self.check_label(label)
-        return f"S{self._idx(label)}"
 
     def gen_kind(self, a: str, b: str) -> Optional[str]:
         """Kind of the canonical generator of Hom(a, b), or None if the space is zero."""

@@ -192,18 +192,26 @@ def cmd_verify_suite(args):
     return EXIT_OK if ok else EXIT_FALSE
 
 
+def _budget(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"budget (--budget or MONOCAT_BUDGET) must be a "
+                                         f"non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="monocat",
                                      description="Exact monomorphism-category computations over serial rings")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_budget = int(os.environ.get("MONOCAT_BUDGET", 10_000_000))
+    # a string default goes through _budget only when --budget is not given
+    default_budget = os.environ.get("MONOCAT_BUDGET", "10000000")
 
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", "-i", required=True, help="input JSON file")
         p.add_argument("--output", "-o", help="output file (default stdout)")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--budget", type=int, default=default_budget)
+        p.add_argument("--budget", type=_budget, default=default_budget)
 
     p = sub.add_parser("validate", help="re-validate and round-trip a representation file")
     common(p)

@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 from typing import List, Tuple
 
-from .exact import _fp_invertible, image, is_iso, kernel, solve_right
+from .exact import _fp_invertible, _fp_nilpotent, image, is_iso, kernel, solve_right
 from .rep import (
     BudgetExceeded,
     Representation,
     RepMorphism,
     ResidueSpace,
-    _fp_nilpotent,
     hom_reps,
     is_iso_reps,
     rep_identity,
@@ -108,7 +107,7 @@ def _residue_witness(r: Representation, budget: int):
     within_budget = p ** res.rank <= budget
     for combo in itertools.chain(basis, res.combos() if within_budget else ()):
         mats = res.block_matrices(res.residue_of(combo))
-        if all(_fp_invertible(p, m) for m in mats) or all(_fp_nilpotent(m, p) for m in mats):
+        if all(_fp_invertible(p, m) for m in mats) or all(_fp_nilpotent(p, m) for m in mats):
             continue
         return space._to_rep_morphism(space.solution._trunc(res.lift_of(combo)))
     if not within_budget:

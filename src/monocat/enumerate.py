@@ -96,10 +96,6 @@ def modules_up_to_length(base: SerialBase, cap: int) -> List[SerialModule]:
     return unique
 
 
-def modules_of_exact_length(base: SerialBase, length: int) -> List[SerialModule]:
-    return [m for m in modules_up_to_length(base, length) if m.length() == length]
-
-
 # -- fingerprints and isomorphism filtering ---------------------------------------------
 
 
@@ -424,6 +420,8 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
             raise ValueError(f"expected {len(quiver.vertices)} caps, one per vertex, "
                              f"got {len(caps)}")
         caps = dict(zip(quiver.vertices, caps))
+    if any(c < 0 for c in caps.values()):
+        raise ValueError(f"caps must be non-negative, got {caps}")
     if mono_only and base.backing == CHAIN and is_linear_chain(quiver) is not None:
         representatives = list(_linear_mono_candidates(quiver, base, caps, budget))
     else:

@@ -379,57 +379,82 @@ def dual_morphism(f: SerialMorphism) -> SerialMorphism:
 
 
 # -- kernel / cokernel: rad2nak engine (F_p linear-algebra view) -------------------
+#
+# _Rref is the one F_p elimination of the package: besides the graded views
+# below it serves rep.ResidueSpace and the residue tests of rep and decompose
+# (_fp_invertible, _fp_nilpotent).
 
 
 class _Rref:
-    """Reduced row echelon data over F_p for a matrix given as list of rows."""
+    """Reduced row echelon form over F_p of the rows added so far.
+
+    Pivots are chosen among the first ``ncols`` columns; entries past them
+    ride along (an augmented column, or coefficients carried by each row)."""
 
     def __init__(self, p, rows, ncols):
         self.p = p
         self.ncols = ncols
-        self.rows = [list(r) for r in rows]
+        self.rows = []
         self.pivots = []
-        self._reduce()
+        for row in rows:
+            self.add(row)
 
-    def _reduce(self):
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec):
+        """(residual, coords): vec minus its component along the held rows,
+        and the coefficient of each row in that component."""
         p = self.p
-        r = 0
-        for c in range(self.ncols):
-            piv = None
-            for i in range(r, len(self.rows)):
-                if self.rows[i][c] % p:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            self.rows[r], self.rows[piv] = self.rows[piv], self.rows[r]
-            inv = pow(self.rows[r][c], -1, p)
-            self.rows[r] = [(x * inv) % p for x in self.rows[r]]
-            for i in range(len(self.rows)):
-                if i != r and self.rows[i][c] % p:
-                    factor = self.rows[i][c]
-                    self.rows[i] = [(x - factor * y) % p for x, y in zip(self.rows[i], self.rows[r])]
-            self.pivots.append(c)
-            r += 1
-            if r == len(self.rows):
-                break
-        self.rank = len(self.pivots)
+        v = [x % p for x in vec]
+        coords = []
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c]
+            coords.append(f)
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return v, coords
+
+    def add(self, vec) -> bool:
+        """Append vec unless it is in the span of the first ncols columns;
+        True when the rank grew."""
+        p = self.p
+        v, _ = self.reduce(vec)
+        c = next((j for j in range(self.ncols) if v[j]), None)
+        if c is None:
+            return False
+        inv = pow(v[c], -1, p)
+        v = [(x * inv) % p for x in v]
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f:
+                self.rows[i] = [(x - f * y) % p for x, y in zip(row, v)]
+        self.rows.append(v)
+        self.pivots.append(c)
+        return True
 
     def in_span(self, vec) -> Optional[list]:
         """Coordinates of vec over the row space, or None."""
-        p = self.p
-        v = list(vec)
-        coords = [0] * self.rank
-        for r, c in enumerate(self.pivots):
-            if v[c] % p:
-                coords[r] = v[c] % p
-                v = [(x - coords[r] * y) % p for x, y in zip(v, self.rows[r])]
-        return coords if not any(x % p for x in v) else None
+        v, coords = self.reduce(vec)
+        return None if any(v) else coords
 
 
 def _fp_invertible(p, mat) -> bool:
     """Whether a square matrix over F_p (a list of rows) is invertible."""
-    return _Rref(p, mat, len(mat)).rank == len(mat)
+    rr = _Rref(p, (), len(mat))
+    return all(rr.add(row) for row in mat)
+
+
+def _fp_nilpotent(p, mat) -> bool:
+    """Whether a square matrix over F_p is nilpotent: mat^(2^k) = 0 with 2^k > d."""
+    d = len(mat)
+    m = [row[:] for row in mat]
+    for _ in range(max(1, d.bit_length())):
+        if all(x % p == 0 for row in m for x in row):
+            return True
+        m = [[sum(m[i][k] * m[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
+    return all(x % p == 0 for row in m for x in row)
 
 
 def _fp_nullspace(p, matrix, nrows, ncols):
@@ -560,47 +585,40 @@ def _rad2nak_subobject_to_morphism(view: _GradedView, chosen):
     return K, morphism(K, M, entries)
 
 
-def _rad2nak_decompose_graded(view: _GradedView, subspace_bases):
+def _rad2nak_decompose_graded(base, p, dims, action, bases):
     """Split an x-stable graded subspace W into tops/socles/simples.
 
-    ``subspace_bases[g]`` is a basis of W at grade g (vectors in ambient
-    coordinates).  Returns chosen part data for _rad2nak_subobject_to_morphism.
+    ``bases[g]`` is a basis of W at grade g, in the coordinates of a graded
+    space with ``dims[g]`` coordinates at grade g on which ``action(g)`` is
+    the matrix of x from grade g to its successor.  Returns chosen part data
+    for _rad2nak_subobject_to_morphism.
     """
-    base = view.base
-    p = view.p
-    m = view.m
     chosen = []
-    socle_images = {g: [] for g in range(1, m + 1)}  # radical images inside W
-    kernels = {}
-    for g in range(1, m + 1):
-        W = subspace_bases[g]
+    socle_images = {g: [] for g in range(1, base.m + 1)}  # radical images inside W
+    kernels = {g: [] for g in range(1, base.m + 1)}
+    for g in range(1, base.m + 1):
+        W = bases[g]
         if not W:
-            kernels[g] = []
             continue
-        X = view.action_matrix(g)
+        X = action(g)
         imgs = [_matvec(p, X, w) for w in W]
-        coeff_rows = [list(row) for row in zip(*imgs)] if imgs else []
+        coeff_rows = [list(row) for row in zip(*imgs)]
         # kernel of x restricted to W: combinations with zero image
-        null = _fp_nullspace(p, coeff_rows, len(coeff_rows), len(W)) if imgs else []
+        null = _fp_nullspace(p, coeff_rows, len(coeff_rows), len(W))
         kernels[g] = [_combine(p, W, coords) for coords in null]
         # tops: complement of the kernel inside W
-        top_coords = _complement_coords(p, null, len(W))
         succ = base._succ(g)
-        for coords in top_coords:
+        for coords in _complement_coords(p, null, len(W)):
             t = _combine(p, W, coords)
-            label = f"P{g}"
-            chosen.append((label, g, t))
+            chosen.append((f"P{g}", g, t))
             socle_images[succ].append(_matvec(p, X, t))
-    for g in range(1, m + 1):
-        ker = kernels.get(g, [])
-        if not ker:
+    for g in range(1, base.m + 1):
+        if not kernels[g]:
             continue
-        soc = socle_images[g]
-        soc_rr = _Rref(p, [list(v) for v in soc], view.dims[g])
-        for v in ker:
-            if soc_rr.in_span(v) is None:
+        soc_rr = _Rref(p, socle_images[g], dims[g])
+        for v in kernels[g]:
+            if soc_rr.add(v):
                 chosen.append((f"S{g}", g, list(v)))
-                soc_rr = _Rref(p, soc_rr.rows[: soc_rr.rank] + [list(v)], view.dims[g])
     return chosen
 
 
@@ -617,40 +635,28 @@ def _combine(p, basis, coords):
 
 def _complement_coords(p, subspace_coords, dim):
     """Coordinate vectors extending a subspace (given by coordinate rows) to full space."""
-    rr = _Rref(p, [list(v) for v in subspace_coords], dim)
-    out = []
-    pivs = set(rr.pivots)
-    for c in range(dim):
-        if c not in pivs:
-            vec = [0] * dim
-            vec[c] = 1
-            out.append(vec)
-    return out
+    pivs = set(_Rref(p, subspace_coords, dim).pivots)
+    return [[int(i == c) for i in range(dim)] for c in range(dim) if c not in pivs]
 
 
 def _rad2nak_kernel(f: SerialMorphism):
     sv, tv = _GradedView(f.source), _GradedView(f.target)
     mats = _morphism_grade_matrices(f, sv, tv)
-    bases = {}
-    for g in range(1, sv.m + 1):
-        if sv.dims[g] == 0:
-            bases[g] = []
-            continue
-        null = _fp_nullspace(sv.p, mats[g], tv.dims[g], sv.dims[g])
-        bases[g] = null
-    chosen = _rad2nak_decompose_graded(sv, bases)
+    bases = {g: _fp_nullspace(sv.p, mats[g], tv.dims[g], sv.dims[g]) for g in range(1, sv.m + 1)}
+    chosen = _rad2nak_decompose_graded(sv.base, sv.p, sv.dims, sv.action_matrix, bases)
     return _rad2nak_subobject_to_morphism(sv, chosen)
 
 
 def _rad2nak_cokernel(f: SerialMorphism):
     base = f.base
     p = base.ring.p
+    grades = range(1, base.m + 1)
     sv, tv = _GradedView(f.source), _GradedView(f.target)
     mats = _morphism_grade_matrices(f, sv, tv)
     # image basis per grade, and a complement basis representing the quotient
     img_rr = {}
     comp = {}
-    for g in range(1, tv.m + 1):
+    for g in grades:
         cols = [[mats[g][i][j] for i in range(tv.dims[g])] for j in range(sv.dims[g])]
         rr = _Rref(p, cols, tv.dims[g])
         img_rr[g] = rr
@@ -659,58 +665,28 @@ def _rad2nak_cokernel(f: SerialMorphism):
 
     def project(g, vec):
         """Coordinates of the class of vec over the complement basis."""
-        rr = img_rr[g]
-        v = list(vec)
-        for r, c in enumerate(rr.pivots):
-            if v[c] % p:
-                factor = v[c]
-                v = [(x - factor * y) % p for x, y in zip(v, rr.rows[r])]
-        return [v[i] % p for i in comp[g]]
+        v = img_rr[g].reduce(vec)[0]
+        return [v[i] for i in comp[g]]
 
     # the quotient as a graded module with induced action
-    qdims = {g: len(comp[g]) for g in range(1, tv.m + 1)}
-
-    def q_action(g):
+    qdims = {g: len(comp[g]) for g in grades}
+    q_action = {}
+    for g in grades:
         succ = base._succ(g)
         X = tv.action_matrix(g)
-        out = []
-        for i in comp[g]:
-            e = [0] * tv.dims[g]
-            e[i] = 1
-            out.append(project(succ, _matvec(p, X, e)))
-        return [list(row) for row in zip(*out)] if out and qdims[succ] else [[0] * len(comp[g]) for _ in range(qdims[succ])]
+        out = [project(succ, [row[i] for row in X]) for i in comp[g]]
+        q_action[g] = [[col[r] for col in out] for r in range(qdims[succ])]
 
-    # decompose the quotient into parts: tops where induced action is nonzero
-    chosen = []  # (label, grade, coords over complement basis of that grade)
-    socle_span = {g: [] for g in range(1, tv.m + 1)}
-    kernels = {}
-    for g in range(1, tv.m + 1):
-        dim = qdims[g]
-        if dim == 0:
-            kernels[g] = []
-            continue
-        Xg = q_action(g)
-        null = _fp_nullspace(p, Xg, len(Xg), dim)
-        kernels[g] = null
-        top_coords = _complement_coords(p, null, dim)
-        succ = base._succ(g)
-        for t in top_coords:
-            chosen.append((f"P{g}", g, t))
-            socle_span[succ].append(_matvec(p, Xg, t))
-    for g in range(1, tv.m + 1):
-        soc_rr = _Rref(p, [list(v) for v in socle_span[g]], qdims[g])
-        for v in kernels.get(g, []):
-            if soc_rr.in_span(v) is None:
-                chosen.append((f"S{g}", g, list(v)))
-                soc_rr = _Rref(p, soc_rr.rows[: soc_rr.rank] + [list(v)], qdims[g])
-
+    # decompose the quotient into parts, over its unit bases
+    units = {g: [[int(i == j) for j in range(qdims[g])] for i in range(qdims[g])] for g in grades}
+    chosen = _rad2nak_decompose_graded(base, p, qdims, q_action.__getitem__, units)
     labels = [label for (label, _, _) in chosen]
     order = sorted(range(len(chosen)), key=lambda k: (base.label_sort_key(labels[k]), k))
     C = serial_module(base, [labels[k] for k in order])
 
-    # coordinates of each chosen part's defining vector, per grade, over comp basis
-    chosen_rr = {}
-    for g in range(1, tv.m + 1):
+    # each chosen part's defining vectors per grade, over the complement basis
+    chosen_vecs = {}
+    for g in grades:
         vecs = []
         owners = []
         for k in order:
@@ -719,10 +695,9 @@ def _rad2nak_cokernel(f: SerialMorphism):
                 vecs.append(list(coords))
                 owners.append((k, "top" if label[0] == "P" else "vec"))
             elif label[0] == "P" and base._succ(gg) == g:
-                Xgg = q_action(gg)
-                vecs.append(_matvec(p, Xgg, coords))
+                vecs.append(_matvec(p, q_action[gg], coords))
                 owners.append((k, "socle"))
-        chosen_rr[g] = (_Rref(p, vecs, qdims[g]), owners, vecs)
+        chosen_vecs[g] = (owners, vecs)
 
     # projection N -> C: image of each N-part generator class in part coordinates
     col_of = {k: col for col, k in enumerate(order)}
@@ -733,13 +708,8 @@ def _rad2nak_cokernel(f: SerialMorphism):
         g, idx = info[gen_role]
         e = [0] * tv.dims[g]
         e[idx] = 1
-        cls = project(g, e)
-        rr, owners, vecs = chosen_rr[g]
-        coords = rr.in_span(cls)
-        if coords is None:
-            raise AssertionError("quotient class not spanned by chosen part vectors")
-        # rr rows are reduced; recompute coordinates against the raw vectors
-        coords = _solve_coords(p, vecs, cls)
+        owners, vecs = chosen_vecs[g]
+        coords = _solve_coords(p, vecs, project(g, e))
         for (k, role), cval in zip(owners, coords):
             if cval % p == 0:
                 continue

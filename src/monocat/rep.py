@@ -16,7 +16,9 @@ from typing import Dict, Optional, Tuple
 
 from .base import SerialBase
 from .exact import (
+    _combine,
     _fp_invertible,
+    _Rref,
     cokernel,
     is_iso,
     kernel,
@@ -123,10 +125,6 @@ def rep_morphism_compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
 
 def rep_identity(r: Representation) -> RepMorphism:
     return RepMorphism(r, r, {v: identity_morphism(m) for v, m in r.modules.items()}, check=False)
-
-
-def zero_representation(base: SerialBase, quiver: Quiver) -> Representation:
-    return Representation(quiver, base, {}, {})
 
 
 def rep_direct_sum(r: Representation, s: Representation) -> Representation:
@@ -319,7 +317,6 @@ class ResidueSpace:
         base = space.r.base
         self.p = base.ring.p
         self.blocks = []  # (vertex, label, [part positions])
-        coords = []       # residue coordinates as (slot index)
         for v in space.r.quiver.vertices:
             parts = space.r.modules[v].parts
             for label in sorted(set(parts), key=base.label_sort_key):
@@ -330,36 +327,17 @@ class ResidueSpace:
             for i in pos:
                 for j in pos:
                     self.coord_slots.append(space.slot_index[(v, i, j)])
-        # F_p basis of the projected solution space, with lifted generators
-        rows = []
-        for gen in space.solution.generators:
-            res = tuple(gen[c].digits[0] % self.p for c in self.coord_slots)
-            if any(res):
-                rows.append((list(res), list(gen)))
-        self.basis = self._rref_with_lifts(rows)
-
-    def _rref_with_lifts(self, rows):
-        p = self.p
-        basis = []
-        for res, lift in rows:
-            res = list(res)
-            lift = list(lift)
-            for bres, blift in basis:
-                piv = next(i for i, x in enumerate(bres) if x)
-                if res[piv]:
-                    c = res[piv]
-                    res = [(x - c * y) % p for x, y in zip(res, bres)]
-                    ring = self.space.r.base.ring
-                    factor = ring.from_int(c)
-                    lift = [x - factor * y for x, y in zip(lift, blift)]
-            if any(res):
-                piv = next(i for i, x in enumerate(res) if x)
-                inv = pow(res[piv], -1, p)
-                ring = self.space.r.base.ring
-                res = [(x * inv) % p for x in res]
-                lift = [ring.from_int(inv) * x for x in lift]
-                basis.append((res, lift))
-        return basis
+        # F_p basis of the projected solution space: one elimination over the rows
+        # residue(gen_k) || e_k, so each basis residue keeps its coefficients
+        # over the solution generators
+        gens = space.solution.generators
+        n = len(self.coord_slots)
+        rows = _Rref(self.p, (
+            [gen[c].digits[0] for c in self.coord_slots] + [int(i == k) for i in range(len(gens))]
+            for k, gen in enumerate(gens)
+        ), n).rows
+        self.basis = [row[:n] for row in rows]
+        self.coeffs = [row[n:] for row in rows]
 
     @property
     def rank(self) -> int:
@@ -367,29 +345,21 @@ class ResidueSpace:
 
     def residue_of(self, combo):
         """Residue vector (ints mod p) of an F_p combination of the basis."""
-        p = self.p
-        res = [0] * len(self.coord_slots)
-        for c, (bres, _) in zip(combo, self.basis):
-            if c % p == 0:
-                continue
-            res = [(x + c * y) % p for x, y in zip(res, bres)]
-        return res
+        if not self.basis:
+            return [0] * len(self.coord_slots)
+        return _combine(self.p, self.basis, combo)
 
     def lift_of(self, combo):
         """Lifted solution vector of an F_p combination of the basis."""
-        p = self.p
         ring = self.space.r.base.ring
         lift = [ring.zero] * len(self.space.slots)
-        for c, (_, blift) in zip(combo, self.basis):
-            if c % p == 0:
-                continue
-            factor = ring.from_int(c)
-            lift = [x + factor * y for x, y in zip(lift, blift)]
+        if not self.basis:
+            return lift
+        for c, gen in zip(_combine(self.p, self.coeffs, combo), self.space.solution.generators):
+            if c:
+                factor = ring.from_int(c)
+                lift = [x + factor * y for x, y in zip(lift, gen)]
         return lift
-
-    def element(self, combo):
-        """(residue vector, lifted solution vector) for coefficients in F_p."""
-        return self.residue_of(combo), self.lift_of(combo)
 
     def block_matrices(self, res):
         """Residue vector -> list of square F_p matrices, one per label block."""
@@ -404,16 +374,6 @@ class ResidueSpace:
 
     def combos(self):
         return itertools.product(range(self.p), repeat=self.rank)
-
-
-def _fp_nilpotent(mat, p) -> bool:
-    d = len(mat)
-    m = [row[:] for row in mat]
-    for _ in range(max(1, d.bit_length())):
-        if all(x % p == 0 for row in m for x in row):
-            return True
-        m = [[sum(m[i][k] * m[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
-    return all(x % p == 0 for row in m for x in row)
 
 
 def find_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BUDGET,

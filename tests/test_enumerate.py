@@ -69,6 +69,13 @@ def test_bounded_zero_caps_empty():
     assert report.classes == []
 
 
+@pytest.mark.parametrize("caps", [(-1, 2), {"1": 0, "2": -1}])
+def test_bounded_rejects_negative_caps(caps):
+    q = builtin_quiver("An-linear:2")
+    with pytest.raises(ValueError, match="caps must be non-negative"):
+        enumerate_bounded(q, chain_base("poly", 2, 2), caps, mono_only=True)
+
+
 def test_bounded_matches_rad2_classification():
     q = builtin_quiver("An-linear:2")
     base = chain_base("poly", 2, 2)

@@ -1,0 +1,90 @@
+"""The F_p elimination ``exact._Rref`` and the residue tests built on it,
+checked against exhaustive counts and brute-force spans."""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from monocat.exact import _fp_invertible, _fp_nilpotent, _fp_nullspace, _Rref
+
+# (q, n): every n x n matrix over F_q is tried
+SMALL = [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def _all_matrices(q, n):
+    for entries in itertools.product(range(q), repeat=n * n):
+        yield [list(entries[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def _span(p, rows, width):
+    return {
+        tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(width))
+        for cs in itertools.product(range(p), repeat=len(rows))
+    }
+
+
+@pytest.mark.parametrize("q,n", SMALL)
+def test_invertible_count_is_order_of_gl(q, n):
+    expected = math.prod(q ** n - q ** i for i in range(n))
+    assert sum(_fp_invertible(q, m) for m in _all_matrices(q, n)) == expected
+
+
+@pytest.mark.parametrize("q,n", SMALL)
+def test_nilpotent_count_is_fine_herstein(q, n):
+    assert sum(_fp_nilpotent(q, m) for m in _all_matrices(q, n)) == q ** (n * (n - 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_matches_brute_force_span(p):
+    rng = random.Random(p)
+    for _ in range(25):
+        nrows, ncols = rng.randrange(5), rng.randrange(1, 5)
+        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+        rr = _Rref(p, [], ncols)
+        grew = [rr.add(r) for r in rows]
+        span = _span(p, rows, ncols)
+        assert p ** rr.rank == len(span)
+        assert grew == [len(_span(p, rows[:k + 1], ncols)) > len(_span(p, rows[:k], ncols))
+                        for k in range(nrows)]
+        for i, (row, c) in enumerate(zip(rr.rows, rr.pivots)):
+            assert [row[d] for d in rr.pivots] == [int(i == k) for k in range(rr.rank)]
+            assert all(x == 0 for x in row[:c])
+        for v in itertools.product(range(p), repeat=ncols):
+            coords = rr.in_span(v)
+            assert (coords is not None) == (v in span)
+            if coords is not None:
+                assert v == tuple(sum(a * r[j] for a, r in zip(coords, rr.rows)) % p
+                                  for j in range(ncols))
+        null = _fp_nullspace(p, rows, nrows, ncols)
+        kernel = {x for x in itertools.product(range(p), repeat=ncols)
+                  if all(sum(a * b for a, b in zip(r, x)) % p == 0 for r in rows)}
+        assert len(_span(p, null, ncols)) == len(kernel) == p ** len(null)
+        assert all(tuple(x) in kernel for x in null)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rref_augmented_rows_keep_their_coefficients(p):
+    """Pivots stay in the first ncols columns; the columns past them ride
+    along, so a row head || e_k keeps its coefficients over the input rows."""
+    rng = random.Random(10 + p)
+    for _ in range(25):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 4)
+        heads = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+        rr = _Rref(p, ([*h, *(int(i == k) for i in range(nrows))] for k, h in enumerate(heads)),
+                   ncols)
+        assert p ** rr.rank == len(_span(p, heads, ncols))
+        assert all(c < ncols for c in rr.pivots)
+        for row in rr.rows:
+            combo = [sum(a * h[j] for a, h in zip(row[ncols:], heads)) % p for j in range(ncols)]
+            assert combo == row[:ncols]
+        # reduce works on the full width: the residual of a combination of
+        # the input rows has a zero head
+        for cs in itertools.product(range(p), repeat=nrows):
+            v = [sum(c * h[j] for c, h in zip(cs, heads)) % p for j in range(ncols)] + list(cs)
+            residual, coords = rr.reduce(v)
+            assert not any(residual[:ncols])
+            back = [(r + sum(a * row[j] for a, row in zip(coords, rr.rows))) % p
+                    for j, r in enumerate(residual)]
+            assert back == v

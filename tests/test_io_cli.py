@@ -208,6 +208,37 @@ def test_cli_caps_count_mismatch_is_input_error(capsys):
     assert "expected 2 caps, one per vertex, got 1" in capsys.readouterr().err
 
 
+ENUM_SMALL = ["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2", "--caps", "1,1"]
+
+
+@pytest.mark.parametrize("env,argv", [
+    ("lots", []),
+    ("-3", []),
+    (None, ["--budget", "-5"]),
+    (None, ["--budget", "lots"]),
+])
+def test_cli_bad_budget_is_input_error(monkeypatch, capsys, env, argv):
+    if env is not None:
+        monkeypatch.setenv("MONOCAT_BUDGET", env)
+    rc = main(ENUM_SMALL + argv)
+    assert rc == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_cli_budget_option_overrides_bad_environment(monkeypatch, capsys):
+    monkeypatch.setenv("MONOCAT_BUDGET", "lots")
+    assert main(ENUM_SMALL + ["--budget", "1000"]) == 0
+    monkeypatch.setenv("MONOCAT_BUDGET", "1000")
+    assert main(ENUM_SMALL) == 0
+
+
+def test_cli_negative_caps_is_input_error(capsys):
+    rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2",
+               "--caps=-1,2", "--mono-only"])
+    assert rc == 2
+    assert "caps must be non-negative" in capsys.readouterr().err
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     import monocat.cli as cli
 

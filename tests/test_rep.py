@@ -9,6 +9,7 @@ from monocat.quiver import Quiver, builtin_quiver
 from monocat.rep import (
     Representation,
     RepMorphism,
+    ResidueSpace,
     f_shriek,
     find_iso_reps,
     hom_reps,
@@ -28,6 +29,7 @@ from monocat.rep import (
     vertex_module,
 )
 from monocat.serialmod import (
+    hom_space,
     identity_morphism,
     mor_block,
     mor_equal,
@@ -204,6 +206,45 @@ def test_undecided_iso_raises_budget_exceeded():
     ok, witness, cert = find_iso_reps(ident, ident, budget=1)
     assert ok and cert == "sampled" and witness.is_iso()
     assert find_iso_reps(ident, zero) == (False, None, "exhaustive")
+
+
+@pytest.mark.parametrize("arith", ["int", "poly"])
+def test_residue_space_lifts(arith):
+    """Every lift has the residue it stands for and is a natural
+    transformation, for basis vectors and random combinations."""
+    base = chain_base(arith, 2, 3)
+    rng = random.Random(3)
+    for quiver in (A2, A3, KR):
+        for _ in range(4):
+            r = random_representation(base, quiver, rng)
+            # same vertex modules, other arrow maps: a space find_iso_reps searches
+            maps = {a.name: hom_space(r.modules[a.source], r.modules[a.target]).random(rng)
+                    for a in quiver.arrows}
+            s = Representation(quiver, base, r.modules, maps)
+            for space in (hom_reps(r, r), hom_reps(r, s)):
+                res = ResidueSpace(space)
+                combos = [tuple(int(i == k) for i in range(res.rank)) for k in range(res.rank)]
+                combos += [tuple(rng.randrange(res.p) for _ in range(res.rank)) for _ in range(3)]
+                for combo in combos:
+                    lift = res.lift_of(combo)
+                    assert [lift[c].digits[0] for c in res.coord_slots] == res.residue_of(combo)
+                    phi = space._to_rep_morphism(space.solution._trunc(lift))
+                    RepMorphism(space.r, space.s, phi.components, check=True)
+
+
+def test_rank_zero_residue_space_gives_zero_residues():
+    """Kronecker r = (id, 0) and s = (0, id) on simples: naturality forces
+    both components to vanish, so the residue space has rank 0."""
+    m1 = serial_module(B2, ["M1"])
+    modules = {"1": m1, "2": m1}
+    zero = morphism(m1, m1, [[0]])
+    r = Representation(KR, B2, modules, {"a": identity_morphism(m1), "b": zero})
+    s = Representation(KR, B2, modules, {"a": zero, "b": identity_morphism(m1)})
+    res = ResidueSpace(hom_reps(r, s))
+    assert res.rank == 0 and len(res.coord_slots) == 2
+    assert res.residue_of(()) == [0, 0]
+    assert all(x.is_zero() for x in res.lift_of(()))
+    assert find_iso_reps(r, s) == (False, None, "exhaustive")
 
 
 def test_partition_and_length_vectors():

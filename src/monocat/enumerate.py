@@ -12,9 +12,11 @@
   representations exactly when an automorphism of V carries one onto the
   other; that path classifies by Aut(V)-orbits of chains, walked with the
   generators of ``ConcreteModule.automorphism_generators``, and yields its
-  classes in generation order.  Every other quiver and backing searches all
-  arrow maps and filters by isomorphism (fingerprint buckets, then
-  ``is_iso_reps``).
+  classes in generation order.  Every other quiver and backing searches the
+  arrow maps depth first; for monic classes it checks each vertex's combined
+  in-map for injectivity once per (vertex modules, in-maps) and cuts a branch
+  at the first vertex that fails, then filters by isomorphism (fingerprint
+  buckets, then ``is_iso_reps``).
 * The Kronecker families built from the homogeneous two-variable form model.
 """
 
@@ -28,7 +30,7 @@ from .base import CHAIN, POLY, RAD2NAK, SerialBase, chain_base, stable_base
 from .chainring import INT
 from .concrete import ConcreteModule, chain_of_inclusions
 from .decompose import BudgetExceeded, decompose, is_indecomposable
-from .exact import image, solve_left
+from .exact import image, is_injective_map, solve_left
 from .mimo import injective_rep_recognize, mimo_from_stable
 from .quiver import Quiver, dynkin_type, positive_roots
 from .rep import (
@@ -41,6 +43,7 @@ from .rep import (
 )
 from .serialmod import (
     SerialModule,
+    assemble,
     hom_space,
     morphism,
     serial_module,
@@ -384,20 +387,72 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
 
 def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                         mono_only: bool, budget: int):
-    inventories = {v: modules_up_to_length(base, caps[v]) for v in quiver.vertices}
+    """Yield every representation with vertex modules from
+    ``modules_up_to_length`` and arrow maps from the hom spaces, in
+    ``itertools.product`` order: vertex modules in ``quiver.vertices`` order,
+    then arrow maps in ``quiver.arrows`` order.
+
+    The maps are assigned depth first.  With ``mono_only`` a branch is cut
+    as soon as the last arrow into a vertex is assigned and that vertex's
+    combined in-map is not injective, so exactly the monic tuples remain.
+    Monicity is local (each arrow enters one vertex), and each verdict is
+    cached for the call by (source parts, target parts, hom-space indices).
+    Raises BudgetExceeded when more than ``budget`` tuples, partial or
+    complete, are visited."""
+    arrows = quiver.arrows
+    names = [a.name for a in arrows]
+    into: Dict[str, List[int]] = {}  # vertex -> indices of its in-arrows
+    for i, a in enumerate(arrows):
+        into.setdefault(a.target, []).append(i)
+    # closes[i]: the vertex whose last in-arrow is arrows[i], else None
+    closes = [a.target if i == into[a.target][-1] else None for i, a in enumerate(arrows)]
+    inventories = [modules_up_to_length(base, caps[v]) for v in quiver.vertices]
+    homs: Dict[tuple, list] = {}
+    verdicts: Dict[tuple, bool] = {}
     count = 0
-    for assignment in itertools.product(*(inventories[v] for v in quiver.vertices)):
+
+    def visit():
+        nonlocal count
+        count += 1
+        if count > budget:
+            raise BudgetExceeded(f"enumeration budget {budget} exceeded")
+
+    for assignment in itertools.product(*inventories):
         modules = dict(zip(quiver.vertices, assignment))
-        spaces = [list(hom_space(modules[a.source], modules[a.target])) for a in quiver.arrows]
-        names = [a.name for a in quiver.arrows]
-        for combo in itertools.product(*spaces):
-            count += 1
-            if count > budget:
-                raise BudgetExceeded(f"enumeration budget {budget} exceeded")
-            rep = Representation(quiver, base, modules, dict(zip(names, combo)))
-            if mono_only and not is_mono(rep):
-                continue
-            yield rep
+        spaces = []
+        for a in arrows:
+            key = (modules[a.source].parts, modules[a.target].parts)
+            if key not in homs:
+                homs[key] = list(hom_space(modules[a.source], modules[a.target]))
+            spaces.append(homs[key])
+        sources = {v: [modules[arrows[i].source] for i in into[v]] for v in into}
+        shapes = {v: (tuple(m.parts for m in sources[v]), modules[v].parts) for v in into}
+        chosen: List[int] = []
+
+        def monic_at(v):
+            key = (shapes[v], tuple(chosen[i] for i in into[v]))
+            verdict = verdicts.get(key)
+            if verdict is None:
+                blocks = {(0, t): spaces[i][chosen[i]] for t, i in enumerate(into[v])}
+                f, _, _ = assemble(base, sources[v], [modules[v]], blocks)
+                verdict = verdicts[key] = is_injective_map(f)
+            return verdict
+
+        def extend(depth):
+            if depth == len(arrows):
+                yield Representation(quiver, base, modules,
+                                     {names[i]: spaces[i][k] for i, k in enumerate(chosen)})
+                return
+            for k in range(len(spaces[depth])):
+                visit()
+                chosen.append(k)
+                v = closes[depth]
+                if not (mono_only and v is not None and not monic_at(v)):
+                    yield from extend(depth + 1)
+                chosen.pop()
+
+        visit()
+        yield from extend(0)
 
 
 def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = False,
@@ -408,9 +463,11 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     classified by Aut(V)-orbits of submodule chains (``_linear_mono_candidates``)
     and come in generation order: sinks in ``modules_up_to_length`` order, then
     chains in candidate order.  Every other case searches all vertex modules
-    and arrow maps and keeps one member of each isomorphism class
-    (``IsoClassifier``).  Each class found is then tested for
-    indecomposability; ``budget`` bounds the chains or arrow-map tuples built.
+    and arrow maps (``_generic_candidates``); with ``mono_only`` it checks
+    the monic in-maps per vertex and never builds a non-monic tuple.  It then
+    keeps one member of each isomorphism class (``IsoClassifier``).  Each
+    class found is tested for indecomposability; ``budget`` bounds the chains
+    built or the arrow-map tuples, partial or complete, visited.
     """
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")

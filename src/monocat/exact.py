@@ -198,19 +198,29 @@ class LinearSolution:
         return self._trunc(vec)
 
 
+def _shift_row(tab, row: list, shift: int) -> list:
+    """``[c.shift_up(shift) for c in row]`` read from one table: ``row``
+    itself when ``shift`` is 0, and zero entries kept as they are."""
+    if shift == 0:
+        return row
+    up, elems = tab.shift_up[min(shift, tab.ring.n)], tab.elems
+    return [c if c.num == 0 else elems[up[c.num]] for c in row]
+
+
 def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSolution]:
     """Solve sum_t A_t x_t = r (mod pi^q) per row; slots x_t live mod pi^moduli[t].
 
     Rows are triples (coeffs, rhs, q).  Returns None when inconsistent.
     """
     n = ring.n
+    tab = ring.tables
     T = len(moduli)
     scaled = []
     rhs = []
     for coeffs, r, q in rows:
-        shift = n - q
-        scaled.append([c.shift_up(shift) for c in coeffs])
-        rhs.append(r.shift_up(shift))
+        row = _shift_row(tab, [*coeffs, r], n - q)
+        rhs.append(row.pop())
+        scaled.append(row)
     E = len(scaled)
     if T == 0:
         if any(not r.is_zero() for r in rhs):
@@ -245,7 +255,7 @@ def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSoluti
         e = snf.diag_vals[k] if k < min(E, T) else n
         if e == 0:
             continue
-        col = [snf.V[i][k].shift_up(n - e) for i in range(T)]
+        col = _shift_row(tab, [snf.V[i][k] for i in range(T)], n - e)
         if any(not x.is_zero() for x in col):
             generators.append(col)
     return LinearSolution(ring, moduli, particular, generators)

@@ -20,6 +20,7 @@ from .exact import (
     _fp_invertible,
     _Rref,
     cokernel,
+    is_injective_map,
     is_iso,
     kernel,
     solve_hom_system,
@@ -173,7 +174,8 @@ def kopf_modules(r: Representation) -> Dict[str, SerialModule]:
 
 
 def is_mono(r: Representation) -> bool:
-    return all(k.is_zero() for k, _ in l1_kopf(r).values())
+    """Every in-map is injective; stops at the first vertex where one is not."""
+    return all(is_injective_map(in_map(r, v)) for v in r.quiver.vertices)
 
 
 def kopf_morphism(phi: RepMorphism) -> Dict[str, SerialMorphism]:

@@ -102,6 +102,13 @@ def test_bounded_budget():
         enumerate_bounded(q, chain_base("poly", 2, 2), (2, 2), budget=5)
 
 
+def test_bounded_budget_generic_mono_path():
+    """The pruned generic search still counts the tuples it visits."""
+    q = builtin_quiver("A4-zigzag")
+    with pytest.raises(BudgetExceeded):
+        enumerate_bounded(q, chain_base("poly", 2, 2), (2, 2, 2, 2), mono_only=True, budget=10)
+
+
 def test_modules_up_to_length():
     base = chain_base("int", 2, 3)
     mods = modules_up_to_length(base, 3)

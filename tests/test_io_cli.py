@@ -129,6 +129,12 @@ def test_cli_enumerate_budget_exit_code(capsys):
     assert rc == 3
 
 
+def test_cli_enumerate_budget_exit_code_generic_mono(capsys):
+    rc = main(["enumerate", "--quiver", "A4-zigzag", "--base", "chain:poly:2:2",
+               "--caps", "2,2,2,2", "--mono-only", "--budget", "10"])
+    assert rc == 3
+
+
 def test_cli_verify_suite_rad2(capsys):
     rc = main(["verify-suite", "--suite", "rad2-count",
                "--quiver", "An-linear:3", "--base", "chain:poly:2:2"])

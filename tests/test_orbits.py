@@ -1,10 +1,13 @@
 """The orbit classification of linear sweeps: the Aut(V) generators of
 ``ConcreteModule`` and the bounded sweep against the isomorphism-filtered
-generic search."""
+generic search; the generic search's per-vertex mono pruning against the
+filtered product of all arrow maps."""
+
+import itertools
 
 import pytest
 
-from monocat.base import chain_base
+from monocat.base import chain_base, rad2nak_base
 from monocat.concrete import ConcreteModule
 from monocat.decompose import is_indecomposable
 from monocat.enumerate import (
@@ -13,10 +16,11 @@ from monocat.enumerate import (
     _generic_candidates,
     _linear_mono_candidates,
     enumerate_bounded,
+    modules_up_to_length,
 )
 from monocat.exact import is_iso
-from monocat.quiver import builtin_quiver
-from monocat.rep import is_iso_reps
+from monocat.quiver import Quiver, builtin_quiver
+from monocat.rep import Representation, is_iso_reps, is_mono
 from monocat.serialmod import hom_space, serial_module
 
 
@@ -93,3 +97,55 @@ def test_orbit_sweep_matches_iso_filtered_oracle(qname, base_args, caps):
         k = next(k for k, s in enumerate(remaining) if is_iso_reps(r, s))
         remaining.pop(k)
     assert not remaining
+
+
+def _filtered_product(quiver, base, caps, mono_only):
+    """Every vertex-module and arrow-map tuple in product order, kept when
+    the whole representation is monic (or always, without ``mono_only``)."""
+    inventories = [modules_up_to_length(base, caps[v]) for v in quiver.vertices]
+    names = [a.name for a in quiver.arrows]
+    out = []
+    for assignment in itertools.product(*inventories):
+        modules = dict(zip(quiver.vertices, assignment))
+        spaces = [list(hom_space(modules[a.source], modules[a.target])) for a in quiver.arrows]
+        for combo in itertools.product(*spaces):
+            rep = Representation(quiver, base, modules, dict(zip(names, combo)))
+            if not mono_only or is_mono(rep):
+                out.append(rep)
+    return out
+
+
+# arrows into 2, 3, 2: the check at vertex 3 falls between the two arrows into 2
+INTERLEAVED = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "1", "3"), ("c", "4", "2")])
+
+# (quiver, base, caps)
+GENERIC_CONFIGS = [
+    (builtin_quiver("A4-zigzag"), chain_base("poly", 2, 2), (1, 1, 1, 1)),
+    (builtin_quiver("A4-zigzag"), chain_base("poly", 2, 2), (2, 1, 2, 1)),
+    (builtin_quiver("kronecker"), chain_base("int", 2, 2), (2, 2)),
+    (builtin_quiver("D4"), chain_base("poly", 3, 2), (1, 1, 1, 1)),
+    (INTERLEAVED, chain_base("poly", 2, 2), (1, 2, 1, 1)),
+    (builtin_quiver("An-linear:2"), rad2nak_base(2, 2), (2, 2)),
+]
+GENERIC_IDS = ["zigzag-1111", "zigzag-2121", "kronecker-22", "d4-1111", "interleaved",
+               "rad2nak-a2"]
+
+
+@pytest.mark.parametrize("quiver,base,caps", GENERIC_CONFIGS, ids=GENERIC_IDS)
+def test_generic_mono_candidates_match_filtered_product(quiver, base, caps):
+    cap_dict = dict(zip(quiver.vertices, caps))
+    found = list(_generic_candidates(quiver, base, cap_dict, True, DEFAULT_ENUM_BUDGET))
+    expected = _filtered_product(quiver, base, cap_dict, mono_only=True)
+    assert found
+    assert found == expected
+    assert all(is_mono(rep) for rep in found)
+
+
+@pytest.mark.parametrize("quiver,base,caps", [GENERIC_CONFIGS[0], GENERIC_CONFIGS[4]],
+                         ids=[GENERIC_IDS[0], GENERIC_IDS[4]])
+def test_generic_candidates_without_mono_is_the_full_product(quiver, base, caps):
+    cap_dict = dict(zip(quiver.vertices, caps))
+    found = list(_generic_candidates(quiver, base, cap_dict, False, DEFAULT_ENUM_BUDGET))
+    expected = _filtered_product(quiver, base, cap_dict, mono_only=False)
+    assert found == expected
+    assert not all(is_mono(rep) for rep in found)

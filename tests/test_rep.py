@@ -95,6 +95,24 @@ def test_mono_iff_l1_vanishes_spec_examples():
     assert k == serial_module(B2, ["M1"])
 
 
+def test_is_mono_stops_at_first_failing_vertex(monkeypatch):
+    import monocat.exact as exact_mod
+
+    quiver = builtin_quiver("An-linear:3")
+    # vertex 2 receives M1 by the zero map, so the check never reaches vertex 3
+    dead = Representation(quiver, B2, {"1": serial_module(B2, ["M1"]),
+                                       "2": serial_module(B2, ["M1"]),
+                                       "3": serial_module(B2, ["M1"])},
+                          {"a2": morphism(serial_module(B2, ["M1"]),
+                                          serial_module(B2, ["M1"]), [[1]])})
+    calls = []
+    kernel = exact_mod.kernel
+    monkeypatch.setattr(exact_mod, "kernel", lambda f: calls.append(f) or kernel(f))
+    assert not is_mono(dead)
+    assert len(calls) == 2
+    assert not l1_kopf(dead)["2"][0].is_zero()
+
+
 def test_f_shriek_kronecker_injective():
     fs = f_shriek(B2, KR, vertex_module(B2, KR, "1", serial_module(B2, ["M2"])))
     assert fs.modules["1"].parts == ("M2",)

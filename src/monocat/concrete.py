@@ -15,6 +15,8 @@ from .exact import image, solve_right
 from .serialmod import (
     SerialModule,
     SerialMorphism,
+    apply_morphism,
+    automorphism_generators,
     module_elements,
     morphism,
     serial_module,
@@ -167,56 +169,29 @@ class ConcreteModule:
         return out
 
     def automorphism_generators(self) -> List[tuple]:
-        """Permutations of the element indices that generate Aut(V).
-
-        Write V = (+) R/pi^{a_i} and an element as (x_1, ..., x_r) with x_i in
-        R/pi^{a_i}.  The generators are
-
-        * scalings x_i <- u x_i by a unit u of R;
-        * transvections x_i <- x_i + pi^e x_j for i != j and
-          max(0, a_i - a_j) <= e < a_i (pi^e x_j is well defined in
-          R/pi^{a_i} exactly when e >= a_i - a_j);
-        * swaps of two summands of equal length.
-
-        They generate Aut(V).  An endomorphism phi is a matrix whose entry
-        phi_{ij}, a map from summand j to summand i, is multiplication by
-        c pi^m with m = max(0, a_i - a_j).  Since c pi^m is a sum of digit
-        multiples t pi^e (0 <= t < p, e >= m), every elementary map
-        x_i <- x_i + phi_{ij} x_j is a product of transvections.  Let phi be
-        an automorphism and let summand 1 have the maximal length a.  Some
-        phi_{i1} with a_i = a is a unit: otherwise phi sends the nonzero
-        element (pi^{a-1}, 0, ..., 0) to (pi^{a-1} phi_{i1})_i = 0 (for
-        a_i < a because pi^{a-1} kills R/pi^{a_i}).  Composing on the left
-        with a swap, a scaling and the elementary maps x_i <- x_i - phi_{i1} x_1
-        turns column 1 into (1, 0, ..., 0).  Composing on the right with the
-        elementary maps x_1 <- x_1 - phi_{1j} x_j then clears row 1 and keeps
-        column 1, leaving 1 (+) psi with psi an automorphism of the other
-        summands, whose generators are among those of V; induction on the
-        number of summands finishes.  Aut(V) is finite, so a set closed under
-        these permutations is closed under the whole group.
-        """
+        """Permutations of the element indices that generate Aut(V): the
+        action of ``serialmod.automorphism_generators`` (unit scalings of one
+        summand, transvections x_i <- x_i + pi^e x_j with
+        max(0, a_i - a_j) <= e < a_i, swaps of equal summands) on elements;
+        its docstring proves they generate."""
         if self._aut_gens is None:
+            self.build_tables()
+            add, scalar = self._add_table, self._scalar_table
             ring = self.ring
-            lengths = self._lengths()
-
-            def permutation(i, value):
-                # the map replacing component i of each element x by value(x)
-                return tuple(self.index[x[:i] + (value(x).truncate(lengths[i]),) + x[i + 1:]]
-                             for x in self.elements)
-
+            rank = self.module.rank
+            basis = [tuple(ring.one if k == j else ring.zero for k in range(rank))
+                     for j in range(rank)]
             gens = set()
-            for i, a in enumerate(lengths):
-                for u in ring.units():
-                    gens.add(permutation(i, lambda x: u * x[i]))
-                for j, b in enumerate(lengths):
-                    if j == i:
-                        continue
-                    for e in range(max(0, a - b), a):
-                        c = ring.pi_pow(e)
-                        gens.add(permutation(i, lambda x: x[i] + c * x[j]))
-                    if j > i and b == a:
-                        gens.add(tuple(self.index[x[:i] + (x[j],) + x[i + 1:j] + (x[i],) + x[j + 1:]]
-                                       for x in self.elements))
+            for g, _ in automorphism_generators(self.module):
+                # g is linear: x = sum x_j e_j goes to sum x_j g(e_j)
+                columns = [self.index[apply_morphism(g, e)] for e in basis]
+                perm = []
+                for x in self.elements:
+                    acc = self.zero
+                    for xj, col in zip(x, columns):
+                        acc = add[acc][scalar[xj.digits][col]]
+                    perm.append(acc)
+                gens.add(tuple(perm))
             gens.discard(tuple(range(self.size)))
             self._aut_gens = sorted(gens)
             self._mask_images = [{} for _ in self._aut_gens]

@@ -15,13 +15,19 @@
   classes in generation order.  Every other quiver and backing searches the
   arrow maps depth first; for monic classes it checks each vertex's combined
   in-map for injectivity once per (vertex modules, in-maps) and cuts a branch
-  at the first vertex that fails, then filters by isomorphism (fingerprint
-  buckets, then ``is_iso_reps``).
+  at the first vertex that fails.  Two representations with the same vertex
+  modules are isomorphic exactly when some (g_v) in prod_v Aut(M_v) carries
+  one family of arrow maps onto the other, so that path keeps the first
+  arrow-map tuple of each orbit, walked with the generators of
+  ``serialmod.automorphism_generators``, and also yields its classes in
+  generation order.  ``IsoClassifier`` (fingerprint buckets, then
+  ``is_iso_reps``) remains as the independent oracle of the tests.
 * The Kronecker families built from the homogeneous two-variable form model.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,8 +49,11 @@ from .rep import (
 )
 from .serialmod import (
     SerialModule,
+    SerialMorphism,
     assemble,
+    automorphism_generators,
     hom_space,
+    mor_compose,
     morphism,
     serial_module,
     zero_module,
@@ -106,7 +115,6 @@ def rep_fingerprint(r: Representation) -> tuple:
     """Cheap isomorphism invariants used to bucket candidates before full
     isomorphism search."""
     from .exact import cokernel, kernel
-    from .serialmod import mor_compose
 
     parts = tuple(r.modules[v].partition() for v in r.quiver.vertices)
     arrows = []
@@ -277,30 +285,36 @@ def _concrete_with_submodules(base: SerialBase, parts: tuple):
     return _LATTICE_CACHE[key]
 
 
-def _orbit_representatives(conc: ConcreteModule, chains: List[tuple]):
-    """Yield the first chain of each Aut(V)-orbit, in the order of ``chains``.
+def _orbit_representatives(candidates: list, moves: list):
+    """Yield the first candidate of each orbit, in the order of ``candidates``,
+    under the group generated by ``moves`` (functions from candidate to
+    candidate, each applying one group generator).  The group is finite, so
+    the generators alone reach every orbit member.
 
-    ``chains`` must be a union of orbits: a generator image outside it means
-    the pruning that built it was not Aut(V)-invariant."""
-    members = set(chains)
-    gens = range(len(conc.automorphism_generators()))
+    ``candidates`` must be a union of orbits: a move out of it means the
+    pruning that built it was not invariant under the group."""
+    members = set(candidates)
     seen = set()
-    for chain in chains:
-        if chain in seen:
+    for candidate in candidates:
+        if candidate in seen:
             continue
-        seen.add(chain)
-        stack = [chain]
+        seen.add(candidate)
+        stack = [candidate]
         while stack:
             current = stack.pop()
-            for g in gens:
-                moved = tuple(conc.mask_image(g, m) for m in current)
+            for move in moves:
+                moved = move(current)
                 if moved not in members:
-                    raise AssertionError("an automorphism moved a candidate chain "
+                    raise AssertionError("an automorphism moved a candidate "
                                          "out of the candidate set")
                 if moved not in seen:
                     seen.add(moved)
                     stack.append(moved)
-        yield chain
+        yield candidate
+
+
+def _move_chain(conc: ConcreteModule, g: int, chain: tuple) -> tuple:
+    return tuple(conc.mask_image(g, m) for m in chain)
 
 
 def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
@@ -367,7 +381,9 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
         count += len(candidates)
         if count > budget:
             raise BudgetExceeded(f"enumeration budget {budget} exceeded")
-        for chain in _orbit_representatives(conc, candidates):
+        moves = [functools.partial(_move_chain, conc, g)
+                 for g in range(len(conc.automorphism_generators()))]
+        for chain in _orbit_representatives(candidates, moves):
             modules, maps = chain_of_inclusions(conc, chain)
             mod_dict = dict(zip(order, modules))
             map_dict = {
@@ -398,7 +414,11 @@ def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
     Monicity is local (each arrow enters one vertex), and each verdict is
     cached for the call by (source parts, target parts, hom-space indices).
     Raises BudgetExceeded when more than ``budget`` tuples, partial or
-    complete, are visited."""
+    complete, are visited.
+
+    The candidates of one vertex-module assignment are consecutive and form
+    a union of prod_v Aut(M_v)-orbits (the mono condition is invariant), which
+    ``_generic_orbit_classes`` relies on to keep one tuple per orbit."""
     arrows = quiver.arrows
     names = [a.name for a in arrows]
     into: Dict[str, List[int]] = {}  # vertex -> indices of its in-arrows
@@ -455,6 +475,69 @@ def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
         yield from extend(0)
 
 
+def _move_maps(arrows, modules, v, g, g_inv, memo, maps):
+    """The arrow maps ``maps`` (entries per arrow, in ``arrows`` order) moved by
+    the automorphism g of ``modules[v]``: phi becomes g o phi on each arrow
+    into v and phi o g^-1 on each arrow out of v, so that g at v and the
+    identity elsewhere is an isomorphism onto the result.  ``memo`` holds
+    this g's images, keyed by the entries of the map moved."""
+    out = list(maps)
+    for i, a in enumerate(arrows):
+        into_v, out_of_v = a.target == v, a.source == v
+        if not (into_v or out_of_v):
+            continue
+        source, target = modules[a.source], modules[a.target]
+        key = (into_v, out_of_v, source.parts, target.parts, out[i])
+        image = memo.get(key)
+        if image is None:
+            f = SerialMorphism(source, target, out[i])
+            if into_v:
+                f = mor_compose(g, f)
+            if out_of_v:
+                f = mor_compose(f, g_inv)
+            image = memo[key] = f.entries
+        out[i] = image
+    return tuple(out)
+
+
+def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
+                           mono_only: bool, budget: int):
+    """Yield one representation per isomorphism class among
+    ``_generic_candidates``: for each vertex-module assignment, the first
+    candidate of each prod_v Aut(M_v)-orbit, in candidate order.
+
+    Two representations with the same vertex modules are isomorphic exactly
+    when some (g_v) carries one family of arrow maps onto the other, and
+    modules in normal form are isomorphic only when equal, so the orbits are
+    the classes.  The group is walked with the generator pairs (g, g^-1) of
+    ``automorphism_generators`` at each vertex (``_move_maps``).  The mono
+    condition is invariant under the action, so the candidates of one
+    assignment are a union of orbits."""
+    arrows = quiver.arrows
+    vertices = quiver.vertices
+    touched = [v for v in vertices if any(v in (a.source, a.target) for a in arrows)]
+    # module parts -> (g, g^-1, memo of g's images) per automorphism generator
+    generators: Dict[tuple, list] = {}
+
+    def assignment(rep):
+        return tuple(rep.modules[v].parts for v in vertices)
+
+    candidates = _generic_candidates(quiver, base, caps, mono_only, budget)
+    for _, group in itertools.groupby(candidates, key=assignment):
+        by_maps = {tuple(r.maps[a.name].entries for a in arrows): r for r in group}
+        modules = next(iter(by_maps.values())).modules
+        moves = []
+        for v in touched:
+            parts = modules[v].parts
+            if parts not in generators:
+                generators[parts] = [(g, g_inv, {})
+                                     for g, g_inv in automorphism_generators(modules[v])]
+            moves.extend(functools.partial(_move_maps, arrows, modules, v, g, g_inv, memo)
+                         for g, g_inv, memo in generators[parts])
+        for maps in _orbit_representatives(list(by_maps), moves):
+            yield by_maps[maps]
+
+
 def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = False,
                       budget: int = DEFAULT_ENUM_BUDGET) -> EnumerationReport:
     """All indecomposable classes with vertex lengths within the caps.
@@ -465,9 +548,11 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     chains in candidate order.  Every other case searches all vertex modules
     and arrow maps (``_generic_candidates``); with ``mono_only`` it checks
     the monic in-maps per vertex and never builds a non-monic tuple.  It then
-    keeps one member of each isomorphism class (``IsoClassifier``).  Each
-    class found is tested for indecomposability; ``budget`` bounds the chains
-    built or the arrow-map tuples, partial or complete, visited.
+    keeps the first tuple of each prod_v Aut(M_v)-orbit
+    (``_generic_orbit_classes``), again in generation order: vertex modules
+    in product order, then tuples in candidate order.  Each class found is
+    tested for indecomposability; ``budget`` bounds the chains built or the
+    arrow-map tuples, partial or complete, visited.
     """
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")
@@ -482,10 +567,7 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     if mono_only and base.backing == CHAIN and is_linear_chain(quiver) is not None:
         representatives = list(_linear_mono_candidates(quiver, base, caps, budget))
     else:
-        classifier = IsoClassifier()
-        for rep in _generic_candidates(quiver, base, caps, mono_only, budget):
-            classifier.add(rep)
-        representatives = classifier.classes()
+        representatives = list(_generic_orbit_classes(quiver, base, caps, mono_only, budget))
     classes = [(rep, "exhaustive") for rep in representatives
                if not rep.is_zero() and is_indecomposable(rep)]
     return EnumerationReport(base, quiver, caps, classes)

@@ -42,6 +42,19 @@ def _is_injective_module(base: SerialBase, m: SerialModule) -> bool:
     return all(base.is_injective(p) for p in m.parts)
 
 
+def _in_map_kernels(r: Representation):
+    """Per vertex v: (X_v, arrows into v, positions of each R_{s(a)} in X_v,
+    kernel of the in-map X_v -> R_v and its inclusion), each built once for
+    ``mo`` and the minimal envelope data."""
+    if not (r.base.is_abelian and r.base.is_selfinjective):
+        raise ValueError("monic approximations need an abelian self-injective backing")
+    out = {}
+    for v in r.quiver.vertices:
+        total, f, arrows, positions = in_map_data(r, v)
+        out[v] = (total, arrows, positions) + kernel(f)
+    return out
+
+
 def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMorphism]]):
     """Monic approximation from caller-supplied envelope data.
 
@@ -49,20 +62,22 @@ def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMor
     e_v : X_v -> J_v monic on the kernel of the in-map at v.  Returns the
     approximating representation and the projection onto ``r``.
     """
+    return _mo(r, envelope_data, _in_map_kernels(r))
+
+
+def _mo(r: Representation, envelope_data, in_data):
+    """``mo`` on the in-maps and kernels of ``_in_map_kernels(r)``; validates
+    the envelope data against them."""
     base = r.base
-    if not (base.is_abelian and base.is_selfinjective):
-        raise ValueError("monic approximations need an abelian self-injective backing")
     quiver = r.quiver
-    in_data = {v: in_map_data(r, v) for v in quiver.vertices}
     envelopes = {}
     for v in quiver.vertices:
-        total, f, _, _ = in_data[v]
+        total, _, _, K, incl = in_data[v]
         J, e = envelope_data.get(v, (zero_module(base), zero_morphism(total, zero_module(base))))
         if not _is_injective_module(base, J):
             raise ValueError(f"envelope module at vertex {v} is not injective")
         if e.source != total or e.target != J:
             raise ValueError(f"envelope map at vertex {v} has wrong shape")
-        K, incl = kernel(f)
         if not K.is_zero() and not is_injective_map(mor_compose(e, incl)):
             raise ValueError(f"envelope map at vertex {v} is not monic on the in-map kernel")
         envelopes[v] = (J, e)
@@ -77,7 +92,7 @@ def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMor
         # the original arrow map between the rep blocks
         blocks = {(0, 0): r.maps[a.name]}
         # the rep block feeds the trivial-path envelope block through e_tgt
-        _, _, arrows_in, in_pos = in_data[tgt]
+        _, arrows_in, in_pos, _, _ = in_data[tgt]
         J, e_tgt = envelopes[tgt]
         feed = mor_block(e_tgt, range(J.rank), in_pos[arrows_in.index(a)])
         trivial = next(k for k, p in enumerate(paths_into[tgt]) if p.length == 0)
@@ -101,10 +116,12 @@ def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMor
 def minimal_envelope_data(r: Representation) -> Dict[str, Tuple[SerialModule, SerialMorphism]]:
     """Canonical envelope data: J_v = injective envelope of ker(in-map at v),
     e_v = the deterministic lift of the envelope embedding."""
+    return _minimal_envelope_data(_in_map_kernels(r))
+
+
+def _minimal_envelope_data(in_data):
     out = {}
-    for v in r.quiver.vertices:
-        total, f, _, _ = in_map_data(r, v)
-        K, incl = kernel(f)
+    for v, (_, _, _, K, incl) in in_data.items():
         J, j = injective_envelope(K)
         e = solve_left(incl, j)
         if e is None:
@@ -115,7 +132,8 @@ def minimal_envelope_data(r: Representation) -> Dict[str, Tuple[SerialModule, Se
 
 def mimo(r: Representation):
     """Minimal monic approximation (M, p: M -> r)."""
-    return mo(r, minimal_envelope_data(r))
+    in_data = _in_map_kernels(r)
+    return _mo(r, _minimal_envelope_data(in_data), in_data)
 
 
 # -- maximal injective summands and the stable category ------------------------------

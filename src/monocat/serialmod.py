@@ -301,6 +301,66 @@ def hom_space(m: SerialModule, n: SerialModule) -> HomSpace:
     return HomSpace(m, n)
 
 
+# -- automorphisms ----------------------------------------------------------------
+
+
+def automorphism_generators(m: SerialModule):
+    """Pairs (g, g^-1) of automorphisms of M = (+) P_i that generate Aut(M).
+
+    * scalings of one part P_i by a unit u != 1 of End(P_i), inverse u^-1;
+    * transvections 1 + pi^e g_{i<-j} for i != j and e < hom_length(P_j, P_i),
+      where g_{i<-j} is the canonical generator of Hom(P_j, P_i) placed at
+      (i, j); off the diagonal it squares to zero, so the inverse is
+      1 - pi^e g_{i<-j};
+    * swaps of two equal parts, their own inverses.
+
+    They generate Aut(M) because every End(P_i) is local.  Let phi be an
+    automorphism with inverse psi.  Then 1 = sum_i psi_{1i} phi_{i1} in the
+    local ring End(P_1), so some psi_{1i} phi_{i1} is a unit; phi_{i1} is then
+    a split monomorphism into the indecomposable P_i, an isomorphism, so
+    P_i = P_1 (labels name isomorphism classes) and phi_{i1} = u id with u a
+    unit.  Composing on the left with a swap, a scaling and the elementary
+    maps 1 - phi_{k1} (row k minus phi_{k1} times row 1, k != 1) turns column
+    1 into (1, 0, ..., 0).  Every elementary map 1 + c g_{k<-1} is a product of
+    transvections: c is a sum of digit multiples t pi^e with e below the hom
+    length, and (1 + a g)(1 + b g) = 1 + (a + b) g since g_{k<-1} squares to
+    zero as a matrix unit.  Composing on the right with the elementary maps
+    1 - phi_{1j} (column j minus column 1 times phi_{1j}) then clears row 1 and
+    keeps column 1, leaving 1 (+) psi' with psi' an automorphism of the other
+    parts, whose generators are among those of M; induction on the number of
+    parts finishes.  Aut(M) is finite, so a set closed under the g alone is
+    closed under the group.
+    """
+    base = m.base
+    parts = m.parts
+    ident = identity_morphism(m)
+
+    def elementary(changes):
+        rows = [list(r) for r in ident.entries]
+        for (i, j), c in changes.items():
+            rows[i][j] = base.coeff(parts[j], parts[i], c)
+        return SerialMorphism(m, m, tuple(tuple(r) for r in rows))
+
+    out = []
+    for i, a in enumerate(parts):
+        for u in base.hom_elements(a, a):
+            if u.digits[0] and u != base.one_coeff():
+                out.append((elementary({(i, i): u}), elementary({(i, i): u.inverse()})))
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            if i == j:
+                continue
+            for e in range(base.hom_length(b, a)):
+                c = base.ring.pi_pow(e)
+                out.append((elementary({(i, j): c}), elementary({(i, j): -c})))
+    for i, a in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            if parts[j] == a:
+                swap = elementary({(i, i): 0, (j, j): 0, (i, j): 1, (j, i): 1})
+                out.append((swap, swap))
+    return out
+
+
 # -- socle and injective envelope -----------------------------------------------
 
 

@@ -84,6 +84,18 @@ def test_mo_with_minimal_data_equals_mimo():
         assert m1 == m2
 
 
+def test_mimo_takes_each_in_map_kernel_once(monkeypatch):
+    import monocat.mimo as mimo_mod
+
+    r = random_representation(B3P, A2, random.Random(3))
+    calls = []
+    kernel = mimo_mod.kernel
+    monkeypatch.setattr(mimo_mod, "kernel", lambda f: calls.append(f) or kernel(f))
+    m, _ = mimo(r)
+    assert len(calls) == len(A2.vertices)
+    assert is_mono(m)
+
+
 def test_mo_with_padded_injective_adds_induced_summand():
     r = simple_at(B2, A2, "1")
     data = dict(minimal_envelope_data(r))

@@ -1,7 +1,8 @@
-"""The orbit classification of linear sweeps: the Aut(V) generators of
-``ConcreteModule`` and the bounded sweep against the isomorphism-filtered
-generic search; the generic search's per-vertex mono pruning against the
-filtered product of all arrow maps."""
+"""The orbit classifications: the Aut(V) generators of ``ConcreteModule`` and
+the linear sweep against the isomorphism-filtered generic search; the generic
+search's per-vertex mono pruning against the filtered product of all arrow
+maps; the generic sweep's prod_v Aut(M_v)-orbits against ``IsoClassifier``
+over that filtered product."""
 
 import itertools
 
@@ -14,14 +15,22 @@ from monocat.enumerate import (
     DEFAULT_ENUM_BUDGET,
     IsoClassifier,
     _generic_candidates,
+    _generic_orbit_classes,
+    _move_maps,
     _linear_mono_candidates,
     enumerate_bounded,
     modules_up_to_length,
 )
 from monocat.exact import is_iso
 from monocat.quiver import Quiver, builtin_quiver
-from monocat.rep import Representation, is_iso_reps, is_mono
-from monocat.serialmod import hom_space, serial_module
+from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono
+from monocat.serialmod import (
+    SerialMorphism,
+    automorphism_generators,
+    hom_space,
+    identity_morphism,
+    serial_module,
+)
 
 
 def _closure(gens, size):
@@ -149,3 +158,65 @@ def test_generic_candidates_without_mono_is_the_full_product(quiver, base, caps)
     expected = _filtered_product(quiver, base, cap_dict, mono_only=False)
     assert found == expected
     assert not all(is_mono(rep) for rep in found)
+
+
+# (quiver, base, caps, mono_only)
+ORBIT_CONFIGS = [
+    (builtin_quiver("A4-zigzag"), chain_base("poly", 2, 2), (1, 1, 1, 1), True),
+    (builtin_quiver("A4-zigzag"), chain_base("poly", 2, 2), (2, 1, 2, 1), True),
+    (builtin_quiver("D4"), chain_base("poly", 3, 2), (1, 1, 1, 1), True),
+    (INTERLEAVED, chain_base("poly", 2, 2), (1, 2, 1, 1), True),
+    (builtin_quiver("kronecker"), chain_base("int", 2, 2), (2, 2), True),
+    (builtin_quiver("kronecker"), chain_base("poly", 2, 2), (2, 2), False),
+    (builtin_quiver("An-linear:2"), rad2nak_base(2, 2), (2, 2), True),
+    (builtin_quiver("An-linear:2"), rad2nak_base(2, 2), (2, 2), False),
+    (builtin_quiver("An-linear:3"), rad2nak_base(3, 2), (2, 2, 2), True),
+    (builtin_quiver("An-linear:2"), chain_base("int", 3, 2), (2, 2), False),
+    # the middle vertex has arrows in and out, and g^-1 != g for some generators
+    (builtin_quiver("An-linear:3"), chain_base("poly", 3, 2), (1, 2, 1), False),
+]
+ORBIT_IDS = ["zigzag-1111", "zigzag-2121", "d4-1111", "interleaved", "kronecker-int-22",
+             "kronecker-poly-22-all", "rad2nak-a2", "rad2nak-a2-all", "rad2nak-a3",
+             "a2-int-3-2-all", "a3-poly-3-2-all"]
+
+
+@pytest.mark.parametrize("quiver,base,caps,mono_only", ORBIT_CONFIGS, ids=ORBIT_IDS)
+def test_generic_orbit_classes_match_iso_filtered_product(quiver, base, caps, mono_only):
+    cap_dict = dict(zip(quiver.vertices, caps))
+    classifier = IsoClassifier()
+    for rep in _filtered_product(quiver, base, cap_dict, mono_only):
+        classifier.add(rep)
+    oracle = classifier.classes()
+    found = list(_generic_orbit_classes(quiver, base, cap_dict, mono_only, DEFAULT_ENUM_BUDGET))
+    assert len(found) == len(oracle)
+    # each orbit representative is isomorphic to exactly one oracle class,
+    # and no two representatives to the same one
+    hits = []
+    for rep in found:
+        matches = [k for k, s in enumerate(oracle) if is_iso_reps(rep, s)]
+        assert len(matches) == 1
+        hits.append(matches[0])
+    assert sorted(hits) == list(range(len(oracle)))
+
+
+@pytest.mark.parametrize("index", [2, 6, 10], ids=[ORBIT_IDS[k] for k in (2, 6, 10)])
+def test_each_orbit_move_is_an_isomorphism(index):
+    # g at v and the identity elsewhere must be natural from a candidate to
+    # its image; RepMorphism checks every naturality square
+    quiver, base, caps, mono_only = ORBIT_CONFIGS[index]
+    cap_dict = dict(zip(quiver.vertices, caps))
+    arrows = quiver.arrows
+    moved = 0
+    for rep in _generic_candidates(quiver, base, cap_dict, mono_only, DEFAULT_ENUM_BUDGET):
+        maps = tuple(rep.maps[a.name].entries for a in arrows)
+        for v in quiver.vertices:
+            for g, g_inv in automorphism_generators(rep.modules[v]):
+                image = _move_maps(arrows, rep.modules, v, g, g_inv, {}, maps)
+                target = Representation(quiver, base, rep.modules, {
+                    a.name: SerialMorphism(rep.modules[a.source], rep.modules[a.target], e)
+                    for a, e in zip(arrows, image)})
+                components = {u: g if u == v else identity_morphism(rep.modules[u])
+                              for u in quiver.vertices}
+                RepMorphism(rep, target, components)
+                moved += image != maps
+    assert moved

@@ -96,7 +96,7 @@ def test_mono_iff_l1_vanishes_spec_examples():
 
 
 def test_is_mono_stops_at_first_failing_vertex(monkeypatch):
-    import monocat.exact as exact_mod
+    import monocat.rep as rep_mod
 
     quiver = builtin_quiver("An-linear:3")
     # vertex 2 receives M1 by the zero map, so the check never reaches vertex 3
@@ -106,8 +106,8 @@ def test_is_mono_stops_at_first_failing_vertex(monkeypatch):
                           {"a2": morphism(serial_module(B2, ["M1"]),
                                           serial_module(B2, ["M1"]), [[1]])})
     calls = []
-    kernel = exact_mod.kernel
-    monkeypatch.setattr(exact_mod, "kernel", lambda f: calls.append(f) or kernel(f))
+    injective = rep_mod.is_injective_map
+    monkeypatch.setattr(rep_mod, "is_injective_map", lambda f: calls.append(f) or injective(f))
     assert not is_mono(dead)
     assert len(calls) == 2
     assert not l1_kopf(dead)["2"][0].is_zero()

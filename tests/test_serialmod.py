@@ -17,9 +17,11 @@ from monocat.exact import (
     solve_left,
     solve_right,
 )
+from monocat.enumerate import modules_up_to_length
 from monocat.serialmod import (
     apply_morphism,
     assemble,
+    automorphism_generators,
     direct_sum,
     hom_space,
     identity_morphism,
@@ -356,3 +358,61 @@ def test_zero_module_everywhere():
     K2, _ = kernel(g)
     assert K2 == m
     assert is_injective_map(f) and is_surjective_map(g)
+
+
+# (base, length cap): every morphism between modules up to the cap is tried
+SOCLE_CASES = [
+    (chain_base("poly", 2, 3), 3), (chain_base("int", 2, 3), 3), (rad2nak_base(2, 2), 3),
+    (chain_base("poly", 3, 2), 2), (chain_base("int", 3, 2), 2),
+    (rad2nak_base(3, 2), 2), (rad2nak_base(2, 3), 2),
+]
+
+
+SOCLE_IDS = ["poly-2-3", "int-2-3", "rad2nak-2-2", "poly-3-2", "int-3-2", "rad2nak-3-2",
+             "rad2nak-2-3"]
+
+
+@pytest.mark.parametrize("base,cap", SOCLE_CASES, ids=SOCLE_IDS)
+def test_socle_injectivity_test_matches_kernel(base, cap):
+    modules = modules_up_to_length(base, cap)
+    tried = monic = 0
+    for m in modules:
+        for n in modules:
+            for f in hom_space(m, n):
+                verdict = is_injective_map(f)
+                assert verdict == kernel(f)[0].is_zero(), f
+                tried += 1
+                monic += verdict
+    assert 0 < monic < tried
+
+
+def _units(m):
+    return {f.entries for f in hom_space(m, m) if is_iso(f)}
+
+
+AUT_CASES = [
+    M(B2P, "M1", "M1"), M(B2P, "M2", "M1"), M(B3I, "M3", "M1"), M(B3P, "M2", "M1", "M1"),
+    M(chain_base("poly", 3, 2), "M1", "M1"), M(chain_base("int", 3, 2), "M2", "M1"),
+    M(rad2nak_base(2, 2), "P1", "P1"), M(rad2nak_base(2, 2), "P1", "P2", "S2"),
+    M(rad2nak_base(3, 2), "P1", "P2", "S2", "S2"), M(rad2nak_base(2, 3), "P1", "S1"),
+]
+
+
+@pytest.mark.parametrize("m", AUT_CASES, ids=repr)
+def test_automorphism_generators_generate_the_units_of_end(m):
+    pairs = automorphism_generators(m)
+    ident = identity_morphism(m)
+    for g, g_inv in pairs:
+        assert mor_equal(mor_compose(g, g_inv), ident)
+        assert mor_equal(mor_compose(g_inv, g), ident)
+        assert not mor_equal(g, ident)
+    group = {ident.entries}
+    frontier = [ident]
+    while frontier:
+        h = frontier.pop()
+        for g, _ in pairs:
+            gh = mor_compose(g, h)
+            if gh.entries not in group:
+                group.add(gh.entries)
+                frontier.append(gh)
+    assert group == _units(m)

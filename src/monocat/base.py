@@ -21,7 +21,6 @@ coefficient ring, kept in canonical form modulo the hom length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .chainring import INT, POLY, ChainRing, ChainRingElem, chain_ring
@@ -31,23 +30,12 @@ RAD2NAK = "rad2nak"
 STABLE = "stable"
 
 
-@dataclass(frozen=True)
-class HomElem:
-    """A morphism between base indecomposables: coefficient * canonical generator."""
-
-    source: str
-    target: str
-    coeff: ChainRingElem
-
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
-
 class SerialBase:
     """Common interface of the three backings.
 
-    All instances are immutable after construction and hashable by their
-    descriptor.
+    All instances are immutable after construction.  ``chain_base``,
+    ``rad2nak_base`` and ``stable_base`` build one instance per descriptor,
+    so two bases are equal exactly when they are the same object.
     """
 
     backing: str
@@ -134,13 +122,6 @@ class SerialBase:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, SerialBase) and self.descriptor() == other.descriptor())
-
-    def __hash__(self):
-        import json
-        return hash(json.dumps(self.descriptor(), sort_keys=True))
 
     def __repr__(self):
         return f"SerialBase({self.descriptor()})"
@@ -343,44 +324,36 @@ class StableBase(SerialBase):
         return {"kind": "stable", "of": self.of.descriptor()}
 
 
-def stable_hom_basis(base: SerialBase, a: str, b: str):
-    """Basis of Hom(a, b) modulo morphisms factoring through injectives.
-
-    Returns (basis, reduce) where basis lists coefficients pi^k, k < stable
-    length, of a complement of the factoring subgroup, and reduce maps a
-    coefficient to its canonical complement representative.
-    """
-    st = base if isinstance(base, StableBase) else StableBase(base)
-    if not isinstance(base, StableBase):
-        # interpret a, b as labels of the given abelian base
-        st.of.check_label(a)
-        st.of.check_label(b)
-    ln = st.hom_length(a, b)
-    basis = [st.ring.pi_pow(k) for k in range(ln)]
-    return basis, (lambda coeff: st.reduce_coeff(a, b, coeff))
+_BASES: dict = {}
 
 
-def hom_compose(base: SerialBase, g: HomElem, f: HomElem) -> HomElem:
-    """Composite g o f of hom elements of the base."""
-    if f.target != g.source:
-        raise ValueError(f"label mismatch: cannot compose {g.source}<-... after ...->{f.target}")
-    coeff = base.compose_coeff(f.source, f.target, g.target, g.coeff, f.coeff)
-    return HomElem(f.source, g.target, coeff)
+def _interned(desc: dict, build) -> SerialBase:
+    """The one base with descriptor ``desc``, built by ``build`` on first use."""
+    key = _frozen(desc)
+    base = _BASES.get(key)
+    if base is None:
+        base = _BASES[key] = build()
+    return base
+
+
+def _frozen(desc: dict) -> tuple:
+    return tuple((k, _frozen(v) if isinstance(v, dict) else v) for k, v in sorted(desc.items()))
 
 
 def chain_base(arith: str, p: int, n: int) -> ChainBase:
-    return ChainBase(chain_ring(arith, p, n))
+    return _interned({"kind": CHAIN, "arith": arith, "p": p, "n": n},
+                     lambda: ChainBase(chain_ring(arith, p, n)))
 
 
 def rad2nak_base(m: int, p: int) -> SerialBase:
     """rad^2-zero cyclic Nakayama base; m = 1 is identified with F_p[x]/(x^2)."""
     if m == 1:
         return chain_base(POLY, p, 2)
-    return Rad2NakBase(m, p)
+    return _interned({"kind": RAD2NAK, "m": m, "p": p}, lambda: Rad2NakBase(m, p))
 
 
 def stable_base(of: SerialBase) -> StableBase:
-    return StableBase(of)
+    return _interned({"kind": STABLE, "of": of.descriptor()}, lambda: StableBase(of))
 
 
 def _field(desc: dict, key: str, kind: type):

@@ -282,9 +282,6 @@ class ChainRingElem:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    def is_unit(self) -> bool:
-        return self.digits[0] != 0
-
     def inverse(self) -> "ChainRingElem":
         """Inverse of a unit; raises ZeroDivisionError on non-units."""
         tab = self.tab

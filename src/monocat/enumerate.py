@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .base import CHAIN, POLY, RAD2NAK, SerialBase, chain_base, stable_base
 from .chainring import INT
 from .concrete import ConcreteModule, chain_of_inclusions
-from .decompose import BudgetExceeded, decompose, is_indecomposable
+from .decompose import BudgetExceeded, is_indecomposable
 from .exact import image, is_injective_map, solve_left
 from .mimo import injective_rep_recognize, mimo_from_stable
 from .quiver import Quiver, dynkin_type, positive_roots
@@ -50,7 +50,6 @@ from .rep import (
 from .serialmod import (
     SerialModule,
     SerialMorphism,
-    assemble,
     automorphism_generators,
     hom_space,
     mor_compose,
@@ -277,7 +276,7 @@ _LATTICE_CACHE: Dict[tuple, tuple] = {}
 
 
 def _concrete_with_submodules(base: SerialBase, parts: tuple):
-    key = (repr(base.descriptor()), parts)
+    key = (base, parts)
     if key not in _LATTICE_CACHE:
         conc = ConcreteModule(serial_module(base, parts))
         subs = conc.submodules()
@@ -445,17 +444,15 @@ def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
             if key not in homs:
                 homs[key] = list(hom_space(modules[a.source], modules[a.target]))
             spaces.append(homs[key])
-        sources = {v: [modules[arrows[i].source] for i in into[v]] for v in into}
-        shapes = {v: (tuple(m.parts for m in sources[v]), modules[v].parts) for v in into}
+        shapes = {v: (tuple(modules[arrows[i].source].parts for i in into[v]), modules[v].parts)
+                  for v in into}
         chosen: List[int] = []
 
         def monic_at(v):
             key = (shapes[v], tuple(chosen[i] for i in into[v]))
             verdict = verdicts.get(key)
             if verdict is None:
-                blocks = {(0, t): spaces[i][chosen[i]] for t, i in enumerate(into[v])}
-                f, _, _ = assemble(base, sources[v], [modules[v]], blocks)
-                verdict = verdicts[key] = is_injective_map(f)
+                verdict = verdicts[key] = is_injective_map(*(spaces[i][chosen[i]] for i in into[v]))
             return verdict
 
         def extend(depth):

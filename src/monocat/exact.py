@@ -1,7 +1,10 @@
 """Exact linear algebra for serial modules: Smith-style reduction, kernels,
-cokernels, images, lifting/solving, and isomorphism tests.
+cokernels, images, lifting/solving, and monomorphism and isomorphism tests.
 
-Two engines back the abelian operations:
+Every equation in unknown morphisms -- f o h = g, h o f = g, and the
+naturality and lifting systems of representations -- is built by one
+``HomSystem`` and solved by ``solve_hom_system``.  Two engines back the
+abelian operations:
 
 * chain backing -- everything is lifted to free presentations over the chain
   ring itself, where honest Smith normal form exists (every element is a unit
@@ -24,6 +27,7 @@ from .serialmod import (
     SerialModule,
     SerialMorphism,
     identity_morphism,
+    mor_block,
     mor_compose,
     mor_equal,
     morphism,
@@ -261,65 +265,117 @@ def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSoluti
     return LinearSolution(ring, moduli, particular, generators)
 
 
-# -- solving f o h = g and h o f = g ---------------------------------------------
+# -- hom equations: one builder for naturality, lifting and solving ---------------
+
+
+class HomSystem:
+    """Linear equations in unknown morphisms, in ``solve_hom_system``'s form.
+
+    ``unknowns`` maps each key to (A, B), an unknown X_key: A -> B.  Its
+    slots are ``(key, i, j)``, the coefficient of X_key from part j of A to
+    part i of B, numbered in key order, then i, then j; ``moduli`` are their
+    hom lengths.  Hom(R, S) between representations is one unknown per
+    vertex and one ``equate`` per arrow (X_t o R_a - S_a o X_s = 0)."""
+
+    def __init__(self, base: SerialBase, unknowns: dict):
+        self.base = base
+        self.unknowns = unknowns
+        self.offsets = {}
+        self.slots = []
+        self.moduli = []
+        for key, (A, B) in unknowns.items():
+            self.offsets[key] = len(self.slots)
+            for i, b in enumerate(B.parts):
+                for j, a in enumerate(A.parts):
+                    self.slots.append((key, i, j))
+                    self.moduli.append(base.hom_length(a, b))
+        self.slot_index = {slot: idx for idx, slot in enumerate(self.slots)}
+        self.rows = []
+
+    def copy(self) -> "HomSystem":
+        """The same unknowns and rows; rows equated later stay in the copy."""
+        twin = HomSystem.__new__(HomSystem)
+        twin.__dict__.update(self.__dict__, rows=list(self.rows))
+        return twin
+
+    def equate(self, source: SerialModule, target: SerialModule, terms, rhs=None):
+        """Append the rows of sum_t sign_t * (g_t o X_key o f_t) = rhs in
+        Hom(source, target), one per entry (k, j), k over the target parts.
+
+        Each term is (sign, g, key, f) with exactly one of g, f None: g is
+        a map B_key -> target (then A_key = source), f a map source -> A_key
+        (then B_key = target).  ``rhs`` is a morphism source -> target, or
+        None for zero."""
+        base = self.base
+        zero, one = base.zero_coeff(), base.one_coeff()
+        a, c = source.parts, target.parts
+        for k in range(len(c)):
+            for j in range(len(a)):
+                coeffs = [zero] * len(self.slots)
+                for sign, g, key, f in terms:
+                    A, B = self.unknowns[key]
+                    off = self.offsets[key]
+                    if f is None:  # (g o X)[k][j] = sum_i g[k][i] X[i][j]
+                        cells = ((off + i * A.rank + j, b, g.entries[k][i], one)
+                                 for i, b in enumerate(B.parts))
+                    else:  # (X o f)[k][j] = sum_i X[k][i] f[i][j]
+                        cells = ((off + k * A.rank + i, b, one, f.entries[i][j])
+                                 for i, b in enumerate(A.parts))
+                    for s, b, v, u in cells:
+                        if v.is_zero() or u.is_zero():
+                            continue
+                        w = base.compose_coeff(a[j], b, c[k], v, u)
+                        coeffs[s] = coeffs[s] + w if sign > 0 else coeffs[s] - w
+                self.rows.append((coeffs, zero if rhs is None else rhs.entries[k][j],
+                                  base.hom_length(a[j], c[k])))
+
+    def solve(self) -> Optional[LinearSolution]:
+        # positional: the benchmark's tracer reads the rows as args[2]
+        return solve_hom_system(self.base.ring, self.moduli, self.rows)
+
+    def morphisms(self, vec) -> dict:
+        """The unknowns X_key given by a solution vector."""
+        out = {}
+        for key, (A, B) in self.unknowns.items():
+            off = self.offsets[key]
+            out[key] = morphism(A, B, [vec[off + i * A.rank: off + (i + 1) * A.rank]
+                                       for i in range(B.rank)])
+        return out
 
 
 def solve_right(f: SerialMorphism, g: SerialMorphism) -> Optional[SerialMorphism]:
-    """Some h with f o h = g, or None; deterministic by Smith back-substitution."""
+    """Some h with f o h = g, or None; deterministic by Smith back-substitution.
+    Solved one column of g at a time."""
     if f.target != g.target:
         raise ValueError("solve_right: targets differ")
-    base = f.base
-    M, N, P = f.source, f.target, g.source
-    one = base.one_coeff()
+    M, N = f.source, f.target
     cols = []
-    for j in range(P.rank):
-        pj = P.parts[j]
-        moduli = [base.hom_length(pj, a) for a in M.parts]
-        rows = []
-        for k in range(N.rank):
-            bk = N.parts[k]
-            coeffs = [
-                base.compose_coeff(pj, M.parts[i], bk, f.entries[k][i], one)
-                for i in range(M.rank)
-            ]
-            rows.append((coeffs, g.entries[k][j], base.hom_length(pj, bk)))
-        sol = solve_hom_system(base.ring, moduli, rows)
+    for j in range(g.source.rank):
+        gj = mor_block(g, range(N.rank), [j])
+        system = HomSystem(f.base, {0: (gj.source, M)})
+        system.equate(gj.source, N, [(1, f, 0, None)], gj)
+        sol = system.solve()
         if sol is None:
             return None
-        cols.append(sol._trunc(sol.particular))
-    entries = [[cols[j][i] for j in range(P.rank)] for i in range(M.rank)]
-    return morphism(P, M, entries)
+        cols.append(system.morphisms(sol.particular)[0].entries)
+    return morphism(g.source, M, [[col[i][0] for col in cols] for i in range(M.rank)])
 
 
 def solve_left(f: SerialMorphism, g: SerialMorphism) -> Optional[SerialMorphism]:
-    """Some h with h o f = g, or None."""
+    """Some h with h o f = g, or None.  Solved one row of g at a time."""
     if f.source != g.source:
         raise ValueError("solve_left: sources differ")
-    base = f.base
-    M, N, P = f.source, f.target, g.target
-    one = base.one_coeff()
-    rows_out = []
-    for l in range(P.rank):
-        cl = P.parts[l]
-        moduli = [base.hom_length(b, cl) for b in N.parts]
-        rows = []
-        for j in range(M.rank):
-            aj = M.parts[j]
-            coeffs = [
-                base.compose_coeff(aj, N.parts[k], cl, one, f.entries[k][j])
-                for k in range(N.rank)
-            ]
-            rows.append((coeffs, g.entries[l][j], base.hom_length(aj, cl)))
-        sol = solve_hom_system(base.ring, moduli, rows)
+    M, N = f.source, f.target
+    rows = []
+    for l in range(g.target.rank):
+        gl = mor_block(g, [l], range(M.rank))
+        system = HomSystem(f.base, {0: (N, gl.target)})
+        system.equate(M, gl.target, [(1, None, 0, f)], gl)
+        sol = system.solve()
         if sol is None:
             return None
-        rows_out.append(sol._trunc(sol.particular))
-    return morphism(N, P, rows_out)
-
-
-def solve(f: SerialMorphism, g: SerialMorphism, side: str = "right") -> Optional[SerialMorphism]:
-    _require_abelian(f.base, "solve")
-    return solve_right(f, g) if side == "right" else solve_left(f, g)
+        rows.append(system.morphisms(sol.particular)[0].entries[0])
+    return morphism(N, g.target, rows)
 
 
 # -- kernel / cokernel / image: chain engine --------------------------------------
@@ -443,11 +499,6 @@ class _Rref:
         self.rows.append(v)
         self.pivots.append(c)
         return True
-
-    def in_span(self, vec) -> Optional[list]:
-        """Coordinates of vec over the row space, or None."""
-        v, coords = self.reduce(vec)
-        return None if any(v) else coords
 
 
 def _fp_invertible(p, mat) -> bool:
@@ -780,29 +831,37 @@ def image(f: SerialMorphism):
     return I, incl, corestrict
 
 
-def is_injective_map(f: SerialMorphism) -> bool:
-    """Whether f: (+) a_j -> (+) b_i is monic, decided on the socle.
+def is_injective_map(*maps: SerialMorphism) -> bool:
+    """Whether the maps, all into one module (+) b_i, are jointly monic: the
+    map they induce from the direct sum of their sources is.  Decided on
+    the socle; one map is the usual test.
 
     The socle of the source is essential, so f is monic iff its restriction
     to the socle is.  That restriction sends the simple socle of a_j into the
     socles of the b_i; its F_p matrix has at (i, j) the residue of the
     coefficient of soc(a_j) -> a_j -> b_i on the canonical generator (the
-    socle inclusion of b_i), which is 0 where that hom space is zero.  f is
-    monic iff the matrix has full column rank."""
-    _require_abelian(f.base, "is_injective_map")
-    base = f.base
+    socle inclusion of b_i), which is 0 where that hom space is zero.  The
+    maps are jointly monic iff the columns of all their matrices together
+    have full rank."""
+    if not maps:
+        return True
+    base = maps[0].base
+    _require_abelian(base, "is_injective_map")
     one = base.one_coeff()
-    targets = f.target.parts
+    targets = maps[0].target.parts
     rr = _Rref(base.ring.p, (), len(targets))
-    for j, a in enumerate(f.source.parts):
-        s = base.socle_label(a)
-        column = [0] * len(targets)
-        for i, b in enumerate(targets):
-            c = f.entries[i][j]
-            if not c.is_zero():
-                column[i] = base.compose_coeff(s, a, b, c, one).digits[0]
-        if not rr.add(column):
-            return False
+    for f in maps:
+        if f.target != maps[0].target:
+            raise ValueError("is_injective_map: targets differ")
+        for j, a in enumerate(f.source.parts):
+            s = base.socle_label(a)
+            column = [0] * len(targets)
+            for i, b in enumerate(targets):
+                c = f.entries[i][j]
+                if not c.is_zero():
+                    column[i] = base.compose_coeff(s, a, b, c, one).digits[0]
+            if not rr.add(column):
+                return False
     return True
 
 

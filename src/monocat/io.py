@@ -118,8 +118,3 @@ def report_to_json(report: EnumerationReport) -> dict:
 
 def dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def save_representation(path: str, r: Representation):
-    with open(path, "w") as fh:
-        fh.write(dumps(representation_to_json(r)))

@@ -242,10 +242,6 @@ def positive_roots(typ: str):
     return pos
 
 
-def positive_root_count(typ: str) -> int:
-    return len(positive_roots(typ))
-
-
 # -- builtin constructors -----------------------------------------------------------
 
 

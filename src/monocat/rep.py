@@ -1,7 +1,9 @@
 """Representations of a finite acyclic quiver over a serial base, and the
 basic functor toolkit: in-maps, top and its first derived functor, the mono
-test, the left adjoint of the forgetful functor, hom spaces and isomorphism
-search, and partition/length vectors.
+test (the maps into each vertex, jointly monic on the socle), the left
+adjoint of the forgetful functor, hom spaces (the kernel of
+phi -> (phi_t o R_a - S_a o phi_s)_a, built as an ``exact.HomSystem``) and
+isomorphism search, and partition vectors.
 
 Matrix conventions: columns index source parts and composition g o f is the
 matrix product g * f.
@@ -16,6 +18,7 @@ from typing import Dict, Optional, Tuple
 
 from .base import SerialBase
 from .exact import (
+    HomSystem,
     _combine,
     _fp_invertible,
     _Rref,
@@ -23,7 +26,6 @@ from .exact import (
     is_injective_map,
     is_iso,
     kernel,
-    solve_hom_system,
     solve_left,
 )
 from .quiver import Quiver
@@ -32,12 +34,10 @@ from .serialmod import (
     SerialMorphism,
     assemble,
     direct_sum,
-    hom_moduli,
     identity_morphism,
     mor_compose,
     mor_direct_sum,
     mor_equal,
-    morphism,
     serial_module,
     zero_module,
     zero_morphism,
@@ -174,8 +174,10 @@ def kopf_modules(r: Representation) -> Dict[str, SerialModule]:
 
 
 def is_mono(r: Representation) -> bool:
-    """Every in-map is injective; stops at the first vertex where one is not."""
-    return all(is_injective_map(in_map(r, v)) for v in r.quiver.vertices)
+    """Every in-map is injective, decided on the maps of the arrows into each
+    vertex together; stops at the first vertex where they are not."""
+    return all(is_injective_map(*(r.maps[a.name] for a in r.quiver.arrows_into(v)))
+               for v in r.quiver.vertices)
 
 
 def kopf_morphism(phi: RepMorphism) -> Dict[str, SerialMorphism]:
@@ -221,71 +223,29 @@ def vertex_module(base: SerialBase, quiver: Quiver, v: str, m: SerialModule) -> 
 
 
 class RepHomSpace:
-    """Solution space of the naturality system for Hom(R, S).
+    """Hom(R, S): the naturality system, one unknown per vertex and one
+    equation X_t o R_a - S_a o X_s = 0 per arrow a: s -> t.
 
-    ``slots`` lists the unknowns (vertex, target part, source part),
-    ``slot_index`` inverts it, ``moduli`` gives their hom lengths and ``rows``
-    the naturality equations, in the form ``solve_hom_system`` takes.  The
-    system is solved when ``solution`` is first read."""
+    ``system`` is that ``HomSystem``; its ``slots`` (vertex, target part,
+    source part) and ``slot_index`` are kept here.  The system is solved
+    when ``solution`` is first read."""
 
     def __init__(self, r: Representation, s: Representation):
         if r.quiver != s.quiver or r.base != s.base:
             raise ValueError("base or quiver mismatch")
         self.r, self.s = r, s
-        base = r.base
-        self.slots = []
-        self.moduli = []
-        self.slot_index = slot_index = {}
-        for v in r.quiver.vertices:
-            mod = hom_moduli(r.modules[v], s.modules[v])
-            for i in range(s.modules[v].rank):
-                for j in range(r.modules[v].rank):
-                    slot_index[(v, i, j)] = len(self.slots)
-                    self.slots.append((v, i, j))
-                    self.moduli.append(mod[i][j])
-        self.rows = rows = []
-        one = base.one_coeff()
+        self.system = HomSystem(r.base, {v: (r.modules[v], s.modules[v]) for v in r.quiver.vertices})
+        self.slots, self.slot_index = self.system.slots, self.system.slot_index
         for a in r.quiver.arrows:
-            src, tgt = a.source, a.target
-            Ra, Sa = r.maps[a.name], s.maps[a.name]
-            rs, rt = r.modules[src], r.modules[tgt]
-            ss, st = s.modules[src], s.modules[tgt]
-            for k in range(st.rank):
-                for j in range(rs.rank):
-                    coeffs = [base.ring.zero] * len(self.slots)
-                    # (phi_t o R_a)[k][j] = sum_i phi_t[k][i] * A_i
-                    for i in range(rt.rank):
-                        if Ra.entries[i][j].is_zero():
-                            continue
-                        A = base.compose_coeff(rs.parts[j], rt.parts[i], st.parts[k], one, Ra.entries[i][j])
-                        idx = slot_index[(tgt, k, i)]
-                        coeffs[idx] = coeffs[idx] + A
-                    # -(S_a o phi_s)[k][j] = -sum_l B_l * phi_s[l][j]
-                    for l in range(ss.rank):
-                        if Sa.entries[k][l].is_zero():
-                            continue
-                        B = base.compose_coeff(rs.parts[j], ss.parts[l], st.parts[k], Sa.entries[k][l], one)
-                        idx = slot_index[(src, l, j)]
-                        coeffs[idx] = coeffs[idx] - B
-                    q = base.hom_length(rs.parts[j], st.parts[k])
-                    rows.append((coeffs, base.ring.zero, q))
+            self.system.equate(r.modules[a.source], s.modules[a.target],
+                               [(1, None, a.target, r.maps[a.name]), (-1, s.maps[a.name], a.source, None)])
 
     @functools.cached_property
     def solution(self):
-        return solve_hom_system(self.r.base.ring, self.moduli, self.rows)
+        return self.system.solve()
 
     def _to_rep_morphism(self, vec) -> RepMorphism:
-        comps = {}
-        for v in self.r.quiver.vertices:
-            rows = [
-                [self.r.base.ring.zero] * self.r.modules[v].rank
-                for _ in range(self.s.modules[v].rank)
-            ]
-            comps[v] = rows
-        for val, (v, i, j) in zip(vec, self.slots):
-            comps[v][i][j] = val
-        mors = {v: morphism(self.r.modules[v], self.s.modules[v], comps[v]) for v in comps}
-        return RepMorphism(self.r, self.s, mors, check=False)
+        return RepMorphism(self.r, self.s, self.system.morphisms(vec), check=False)
 
     def iterate(self, budget: int = DEFAULT_BUDGET):
         """All morphisms R -> S, or None if the space exceeds the budget."""
@@ -296,9 +256,6 @@ class RepHomSpace:
 
     def random(self, rng) -> RepMorphism:
         return self._to_rep_morphism(self.solution.random(rng))
-
-    def zero(self) -> RepMorphism:
-        return self._to_rep_morphism([self.r.base.ring.zero] * len(self.slots))
 
 
 def hom_reps(r: Representation, s: Representation) -> RepHomSpace:
@@ -417,10 +374,6 @@ def partition_vector(r: Representation) -> Dict[str, tuple]:
     if r.base.backing != "chain":
         raise ValueError("partition vectors are defined over chain-ring backings")
     return {v: m.partition() for v, m in r.modules.items()}
-
-
-def length_vector(r: Representation) -> Dict[str, int]:
-    return r.length_vector()
 
 
 # -- random sampling (property suites) -------------------------------------------------

@@ -238,15 +238,6 @@ def apply_morphism(f: SerialMorphism, vector: tuple) -> tuple:
     return tuple(out)
 
 
-def hom_moduli(m: SerialModule, n: SerialModule):
-    """Per-entry lengths of the cyclic coefficient modules of Hom(m, n)."""
-    base = m.base
-    return [
-        [base.hom_length(m.parts[j], n.parts[i]) for j in range(m.rank)]
-        for i in range(n.rank)
-    ]
-
-
 class HomSpace:
     """Finite description of Hom(M, N): entrywise product of cyclic modules."""
 
@@ -256,7 +247,8 @@ class HomSpace:
         self.source = source
         self.target = target
         self.base = source.base
-        self.moduli = hom_moduli(source, target)
+        # per-entry lengths of the cyclic coefficient modules
+        self.moduli = [[self.base.hom_length(a, b) for a in source.parts] for b in target.parts]
 
     @property
     def size(self) -> int:

@@ -3,14 +3,12 @@ import itertools
 import pytest
 
 from monocat.base import (
-    HomElem,
     base_from_descriptor,
     chain_base,
-    hom_compose,
     rad2nak_base,
     stable_base,
-    stable_hom_basis,
 )
+from monocat.serialmod import mor_compose, morphism, serial_module
 
 
 def test_chain_labels_and_injectivity():
@@ -25,31 +23,31 @@ def test_chain_labels_and_injectivity():
 def test_hom_compose_chain_n3():
     # g_{M1<-M3} then g_{M2<-M1} gives pi * g_{M2<-M3}
     b = chain_base("poly", 2, 3)
-    f = HomElem("M3", "M1", b.one_coeff())
-    g = HomElem("M1", "M2", b.one_coeff())
-    out = hom_compose(b, g, f)
-    assert out.source == "M3" and out.target == "M2"
-    assert out.coeff == b.ring.pi_pow(1)
+    one = b.one_coeff()
+    assert b.compose_coeff("M3", "M1", "M2", one, one) == b.ring.pi_pow(1)
+    m1, m2, m3 = (serial_module(b, [label]) for label in ("M1", "M2", "M3"))
+    out = mor_compose(morphism(m1, m2, [[one]]), morphism(m3, m1, [[one]]))
+    assert out.source == m3 and out.target == m2
+    assert out.entries[0][0] == b.ring.pi_pow(1)
 
 
 def test_hom_compose_identity_law():
     for desc in [{"kind": "chain", "arith": "int", "p": 2, "n": 3},
                  {"kind": "rad2nak", "m": 2, "p": 2}]:
         b = base_from_descriptor(desc)
+        one = b.one_coeff()
         for a in b.labels:
             for c in b.labels:
                 for u in b.hom_elements(a, c):
-                    f = HomElem(a, c, u)
-                    ida = HomElem(a, a, b.one_coeff())
-                    idc = HomElem(c, c, b.one_coeff())
-                    assert hom_compose(b, f, ida).coeff == u
-                    assert hom_compose(b, idc, f).coeff == u
+                    assert b.compose_coeff(a, a, c, u, one) == u
+                    assert b.compose_coeff(a, c, c, one, u) == u
 
 
 def test_hom_compose_label_mismatch():
     b = chain_base("int", 2, 2)
+    m1, m2 = serial_module(b, ["M1"]), serial_module(b, ["M2"])
     with pytest.raises(ValueError):
-        hom_compose(b, HomElem("M1", "M1", b.one_coeff()), HomElem("M1", "M2", b.one_coeff()))
+        mor_compose(morphism(m1, m1, [[1]]), morphism(m1, m2, [[1]]))
 
 
 def test_stable_mixed_composites_vanish():
@@ -64,15 +62,18 @@ def test_stable_mixed_composites_vanish():
 
 def test_stable_hom_basis_examples():
     b2 = chain_base("poly", 2, 2)
-    basis, reduce_ = stable_hom_basis(b2, "M1", "M1")
-    assert len(basis) == 1  # F_p worth of stable endomorphisms
-    assert reduce_(b2.ring.one) == b2.ring.one
+    st2 = stable_base(b2)
+    assert st2.hom_length("M1", "M1") == 1  # F_p worth of stable endomorphisms
+    assert st2.reduce_coeff("M1", "M1", b2.ring.one) == b2.ring.one
     b3 = chain_base("poly", 2, 3)
-    basis, reduce_ = stable_hom_basis(b3, "M1", "M2")
-    assert len(basis) == 1
-    basis, reduce_ = stable_hom_basis(b3, "M2", "M2")
+    st3 = stable_base(b3)
+    assert st3.hom_length("M1", "M2") == 1
     # endomorphisms of M2 modulo injectives: multiplication by pi dies
-    assert len(basis) == 1
+    assert st3.hom_length("M2", "M2") == 1
+
+    def reduce_(coeff):
+        return st3.reduce_coeff("M2", "M2", coeff)
+
     assert reduce_(b3.ring.pi).is_zero()
     assert reduce_(reduce_(b3.ring.one)) == reduce_(b3.ring.one)
 
@@ -199,3 +200,17 @@ def test_descriptor_roundtrip():
         {"kind": "stable", "of": {"kind": "chain", "arith": "int", "p": 2, "n": 3}},
     ]:
         assert base_from_descriptor(desc).descriptor() == desc
+
+
+def test_bases_are_interned_by_descriptor():
+    """One object per descriptor, whatever the call that builds it."""
+    bases = [chain_base("poly", 3, 2), rad2nak_base(3, 2), stable_base(chain_base("int", 2, 3))]
+    for b in bases:
+        assert base_from_descriptor(b.descriptor()) is b
+    assert chain_base(arith="int", p=2, n=3) is chain_base("int", 2, 3)
+    assert stable_base(of=chain_base("int", 2, 3)) is bases[2]
+    assert stable_base(bases[2].of) is bases[2]
+    for p in (2, 3):
+        assert rad2nak_base(1, p) is chain_base("poly", p, 2)
+    assert chain_base("int", 2, 3) is not chain_base("poly", 2, 3)
+    assert rad2nak_base(2, 3) is not rad2nak_base(3, 2)

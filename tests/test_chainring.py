@@ -71,7 +71,7 @@ def test_ring_axioms_exhaustive(kind, p, n):
         assert r.elem(a.digits) is a
         assert a + r.zero == a
         assert a * r.one == a
-        if a.is_unit():
+        if a.digits[0] != 0:
             assert a * a.inverse() == r.one
     import random
     rng = random.Random(0)

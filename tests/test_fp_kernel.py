@@ -52,9 +52,9 @@ def test_rref_matches_brute_force_span(p):
             assert [row[d] for d in rr.pivots] == [int(i == k) for k in range(rr.rank)]
             assert all(x == 0 for x in row[:c])
         for v in itertools.product(range(p), repeat=ncols):
-            coords = rr.in_span(v)
-            assert (coords is not None) == (v in span)
-            if coords is not None:
+            residual, coords = rr.reduce(v)
+            assert (not any(residual)) == (v in span)
+            if not any(residual):
                 assert v == tuple(sum(a * r[j] for a, r in zip(coords, rr.rows)) % p
                                   for j in range(ncols))
         null = _fp_nullspace(p, rows, nrows, ncols)

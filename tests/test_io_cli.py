@@ -13,7 +13,7 @@ from monocat.serialmod import morphism, serial_module
 
 def _write_rep(tmp_path, rep, name="rep.json"):
     path = tmp_path / name
-    mio.save_representation(str(path), rep)
+    path.write_text(mio.dumps(mio.representation_to_json(rep)))
     return str(path)
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +23,6 @@ from monocat.rep import (
     kopf_modules,
     kopf_morphism,
     l1_kopf,
-    length_vector,
     partition_vector,
     random_representation,
     rep_direct_sum,
@@ -32,6 +33,7 @@ from monocat.serialmod import (
     hom_space,
     identity_morphism,
     mor_block,
+    mor_compose,
     mor_equal,
     morphism,
     serial_module,
@@ -107,7 +109,7 @@ def test_is_mono_stops_at_first_failing_vertex(monkeypatch):
                                           serial_module(B2, ["M1"]), [[1]])})
     calls = []
     injective = rep_mod.is_injective_map
-    monkeypatch.setattr(rep_mod, "is_injective_map", lambda f: calls.append(f) or injective(f))
+    monkeypatch.setattr(rep_mod, "is_injective_map", lambda *fs: calls.append(fs) or injective(*fs))
     assert not is_mono(dead)
     assert len(calls) == 2
     assert not l1_kopf(dead)["2"][0].is_zero()
@@ -157,6 +159,53 @@ def test_hom_reps_contains_identity():
     ident = rep_identity(r)
     assert any(all(mor_equal(phi.components[v], ident.components[v]) for v in r.quiver.vertices)
                for phi in sols)
+
+
+@pytest.mark.parametrize("base", [B2, B3, rad2nak_base(2, 2)], ids=["poly-2-2", "int-2-3", "rad2nak"])
+def test_hom_reps_matches_brute_force_natural_tuples(base):
+    """hom_reps(r, s).iterate() is the set of vertexwise tuples (phi_v) in
+    prod_v Hom(R_v, S_v) with phi_t o R_a = S_a o phi_s for every arrow a."""
+    rng = random.Random(8)
+    checked = 0
+    for quiver in (A2, KR):
+        for _ in range(12):
+            r, s = (random_representation(base, quiver, rng) for _ in range(2))
+            spaces = [list(hom_space(r.modules[v], s.modules[v])) for v in quiver.vertices]
+            if math.prod(map(len, spaces)) > 4096:
+                continue
+            natural = set()
+            for phis in itertools.product(*spaces):
+                phi = dict(zip(quiver.vertices, phis))
+                if all(mor_equal(mor_compose(phi[a.target], r.maps[a.name]),
+                                 mor_compose(s.maps[a.name], phi[a.source])) for a in quiver.arrows):
+                    natural.add(tuple(f.entries for f in phis))
+            found = [tuple(phi.components[v].entries for v in quiver.vertices)
+                     for phi in hom_reps(r, s).iterate(1 << 13)]
+            assert len(found) == len(set(found)) and set(found) == natural
+            checked += len(natural) > 1
+    assert checked >= 5
+
+
+def test_lift_rows_stay_out_of_the_hom_space():
+    """The rows of p o h = g solve a copy of the naturality system: the hom
+    space _lift_through returns still solves to all of Hom(g.source, p.source)."""
+    from monocat.mimo import mimo
+    from monocat.suites import _lift_through
+
+    rng = random.Random(4)
+    for _ in range(10):
+        r = random_representation(B2, A2, rng)
+        m, p = mimo(r)
+        g = hom_reps(m, r).random(rng)
+        space, sol = _lift_through(p, g)
+        assert sol is not None
+        full = hom_reps(g.source, p.source)
+        assert len(space.system.rows) == len(full.system.rows)
+        assert sorted(map(repr, space.solution.iterate(1 << 12))) == \
+            sorted(map(repr, full.solution.iterate(1 << 12)))
+        h = space._to_rep_morphism(sol._trunc(sol.particular))
+        for v in A2.vertices:
+            assert mor_equal(mor_compose(p.components[v], h.components[v]), g.components[v])
 
 
 def test_hom_reps_zero_space_between_opposite_simples():
@@ -269,12 +318,12 @@ def test_partition_and_length_vectors():
     m = Representation(A2, B3, {"1": serial_module(B3, ["M2"]),
                                 "2": serial_module(B3, ["M3", "M1"])}, {})
     assert partition_vector(m) == {"1": (2,), "2": (3, 1)}
-    assert length_vector(m) == {"1": 2, "2": 4}
+    assert m.length_vector() == {"1": 2, "2": 4}
     fs = f_shriek(B3, A2, vertex_module(B3, A2, "1", serial_module(B3, ["M3"])))
-    assert length_vector(fs) == {"1": 3, "2": 3}
+    assert fs.length_vector() == {"1": 3, "2": 3}
     z = Representation(A2, B3, {}, {})
     assert partition_vector(z) == {"1": (), "2": ()}
-    assert length_vector(z) == {"1": 0, "2": 0}
+    assert z.length_vector() == {"1": 0, "2": 0}
 
 
 def test_partition_vector_needs_chain():

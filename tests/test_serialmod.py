@@ -13,7 +13,6 @@ from monocat.exact import (
     is_iso,
     is_surjective_map,
     kernel,
-    solve,
     solve_left,
     solve_right,
 )
@@ -329,7 +328,70 @@ def test_solve_extension_into_injective_always_exists():
 
 def test_solve_unsolvable_unit_through_pi():
     up = morphism(M(B2I, "M1"), M(B2I, "M2"), [[1]])
-    assert solve(up, identity_morphism(M(B2I, "M1")), side="left") is None
+    assert solve_left(up, identity_morphism(M(B2I, "M1"))) is None
+
+
+# (base, length cap) of the modules M, N of f: M -> N in the solving tests
+SOLVE_CASES = [(chain_base("poly", 2, 3), 3), (chain_base("int", 2, 3), 3), (rad2nak_base(2, 2), 2)]
+SOLVE_IDS = ["poly-2-3", "int-2-3", "rad2nak-2-2"]
+
+
+def _solve_partners(base):
+    """The modules P of g: every indecomposable and a sum of two simples."""
+    return [M(base, label) for label in base.labels] + [M(base, base.labels[-1], base.labels[-1])]
+
+
+def _some_maps(m, n, rng, count=4):
+    maps = list(hom_space(m, n))
+    return maps if len(maps) <= count else rng.sample(maps, count)
+
+
+@pytest.mark.parametrize("base,cap", SOLVE_CASES, ids=SOLVE_IDS)
+def test_solve_right_finds_h_exactly_when_one_exists(base, cap):
+    """For f: M -> N over every pair of modules (up to 4 maps f per pair) and
+    every g: P -> N, solve_right(f, g) is None exactly when no h: P -> M in
+    the hom space has f o h = g, and otherwise gives such an h."""
+    rng = random.Random(11)
+    modules = modules_up_to_length(base, cap)
+    solved = unsolvable = 0
+    for m in modules:
+        for n in modules:
+            for f in _some_maps(m, n, rng):
+                for p in _solve_partners(base):
+                    reachable = {mor_compose(f, h).entries for h in hom_space(p, m)}
+                    for g in hom_space(p, n):
+                        h = solve_right(f, g)
+                        if g.entries in reachable:
+                            assert h is not None and mor_equal(mor_compose(f, h), g), (f, g)
+                            solved += 1
+                        else:
+                            assert h is None, (f, g)
+                            unsolvable += 1
+    assert solved and unsolvable
+
+
+@pytest.mark.parametrize("base,cap", SOLVE_CASES, ids=SOLVE_IDS)
+def test_solve_left_finds_h_exactly_when_one_exists(base, cap):
+    """For f: M -> N over every pair of modules (up to 4 maps f per pair) and
+    every g: M -> P, solve_left(f, g) is None exactly when no h: N -> P in
+    the hom space has h o f = g, and otherwise gives such an h."""
+    rng = random.Random(12)
+    modules = modules_up_to_length(base, cap)
+    solved = unsolvable = 0
+    for m in modules:
+        for n in modules:
+            for f in _some_maps(m, n, rng):
+                for p in _solve_partners(base):
+                    reachable = {mor_compose(h, f).entries for h in hom_space(n, p)}
+                    for g in hom_space(m, p):
+                        h = solve_left(f, g)
+                        if g.entries in reachable:
+                            assert h is not None and mor_equal(mor_compose(h, f), g), (f, g)
+                            solved += 1
+                        else:
+                            assert h is None, (f, g)
+                            unsolvable += 1
+    assert solved and unsolvable
 
 
 def test_hom_space_sizes():
@@ -384,6 +446,23 @@ def test_socle_injectivity_test_matches_kernel(base, cap):
                 tried += 1
                 monic += verdict
     assert 0 < monic < tried
+    # two maps into one module are jointly monic exactly when the map they
+    # induce from the sum of their sources has zero kernel; sources of one or
+    # two parts, 4 pairs per shape
+    rng = random.Random(5)
+    small = [m for m in modules if 0 < m.rank <= 2 and m.length() <= 2]
+    tried = monic = 0
+    for n in modules:
+        for m1, m2 in itertools.combinations_with_replacement(small, 2):
+            pairs = list(itertools.product(hom_space(m1, n), hom_space(m2, n)))
+            for f1, f2 in rng.sample(pairs, min(4, len(pairs))):
+                joint, _, _ = assemble(base, [m1, m2], [n], {(0, 0): f1, (0, 1): f2})
+                verdict = is_injective_map(f1, f2)
+                assert verdict == kernel(joint)[0].is_zero() == is_injective_map(joint), (f1, f2)
+                tried += 1
+                monic += verdict
+    assert 0 < monic < tried
+    assert is_injective_map()
 
 
 def _units(m):

@@ -3,20 +3,22 @@
 A representation splits along any endomorphism that is neither nilpotent nor
 invertible: the stable kernel and stable image of a high power are
 complementary subrepresentations.  Such an endomorphism is looked for in the
-residue algebra of the endomorphism ring, where invertibility and
-nilpotency are decided blockwise over F_p; the Fitting splitting is computed
-only for the witness found there.  Indecomposability is declared only with
-the exhaustive certificate (every residue element blockwise invertible or
-blockwise nilpotent, i.e. a local endomorphism ring).
+residue algebra of the endomorphism ring by ``rep.ResidueSpace.first``, where
+invertibility and nilpotency are decided blockwise over F_p; the Fitting
+splitting is computed only for the witness found there.  Indecomposability
+is declared only with the exhaustive certificate (every residue element
+blockwise invertible or blockwise nilpotent, i.e. a local endomorphism
+ring).  Equal factors are grouped by ``rep.is_iso_reps`` under the same
+budget, ``rep.DEFAULT_BUDGET`` by default.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Tuple
 
 from .exact import _fp_invertible, _fp_nilpotent, image, is_iso, kernel, solve_right
 from .rep import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     Representation,
     RepMorphism,
@@ -96,69 +98,45 @@ def _residue_witness(r: Representation, budget: int):
 
     The residue map is a ring homomorphism with kernel inside rad End(r), so
     such an element exists iff End(r) is not local, and it is exactly an
-    endomorphism that is neither invertible nor nilpotent.  The basis of the
-    residue space is tried at any budget; the whole space only when p^rank
-    is within the budget, otherwise an undecided scan raises BudgetExceeded.
-    Valid over every backing: residues of composites multiply blockwise."""
-    space = hom_reps(r, r)
-    res = ResidueSpace(space)
-    p = res.p
-    basis = [tuple(int(i == k) for i in range(res.rank)) for k in range(res.rank)]
-    within_budget = p ** res.rank <= budget
-    for combo in itertools.chain(basis, res.combos() if within_budget else ()):
-        mats = res.block_matrices(res.residue_of(combo))
-        if all(_fp_invertible(p, m) for m in mats) or all(_fp_nilpotent(p, m) for m in mats):
-            continue
-        return space._to_rep_morphism(space.solution._trunc(res.lift_of(combo)))
-    if not within_budget:
-        raise BudgetExceeded(
-            f"endomorphism residue space p^{res.rank} exceeds the budget {budget} "
-            "and no basis element decides it"
-        )
-    return None
+    endomorphism that is neither invertible nor nilpotent.  Raises
+    BudgetExceeded as ``ResidueSpace.first`` does.  Valid over every
+    backing: residues of composites multiply blockwise."""
+    p = r.base.ring.p
+
+    def splits(mats):
+        return not (all(_fp_invertible(p, m) for m in mats) or all(_fp_nilpotent(p, m) for m in mats))
+
+    return ResidueSpace(hom_reps(r, r)).first(splits, budget)
 
 
-def _try_split(r: Representation, budget: int):
-    """(split, None) along a residue witness, or (None, "exhaustive") when
-    End(r) is local."""
-    witness = _residue_witness(r, budget)
-    if witness is None:
-        return None, "exhaustive"
-    split = fitting_split(r, witness)
-    if split is None:
-        raise AssertionError("non-invertible non-nilpotent endomorphism must split")
-    return split, None
-
-
-def decompose(r: Representation, budget: int = 1 << 20) -> List[tuple]:
+def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
     """List of (indecomposable factor, multiplicity, certificate)."""
-    if r.is_zero():
-        return []
     pieces: List[Representation] = []
-    certs: List[str] = []
     stack = [r]
     while stack:
         cur = stack.pop()
         if cur.is_zero():
             continue
-        split, cert = _try_split(cur, budget)
-        if split is None:
+        witness = _residue_witness(cur, budget)
+        if witness is None:
             pieces.append(cur)
-            certs.append(cert)
-        else:
-            stack.extend(split)
+            continue
+        split = fitting_split(cur, witness)
+        if split is None:
+            raise AssertionError("non-invertible non-nilpotent endomorphism must split")
+        stack.extend(split)
     grouped: List[tuple] = []
-    for piece, cert in zip(pieces, certs):
-        for idx, (rep, mult, c) in enumerate(grouped):
-            if is_iso_reps(rep, piece):
-                grouped[idx] = (rep, mult + 1, c)
+    for piece in pieces:
+        for idx, (rep, mult, cert) in enumerate(grouped):
+            if is_iso_reps(rep, piece, budget=budget):
+                grouped[idx] = (rep, mult + 1, cert)
                 break
         else:
-            grouped.append((piece, 1, cert))
+            grouped.append((piece, 1, "exhaustive"))
     return grouped
 
 
-def is_indecomposable(r: Representation, budget: int = 1 << 20) -> bool:
+def is_indecomposable(r: Representation, budget: int = DEFAULT_BUDGET) -> bool:
     """Locality of the endomorphism ring, decided in its residue algebra;
     works over abelian and stable backings alike."""
     if r.is_zero():

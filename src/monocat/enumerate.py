@@ -98,13 +98,7 @@ def modules_up_to_length(base: SerialBase, cap: int) -> List[SerialModule]:
                 rec(k, remaining - l, acc + [labels[k]])
 
     rec(0, cap, [])
-    seen = set()
-    unique = []
-    for m in out:
-        if m.parts not in seen:
-            seen.add(m.parts)
-            unique.append(m)
-    return unique
+    return out
 
 
 # -- fingerprints and isomorphism filtering ---------------------------------------------
@@ -142,16 +136,15 @@ def rep_fingerprint(r: Representation) -> tuple:
 class IsoClassifier:
     """Accumulates representations up to isomorphism behind fingerprint buckets."""
 
-    def __init__(self, budget: int = 1 << 16):
+    def __init__(self):
         self.buckets: Dict[tuple, List[Representation]] = {}
-        self.budget = budget
 
     def add(self, r: Representation) -> bool:
         """True if r was new (no stored representative is isomorphic)."""
         fp = rep_fingerprint(r)
         bucket = self.buckets.setdefault(fp, [])
         for s in bucket:
-            if is_iso_reps(s, r, budget=self.budget):
+            if is_iso_reps(s, r):
                 return False
         bucket.append(r)
         return True

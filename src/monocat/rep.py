@@ -2,8 +2,10 @@
 basic functor toolkit: in-maps, top and its first derived functor, the mono
 test (the maps into each vertex, jointly monic on the socle), the left
 adjoint of the forgetful functor, hom spaces (the kernel of
-phi -> (phi_t o R_a - S_a o phi_s)_a, built as an ``exact.HomSystem``) and
-isomorphism search, and partition vectors.
+phi -> (phi_t o R_a - S_a o phi_s)_a, built as an ``exact.HomSystem``),
+partition vectors, and the residue scan ``ResidueSpace.first``: the one
+place where isomorphism here and locality of End(R) in ``decompose`` are
+decided, under the one default budget ``DEFAULT_BUDGET``.
 
 Matrix conventions: columns index source parts and composition g o f is the
 matrix product g * f.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import Dict, Optional, Tuple
 
 from .base import SerialBase
@@ -43,7 +44,7 @@ from .serialmod import (
     zero_morphism,
 )
 
-DEFAULT_BUDGET = 1 << 16
+DEFAULT_BUDGET = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
@@ -247,8 +248,8 @@ class RepHomSpace:
     def _to_rep_morphism(self, vec) -> RepMorphism:
         return RepMorphism(self.r, self.s, self.system.morphisms(vec), check=False)
 
-    def iterate(self, budget: int = DEFAULT_BUDGET):
-        """All morphisms R -> S, or None if the space exceeds the budget."""
+    def iterate(self, budget: int):
+        """All morphisms R -> S, or None if there are more than ``budget``."""
         sols = self.solution.iterate(budget)
         if sols is None:
             return None
@@ -267,8 +268,8 @@ class ResidueSpace:
 
     A morphism between equal modules is invertible iff these blocks are
     invertible over F_p, and residues of composites multiply blockwise, so
-    isomorphism search and endomorphism-ring locality can be decided inside
-    this small F_p-space.
+    isomorphism search and endomorphism-ring locality are both decided inside
+    this small F_p-space, by ``first``.
     """
 
     def __init__(self, space: RepHomSpace):
@@ -331,40 +332,39 @@ class ResidueSpace:
             k += d * d
         return out
 
-    def combos(self):
-        return itertools.product(range(self.p), repeat=self.rank)
+    def first(self, accept, budget: int) -> Optional[RepMorphism]:
+        """The lifted morphism of the first residue whose block matrices
+        satisfy ``accept``, or None when no residue does.
+
+        The basis is tried first, then every F_p combination in product
+        order when p^rank is within the budget; above it, a scan that no
+        basis element decides raises BudgetExceeded."""
+        within_budget = self.p ** self.rank <= budget
+        basis = (tuple(int(i == k) for i in range(self.rank)) for k in range(self.rank))
+        combos = itertools.product(range(self.p), repeat=self.rank) if within_budget else ()
+        for combo in itertools.chain(basis, combos):
+            if accept(self.block_matrices(self.residue_of(combo))):
+                return self.space._to_rep_morphism(self.lift_of(combo))
+        if not within_budget:
+            raise BudgetExceeded(f"residue space {self.p}^{self.rank} exceeds the budget "
+                                 f"{budget} and no basis element decides it")
+        return None
 
 
-def find_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BUDGET,
-                  seed: int = 0, samples: int = 512) -> Tuple[bool, Optional[RepMorphism], str]:
-    """(found, witness, certificate); certificate is 'exhaustive' when the
-    residue search space was fully enumerated, else 'sampled'.  Above the
-    budget a sampled isomorphism is a witness, but no sample found is no
-    verdict: that case raises BudgetExceeded."""
-    for v in r.quiver.vertices:
-        if r.modules.get(v, None) != s.modules.get(v, None):
-            return False, None, "exhaustive"
-    space = hom_reps(r, s)
-    res = ResidueSpace(space)
-    if res.rank <= 20 and r.base.ring.p ** res.rank <= budget:
-        for combo in res.combos():
-            vec = res.residue_of(combo)
-            if all(_fp_invertible(res.p, m) for m in res.block_matrices(vec)):
-                phi = space._to_rep_morphism(space.solution._trunc(res.lift_of(combo)))
-                return True, phi, "exhaustive"
+def find_iso_reps(r: Representation, s: Representation,
+                  budget: int = DEFAULT_BUDGET) -> Tuple[bool, Optional[RepMorphism], str]:
+    """(found, witness, 'exhaustive'): an isomorphism r -> s is a morphism
+    whose residue blocks are all invertible over F_p."""
+    if any(r.modules[v] != s.modules.get(v) for v in r.quiver.vertices):
         return False, None, "exhaustive"
-    rng = random.Random(seed)
-    for _ in range(samples):
-        phi = space.random(rng)
-        if phi.is_iso():
-            return True, phi, "sampled"
-    raise BudgetExceeded(f"isomorphism undecided: {res.p}^{res.rank} residue combinations "
-                         f"exceed the budget {budget} and {samples} samples found none")
+    p = r.base.ring.p
+    phi = ResidueSpace(hom_reps(r, s)).first(lambda mats: all(_fp_invertible(p, m) for m in mats),
+                                             budget)
+    return phi is not None, phi, "exhaustive"
 
 
-def is_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BUDGET,
-                seed: int = 0) -> bool:
-    return find_iso_reps(r, s, budget=budget, seed=seed)[0]
+def is_iso_reps(r: Representation, s: Representation, budget: int = DEFAULT_BUDGET) -> bool:
+    return find_iso_reps(r, s, budget=budget)[0]
 
 
 # -- partition and length vectors ----------------------------------------------------

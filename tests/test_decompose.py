@@ -39,6 +39,24 @@ def test_multiplicity_grouping():
     assert len(factors) == 1 and factors[0][1] == 2
 
 
+def test_decompose_passes_its_budget_to_grouping(monkeypatch):
+    """decompose(r, budget) groups equal factors with is_iso_reps at that budget."""
+    import monocat.decompose as dec
+
+    budgets = []
+    real = dec.is_iso_reps
+
+    def recording(r, s, budget):
+        budgets.append(budget)
+        return real(r, s, budget=budget)
+
+    monkeypatch.setattr(dec, "is_iso_reps", recording)
+    s1 = Representation(A2, B2, {"1": serial_module(B2, ["M1"])}, {})
+    factors = dec.decompose(rep_direct_sum(s1, rep_direct_sum(s1, s1)), budget=12345)
+    assert [mult for _, mult, _ in factors] == [3]
+    assert budgets == [12345, 12345]
+
+
 def test_f_shriek_indecomposable_iff_module_is():
     assert is_indecomposable(
         f_shriek(B3, A2, vertex_module(B3, A2, "1", serial_module(B3, ["M2"]))))

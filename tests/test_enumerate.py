@@ -113,6 +113,7 @@ def test_modules_up_to_length():
     base = chain_base("int", 2, 3)
     mods = modules_up_to_length(base, 3)
     parts = {m.parts for m in mods}
+    assert len(mods) == len(parts)
     assert parts == {(), ("M1",), ("M2",), ("M3",), ("M1", "M1"),
                      ("M2", "M1"), ("M1", "M1", "M1")}
 

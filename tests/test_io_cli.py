@@ -144,6 +144,13 @@ def test_cli_verify_suite_rad2(capsys):
     assert out["results"][0]["details"]["classes"] == 9
 
 
+def test_cli_verify_suite_rad2_non_dynkin_is_input_error(capsys):
+    rc = main(["verify-suite", "--suite", "rad2-count",
+               "--quiver", "kronecker", "--base", "chain:poly:2:2"])
+    assert rc == 2
+    assert "Dynkin" in capsys.readouterr().err
+
+
 def test_cli_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

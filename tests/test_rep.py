@@ -30,6 +30,7 @@ from monocat.rep import (
     vertex_module,
 )
 from monocat.serialmod import (
+    automorphism_generators,
     hom_space,
     identity_morphism,
     mor_block,
@@ -260,8 +261,8 @@ def test_is_iso_reps_positive_and_negative():
 
 
 def test_undecided_iso_raises_budget_exceeded():
-    """Above the budget a sampled isomorphism is a witness, but finding none
-    is no verdict: equal vertex modules, an identity and a zero arrow."""
+    """Above the budget a basis witness decides, but no basis witness is no
+    verdict: equal vertex modules, an identity and a zero arrow."""
     m1 = serial_module(B2, ["M1"])
     modules = {"1": m1, "2": m1}
     ident = Representation(A2, B2, modules, {"a1": identity_morphism(m1)})
@@ -271,8 +272,49 @@ def test_undecided_iso_raises_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         is_iso_reps(zero, ident, budget=1)
     ok, witness, cert = find_iso_reps(ident, ident, budget=1)
-    assert ok and cert == "sampled" and witness.is_iso()
+    assert ok and cert == "exhaustive" and witness.is_iso()
     assert find_iso_reps(ident, zero) == (False, None, "exhaustive")
+
+
+@pytest.mark.parametrize("base", [B3, chain_base("poly", 2, 3), rad2nak_base(2, 2)],
+                         ids=["int-2-3", "poly-2-3", "rad2nak"])
+def test_iso_matches_hom_listing(base):
+    """is_iso_reps(r, s) holds exactly when some listed morphism r -> s is an
+    isomorphism.  s is r conjugated at each vertex by a product of
+    automorphism generators (isomorphic), or r with one arrow map redrawn
+    (mostly not isomorphic)."""
+    rng = random.Random(6)
+    verdicts = {True: 0, False: 0}
+    for quiver in (A2, builtin_quiver("A4-zigzag")):
+        for _ in range(16):
+            r = random_representation(base, quiver, rng)
+            conj = {}
+            for v in quiver.vertices:
+                g = g_inv = identity_morphism(r.modules[v])
+                gens = automorphism_generators(r.modules[v])
+                for a, a_inv in rng.sample(gens, min(3, len(gens))):
+                    g, g_inv = mor_compose(a, g), mor_compose(g_inv, a_inv)
+                conj[v] = g, g_inv
+            conjugated = Representation(quiver, base, r.modules, {
+                a.name: mor_compose(conj[a.target][0], mor_compose(r.maps[a.name], conj[a.source][1]))
+                for a in quiver.arrows})
+            arrow = rng.choice(quiver.arrows)
+            maps = dict(r.maps)
+            maps[arrow.name] = hom_space(r.modules[arrow.source], r.modules[arrow.target]).random(rng)
+            redrawn = Representation(quiver, base, r.modules, maps)
+            for s in (conjugated, redrawn):
+                homs = hom_reps(r, s).iterate(1 << 10)
+                if homs is None:
+                    continue
+                listed = any(phi.is_iso() for phi in homs)
+                assert is_iso_reps(r, s) == listed
+                ok, witness, cert = find_iso_reps(r, s)
+                assert ok == listed and cert == "exhaustive"
+                if ok:
+                    assert witness.is_iso()
+                    RepMorphism(r, s, witness.components, check=True)
+                verdicts[listed] += 1
+    assert verdicts[True] >= 5 and verdicts[False] >= 5, verdicts
 
 
 @pytest.mark.parametrize("arith", ["int", "poly"])

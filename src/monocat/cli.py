@@ -16,7 +16,7 @@ import traceback
 from . import io as mio
 from .base import base_from_descriptor, chain_base, rad2nak_base, stable_base
 from .decompose import BudgetExceeded, decompose
-from .enumerate import enumerate_bounded, enumerate_mono_rad2, kronecker_family
+from .enumerate import DEFAULT_ENUM_BUDGET, enumerate_bounded, enumerate_mono_rad2, kronecker_family
 from .mimo import mimo, stable_reduce, transfer
 from .quiver import quiver_from_descriptor
 from .rep import f_shriek, kopf, l1_kopf
@@ -204,7 +204,7 @@ def build_parser():
                                      description="Exact monomorphism-category computations over serial rings")
     sub = parser.add_subparsers(dest="command", required=True)
     # a string default goes through _budget only when --budget is not given
-    default_budget = os.environ.get("MONOCAT_BUDGET", "10000000")
+    default_budget = os.environ.get("MONOCAT_BUDGET", str(DEFAULT_ENUM_BUDGET))
 
     def common(p, needs_input=True):
         if needs_input:

@@ -3,26 +3,22 @@ cokernels, images, lifting/solving, and monomorphism and isomorphism tests.
 
 Every equation in unknown morphisms -- f o h = g, h o f = g, and the
 naturality and lifting systems of representations -- is built by one
-``HomSystem`` and solved by ``solve_hom_system``.  Two engines back the
-abelian operations:
-
-* chain backing -- everything is lifted to free presentations over the chain
-  ring itself, where honest Smith normal form exists (every element is a unit
-  times a power of pi).  Kernels are computed from cokernels through the exact
-  self-duality D(R/pi^a) = R/pi^a, which transposes matrices and keeps
-  coefficients.
-* rad2nak backing -- modules are expanded to their F_p linear-algebra view
-  (one vector space per simple composition factor plus the radical action)
-  and kernels/cokernels are plain Gaussian elimination; the serial normal
-  form is read off the radical ranks.
+``HomSystem`` and solved by ``solve_hom_system``.  One engine backs the
+abelian operations: everything is lifted to free presentations over the
+chain ring itself, where honest Smith normal form exists (every element is a
+unit times a power of pi).  Kernels are computed from cokernels through the
+exact self-duality D(R/pi^a) = R/pi^a, which transposes matrices and keeps
+coefficients.  A rad2nak map is pushed down to a graded map over
+F_p[x]/(x^2), and its kernel and cokernel are pulled back by reading each
+part's grade off the homogeneous entries.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .base import CHAIN, RAD2NAK, SerialBase
-from .chainring import ChainRingElem
+from .base import CHAIN, SerialBase, chain_base
+from .chainring import POLY, ChainRingElem
 from .serialmod import (
     SerialModule,
     SerialMorphism,
@@ -435,19 +431,24 @@ def _chain_cokernel(f: SerialMorphism):
     return C, q
 
 
+def _chain_kernel(f: SerialMorphism):
+    """Kernel through the self-duality: the dual of the cokernel of the dual."""
+    C, q = _chain_cokernel(dual_morphism(f))
+    return C, dual_morphism(q)
+
+
 def dual_morphism(f: SerialMorphism) -> SerialMorphism:
-    """Matlis-style dual: transpose the matrix, keep coefficients and labels."""
-    entries = [
-        [f.entries[i][j] for i in range(f.target.rank)]
-        for j in range(f.source.rank)
-    ]
-    return morphism(f.target, f.source, entries)
+    """Matlis-style dual over a chain backing: transpose the matrix, keep
+    coefficients and labels.  Hom(M_a, M_b) and Hom(M_b, M_a) have the same
+    length, so every entry stays canonical."""
+    entries = tuple(tuple(row[j] for row in f.entries) for j in range(f.source.rank))
+    return SerialMorphism(f.target, f.source, entries)
 
 
-# -- kernel / cokernel: rad2nak engine (F_p linear-algebra view) -------------------
+# -- F_p elimination ---------------------------------------------------------------
 #
-# _Rref is the one F_p elimination of the package: besides the graded views
-# below it serves rep.ResidueSpace and the residue tests of rep and decompose
+# _Rref is the one F_p elimination of the package: it serves the socle test
+# below, rep.ResidueSpace and the residue tests of rep and decompose
 # (_fp_invertible, _fp_nilpotent).
 
 
@@ -518,174 +519,6 @@ def _fp_nilpotent(p, mat) -> bool:
     return all(x % p == 0 for row in m for x in row)
 
 
-def _fp_nullspace(p, matrix, nrows, ncols):
-    """Basis of the right nullspace of an nrows x ncols matrix over F_p."""
-    rr = _Rref(p, matrix if nrows else [], ncols)
-    basis = []
-    pivset = set(rr.pivots)
-    for c in range(ncols):
-        if c in pivset:
-            continue
-        vec = [0] * ncols
-        vec[c] = 1
-        for r, pc in enumerate(rr.pivots):
-            vec[pc] = (-rr.rows[r][c]) % p
-        basis.append(vec)
-    return basis
-
-
-class _GradedView:
-    """F_p linear-algebra view of a rad2nak module: one space per simple grade
-    plus the radical action mapping grade i to grade i+1 (mod m)."""
-
-    def __init__(self, module: SerialModule):
-        base = module.base
-        assert base.backing == RAD2NAK
-        self.base = base
-        self.module = module
-        self.m = base.m
-        self.p = base.ring.p
-        self.dims = [0] * (self.m + 1)  # grades 1..m; slot 0 unused
-        self.part_vectors = []  # per part: dict role -> (grade, index)
-        for part in module.parts:
-            i = int(part[1:])
-            info = {}
-            if part[0] == "S":
-                info["vec"] = (i, self.dims[i])
-                self.dims[i] += 1
-            else:
-                info["top"] = (i, self.dims[i])
-                self.dims[i] += 1
-                j = base._succ(i)
-                info["socle"] = (j, self.dims[j])
-                self.dims[j] += 1
-            self.part_vectors.append(info)
-
-    def action_matrix(self, grade: int):
-        """Matrix of the radical action grade -> succ(grade)."""
-        succ = self.base._succ(grade)
-        mat = [[0] * self.dims[grade] for _ in range(self.dims[succ])]
-        for part, info in zip(self.module.parts, self.part_vectors):
-            if part[0] == "P" and info["top"][0] == grade:
-                mat[info["socle"][1]][info["top"][1]] = 1
-        return mat
-
-    def basis_roles(self, grade: int):
-        """For each basis index of the grade: (role, part index)."""
-        roles = [None] * self.dims[grade]
-        for pi, info in enumerate(self.part_vectors):
-            for role, (g, idx) in info.items():
-                if g == grade:
-                    roles[idx] = (role, pi)
-        return roles
-
-
-def _morphism_grade_matrices(f: SerialMorphism, sv: _GradedView, tv: _GradedView):
-    base = f.base
-    m = sv.m
-    mats = {g: [[0] * sv.dims[g] for _ in range(tv.dims[g])] for g in range(1, m + 1)}
-
-    def put(tgt, src, val):
-        (g1, i1), (g2, i2) = tgt, src
-        assert g1 == g2
-        mats[g1][i1][i2] = (mats[g1][i1][i2] + val) % sv.p
-
-    for i, tp in enumerate(f.target.parts):
-        for j, sp in enumerate(f.source.parts):
-            c = f.entries[i][j]
-            if c.is_zero():
-                continue
-            v = c.digits[0]
-            kind = base.gen_kind(sp, tp)
-            si, ti = sv.part_vectors[j], tv.part_vectors[i]
-            if kind == "id":
-                if sp[0] == "S":
-                    put(ti["vec"], si["vec"], v)
-                else:
-                    put(ti["top"], si["top"], v)
-                    put(ti["socle"], si["socle"], v)
-            elif kind == "proj":
-                put(ti["vec"], si["top"], v)
-            elif kind == "incl":
-                put(ti["socle"], si["vec"], v)
-            elif kind == "rad":
-                put(ti["socle"], si["top"], v)
-    return mats
-
-
-def _rad2nak_subobject_to_morphism(view: _GradedView, chosen):
-    """Build (K, inclusion K -> M) from chosen part data.
-
-    ``chosen`` is a list of (label, grade, vector) where vector lives in the
-    grade component of the ambient module view; for P-parts the vector is the
-    top and the socle is its radical image.
-    """
-    base = view.base
-    M = view.module
-    labels = [label for (label, _, _) in chosen]
-    order = sorted(range(len(chosen)), key=lambda k: (base.label_sort_key(labels[k]), k))
-    K = serial_module(base, [labels[k] for k in order])
-    entries = [[base.ring.zero] * len(chosen) for _ in range(M.rank)]
-    for col, k in enumerate(order):
-        label, grade, vec = chosen[k]
-        roles = view.basis_roles(grade)
-        for idx, digit in enumerate(vec):
-            if digit % view.p == 0:
-                continue
-            role, pi = roles[idx]
-            # Hom(label, M.parts[pi]) must contain the generator realizing this
-            # coordinate; the generator kind is determined by the role hit.
-            tgt = M.parts[pi]
-            kind = base.gen_kind(label, tgt)
-            expected = {"top": {"id", "proj"} if label[0] == "P" else set(),
-                        "vec": {"id", "proj"},
-                        "socle": {"rad", "incl", "id"}}[role if role != "vec" else "vec"]
-            if kind is None or kind not in expected:
-                raise AssertionError(f"no hom {label} -> {tgt} can hit role {role}")
-            entries[pi][col] = entries[pi][col] + base.ring.from_int(digit)
-    return K, morphism(K, M, entries)
-
-
-def _rad2nak_decompose_graded(base, p, dims, action, bases):
-    """Split an x-stable graded subspace W into tops/socles/simples.
-
-    ``bases[g]`` is a basis of W at grade g, in the coordinates of a graded
-    space with ``dims[g]`` coordinates at grade g on which ``action(g)`` is
-    the matrix of x from grade g to its successor.  Returns chosen part data
-    for _rad2nak_subobject_to_morphism.
-    """
-    chosen = []
-    socle_images = {g: [] for g in range(1, base.m + 1)}  # radical images inside W
-    kernels = {g: [] for g in range(1, base.m + 1)}
-    for g in range(1, base.m + 1):
-        W = bases[g]
-        if not W:
-            continue
-        X = action(g)
-        imgs = [_matvec(p, X, w) for w in W]
-        coeff_rows = [list(row) for row in zip(*imgs)]
-        # kernel of x restricted to W: combinations with zero image
-        null = _fp_nullspace(p, coeff_rows, len(coeff_rows), len(W))
-        kernels[g] = [_combine(p, W, coords) for coords in null]
-        # tops: complement of the kernel inside W
-        succ = base._succ(g)
-        for coords in _complement_coords(p, null, len(W)):
-            t = _combine(p, W, coords)
-            chosen.append((f"P{g}", g, t))
-            socle_images[succ].append(_matvec(p, X, t))
-    for g in range(1, base.m + 1):
-        if not kernels[g]:
-            continue
-        soc_rr = _Rref(p, socle_images[g], dims[g])
-        for v in kernels[g]:
-            if soc_rr.add(v):
-                chosen.append((f"S{g}", g, list(v)))
-    return chosen
-
-
-def _matvec(p, mat, vec):
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in mat] if mat else []
-
 def _combine(p, basis, coords):
     n = len(basis[0])
     out = [0] * n
@@ -694,110 +527,81 @@ def _combine(p, basis, coords):
             out = [(x + c * y) % p for x, y in zip(out, v)]
     return out
 
-def _complement_coords(p, subspace_coords, dim):
-    """Coordinate vectors extending a subspace (given by coordinate rows) to full space."""
-    pivs = set(_Rref(p, subspace_coords, dim).pivots)
-    return [[int(i == c) for i in range(dim)] for c in range(dim) if c not in pivs]
+
+# -- kernel / cokernel over rad2nak: the chain engine on graded modules -------------
+#
+# A module over the cyclic rad^2 = 0 Nakayama algebra with m simples is a
+# Z/m-graded F_p[x]/(x^2)-module, x raising the grade by one (Gordon-Green
+# 1982, graded modules and Galois coverings); forgetting the grade is exact
+# and faithful.  P_g is M2 with its top in grade g and S_g is M1 in grade g.
+# Every pushed-down entry is homogeneous (c*pi for a rad entry, c for the
+# others), and every step of snf_free keeps rows and columns homogeneous: the
+# pivot has least valuation and each step subtracts entry/pivot times the
+# pivot line.  So the chain kernel inclusion and cokernel projection come
+# back homogeneous, and the grade of each new part is read off its entries.
 
 
-def _rad2nak_kernel(f: SerialMorphism):
-    sv, tv = _GradedView(f.source), _GradedView(f.target)
-    mats = _morphism_grade_matrices(f, sv, tv)
-    bases = {g: _fp_nullspace(sv.p, mats[g], tv.dims[g], sv.dims[g]) for g in range(1, sv.m + 1)}
-    chosen = _rad2nak_decompose_graded(sv.base, sv.p, sv.dims, sv.action_matrix, bases)
-    return _rad2nak_subobject_to_morphism(sv, chosen)
-
-
-def _rad2nak_cokernel(f: SerialMorphism):
+def _push_down(f: SerialMorphism) -> SerialMorphism:
+    """f as a map of F_p[x]/(x^2)-modules, parts in the same order; each
+    entry stays canonical, so the matrix is built as it is."""
     base = f.base
     p = base.ring.p
-    grades = range(1, base.m + 1)
-    sv, tv = _GradedView(f.source), _GradedView(f.target)
-    mats = _morphism_grade_matrices(f, sv, tv)
-    # image basis per grade, and a complement basis representing the quotient
-    img_rr = {}
-    comp = {}
-    for g in grades:
-        cols = [[mats[g][i][j] for i in range(tv.dims[g])] for j in range(sv.dims[g])]
-        rr = _Rref(p, cols, tv.dims[g])
-        img_rr[g] = rr
-        pivs = set(rr.pivots)
-        comp[g] = [i for i in range(tv.dims[g]) if i not in pivs]
+    carrier = chain_base(POLY, p, 2)
+    elems = carrier.ring.tables.elems
+    entries = tuple(tuple(elems[c.num * p if c.num and base.gen_kind(a, b) == "rad" else c.num]
+                          for a, c in zip(f.source.parts, row))
+                    for b, row in zip(f.target.parts, f.entries))
+    source, target = (serial_module(carrier, [f"M{base.length(a)}" for a in M.parts])
+                      for M in (f.source, f.target))
+    return SerialMorphism(source, target, entries)
 
-    def project(g, vec):
-        """Coordinates of the class of vec over the complement basis."""
-        v = img_rr[g].reduce(vec)[0]
-        return [v[i] for i in comp[g]]
 
-    # the quotient as a graded module with induced action
-    qdims = {g: len(comp[g]) for g in grades}
-    q_action = {}
-    for g in grades:
-        succ = base._succ(g)
-        X = tv.action_matrix(g)
-        out = [project(succ, [row[i] for row in X]) for i in comp[g]]
-        q_action[g] = [[col[r] for col in out] for r in range(qdims[succ])]
-
-    # decompose the quotient into parts, over its unit bases
-    units = {g: [[int(i == j) for j in range(qdims[g])] for i in range(qdims[g])] for g in grades}
-    chosen = _rad2nak_decompose_graded(base, p, qdims, q_action.__getitem__, units)
-    labels = [label for (label, _, _) in chosen]
-    order = sorted(range(len(chosen)), key=lambda k: (base.label_sort_key(labels[k]), k))
-    C = serial_module(base, [labels[k] for k in order])
-
-    # each chosen part's defining vectors per grade, over the complement basis
-    chosen_vecs = {}
-    for g in grades:
-        vecs = []
-        owners = []
-        for k in order:
-            label, gg, coords = chosen[k]
-            if gg == g:
-                vecs.append(list(coords))
-                owners.append((k, "top" if label[0] == "P" else "vec"))
-            elif label[0] == "P" and base._succ(gg) == g:
-                vecs.append(_matvec(p, q_action[gg], coords))
-                owners.append((k, "socle"))
-        chosen_vecs[g] = (owners, vecs)
-
-    # projection N -> C: image of each N-part generator class in part coordinates
-    col_of = {k: col for col, k in enumerate(order)}
-    entries = [[base.ring.zero] * f.target.rank for _ in range(len(chosen))]
-    for i, tp in enumerate(f.target.parts):
-        info = tv.part_vectors[i]
-        gen_role = "top" if tp[0] == "P" else "vec"
-        g, idx = info[gen_role]
-        e = [0] * tv.dims[g]
-        e[idx] = 1
-        owners, vecs = chosen_vecs[g]
-        coords = _solve_coords(p, vecs, project(g, e))
-        for (k, role), cval in zip(owners, coords):
-            if cval % p == 0:
+def _pull_back(h: SerialMorphism, source: Optional[SerialModule] = None,
+               target: Optional[SerialModule] = None) -> SerialMorphism:
+    """The rad2nak map behind the homogeneous chain map h, given the rad2nak
+    module on one side of it, in h's part order.  The top of A_j lands in
+    layer l = max(0, len B_i - len A_j) + val(h_ij) of B_i, so grade(A_j) =
+    grade(B_i) + l (mod m); that fixes the other side's grades, whose parts
+    are then re-sorted into normal form.  AssertionError on an entry that is
+    not homogeneous.  A homogeneous entry is a generator of its hom space
+    times a digit, so the matrix is built as it is."""
+    base = (target if source is None else source).base
+    m = base.m
+    src = [None] * h.source.rank if source is None else [int(a[1:]) for a in source.parts]
+    tgt = [None] * h.target.rank if target is None else [int(b[1:]) for b in target.parts]
+    digits = [[0] * h.source.rank for _ in range(h.target.rank)]
+    for i, b in enumerate(h.target.parts):
+        for j, a in enumerate(h.source.parts):
+            c = h.entries[i][j]
+            if c.is_zero():
                 continue
-            label = chosen[k][0]
-            kind = base.gen_kind(tp, label)
-            if kind is None:
-                raise AssertionError(f"projection hit impossible hom {tp} -> {label} ({role})")
-            entries[col_of[k]][i] = entries[col_of[k]][i] + base.ring.from_int(cval)
-    q = morphism(f.target, C, entries)
-    return C, q
+            v = c.valuation()
+            if any(c.digits[v + 1:]):
+                raise AssertionError(f"entry {c} of the chain map is not homogeneous")
+            digits[i][j] = c.digits[v]
+            layer = max(0, int(b[1:]) - int(a[1:])) + v
+            if src[j] is None:
+                src[j] = (tgt[i] + layer - 1) % m + 1
+            elif tgt[i] is None:
+                tgt[i] = (src[j] - layer - 1) % m + 1
+            elif src[j] != (tgt[i] + layer - 1) % m + 1:
+                raise AssertionError(f"entry ({i}, {j}) of the chain map is not homogeneous")
 
+    def relabel(grades, module):
+        if None in grades:
+            raise AssertionError("a part of the chain kernel or cokernel has no nonzero entry")
+        labels = [f"{'P' if q == 'M2' else 'S'}{g}" for q, g in zip(module.parts, grades)]
+        order = sorted(range(len(labels)), key=lambda k: (base.label_sort_key(labels[k]), k))
+        return serial_module(base, labels), order
 
-def _solve_coords(p, vecs, target):
-    """Coordinates of target over the (independent) list vecs, over F_p."""
-    if not vecs:
-        if any(x % p for x in target):
-            raise AssertionError("cannot express vector over empty basis")
-        return []
-    ncols = len(vecs)
-    rows = [[vecs[j][i] for j in range(ncols)] + [target[i]] for i in range(len(target))]
-    rr = _Rref(p, rows, ncols + 1)
-    coords = [0] * ncols
-    for r, c in enumerate(rr.pivots):
-        if c == ncols:
-            raise AssertionError("inconsistent coordinate solve")
-        coords[c] = rr.rows[r][ncols] % p
-    return coords
+    if source is None:
+        source, cols = relabel(src, h.source)
+        digits = [[row[k] for k in cols] for row in digits]
+    else:
+        target, rows = relabel(tgt, h.target)
+        digits = [digits[k] for k in rows]
+    elems = base.ring.tables.elems
+    return SerialMorphism(source, target, tuple(tuple(elems[d] for d in row) for row in digits))
 
 
 # -- public kernel / cokernel / image ----------------------------------------------
@@ -808,16 +612,17 @@ def cokernel(f: SerialMorphism):
     _require_abelian(f.base, "cokernel")
     if f.base.backing == CHAIN:
         return _chain_cokernel(f)
-    return _rad2nak_cokernel(f)
+    q = _pull_back(_chain_cokernel(_push_down(f))[1], source=f.target)
+    return q.target, q
 
 
 def kernel(f: SerialMorphism):
     """(K, inclusion K -> M); the inclusion is monic."""
     _require_abelian(f.base, "kernel")
     if f.base.backing == CHAIN:
-        C, q = _chain_cokernel(dual_morphism(f))
-        return C, dual_morphism(q)
-    return _rad2nak_kernel(f)
+        return _chain_kernel(f)
+    incl = _pull_back(_chain_kernel(_push_down(f))[1], target=f.source)
+    return incl.source, incl
 
 
 def image(f: SerialMorphism):

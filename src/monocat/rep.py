@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 from .base import SerialBase
 from .exact import (
     HomSystem,
+    LinearSolution,
     _combine,
     _fp_invertible,
     _Rref,
@@ -269,11 +270,13 @@ class ResidueSpace:
     A morphism between equal modules is invertible iff these blocks are
     invertible over F_p, and residues of composites multiply blockwise, so
     isomorphism search and endomorphism-ring locality are both decided inside
-    this small F_p-space, by ``first``.
+    this small F_p-space, by ``first``.  ``solution`` is a solution in the
+    slots of ``space``, by default Hom itself; only its generators are read.
     """
 
-    def __init__(self, space: RepHomSpace):
+    def __init__(self, space: RepHomSpace, solution: Optional[LinearSolution] = None):
         self.space = space
+        self.generators = (space.solution if solution is None else solution).generators
         base = space.r.base
         self.p = base.ring.p
         self.blocks = []  # (vertex, label, [part positions])
@@ -290,7 +293,7 @@ class ResidueSpace:
         # F_p basis of the projected solution space: one elimination over the rows
         # residue(gen_k) || e_k, so each basis residue keeps its coefficients
         # over the solution generators
-        gens = space.solution.generators
+        gens = self.generators
         n = len(self.coord_slots)
         rows = _Rref(self.p, (
             [gen[c].digits[0] for c in self.coord_slots] + [int(i == k) for i in range(len(gens))]
@@ -315,7 +318,7 @@ class ResidueSpace:
         lift = [ring.zero] * len(self.space.slots)
         if not self.basis:
             return lift
-        for c, gen in zip(_combine(self.p, self.coeffs, combo), self.space.solution.generators):
+        for c, gen in zip(_combine(self.p, self.coeffs, combo), self.generators):
             if c:
                 factor = ring.from_int(c)
                 lift = [x + factor * y for x, y in zip(lift, gen)]

@@ -16,13 +16,14 @@ from typing import Dict, List
 from .base import chain_base, rad2nak_base, stable_base
 from .decompose import decompose, is_indecomposable
 from .enumerate import (
+    DEFAULT_ENUM_BUDGET,
     enumerate_bounded,
     enumerate_mono_rad2,
     kronecker_family,
     p1_points,
     verify_length_vector_table,
 )
-from .exact import is_injective_map, solve_left
+from .exact import _fp_nilpotent, is_injective_map, solve_left
 from .mimo import (
     injective_rep_recognize,
     mimo,
@@ -37,6 +38,7 @@ from .quiver import builtin_quiver, dynkin_type, positive_roots
 from .rep import (
     Representation,
     RepMorphism,
+    ResidueSpace,
     f_shriek,
     hom_reps,
     in_map_data,
@@ -45,6 +47,7 @@ from .rep import (
     kopf,
     kopf_modules,
     l1_kopf,
+    partition_vector,
     random_representation,
     vertex_module,
 )
@@ -53,7 +56,6 @@ from .serialmod import (
     hom_space,
     identity_morphism,
     mor_compose,
-    mor_equal,
     morphism,
     serial_module,
 )
@@ -88,7 +90,7 @@ def _match_classes(computed: List[Representation], reference: List[Representatio
 # -- A criteria -----------------------------------------------------------------
 
 
-def suite_a1(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a1(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Linear A3 over F_2[x]/(x^2): 9 classes, cross-checked exhaustively."""
     base = chain_base("poly", 2, 2)
     quiver = builtin_quiver("An-linear:3")
@@ -102,7 +104,7 @@ def suite_a1(seed: int = 0, budget: int = 10_000_000) -> dict:
                    unmatched_computed=len(extra), unmatched_reference=len(missing))
 
 
-def suite_a2(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a2(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Linear A4 over F_2[x]/(x^2): the 10 non-injective classes are the
     one-step interval shapes (ones then twos)."""
     base = chain_base("poly", 2, 2)
@@ -130,7 +132,7 @@ def suite_a2(seed: int = 0, budget: int = 10_000_000) -> dict:
                    vectors=sorted("".join(map(str, v)) for v in got))
 
 
-def suite_a3(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a3(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Zigzag A4 over F_2[x]/(x^2): classes match the reference list."""
     from .io import representation_from_json
 
@@ -161,7 +163,7 @@ def _a4_verify(margin: int, budget: int) -> dict:
     return _A4_CACHE[key]
 
 
-def suite_a4(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a4(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Smoke variant: uniqueness at the reference vectors with all entries <= 3.
 
     The caps are the hull of the small vectors; extras inside that box are
@@ -179,7 +181,7 @@ def suite_a4(seed: int = 0, budget: int = 10_000_000) -> dict:
                    extras_within_small_hull={"".join(map(str, k)): v for k, v in out["extras"].items()})
 
 
-def suite_a4_full(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a4_full(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Full variant: all reference vectors unique and no extras within the
     hull-plus-margin caps."""
     base = chain_base("poly", 2, 3)
@@ -201,7 +203,7 @@ def _a2_z8_classes(budget: int) -> List[Representation]:
     return [r for r, _ in report.classes]
 
 
-def suite_a5(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a5(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Transfer between F_2[x]/(x^3) and Z/8: indecomposable, monic,
     partition vectors preserved, and the round trip lands in the same class."""
     failures = []
@@ -217,9 +219,8 @@ def suite_a5(seed: int = 0, budget: int = 10_000_000) -> dict:
         if not is_indecomposable(out):
             failures.append(("not indecomposable", repr(rep)))
             return
-        pv_in = {v: rep.modules[v].partition() for v in rep.quiver.vertices}
-        pv_out = {v: out.modules[v].partition() for v in out.quiver.vertices}
-        if pv_in != pv_out:
+        pv_out = partition_vector(out)
+        if pv_out != partition_vector(rep):
             failures.append(("partition vector changed", repr(rep), str(pv_out)))
             return
         back = transfer(out, back_base)
@@ -244,7 +245,7 @@ def suite_a5(seed: int = 0, budget: int = 10_000_000) -> dict:
     return _result("A5", not failures, checked=checked, failures=failures[:10])
 
 
-def suite_a6(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a6(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """A2 over Z/8: the classification has exactly 10 members: nine monic maps
     between cyclics and the projection-plus-inclusion object.
 
@@ -268,7 +269,7 @@ def suite_a6(seed: int = 0, budget: int = 10_000_000) -> dict:
                    capped_33_count=len(small.classes))
 
 
-def suite_a7(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_a7(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Kronecker families for p in {2,3}, indices n <= 3: members are monic,
     pairwise non-isomorphic, reconstructed by the generic minimal monic
     approximation from their stable image, and the only injective classes are
@@ -308,7 +309,7 @@ def suite_a7(seed: int = 0, budget: int = 10_000_000) -> dict:
 # -- P criteria -----------------------------------------------------------------
 
 
-def suite_p1(seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_p1(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Composition of maps M_a -> M_b -> M_c vs the honest function model,
     exhaustive for n <= 4 and p in {2, 3}, both arithmetic kinds; and the
     stable quotient of the length-3 chain ring has the expected presentation."""
@@ -358,7 +359,7 @@ def _p_configs():
     ]
 
 
-def suite_p2(seed: int = 0, budget: int = 10_000_000, samples: int = 500) -> dict:
+def suite_p2(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET, samples: int = 500) -> dict:
     """Functor laws on random representations."""
     failures = []
     for base, quiver in _p_configs():
@@ -387,10 +388,9 @@ def suite_p2(seed: int = 0, budget: int = 10_000_000, samples: int = 500) -> dic
                    failures=failures[:10])
 
 
-def suite_p3(seed: int = 0, budget: int = 10_000_000, samples: int = 200) -> dict:
+def suite_p3(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET, samples: int = 200) -> dict:
     """The minimal monic approximation contract on random representations."""
     failures = []
-    coset_cap = 1 << 16
     configs = [
         (chain_base("poly", 2, 2), builtin_quiver("An-linear:2"), samples),
         (chain_base("int", 2, 3), builtin_quiver("An-linear:2"), max(1, samples // 4)),
@@ -409,21 +409,17 @@ def suite_p3(seed: int = 0, budget: int = 10_000_000, samples: int = 200) -> dic
             g = hom_reps(nm, r).random(rng)
             if _lift_through(p, g)[1] is None:
                 failures.append(("approximation not surjective", repr(r)))
-            # minimality: endomorphisms compatible with p are isomorphisms
-            sols = _compatible_endos(p, coset_cap)
-            if sols is None:
-                rng2 = random.Random(seed + 7)
-                space = hom_reps(m, m)
-                for _ in range(64):
-                    phi = space.random(rng2)
-                    if _p_compatible(p, phi) and not phi.is_iso():
-                        failures.append(("minimality (sampled)", repr(r)))
-                        break
-            else:
-                for phi in sols:
-                    if not phi.is_iso():
-                        failures.append(("minimality", repr(r)))
-                        break
+            # minimality: every phi with p o phi = p is an isomorphism.  These
+            # phi are 1 + I, I = {psi : p o psi = 0} a right ideal of End(m),
+            # so that holds iff I lies in rad End(m), iff every psi in I is
+            # nilpotent; decided on the residues of I's generators
+            space, sol = _lift_through(p, p)
+            if sol is None:
+                raise AssertionError("identity is always compatible")
+            mod_p = r.base.ring.p
+            if ResidueSpace(space, sol).first(
+                    lambda mats: not all(_fp_nilpotent(mod_p, mat) for mat in mats), budget):
+                failures.append(("minimality", repr(r)))
             # no summand is a path-indexed injective (on inputs with no
             # injective vertex-module summands, i.e. after stripping)
             stripped, _ = strip_injective_summands(r)
@@ -454,24 +450,6 @@ def _lift_through(p: RepMorphism, g: RepMorphism):
     return space, system.solve()
 
 
-def _p_compatible(p: RepMorphism, phi: RepMorphism) -> bool:
-    for v in p.source.quiver.vertices:
-        if not mor_equal(mor_compose(p.components[v], phi.components[v]), p.components[v]):
-            return False
-    return True
-
-
-def _compatible_endos(p: RepMorphism, cap: int):
-    """All endomorphisms phi of p.source with p o phi = p, or None above the cap."""
-    space, sol = _lift_through(p, p)
-    if sol is None:
-        raise AssertionError("identity is always compatible")
-    vecs = sol.iterate(cap)
-    if vecs is None:
-        return None
-    return [space._to_rep_morphism(vec) for vec in vecs]
-
-
 def _second_lift_data(r: Representation, rng):
     """Minimal envelope data with the lift perturbed by a morphism vanishing
     on the in-map kernel (any composite through the in-map itself)."""
@@ -487,7 +465,7 @@ def _second_lift_data(r: Representation, rng):
     return data
 
 
-def suite_p4(seed: int = 0, budget: int = 10_000_000, samples: int = 200) -> dict:
+def suite_p4(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET, samples: int = 200) -> dict:
     """Density and isomorphism reflection of the stable reduction."""
     failures = []
     for n, kind in ((2, "poly"), (3, "poly"), (3, "int")):
@@ -533,7 +511,7 @@ def _perturb_by_injective_factors(r: Representation, rng) -> Representation:
 # -- parametrized suites ------------------------------------------------------------
 
 
-def suite_rad2_count(quiver=None, base=None, seed: int = 0, budget: int = 10_000_000) -> dict:
+def suite_rad2_count(quiver=None, base=None, seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Class count formula for radical square zero Nakayama backings."""
     quiver = quiver or builtin_quiver("An-linear:3")
     base = base or chain_base("poly", 2, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.exact import (
+    _pull_back,
     cokernel,
     dual_morphism,
     image,
@@ -240,6 +241,24 @@ def test_rad2nak_exactness_random():
         assert a.length() == K.length() + I.length()
         KC, _ = kernel(proj)
         assert KC == I
+
+
+def test_rad2nak_pull_back_rejects_inhomogeneous_chain_maps():
+    """A chain map whose entries fix no consistent grades, or mix two
+    layers in one entry, has no rad2nak map behind it."""
+    b = rad2nak_base(3, 2)
+    dual = chain_base("poly", 2, 2)
+    P1 = serial_module(b, ["P1"])
+    # 1 + pi on M2 -> M2 would be the identity plus a radical map
+    with pytest.raises(AssertionError):
+        _pull_back(morphism(M(dual, "M2"), M(dual, "M2"), [[3]]), source=P1)
+    # the top of P1 lands in layer 0 of one M2 and layer 1 of the other
+    with pytest.raises(AssertionError):
+        _pull_back(morphism(M(dual, "M2"), M(dual, "M2", "M2"), [[1], [2]]),
+                   target=serial_module(b, ["P1", "P2"]))
+    # homogeneous: the top of P1 lands in the socle of the new part, P3
+    q = _pull_back(morphism(M(dual, "M2"), M(dual, "M2"), [[2]]), source=P1)
+    assert q.target.parts == ("P3",) and q.entries[0][0] == b.ring.one
 
 
 # -- socle and envelopes ---------------------------------------------------------------

@@ -43,6 +43,8 @@ class ConcreteModule:
         self._step_cache = {}
         self._aut_gens = None
         self._mask_images = None
+        self._idempotents = None
+        self._kept = {}
 
     def _lengths(self):
         return [self.base.length(p) for p in self.module.parts]
@@ -208,6 +210,36 @@ class ConcreteModule:
                 out |= 1 << perm[i]
             memo[mask] = out
         return out
+
+    def coordinate_idempotents(self) -> List[tuple]:
+        """Element-index maps of the projections e_J onto the parts in J, for
+        every proper nonempty set J of parts that contains part 0.  A
+        submodule is kept by e_J exactly when it is kept by 1 - e_J, the
+        projection onto the complement, so the complements are left out."""
+        if self._idempotents is None:
+            rank = self.module.rank
+            zero = self.ring.zero
+            self._idempotents = []
+            # bits picks J - {0} among parts 1..rank-1; all of them is not proper
+            for bits in range((1 << (rank - 1)) - 1 if rank > 1 else 0):
+                J = [j == 0 or bits >> (j - 1) & 1 for j in range(rank)]
+                self._idempotents.append(tuple(
+                    self.index[tuple(x if keep else zero for x, keep in zip(e, J))]
+                    for e in self.elements))
+        return self._idempotents
+
+    def kept_idempotents(self, mask: int) -> int:
+        """Bitmask over ``coordinate_idempotents`` of the e_J with
+        e_J(S) <= S for the submodule mask S."""
+        kept = self._kept.get(mask)
+        if kept is None:
+            elements = self.mask_elements(mask)
+            kept = 0
+            for k, e in enumerate(self.coordinate_idempotents()):
+                if all(mask >> e[i] & 1 for i in elements):
+                    kept |= 1 << k
+            self._kept[mask] = kept
+        return kept
 
     def minimal_generators(self, mask: int) -> List[int]:
         """Greedy minimal generating set (large orders first)."""

@@ -25,7 +25,6 @@ from .rep import (
     ResidueSpace,
     hom_reps,
     is_iso_reps,
-    rep_identity,
     rep_morphism_compose,
 )
 from .serialmod import assemble, mor_compose
@@ -47,25 +46,15 @@ def _subrep_from_inclusions(r: Representation, inclusions) -> Tuple[Representati
     return sub, incl
 
 
-def _endo_power(phi: RepMorphism, n: int) -> RepMorphism:
-    result = rep_identity(phi.source)
-    power = phi
-    while n:
-        if n & 1:
-            result = rep_morphism_compose(result, power)
-        n >>= 1
-        if n:
-            power = rep_morphism_compose(power, power)
-    return result
-
-
 def _stable_power(phi: RepMorphism) -> RepMorphism:
-    """phi^m for m at least the total length: kernels and images have stabilized."""
-    n = max(1, phi.source.total_length())
-    m = 1
+    """phi^m for m at least the total length: kernels and images have
+    stabilized.  m is the least power of two, reached by squaring."""
+    n = phi.source.total_length()
+    power, m = phi, 1
     while m < n:
+        power = rep_morphism_compose(power, power)
         m <<= 1
-    return _endo_power(phi, m)
+    return power
 
 
 def fitting_split(r: Representation, phi: RepMorphism):

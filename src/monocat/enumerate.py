@@ -20,8 +20,13 @@
   one family of arrow maps onto the other, so that path keeps the first
   arrow-map tuple of each orbit, walked with the generators of
   ``serialmod.automorphism_generators``, and also yields its classes in
-  generation order.  ``IsoClassifier`` (fingerprint buckets, then
-  ``is_iso_reps``) remains as the independent oracle of the tests.
+  generation order.  Both walks decide indecomposability on the way: a
+  representation is decomposable exactly when some member of its orbit is
+  block diagonal for a splitting of the vertex modules' parts into two
+  nonempty sets (``_chain_splits``, ``_maps_split``), so no endomorphism
+  ring is computed.  ``IsoClassifier`` (fingerprint buckets, then
+  ``is_iso_reps``) and ``decompose.is_indecomposable`` remain as the
+  independent oracles of the tests.
 * The Kronecker families built from the homogeneous two-variable form model.
 """
 
@@ -277,11 +282,13 @@ def _concrete_with_submodules(base: SerialBase, parts: tuple):
     return _LATTICE_CACHE[key]
 
 
-def _orbit_representatives(candidates: list, moves: list):
-    """Yield the first candidate of each orbit, in the order of ``candidates``,
-    under the group generated by ``moves`` (functions from candidate to
-    candidate, each applying one group generator).  The group is finite, so
-    the generators alone reach every orbit member.
+def _orbit_representatives(candidates: list, moves: list, splits):
+    """Yield (first candidate, verdict) for each orbit, in the order of
+    ``candidates``, under the group generated by ``moves`` (functions from
+    candidate to candidate, each applying one group generator).  The group
+    is finite, so the generators alone reach every orbit member.  The
+    verdict says whether some member satisfies ``splits``; members are
+    tested until one does, and every member is still visited.
 
     ``candidates`` must be a union of orbits: a move out of it means the
     pruning that built it was not invariant under the group."""
@@ -291,6 +298,7 @@ def _orbit_representatives(candidates: list, moves: list):
         if candidate in seen:
             continue
         seen.add(candidate)
+        split = splits(candidate)
         stack = [candidate]
         while stack:
             current = stack.pop()
@@ -302,23 +310,39 @@ def _orbit_representatives(candidates: list, moves: list):
                 if moved not in seen:
                     seen.add(moved)
                     stack.append(moved)
-        yield candidate
+                    split = split or splits(moved)
+        yield candidate, split
 
 
 def _move_chain(conc: ConcreteModule, g: int, chain: tuple) -> tuple:
     return tuple(conc.mask_image(g, m) for m in chain)
 
 
-def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
-                            budget: int = DEFAULT_ENUM_BUDGET):
-    """Yield one monic representation per isomorphism class for a linearly
-    oriented quiver: for each sink module V, the Aut(V)-orbit representatives
-    of the pruned submodule chains of V, then the classes the pruning drops.
-    Raises BudgetExceeded when more than ``budget`` chains are built."""
+def _chain_splits(conc: ConcreteModule, chain: tuple) -> bool:
+    """Whether some coordinate idempotent e_J of V, J a proper nonempty set
+    of V's parts, keeps every submodule of the chain; the chain is then the
+    direct sum of its parts in J and outside J."""
+    kept = (1 << len(conc.coordinate_idempotents())) - 1
+    for m in chain:
+        kept &= conc.kept_idempotents(m)
+    return kept != 0
+
+
+def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
+                   budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield (V, chain, splits) for each Aut(V)-orbit of the pruned submodule
+    chains S_1 <= ... <= S_{k-1} of each sink module V (a ``ConcreteModule``)
+    of a linearly oriented quiver, with its first chain in candidate order.
+    ``splits`` says whether the representation is decomposable: some member
+    of the orbit is block diagonal (``_chain_splits``).  That is exact: if
+    R = R' (+) R'' with both nonzero, both have nonzero sink modules (the
+    maps are monic), and by Krull-Schmidt for the parts of V some g in
+    Aut(V) carries R'_V and R''_V onto complementary coordinate summands,
+    so g moves the chain to a block-diagonal member of its orbit.  Raises
+    BudgetExceeded when more than ``budget`` chains are built."""
     order = is_linear_chain(quiver)
     k = len(order)
     n = base.ring.n
-    arrow_by_pair = {(a.source, a.target): a.name for a in quiver.arrows}
     sink_cap = caps[order[-1]]
     count = 0
     for top in modules_up_to_length(base, sink_cap):
@@ -375,22 +399,48 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
             raise BudgetExceeded(f"enumeration budget {budget} exceeded")
         moves = [functools.partial(_move_chain, conc, g)
                  for g in range(len(conc.automorphism_generators()))]
-        for chain in _orbit_representatives(candidates, moves):
-            modules, maps = chain_of_inclusions(conc, chain)
-            mod_dict = dict(zip(order, modules))
-            map_dict = {
-                arrow_by_pair[(order[i], order[i + 1])]: maps[i] for i in range(k - 1)
-            }
-            yield Representation(quiver, base, mod_dict, map_dict)
-    # re-add the classes removed by the pruning rules: the simple at the
-    # sink, and the path-indexed representation of the injective label
-    # supported on the source vertex (its own chain starts with an injective)
-    if k > 1:
-        if sink_cap >= 1:
+        splits = functools.partial(_chain_splits, conc)
+        for chain, split in _orbit_representatives(candidates, moves, splits):
+            yield conc, chain, split
+
+
+def _chain_representation(quiver: Quiver, base: SerialBase, conc: ConcreteModule,
+                          chain: tuple) -> Representation:
+    """The monic representation S_1 -> ... -> S_{k-1} -> V of a chain of
+    submodule masks of V along a linearly oriented quiver."""
+    order = is_linear_chain(quiver)
+    arrow_by_pair = {(a.source, a.target): a.name for a in quiver.arrows}
+    modules, maps = chain_of_inclusions(conc, chain)
+    return Representation(quiver, base, dict(zip(order, modules)), {
+        arrow_by_pair[(order[i], order[i + 1])]: maps[i] for i in range(len(order) - 1)})
+
+
+def _pruned_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int]):
+    """Yield the indecomposable classes that the pruning of ``_linear_orbits``
+    removes: the simple at the sink, and the path-indexed representation of
+    the injective label supported on the source vertex (its own chain starts
+    with an injective).  Both have a one-part sink module."""
+    order = is_linear_chain(quiver)
+    n = base.ring.n
+    if len(order) > 1:
+        if caps[order[-1]] >= 1:
             yield Representation(quiver, base, {order[-1]: serial_module(base, ["M1"])}, {})
         if n > 1 and all(caps[v] >= n for v in order):
             inj = serial_module(base, [base.labels[n - 1]])
             yield f_shriek(base, quiver, vertex_module(base, quiver, order[0], inj))
+
+
+def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
+                            budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield one monic representation per indecomposable class, and the zero
+    representation, for a linearly oriented quiver: the orbits of
+    ``_linear_orbits`` that do not split, in walk order, then
+    ``_pruned_classes``.  Only these chains are turned into
+    representations."""
+    for conc, chain, splits in _linear_orbits(quiver, base, caps, budget):
+        if not splits:
+            yield _chain_representation(quiver, base, conc, chain)
+    yield from _pruned_classes(quiver, base, caps)
 
 
 def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
@@ -490,9 +540,40 @@ def _move_maps(arrows, modules, v, g, g_inv, memo, maps):
     return tuple(out)
 
 
+def _maps_split(arrows, offsets, size, maps) -> bool:
+    """Whether the arrow maps ``maps`` (entries per arrow, in ``arrows``
+    order) are block diagonal for a splitting of the vertex modules' parts
+    into two nonempty sets.  Union-find over the ``size`` nodes (vertex,
+    part), numbered ``offsets[vertex] + part``: the source part j and the
+    target part i of every nonzero entry (i, j) are joined, and the maps are
+    block diagonal exactly when at least two components remain."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = size
+    for a, entries in zip(arrows, maps):
+        s, t = offsets[a.source], offsets[a.target]
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
+                if e.is_zero():
+                    continue
+                x, y = find(s + j), find(t + i)
+                if x != y:
+                    parent[x] = y
+                    components -= 1
+                    if components < 2:
+                        return False
+    return components >= 2
+
+
 def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                            mono_only: bool, budget: int):
-    """Yield one representation per isomorphism class among
+    """Yield (rep, splits) for each isomorphism class among
     ``_generic_candidates``: for each vertex-module assignment, the first
     candidate of each prod_v Aut(M_v)-orbit, in candidate order.
 
@@ -502,7 +583,15 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
     the classes.  The group is walked with the generator pairs (g, g^-1) of
     ``automorphism_generators`` at each vertex (``_move_maps``).  The mono
     condition is invariant under the action, so the candidates of one
-    assignment are a union of orbits."""
+    assignment are a union of orbits.
+
+    ``splits`` says whether rep is decomposable: some member of its orbit is
+    block diagonal (``_maps_split``).  If rep = R' (+) R'' with both nonzero,
+    Krull-Schmidt for the parts gives (g_v) carrying R'_v and R''_v onto
+    complementary coordinate summands at every vertex, and the moved member
+    is block diagonal along them; conversely the coordinate projections of
+    a block-diagonal member are an idempotent endomorphism other than 0
+    and 1."""
     arrows = quiver.arrows
     vertices = quiver.vertices
     touched = [v for v in vertices if any(v in (a.source, a.target) for a in arrows)]
@@ -524,8 +613,14 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
                                      for g, g_inv in automorphism_generators(modules[v])]
             moves.extend(functools.partial(_move_maps, arrows, modules, v, g, g_inv, memo)
                          for g, g_inv, memo in generators[parts])
-        for maps in _orbit_representatives(list(by_maps), moves):
-            yield by_maps[maps]
+        offsets = {}
+        size = 0
+        for v in vertices:
+            offsets[v] = size
+            size += modules[v].rank
+        splits = functools.partial(_maps_split, arrows, offsets, size)
+        for maps, split in _orbit_representatives(list(by_maps), moves, splits):
+            yield by_maps[maps], split
 
 
 def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = False,
@@ -540,9 +635,11 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     the monic in-maps per vertex and never builds a non-monic tuple.  It then
     keeps the first tuple of each prod_v Aut(M_v)-orbit
     (``_generic_orbit_classes``), again in generation order: vertex modules
-    in product order, then tuples in candidate order.  Each class found is
-    tested for indecomposability; ``budget`` bounds the chains built or the
-    arrow-map tuples, partial or complete, visited.
+    in product order, then tuples in candidate order.  Both walks visit
+    every member of an orbit, and an orbit is kept only when none of its
+    members is block diagonal, which is exactly indecomposability; no
+    endomorphism ring is computed.  ``budget`` bounds the chains built or
+    the arrow-map tuples, partial or complete, visited.
     """
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")
@@ -557,9 +654,10 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     if mono_only and base.backing == CHAIN and is_linear_chain(quiver) is not None:
         representatives = list(_linear_mono_candidates(quiver, base, caps, budget))
     else:
-        representatives = list(_generic_orbit_classes(quiver, base, caps, mono_only, budget))
-    classes = [(rep, "exhaustive") for rep in representatives
-               if not rep.is_zero() and is_indecomposable(rep)]
+        representatives = [rep for rep, splits in
+                           _generic_orbit_classes(quiver, base, caps, mono_only, budget)
+                           if not splits]
+    classes = [(rep, "exhaustive") for rep in representatives if not rep.is_zero()]
     return EnumerationReport(base, quiver, caps, classes)
 
 

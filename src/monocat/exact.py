@@ -235,20 +235,24 @@ def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSoluti
         return LinearSolution(ring, moduli, [ring.zero] * T, gens)
 
     snf = snf_free(ring, scaled, E, T)
-    ub = snf.apply_U(rhs)
-    y = [ring.zero] * T
-    for k in range(min(E, T)):
-        e = snf.diag_vals[k]
-        c = ub[k]
-        if c.is_zero():
-            continue
-        if c.valuation() < e:
-            return None
-        y[k] = c.shift_down(e)
-    for k in range(min(E, T), E):
-        if not ub[k].is_zero():
-            return None
-    particular = snf.apply_V(y)
+    if all(r.is_zero() for r in rhs):
+        # homogeneous: U*0 = 0 and V*0 = 0
+        particular = [ring.zero] * T
+    else:
+        ub = snf.apply_U(rhs)
+        y = [ring.zero] * T
+        for k in range(min(E, T)):
+            e = snf.diag_vals[k]
+            c = ub[k]
+            if c.is_zero():
+                continue
+            if c.valuation() < e:
+                return None
+            y[k] = c.shift_down(e)
+        for k in range(min(E, T), E):
+            if not ub[k].is_zero():
+                return None
+        particular = snf.apply_V(y)
 
     generators = []
     for k in range(T):
@@ -380,15 +384,10 @@ def solve_left(f: SerialMorphism, g: SerialMorphism) -> Optional[SerialMorphism]
 def _lift_matrix(f: SerialMorphism):
     """Free presentation lift: entry c*g_{b<-a} becomes c*pi^max(0, b-a) in R."""
     base = f.base
-    rows = []
-    for i, tp in enumerate(f.target.parts):
-        b = base.length(tp)
-        row = []
-        for j, sp in enumerate(f.source.parts):
-            a = base.length(sp)
-            row.append(f.entries[i][j].shift_up(max(0, b - a)))
-        rows.append(row)
-    return rows
+    source_lengths = [base.length(a) for a in f.source.parts]
+    target_lengths = [base.length(b) for b in f.target.parts]
+    return [[e.shift_up(max(0, b - a)) for e, a in zip(row, source_lengths)]
+            for row, b in zip(f.entries, target_lengths)]
 
 
 def _chain_cokernel(f: SerialMorphism):
@@ -398,12 +397,13 @@ def _chain_cokernel(f: SerialMorphism):
     if t == 0:
         C = serial_module(base, [])
         return C, zero_morphism(f.target, C)
+    lengths = [base.length(b) for b in f.target.parts]
     lifted = _lift_matrix(f)
     G = []
     for i in range(t):
         rel = [ring.zero] * t
-        rel[i] = ring.pi_pow(base.length(f.target.parts[i]))
-        G.append(list(lifted[i]) + rel)
+        rel[i] = ring.pi_pow(lengths[i])
+        G.append(lifted[i] + rel)
     snf = snf_free(ring, G, t, s + t)
 
     kept = []  # (row index in S, valuation e > 0)
@@ -418,8 +418,7 @@ def _chain_cokernel(f: SerialMorphism):
     for idx in order:
         k, e = kept[idx]
         row = []
-        for i in range(t):
-            b = base.length(f.target.parts[i])
+        for i, b in enumerate(lengths):
             u = snf.U[k][i]
             if e > b:
                 if u.valuation() < e - b:

@@ -2,8 +2,10 @@
 the linear sweep against the isomorphism-filtered generic search; the generic
 search's per-vertex mono pruning against the filtered product of all arrow
 maps; the generic sweep's prod_v Aut(M_v)-orbits against ``IsoClassifier``
-over that filtered product."""
+over that filtered product; each orbit's split verdict against
+``is_indecomposable``."""
 
+import functools
 import itertools
 
 import pytest
@@ -15,20 +17,28 @@ from monocat.enumerate import (
     DEFAULT_ENUM_BUDGET,
     IsoClassifier,
     _generic_candidates,
+    _chain_representation,
+    _chain_splits,
     _generic_orbit_classes,
-    _move_maps,
     _linear_mono_candidates,
+    _linear_orbits,
+    _maps_split,
+    _move_chain,
+    _move_maps,
+    _orbit_representatives,
+    _pruned_classes,
     enumerate_bounded,
     modules_up_to_length,
 )
 from monocat.exact import is_iso
 from monocat.quiver import Quiver, builtin_quiver
-from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono
+from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono, rep_direct_sum
 from monocat.serialmod import (
     SerialMorphism,
     automorphism_generators,
     hom_space,
     identity_morphism,
+    morphism,
     serial_module,
 )
 
@@ -88,14 +98,26 @@ def test_orbit_sweep_matches_iso_filtered_oracle(qname, base_args, caps):
         classifier.add(rep)
     oracle = classifier.classes()
 
-    # every orbit representative is its own class: it matches exactly one
-    # oracle class, and no two representatives match the same one
+    # every orbit representative, split or not, and every class the pruning
+    # re-adds is its own class: it matches exactly one oracle class, and no
+    # two of them match the same one
+    orbits = [(_chain_representation(quiver, base, conc, chain), splits)
+              for conc, chain, splits in _linear_orbits(quiver, base, cap_dict)]
+    pruned = list(_pruned_classes(quiver, base, cap_dict))
     hits = []
-    for rep in _linear_mono_candidates(quiver, base, cap_dict):
+    for rep in [rep for rep, _ in orbits] + pruned:
         matches = [k for k, s in enumerate(oracle) if is_iso_reps(rep, s)]
         assert len(matches) == 1
         hits.append(matches[0])
     assert len(set(hits)) == len(hits)
+
+    # the walk's verdict is decomposability, on split and unsplit orbits
+    for rep, splits in orbits:
+        assert splits == (not rep.is_zero() and not is_indecomposable(rep))
+    assert any(splits for _, splits in orbits)
+    assert all(is_indecomposable(rep) for rep in pruned)
+    assert list(_linear_mono_candidates(quiver, base, cap_dict)) == \
+        [rep for rep, splits in orbits if not splits] + pruned
 
     # the indecomposable classes agree, one to one
     expected = [s for s in oracle if not s.is_zero() and is_indecomposable(s)]
@@ -192,11 +214,41 @@ def test_generic_orbit_classes_match_iso_filtered_product(quiver, base, caps, mo
     # each orbit representative is isomorphic to exactly one oracle class,
     # and no two representatives to the same one
     hits = []
-    for rep in found:
+    for rep, _ in found:
         matches = [k for k, s in enumerate(oracle) if is_iso_reps(rep, s)]
         assert len(matches) == 1
         hits.append(matches[0])
     assert sorted(hits) == list(range(len(oracle)))
+    # the walk's verdict is decomposability, on split and unsplit orbits
+    for rep, splits in found:
+        assert splits == (not rep.is_zero() and not is_indecomposable(rep))
+
+
+def test_linear_verdicts_where_first_members_are_off_diagonal():
+    # the sweep behind A4/A5: some decomposable orbits are first reached at
+    # a member that is not block diagonal, so the verdict needs the walk
+    quiver = builtin_quiver("An-linear:3")
+    base = chain_base("poly", 2, 3)
+    off_diagonal = 0
+    for conc, chain, splits in _linear_orbits(quiver, base, dict(zip(quiver.vertices, (3, 4, 5)))):
+        rep = _chain_representation(quiver, base, conc, chain)
+        assert splits == (not rep.is_zero() and not is_indecomposable(rep))
+        off_diagonal += splits and not _chain_splits(conc, chain)
+    assert off_diagonal
+
+
+def test_generic_verdicts_where_first_members_are_off_diagonal():
+    quiver = builtin_quiver("An-linear:2")
+    base = chain_base("int", 2, 3)
+    cap_dict = dict(zip(quiver.vertices, (3, 3)))
+    off_diagonal = 0
+    for rep, splits in _generic_orbit_classes(quiver, base, cap_dict, False, DEFAULT_ENUM_BUDGET):
+        assert splits == (not rep.is_zero() and not is_indecomposable(rep))
+        offsets = {"1": 0, "2": rep.modules["1"].rank}
+        maps = tuple(rep.maps[a.name].entries for a in quiver.arrows)
+        diagonal = _maps_split(quiver.arrows, offsets, offsets["2"] + rep.modules["2"].rank, maps)
+        off_diagonal += splits and not diagonal
+    assert off_diagonal
 
 
 @pytest.mark.parametrize("index", [2, 6, 10], ids=[ORBIT_IDS[k] for k in (2, 6, 10)])
@@ -220,3 +272,71 @@ def test_each_orbit_move_is_an_isomorphism(index):
                 RepMorphism(rep, target, components)
                 moved += image != maps
     assert moved
+
+
+def _orbit(start, moves):
+    orbit, frontier = [start], [start]
+    while frontier:
+        current = frontier.pop()
+        for move in moves:
+            moved = move(current)
+            if moved not in orbit:
+                orbit.append(moved)
+                frontier.append(moved)
+    return orbit
+
+
+def test_off_diagonal_direct_sum_is_reported_split():
+    # (M1 -pi-> M2) (+) (M2 -id-> M2) over Z/4 is block diagonal; some
+    # member of its orbit is not, and the walk started there still splits
+    quiver = builtin_quiver("An-linear:2")
+    base = chain_base("int", 2, 2)
+    m1, m2 = serial_module(base, ["M1"]), serial_module(base, ["M2"])
+    socle = Representation(quiver, base, {"1": m1, "2": m2}, {"a1": morphism(m1, m2, [[1]])})
+    injective = Representation(quiver, base, {"1": m2, "2": m2},
+                               {"a1": identity_morphism(m2)})
+    assert is_indecomposable(socle) and is_indecomposable(injective)
+    total = rep_direct_sum(socle, injective)
+    arrows = quiver.arrows
+    moves = [functools.partial(_move_maps, arrows, total.modules, v, g, g_inv, {})
+             for v in quiver.vertices
+             for g, g_inv in automorphism_generators(total.modules[v])]
+    offsets = {"1": 0, "2": total.modules["1"].rank}
+    size = offsets["2"] + total.modules["2"].rank
+    splits = functools.partial(_maps_split, arrows, offsets, size)
+    diagonal = tuple(total.maps[a.name].entries for a in arrows)
+    assert splits(diagonal)
+    orbit = _orbit(diagonal, moves)
+    off = [maps for maps in orbit if not splits(maps)]
+    assert off
+    for start in off:
+        candidates = [start] + [maps for maps in orbit if maps != start]
+        assert list(_orbit_representatives(candidates, moves, splits)) == [(start, True)]
+    # an indecomposable's orbit never splits
+    alone = tuple(socle.maps[a.name].entries for a in arrows)
+    moves = [functools.partial(_move_maps, arrows, socle.modules, v, g, g_inv, {})
+             for v in quiver.vertices
+             for g, g_inv in automorphism_generators(socle.modules[v])]
+    assert list(_orbit_representatives(_orbit(alone, moves), moves,
+                                       functools.partial(_maps_split, arrows,
+                                                         {"1": 0, "2": 1}, 2))) == [(alone, False)]
+
+
+def test_off_diagonal_submodule_chain_is_reported_split():
+    # S = 0 (+) M1 in V = M2 (+) M1 over F_2[x]/(x^2) is kept by the
+    # projections; its image S' = <(pi, 1)> under a transvection is not
+    conc = ConcreteModule(serial_module(chain_base("poly", 2, 2), ["M2", "M1"]))
+    conc.build_tables()
+    ring = conc.ring
+    zero_mask = 1 << conc.zero
+    diagonal = conc.span(zero_mask, conc.index[(ring.zero, ring.one)])
+    tilted = conc.span(zero_mask, conc.index[(ring.pi, ring.one)])
+    assert _chain_splits(conc, (diagonal,))
+    assert not _chain_splits(conc, (tilted,))
+    moves = [functools.partial(_move_chain, conc, g)
+             for g in range(len(conc.automorphism_generators()))]
+    orbit = _orbit((tilted,), moves)
+    assert (diagonal,) in orbit
+    candidates = [(tilted,)] + [c for c in orbit if c != (tilted,)]
+    splits = functools.partial(_chain_splits, conc)
+    assert list(_orbit_representatives(candidates, moves, splits)) == [((tilted,), True)]

@@ -40,9 +40,9 @@ class ConcreteModule:
         self._add_table = None
         self._scalar_table = None
         self._inclusion_cache = {}
-        self._step_cache = {}
         self._aut_gens = None
         self._mask_images = None
+        self._cyclics: Dict[int, List[int]] = {}
         self._idempotents = None
         self._kept = {}
 
@@ -87,22 +87,32 @@ class ConcreteModule:
             out += 1
         return out
 
+    def cyclic(self, gen: int) -> List[int]:
+        """Element indices of the cyclic submodule R*gen, memoised per element."""
+        out = self._cyclics.get(gen)
+        if out is None:
+            self.build_tables()
+            out = self._cyclics[gen] = sorted({table[gen] for table in self._scalar_table.values()})
+        return out
+
     def span(self, mask: int, gen: int) -> int:
-        """Submodule mask spanned by an existing submodule and one more element."""
-        self.build_tables()
-        cyc = set()
-        for c_digits, table in self._scalar_table.items():
-            cyc.add(table[gen])
-        out = 0
-        m = mask
+        """Submodule mask S + R*gen for a submodule mask S and one element.
+
+        It is the union of the cosets c + S over c in R*gen.  The mask built
+        so far is a union of S-cosets, so a c already in it adds nothing and
+        each coset is added once."""
+        cyclic = self.cyclic(gen)
         add_t = self._add_table
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            m ^= low
-            row = add_t[idx]
-            for c in cyc:
-                out |= 1 << row[c]
+        elements = None
+        out = mask
+        for c in cyclic:
+            if out >> c & 1:
+                continue
+            if elements is None:
+                elements = self.mask_elements(mask)
+            row = add_t[c]
+            for x in elements:
+                out |= 1 << row[x]
         return out
 
     def submodules(self) -> List[int]:
@@ -201,10 +211,12 @@ class ConcreteModule:
 
     def mask_image(self, g: int, mask: int) -> int:
         """Image of a submodule mask under automorphism generator number g."""
-        perm = self.automorphism_generators()[g]
+        if self._mask_images is None:
+            self.automorphism_generators()
         memo = self._mask_images[g]
         out = memo.get(mask)
         if out is None:
+            perm = self._aut_gens[g]
             out = 0
             for i in self.mask_elements(mask):
                 out |= 1 << perm[i]
@@ -301,14 +313,9 @@ def chain_of_inclusions(concrete: ConcreteModule, masks: List[int]):
     for idx in range(len(pieces)):
         _, incl = pieces[idx]
         if idx + 1 < len(pieces):
-            key = (masks[idx], masks[idx + 1])
-            step = concrete._step_cache.get(key)
+            step = solve_right(pieces[idx + 1][1], incl)
             if step is None:
-                _, nxt_incl = pieces[idx + 1]
-                step = solve_right(nxt_incl, incl)
-                if step is None:
-                    raise AssertionError("nested submodules must factor")
-                concrete._step_cache[key] = step
+                raise AssertionError("nested submodules must factor")
             maps.append(step)
         else:
             maps.append(incl)

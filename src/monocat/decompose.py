@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .exact import _fp_invertible, _fp_nilpotent, image, is_iso, kernel, solve_right
+from .exact import _fp_invertible, _fp_nilpotent, cokernel, is_iso, kernel, solve_right
 from .rep import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -63,9 +63,10 @@ def fitting_split(r: Representation, phi: RepMorphism):
     kern_incl = {}
     img_incl = {}
     for v in r.quiver.vertices:
-        K, ki = kernel(inf.components[v])
-        I, ii, _ = image(inf.components[v])
-        kern_incl[v], img_incl[v] = ki, ii
+        _, kern_incl[v] = kernel(inf.components[v])
+        # the image inclusion as ``image`` builds it, with no corestriction
+        _, q = cokernel(inf.components[v])
+        _, img_incl[v] = kernel(q)
     k_len = sum(f.source.length() for f in kern_incl.values())
     i_len = sum(f.source.length() for f in img_incl.values())
     if k_len == 0 or i_len == 0:

@@ -11,6 +11,13 @@ exact self-duality D(R/pi^a) = R/pi^a, which transposes matrices and keeps
 coefficients.  A rad2nak map is pushed down to a graded map over
 F_p[x]/(x^2), and its kernel and cokernel are pulled back by reading each
 part's grade off the homogeneous entries.
+
+``kernel``, ``cokernel``, ``image``, ``solve_right`` and ``solve_left`` are
+memoized by value with ``serialmod.memo``.  Their arguments and results are
+immutable values (frozen modules and morphisms, tuples of them, or None), and
+nothing mutates a returned module or map, so a repeated call returns a value
+equal to the one a fresh call would build.  The shape and backing checks
+raise on every call: a call that raises is not cached.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .serialmod import (
     SerialModule,
     SerialMorphism,
     identity_morphism,
+    memo,
     mor_block,
     mor_compose,
     mor_equal,
@@ -343,6 +351,7 @@ class HomSystem:
         return out
 
 
+@memo
 def solve_right(f: SerialMorphism, g: SerialMorphism) -> Optional[SerialMorphism]:
     """Some h with f o h = g, or None; deterministic by Smith back-substitution.
     Solved one column of g at a time."""
@@ -361,6 +370,7 @@ def solve_right(f: SerialMorphism, g: SerialMorphism) -> Optional[SerialMorphism
     return morphism(g.source, M, [[col[i][0] for col in cols] for i in range(M.rank)])
 
 
+@memo
 def solve_left(f: SerialMorphism, g: SerialMorphism) -> Optional[SerialMorphism]:
     """Some h with h o f = g, or None.  Solved one row of g at a time."""
     if f.source != g.source:
@@ -606,6 +616,7 @@ def _pull_back(h: SerialMorphism, source: Optional[SerialModule] = None,
 # -- public kernel / cokernel / image ----------------------------------------------
 
 
+@memo
 def cokernel(f: SerialMorphism):
     """(C, projection N -> C); the projection is epic."""
     _require_abelian(f.base, "cokernel")
@@ -615,6 +626,7 @@ def cokernel(f: SerialMorphism):
     return q.target, q
 
 
+@memo
 def kernel(f: SerialMorphism):
     """(K, inclusion K -> M); the inclusion is monic."""
     _require_abelian(f.base, "kernel")
@@ -624,6 +636,7 @@ def kernel(f: SerialMorphism):
     return incl.source, incl
 
 
+@memo
 def image(f: SerialMorphism):
     """(I, inclusion I -> N, corestriction M -> I) with incl o corestrict = f."""
     _require_abelian(f.base, "image")

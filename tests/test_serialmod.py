@@ -19,6 +19,8 @@ from monocat.exact import (
 )
 from monocat.enumerate import modules_up_to_length
 from monocat.serialmod import (
+    MEMO_SIZE,
+    _direct_sum,
     apply_morphism,
     assemble,
     automorphism_generators,
@@ -76,7 +78,7 @@ def test_direct_sum_of_morphisms():
     assert s.source.parts == ("M2", "M1") and s.target.parts == ("M2", "M1")
     _, src_pos = direct_sum(B2I, [u.source, v.source])
     _, tgt_pos = direct_sum(B2I, [u.target, v.target])
-    assert src_pos == [[1], [0]] and tgt_pos == [[0], [1]]
+    assert src_pos == ((1,), (0,)) and tgt_pos == ((0,), (1,))
     assert mor_equal(mor_block(s, tgt_pos[0], src_pos[0]), u)
     assert mor_equal(mor_block(s, tgt_pos[1], src_pos[1]), v)
     assert mor_block(s, tgt_pos[0], src_pos[1]).is_zero()
@@ -514,3 +516,68 @@ def test_automorphism_generators_generate_the_units_of_end(m):
                 group.add(gh.entries)
                 frontier.append(gh)
     assert group == _units(m)
+
+
+# -- memoized operations ----------------------------------------------------------
+
+MEMOIZED = [kernel, cokernel, image, solve_right, solve_left, mor_compose, _direct_sum]
+MEMO_BASES = [B3I, B3P, rad2nak_base(2, 3), stable_base(B3I)]
+MEMO_IDS = ["chain-int", "chain-poly", "rad2nak", "stable"]
+
+
+def _random_module(base, rng, most=3):
+    return M(base, *rng.choices(base.labels, k=rng.randrange(most + 1)))
+
+
+def _same_as_uncached(fn, *args):
+    """fn(*args) equals what the undecorated function builds, on a first call
+    and on a repeat."""
+    fresh = fn.__wrapped__(*args)
+    assert fn(*args) == fresh
+    assert fn(*args) == fresh
+    return fresh
+
+
+@pytest.mark.parametrize("base", MEMO_BASES, ids=MEMO_IDS)
+def test_memoized_operations_equal_their_uncached_results(base):
+    rng = random.Random(17)
+    solvable = 0
+    for _ in range(30):
+        a, b, c = (_random_module(base, rng) for _ in range(3))
+        f, g = hom_space(a, b).random(rng), hom_space(b, c).random(rng)
+        _same_as_uncached(mor_compose, g, f)
+        summands = [_random_module(base, rng) for _ in range(rng.randrange(1, 4))]
+        total, positions = direct_sum(base, summands)
+        assert (total, positions) == _direct_sum.__wrapped__(base, tuple(summands))
+        assert type(positions) is tuple and all(type(pos) is tuple for pos in positions)
+        if not base.is_abelian:
+            continue
+        _same_as_uncached(kernel, f)
+        _same_as_uncached(cokernel, f)
+        _same_as_uncached(image, f)
+        # per side, one equation with a solution (g = f o h, g = h o f) and a random one
+        h = hom_space(c, a).random(rng)
+        solvable += _same_as_uncached(solve_right, f, mor_compose(f, h)) is not None
+        _same_as_uncached(solve_right, f, hom_space(c, b).random(rng))
+        h = hom_space(b, c).random(rng)
+        solvable += _same_as_uncached(solve_left, f, mor_compose(h, f)) is not None
+        _same_as_uncached(solve_left, f, hom_space(a, c).random(rng))
+    assert solvable == (60 if base.is_abelian else 0)
+
+
+def test_memoized_operations_raise_on_every_call():
+    stable = stable_base(B3I)
+    m = M(stable, *stable.labels)
+    n = M(B3I, "M2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="stable"):
+            kernel(identity_morphism(m))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mor_compose(identity_morphism(n), identity_morphism(M(B3I, "M1")))
+        with pytest.raises(ValueError, match="base mismatch"):
+            direct_sum(B3I, [n, m])
+
+
+@pytest.mark.parametrize("fn", MEMOIZED, ids=lambda fn: fn.__name__)
+def test_memoized_operations_share_one_cache_size(fn):
+    assert fn.cache_info().maxsize == MEMO_SIZE

@@ -1,20 +1,29 @@
-"""Krull-Schmidt decomposition of representations by Fitting splittings.
+"""Krull-Schmidt decomposition of representations by coordinate blocks and
+Fitting splittings.
 
-A representation splits along any endomorphism that is neither nilpotent nor
-invertible: the stable kernel and stable image of a high power are
-complementary subrepresentations.  Such an endomorphism is looked for in the
-residue algebra of the endomorphism ring by ``rep.ResidueSpace.first``, where
-invertibility and nilpotency are decided blockwise over F_p; the Fitting
-splitting is computed only for the witness found there.  Indecomposability
-is declared only with the exhaustive certificate (every residue element
-blockwise invertible or blockwise nilpotent, i.e. a local endomorphism
-ring).  Equal factors are grouped by ``rep.is_iso_reps`` under the same
-budget, ``rep.DEFAULT_BUDGET`` by default.
+``decompose`` works through a stack of representations, the input first.
+Each one is first cut along its coordinates: the (vertex, part) nodes joined
+by the nonzero arrow-map entries fall into connected components
+(``coordinate_components``), and when there are two or more the arrow maps
+are block diagonal, so the representation is the direct sum of the
+sub-representations on the components (``coordinate_blocks``), each pushed
+back on the stack with no hom space solved.  Only a connected representation
+is split by an endomorphism: one that is neither nilpotent nor invertible
+has complementary stable kernel and stable image.  Such an endomorphism is
+looked for in the residue algebra of the endomorphism ring by
+``rep.ResidueSpace.first``, where invertibility and nilpotency are decided
+blockwise over F_p; the Fitting splitting is computed only for the witness
+found there.  Indecomposability is declared only with the exhaustive
+certificate (every residue element blockwise invertible or blockwise
+nilpotent, i.e. a local endomorphism ring), so every factor, cut out by
+coordinates or not, has been through that scan.  Equal factors are grouped
+by ``rep.is_iso_reps`` under the same budget, ``rep.DEFAULT_BUDGET`` by
+default.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .exact import _fp_invertible, _fp_nilpotent, cokernel, is_iso, kernel, solve_right
 from .rep import (
@@ -27,7 +36,74 @@ from .rep import (
     is_iso_reps,
     rep_morphism_compose,
 )
-from .serialmod import assemble, mor_compose
+from .serialmod import SerialModule, assemble, mor_block, mor_compose
+
+
+def coordinate_components(arrows, offsets, size, maps) -> Optional[List[List[int]]]:
+    """The connected components of the graph on the ``size`` nodes (vertex,
+    part), numbered ``offsets[vertex] + part``, in which the source part j
+    and the target part i of every nonzero entry (i, j) of ``maps`` (entries
+    per arrow, in ``arrows`` order) are joined; None as soon as the graph is
+    connected.  Each component lists its nodes in increasing order, and the
+    components come in the order of their least node.  The arrow maps are
+    block diagonal for a splitting of the vertex modules' parts into two
+    nonempty sets exactly when the result is not None."""
+    if size < 2:
+        return None
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = size
+    for a, entries in zip(arrows, maps):
+        s, t = offsets[a.source], offsets[a.target]
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
+                if e.is_zero():
+                    continue
+                x, y = find(s + j), find(t + i)
+                if x != y:
+                    parent[x] = y
+                    components -= 1
+                    if components < 2:
+                        return None
+    by_root = {}
+    for node in range(size):
+        by_root.setdefault(find(node), []).append(node)
+    return list(by_root.values())
+
+
+def coordinate_blocks(r: Representation) -> Optional[List[Representation]]:
+    """The sub-representations of r on the connected components of its
+    (vertex, part) graph (``coordinate_components``), or None when the graph
+    is connected.  The arrow maps of r are block diagonal along the
+    components, so r is their direct sum.  A component keeps its parts in
+    their order in r, so its vertex modules are in normal form, and its arrow
+    maps are the blocks of r's (``mor_block``)."""
+    vertices, arrows = r.quiver.vertices, r.quiver.arrows
+    offsets, nodes = {}, []
+    for v in vertices:
+        offsets[v] = len(nodes)
+        nodes.extend((v, i) for i in range(r.modules[v].rank))
+    components = coordinate_components(arrows, offsets, len(nodes),
+                                       [r.maps[a.name].entries for a in arrows])
+    if components is None:
+        return None
+    blocks = []
+    for component in components:
+        keep = {v: [] for v in vertices}
+        for node in component:
+            v, i = nodes[node]
+            keep[v].append(i)
+        modules = {v: SerialModule(r.base, tuple(r.modules[v].parts[i] for i in keep[v]))
+                   for v in vertices}
+        maps = {a.name: mor_block(r.maps[a.name], keep[a.target], keep[a.source]) for a in arrows}
+        blocks.append(Representation(r.quiver, r.base, modules, maps))
+    return blocks
 
 
 def _subrep_from_inclusions(r: Representation, inclusions) -> Tuple[Representation, RepMorphism]:
@@ -100,12 +176,24 @@ def _residue_witness(r: Representation, budget: int):
 
 
 def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
-    """List of (indecomposable factor, multiplicity, certificate)."""
+    """List of (indecomposable factor, multiplicity, certificate).
+
+    Each representation taken off the stack is cut into its coordinate
+    blocks when it has two or more (``coordinate_blocks``); only a connected
+    one has its endomorphism ring scanned (``_residue_witness``) and, when
+    that is not local, is split along the witness (``fitting_split``).  So
+    when r is block diagonal in its own coordinates its factors are
+    coordinate blocks of r, and every factor carries the exhaustive
+    certificate of a local endomorphism ring."""
     pieces: List[Representation] = []
     stack = [r]
     while stack:
         cur = stack.pop()
         if cur.is_zero():
+            continue
+        blocks = coordinate_blocks(cur)
+        if blocks is not None:
+            stack.extend(blocks)
             continue
         witness = _residue_witness(cur, budget)
         if witness is None:
@@ -128,7 +216,9 @@ def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
 
 def is_indecomposable(r: Representation, budget: int = DEFAULT_BUDGET) -> bool:
     """Locality of the endomorphism ring, decided in its residue algebra;
-    works over abelian and stable backings alike."""
-    if r.is_zero():
+    works over abelian and stable backings alike.  A representation that is
+    block diagonal in its own coordinates is decomposable, and is answered
+    False with no hom space solved."""
+    if r.is_zero() or coordinate_blocks(r) is not None:
         return False
     return _residue_witness(r, budget) is None

@@ -26,7 +26,9 @@
   nonempty sets (``_chain_splits``, ``_maps_split``), so no endomorphism
   ring is computed.  ``IsoClassifier`` (fingerprint buckets, then
   ``is_iso_reps``) and ``decompose.is_indecomposable`` remain as the
-  independent oracles of the tests.
+  oracles of the tests; the latter shares only the union-find
+  (``decompose.coordinate_components``), and answers every connected
+  representation from its endomorphism ring.
 * The Kronecker families built from the homogeneous two-variable form model.
 """
 
@@ -40,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .base import CHAIN, POLY, RAD2NAK, SerialBase, chain_base, stable_base
 from .chainring import INT
 from .concrete import ConcreteModule, chain_of_inclusions
-from .decompose import BudgetExceeded, is_indecomposable
+from .decompose import BudgetExceeded, coordinate_components, is_indecomposable
 from .exact import image, is_injective_map, solve_left
 from .mimo import injective_rep_recognize, mimo_from_stable
 from .quiver import Quiver, dynkin_type, positive_roots
@@ -543,32 +545,11 @@ def _move_maps(arrows, modules, v, g, g_inv, memo, maps):
 def _maps_split(arrows, offsets, size, maps) -> bool:
     """Whether the arrow maps ``maps`` (entries per arrow, in ``arrows``
     order) are block diagonal for a splitting of the vertex modules' parts
-    into two nonempty sets.  Union-find over the ``size`` nodes (vertex,
-    part), numbered ``offsets[vertex] + part``: the source part j and the
-    target part i of every nonzero entry (i, j) are joined, and the maps are
-    block diagonal exactly when at least two components remain."""
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = size
-    for a, entries in zip(arrows, maps):
-        s, t = offsets[a.source], offsets[a.target]
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                if e.is_zero():
-                    continue
-                x, y = find(s + j), find(t + i)
-                if x != y:
-                    parent[x] = y
-                    components -= 1
-                    if components < 2:
-                        return False
-    return components >= 2
+    into two nonempty sets: the union-find of
+    ``decompose.coordinate_components`` over the ``size`` nodes (vertex,
+    part), numbered ``offsets[vertex] + part``, leaves at least two
+    components."""
+    return coordinate_components(arrows, offsets, size, maps) is not None
 
 
 def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int],

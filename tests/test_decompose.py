@@ -3,11 +3,17 @@ import random
 import pytest
 
 from monocat.base import chain_base, stable_base
-from monocat.decompose import BudgetExceeded, decompose, is_indecomposable
+from monocat.decompose import (
+    BudgetExceeded,
+    coordinate_blocks,
+    decompose,
+    is_indecomposable,
+)
 from monocat.mimo import mimo_from_stable
 from monocat.quiver import builtin_quiver
 from monocat.rep import (
     Representation,
+    RepMorphism,
     f_shriek,
     hom_reps,
     is_iso_reps,
@@ -16,7 +22,13 @@ from monocat.rep import (
     rep_morphism_compose,
     vertex_module,
 )
-from monocat.serialmod import serial_module
+from monocat.serialmod import (
+    automorphism_generators,
+    identity_morphism,
+    mor_compose,
+    morphism,
+    serial_module,
+)
 
 B2 = chain_base("poly", 2, 2)
 B3 = chain_base("int", 2, 3)
@@ -148,3 +160,136 @@ def test_indecomposable_matches_endomorphism_scan(arith, quiver_name):
             assert is_indecomposable(rep) == local
             verdicts[local] += 1
     assert verdicts[True] >= 5 and verdicts[False] >= 5
+
+
+def _counting(monkeypatch, name):
+    """Replace decompose.<name> by a wrapper recording its arguments."""
+    import monocat.decompose as dec
+
+    calls = []
+    real = getattr(dec, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dec, name, recording)
+    return calls
+
+
+def _simple(vertex):
+    return Representation(A2, B3, {vertex: serial_module(B3, ["M1"])}, {})
+
+
+def test_block_diagonal_input_solves_only_connected_leaves(monkeypatch):
+    # three coordinate blocks, each indecomposable: S(1), S(2) and M2 -> M2
+    bridge = f_shriek(B3, A2, vertex_module(B3, A2, "1", serial_module(B3, ["M2"])))
+    r = rep_direct_sum(rep_direct_sum(_simple("1"), bridge), _simple("2"))
+    homs = _counting(monkeypatch, "hom_reps")
+    splits = _counting(monkeypatch, "fitting_split")
+    factors = decompose(r)
+    assert len(factors) == 3 and all(mult == 1 for _, mult, _ in factors)
+    assert len(homs) == 3 and not splits
+    for source, target in homs:
+        assert source is target and coordinate_blocks(source) is None
+
+
+def test_connected_decomposable_splits_by_fitting(monkeypatch):
+    # k -> k^2, 1 -> (1, 1), over F_2[x]/(x^2): every source part is joined
+    # to both target parts, yet it is (k -> k) + (0 -> k)
+    k = serial_module(B2, ["M1"])
+    k2 = serial_module(B2, ["M1", "M1"])
+    r = Representation(A2, B2, {"1": k, "2": k2}, {"a1": morphism(k, k2, [[1], [1]])})
+    assert coordinate_blocks(r) is None
+    splits = _counting(monkeypatch, "fitting_split")
+    factors = decompose(r)
+    assert len(factors) == 2 and all(mult == 1 for _, mult, _ in factors)
+    assert splits
+    assert not is_indecomposable(r)
+
+
+def test_is_indecomposable_answers_blocks_without_hom_space(monkeypatch):
+    import monocat.decompose as dec
+
+    def unexpected(*args):
+        raise AssertionError("no hom space should be solved")
+
+    monkeypatch.setattr(dec, "hom_reps", unexpected)
+    # budget 0 could not scan End; the coordinate blocks decide alone
+    assert not is_indecomposable(rep_direct_sum(_simple("1"), _simple("1")), budget=0)
+    assert not is_indecomposable(rep_direct_sum(_simple("1"), _simple("2")), budget=0)
+
+
+def _random_automorphism(m, rng, length=6):
+    """(g, g^-1) for a random word in the generators of Aut(m)."""
+    g = g_inv = identity_morphism(m)
+    gens = automorphism_generators(m)
+    for _ in range(length if gens else 0):
+        h, h_inv = rng.choice(gens)
+        g, g_inv = mor_compose(h, g), mor_compose(g_inv, h_inv)
+    return g, g_inv
+
+
+def _conjugate(r, rng):
+    """r moved by random vertex automorphisms (g_v): maps g_t o f_a o g_s^-1,
+    with (g_v) checked to be an isomorphism r -> moved."""
+    pairs = {v: _random_automorphism(m, rng) for v, m in r.modules.items()}
+    maps = {a.name: mor_compose(pairs[a.target][0], mor_compose(r.maps[a.name], pairs[a.source][1]))
+            for a in r.quiver.arrows}
+    moved = Representation(r.quiver, r.base, r.modules, maps)
+    RepMorphism(r, moved, {v: g for v, (g, _) in pairs.items()})  # raises unless natural
+    return moved
+
+
+def _same_factors(ours, theirs):
+    assert sorted(m for _, m, _ in ours) == sorted(m for _, m, _ in theirs)
+    unmatched = list(theirs)
+    for rep, mult, cert in ours:
+        assert cert == "exhaustive"
+        match = next(t for t in unmatched if t[1] == mult and is_iso_reps(rep, t[0]))
+        unmatched.remove(match)
+
+
+@pytest.mark.parametrize("quiver_name", ["An-linear:3", "A4-zigzag"])
+def test_decompose_invariant_under_vertex_automorphisms(quiver_name):
+    quiver = builtin_quiver(quiver_name)
+    rng = random.Random(14)
+
+    def block_count(rep):
+        return len(coordinate_blocks(rep) or [rep])
+
+    merged = 0
+    for _ in range(8):
+        r = rep_direct_sum(random_representation(B3, quiver, rng),
+                           random_representation(B3, quiver, rng))
+        if r.is_zero():
+            continue
+        moved = _conjugate(r, rng)
+        # the move joins coordinate blocks that only Fitting splits separate
+        merged += block_count(moved) < block_count(r)
+        _same_factors(decompose(moved), decompose(r))
+    assert merged >= 3
+
+
+@pytest.mark.parametrize("quiver_name", ["An-linear:2", "An-linear:3", "A4-zigzag"])
+def test_coordinate_blocks_are_normal_form_summands(quiver_name):
+    quiver = builtin_quiver(quiver_name)
+    rng = random.Random(9)
+    checked = 0
+    for _ in range(10):
+        r = rep_direct_sum(random_representation(B3, quiver, rng),
+                           random_representation(B3, quiver, rng))
+        blocks = coordinate_blocks(r)
+        if blocks is None:  # a zero or one-part summand
+            continue
+        assert len(blocks) >= 2
+        total = None
+        for block in blocks:
+            assert not block.is_zero() and coordinate_blocks(block) is None
+            for m in block.modules.values():
+                assert m == serial_module(B3, m.parts)
+            total = block if total is None else rep_direct_sum(total, block)
+        assert sum(b.total_length() for b in blocks) == r.total_length()
+        assert is_iso_reps(total, r)
+        checked += 1
+    assert checked >= 5

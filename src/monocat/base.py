@@ -261,8 +261,9 @@ class StableBase(SerialBase):
     Hom(a, b) is the hom module of the underlying base divided by the
     subgroup of elements factoring through injective labels; for cyclic hom
     modules that subgroup is pi^d * Hom with d the minimal valuation of a
-    composite of canonical generators through an injective.  The chosen
-    section (used by lifts) keeps the digits of a coefficient as they are.
+    composite of canonical generators through an injective.  The reduction
+    to stable Hom(a, b) is ``coeff`` here; the chosen section is ``of.coeff``,
+    which keeps the digits of a coefficient as they are.
     """
 
     backing = STABLE
@@ -308,14 +309,6 @@ class StableBase(SerialBase):
     def compose_coeff(self, a, b, c, v, u):
         w = self.of.compose_coeff(a, b, c, v, u)
         return w.truncate(self.hom_length(a, c))
-
-    def reduce_coeff(self, a: str, b: str, coeff: ChainRingElem) -> ChainRingElem:
-        """Reduction Hom_of(a, b) -> stable Hom(a, b): idempotent, additive."""
-        return coeff.truncate(self.hom_length(a, b))
-
-    def lift_coeff(self, a: str, b: str, coeff: ChainRingElem) -> ChainRingElem:
-        """The fixed section of reduce_coeff: digits are kept verbatim."""
-        return coeff.truncate(self.of.hom_length(a, b))
 
     def envelope_label(self, label: str) -> str:
         raise ValueError("stable backings are additive-only: no injective envelopes")

@@ -298,7 +298,7 @@ class ConcreteModule:
             cols.append(col)
         entries = [[cols[j][i] for j in range(len(cols))] for i in range(self.module.rank)]
         phi = morphism(cover, self.module, entries)
-        S, incl, _ = image(phi)
+        S, incl = image(phi)
         self._inclusion_cache[mask] = (S, incl)
         return S, incl
 

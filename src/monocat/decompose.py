@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .exact import _fp_invertible, _fp_nilpotent, cokernel, is_iso, kernel, solve_right
+from .exact import _fp_invertible, _fp_nilpotent, image, is_iso, kernel, solve_right
 from .rep import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -34,9 +34,10 @@ from .rep import (
     ResidueSpace,
     hom_reps,
     is_iso_reps,
+    rebase,
     rep_morphism_compose,
 )
-from .serialmod import SerialModule, assemble, mor_block, mor_compose
+from .serialmod import assemble, mor_compose
 
 
 def coordinate_components(arrows, offsets, size, maps) -> Optional[List[List[int]]]:
@@ -83,7 +84,7 @@ def coordinate_blocks(r: Representation) -> Optional[List[Representation]]:
     is connected.  The arrow maps of r are block diagonal along the
     components, so r is their direct sum.  A component keeps its parts in
     their order in r, so its vertex modules are in normal form, and its arrow
-    maps are the blocks of r's (``mor_block``)."""
+    maps are the blocks of r's (``rep.rebase`` over r's own base)."""
     vertices, arrows = r.quiver.vertices, r.quiver.arrows
     offsets, nodes = {}, []
     for v in vertices:
@@ -99,10 +100,7 @@ def coordinate_blocks(r: Representation) -> Optional[List[Representation]]:
         for node in component:
             v, i = nodes[node]
             keep[v].append(i)
-        modules = {v: SerialModule(r.base, tuple(r.modules[v].parts[i] for i in keep[v]))
-                   for v in vertices}
-        maps = {a.name: mor_block(r.maps[a.name], keep[a.target], keep[a.source]) for a in arrows}
-        blocks.append(Representation(r.quiver, r.base, modules, maps))
+        blocks.append(rebase(r, r.base, keep))
     return blocks
 
 
@@ -140,9 +138,7 @@ def fitting_split(r: Representation, phi: RepMorphism):
     img_incl = {}
     for v in r.quiver.vertices:
         _, kern_incl[v] = kernel(inf.components[v])
-        # the image inclusion as ``image`` builds it, with no corestriction
-        _, q = cokernel(inf.components[v])
-        _, img_incl[v] = kernel(q)
+        _, img_incl[v] = image(inf.components[v])
     k_len = sum(f.source.length() for f in kern_incl.values())
     i_len = sum(f.source.length() for f in img_incl.values())
     if k_len == 0 or i_len == 0:

@@ -61,6 +61,7 @@ from .serialmod import (
     hom_space,
     mor_compose,
     morphism,
+    rebase_map,
     serial_module,
     zero_module,
 )
@@ -119,7 +120,7 @@ def rep_fingerprint(r: Representation) -> tuple:
     parts = tuple(r.modules[v].partition() for v in r.quiver.vertices)
     arrows = []
     for a in r.quiver.arrows:
-        I, _, _ = image(r.maps[a.name])
+        I, _ = image(r.maps[a.name])
         K, _ = kernel(r.maps[a.name])
         arrows.append((I.partition(), K.partition()))
     tops = []
@@ -135,7 +136,7 @@ def rep_fingerprint(r: Representation) -> tuple:
         f = None
         for name in p.arrows:
             f = r.maps[name] if f is None else mor_compose(r.maps[name], f)
-        I, _, _ = image(f)
+        I, _ = image(f)
         composites.append(I.partition())
     return (parts, tuple(arrows), tuple(tops), tuple(composites))
 
@@ -228,15 +229,9 @@ def enumerate_mono_rad2(quiver: Quiver, base: SerialBase, verify: bool = False) 
     for s in simples:
         for g in gabriel:
             modules = {v: serial_module(st, [s] * g.modules[v].rank) for v in quiver.vertices}
-            maps = {}
-            for a in quiver.arrows:
-                src, tgt = modules[a.source], modules[a.target]
-                f = g.maps[a.name]
-                entries = [
-                    [st.ring.from_int(f.entries[i][j2].digits[0]) for j2 in range(src.rank)]
-                    for i in range(tgt.rank)
-                ]
-                maps[a.name] = morphism(src, tgt, entries)
+            maps = {a.name: rebase_map(g.maps[a.name], modules[a.source], modules[a.target],
+                                       range(modules[a.target].rank), range(modules[a.source].rank))
+                    for a in quiver.arrows}
             stable_rep = Representation(quiver, st, modules, maps)
             classes.append((mimo_from_stable(stable_rep), "family"))
 

@@ -638,14 +638,10 @@ def kernel(f: SerialMorphism):
 
 @memo
 def image(f: SerialMorphism):
-    """(I, inclusion I -> N, corestriction M -> I) with incl o corestrict = f."""
+    """(I, inclusion I -> N): the kernel of the cokernel projection of f."""
     _require_abelian(f.base, "image")
-    C, q = cokernel(f)
-    I, incl = kernel(q)
-    corestrict = solve_right(incl, f)
-    if corestrict is None:
-        raise AssertionError("image corestriction must exist")
-    return I, incl, corestrict
+    _, q = cokernel(f)
+    return kernel(q)
 
 
 def is_injective_map(*maps: SerialMorphism) -> bool:

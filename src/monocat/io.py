@@ -29,6 +29,15 @@ def _expect(value, kind, what: str):
     return value
 
 
+def _keys_in(data: dict, names, kind: str) -> dict:
+    """``data`` if each of its keys is the name of a ``kind`` (vertex or
+    arrow) among ``names``, else ValueError."""
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise ValueError(f"keys {unknown} name no {kind} of the quiver")
+    return data
+
+
 def module_from_json(base: SerialBase, data: dict) -> SerialModule:
     parts = _expect(_expect(data, dict, "module")["parts"], list, "module parts")
     for label in parts:
@@ -49,8 +58,13 @@ def morphism_from_json(source: SerialModule, target: SerialModule, data: Optiona
     rows = []
     raw = [] if data is None else _expect(_expect(data, dict, "map").get("entries", []),
                                           list, "map entries")
+    if len(raw) > target.rank:
+        raise ValueError(f"map has {len(raw)} entry rows for {target.rank} target parts")
     for i in range(target.rank):
         row_data = _expect(raw[i], list, "map entry row") if i < len(raw) else []
+        if len(row_data) > source.rank:
+            raise ValueError(f"map entry row {i} has {len(row_data)} cells "
+                             f"for {source.rank} source parts")
         row = []
         for j in range(source.rank):
             cell = row_data[j] if j < len(row_data) else None
@@ -78,11 +92,13 @@ def representation_to_json(r: Representation) -> dict:
 def vertex_modules_from_json(data: dict, base: Optional[SerialBase] = None,
                              quiver: Optional[Quiver] = None):
     """(base, quiver, module at every vertex) of a document; a base or quiver
-    passed in replaces the document's, and absent vertices get zero modules."""
+    passed in replaces the document's, and absent vertices get zero modules.
+    A module key that names no vertex is a ValueError."""
     base = base or base_from_descriptor(_expect(data["base"], dict, "base descriptor"))
     quiver = quiver or quiver_from_descriptor(_expect(data["quiver"], (str, dict),
                                                       "quiver descriptor"))
-    module_data = _expect(data.get("modules", {}), dict, "modules")
+    module_data = _keys_in(_expect(data.get("modules", {}), dict, "modules"),
+                           quiver.vertices, "vertex")
     modules = {
         v: module_from_json(base, module_data.get(v, {"parts": []}))
         for v in quiver.vertices
@@ -94,7 +110,8 @@ def representation_from_json(data: dict, base: Optional[SerialBase] = None,
                              quiver: Optional[Quiver] = None) -> Representation:
     _expect(data, dict, "representation")
     base, quiver, modules = vertex_modules_from_json(data, base, quiver)
-    map_data = _expect(data.get("maps", {}), dict, "maps")
+    map_data = _keys_in(_expect(data.get("maps", {}), dict, "maps"),
+                        [a.name for a in quiver.arrows], "arrow")
     maps = {}
     for a in quiver.arrows:
         maps[a.name] = morphism_from_json(

@@ -1,5 +1,9 @@
 """The minimal monic approximation and the stable-category reduction/transfer.
 
+The stable reduction is the quotient functor mod -> stable mod applied to
+each vertex and arrow; it, its section ``stable_lift`` and the relabelling
+in ``transfer`` are each one change of base ``rep.rebase``.
+
 The approximation of a representation R places, at each vertex k, one copy of
 the injective envelope J_i of ker(in-map at i) for every path from i to k;
 arrow maps shift the path blocks identically, feed R through its own maps,
@@ -21,6 +25,7 @@ from .rep import (
     in_map_data,
     is_mono,
     kopf_modules,
+    rebase,
 )
 from .serialmod import (
     SerialModule,
@@ -31,7 +36,7 @@ from .serialmod import (
     injective_envelope,
     mor_block,
     mor_compose,
-    morphism,
+    rebase_map,
     serial_module,
     zero_module,
     zero_morphism,
@@ -139,82 +144,49 @@ def mimo(r: Representation):
 # -- maximal injective summands and the stable category ------------------------------
 
 
+def _noninjective_positions(r: Representation):
+    """Per vertex, the positions of the non-injective parts of its module."""
+    base = r.base
+    if not (base.is_abelian and base.is_selfinjective):
+        raise ValueError("stripping needs an abelian self-injective backing")
+    return {v: [i for i, p in enumerate(m.parts) if not base.is_injective(p)]
+            for v, m in r.modules.items()}
+
+
 def strip_injective_summands(r: Representation):
     """(R_hat, I) where I collects the injective parts of each vertex module and
     R_hat keeps the non-injective parts with compressed arrow maps.
 
     R_hat is isomorphic to r in the injectively stable image."""
     base = r.base
-    if not (base.is_abelian and base.is_selfinjective):
-        raise ValueError("stripping needs an abelian self-injective backing")
-    kept_mod, kept_pos, dropped = {}, {}, {}
-    for v in r.quiver.vertices:
-        m = r.modules[v]
-        kept_pos[v] = [i for i, p in enumerate(m.parts) if not base.is_injective(p)]
-        kept_mod[v] = serial_module(base, [m.parts[i] for i in kept_pos[v]])
-        dropped[v] = serial_module(base, [p for p in m.parts if base.is_injective(p)])
-    # parts are already split by label in normal form, so the compressed arrow
-    # map is the block on the kept rows and columns
-    maps = {a.name: mor_block(r.maps[a.name], kept_pos[a.target], kept_pos[a.source])
-            for a in r.quiver.arrows}
-    return Representation(r.quiver, base, kept_mod, maps), dropped
+    keep = _noninjective_positions(r)
+    dropped = {v: serial_module(base, [p for p in m.parts if base.is_injective(p)])
+               for v, m in r.modules.items()}
+    return rebase(r, base, keep), dropped
 
 
 def stable_reduce(r: Representation) -> Representation:
-    """Image of r in rep(Q, stable base): drop injective parts vertexwise and
-    reduce every arrow entry modulo morphisms factoring through injectives."""
-    base = r.base
-    st = stable_base(base)
-    hat, _ = strip_injective_summands(r)
-    modules = {v: serial_module(st, hat.modules[v].parts) for v in r.quiver.vertices}
-    maps = {}
-    for a in r.quiver.arrows:
-        src, tgt = modules[a.source], modules[a.target]
-        f = hat.maps[a.name]
-        entries = [
-            [st.reduce_coeff(src.parts[j], tgt.parts[i], f.entries[i][j]) for j in range(src.rank)]
-            for i in range(tgt.rank)
-        ]
-        maps[a.name] = morphism(src, tgt, entries)
-    return Representation(r.quiver, st, modules, maps)
+    """Image of r in rep(Q, stable base): injective parts go to zero and each
+    other arrow entry is reduced modulo maps factoring through injectives,
+    i.e. truncated to the stable hom length."""
+    return rebase(r, stable_base(r.base), _noninjective_positions(r))
 
 
 def stable_reduce_morphism(phi: RepMorphism, r_red: Representation, s_red: Representation) -> RepMorphism:
     """Functorial action of the reduction on a morphism of representations."""
-    st = r_red.base
-    comps = {}
-    for v in phi.source.quiver.vertices:
-        src, tgt = r_red.modules[v], s_red.modules[v]
-        f = phi.components[v]
-        src_pos = [i for i, p in enumerate(phi.source.modules[v].parts) if not phi.source.base.is_injective(p)]
-        tgt_pos = [i for i, p in enumerate(phi.target.modules[v].parts) if not phi.target.base.is_injective(p)]
-        entries = [
-            [st.reduce_coeff(src.parts[j], tgt.parts[i], f.entries[tgt_pos[i]][src_pos[j]])
-             for j in range(src.rank)]
-            for i in range(tgt.rank)
-        ]
-        comps[v] = morphism(src, tgt, entries)
+    src_pos, tgt_pos = _noninjective_positions(phi.source), _noninjective_positions(phi.target)
+    comps = {v: rebase_map(f, r_red.modules[v], s_red.modules[v], tgt_pos[v], src_pos[v])
+             for v, f in phi.components.items()}
     return RepMorphism(r_red, s_red, comps, check=False)
 
 
 def stable_lift(s: Representation) -> Representation:
-    """Lift along the fixed section: labels are kept, coefficients' digits are
-    kept verbatim.  stable_reduce(stable_lift(s)) equals s exactly."""
+    """Lift along the fixed section ``of.coeff``: labels and coefficients'
+    digits are kept.  stable_reduce(stable_lift(s)) equals s exactly."""
     st = s.base
     if not isinstance(st, StableBase):
         raise ValueError("stable_lift expects a representation over a stable backing")
-    base = st.of
-    modules = {v: serial_module(base, s.modules[v].parts) for v in s.quiver.vertices}
-    maps = {}
-    for a in s.quiver.arrows:
-        src, tgt = modules[a.source], modules[a.target]
-        f = s.maps[a.name]
-        entries = [
-            [st.lift_coeff(src.parts[j], tgt.parts[i], f.entries[i][j]) for j in range(src.rank)]
-            for i in range(tgt.rank)
-        ]
-        maps[a.name] = morphism(src, tgt, entries)
-    return Representation(s.quiver, base, modules, maps)
+    return rebase(s, st.of)
 
 
 def mimo_from_stable(s: Representation) -> Representation:
@@ -244,9 +216,9 @@ def transfer(r: Representation, target: SerialBase) -> Representation:
     characteristic and equal Loewy length n <= 3.
 
     Injective representations map to the path-indexed representation of the
-    relabeled socle data; all other monic representations go through the
-    stable category, relabel M_i -> N_i and generators verbatim, and return
-    through the minimal monic approximation."""
+    relabeled socle data; all other monic representations are reduced to the
+    stable category, changed to the target's (``rep.rebase``: M_i -> N_i,
+    digits verbatim) and returned through the minimal monic approximation."""
     base = r.base
     if base.backing != CHAIN or target.backing != CHAIN:
         raise ValueError("transfer is defined between chain-ring backings")
@@ -264,17 +236,4 @@ def transfer(r: Representation, target: SerialBase) -> Representation:
         modules = {v: serial_module(target, m.parts) for v, m in j.items()}
         return f_shriek(target, r.quiver, modules)
 
-    s = stable_reduce(r)
-    st_target = stable_base(target)
-    modules = {v: serial_module(st_target, s.modules[v].parts) for v in r.quiver.vertices}
-    maps = {}
-    for a in r.quiver.arrows:
-        src, tgt = modules[a.source], modules[a.target]
-        f = s.maps[a.name]
-        entries = [
-            [st_target.ring.elem(f.entries[i][j].digits) for j in range(src.rank)]
-            for i in range(tgt.rank)
-        ]
-        maps[a.name] = morphism(src, tgt, entries)
-    relabeled = Representation(r.quiver, st_target, modules, maps)
-    return mimo_from_stable(relabeled)
+    return mimo_from_stable(rebase(stable_reduce(r), stable_base(target)))

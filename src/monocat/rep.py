@@ -37,9 +37,11 @@ from .serialmod import (
     assemble,
     direct_sum,
     identity_morphism,
+    mor_block,
     mor_compose,
     mor_direct_sum,
     mor_equal,
+    rebase_map,
     serial_module,
     zero_module,
     zero_morphism,
@@ -137,6 +139,27 @@ def rep_direct_sum(r: Representation, s: Representation) -> Representation:
     base = r.base
     modules = {v: direct_sum(base, [r.modules[v], s.modules[v]])[0] for v in r.quiver.vertices}
     maps = {a.name: mor_direct_sum(base, [r.maps[a.name], s.maps[a.name]]) for a in r.quiver.arrows}
+    return Representation(r.quiver, base, modules, maps)
+
+
+def rebase(r: Representation, base: SerialBase, keep=None) -> Representation:
+    """r over ``base``: the parts at the increasing positions ``keep[v]`` (all
+    by default) and the matching arrow-map blocks, digits copied by
+    ``serialmod.rebase_map``; over r's own base, ``mor_block``.  The kept
+    labels must keep their normal-form order over ``base``, as between a
+    backing and its stable quotient or chain rings of equal Loewy length."""
+    if keep is None:
+        keep = {v: range(m.rank) for v, m in r.modules.items()}
+    parts = {v: tuple(r.modules[v].parts[i] for i in keep[v]) for v in r.quiver.vertices}
+    if base is r.base:
+        modules = {v: SerialModule(base, ps) for v, ps in parts.items()}
+        maps = {a.name: mor_block(r.maps[a.name], keep[a.target], keep[a.source])
+                for a in r.quiver.arrows}
+    else:
+        modules = {v: serial_module(base, ps) for v, ps in parts.items()}
+        maps = {a.name: rebase_map(r.maps[a.name], modules[a.source], modules[a.target],
+                                   keep[a.target], keep[a.source])
+                for a in r.quiver.arrows}
     return Representation(r.quiver, base, modules, maps)
 
 

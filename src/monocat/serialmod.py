@@ -214,6 +214,16 @@ def mor_block(f: SerialMorphism, rows: Sequence[int], cols: Sequence[int]) -> Se
     return SerialMorphism(source, target, tuple(tuple(f.entries[i][j] for j in cols) for i in rows))
 
 
+def rebase_map(f: SerialMorphism, source: SerialModule, target: SerialModule,
+               rows: Sequence[int], cols: Sequence[int]) -> SerialMorphism:
+    """The block of f on ``rows`` x ``cols`` as a map source -> target over
+    another base: each coefficient's digits are copied (its number read in
+    the new coefficient ring) and ``morphism`` canonicalises the entry for
+    the new hom length.  Over the same base ``mor_block`` is the copy."""
+    elem = target.base.ring.from_int
+    return morphism(source, target, [[elem(f.entries[i][j].num) for j in cols] for i in rows])
+
+
 # -- concrete elements (used by oracles and exhaustive checks) ------------------
 
 

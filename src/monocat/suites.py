@@ -7,11 +7,12 @@ the acceptance tests share these implementations.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
 from importlib import resources
-from typing import Dict, List
+from typing import List
 
 from .base import chain_base, rad2nak_base, stable_base
 from .decompose import decompose, is_indecomposable
@@ -149,18 +150,13 @@ def suite_a3(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
                    unmatched_computed=len(extra), unmatched_reference=len(missing))
 
 
-_A4_CACHE: Dict[tuple, dict] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _a4_verify(margin: int, budget: int) -> dict:
-    key = (margin,)
-    if key not in _A4_CACHE:
-        base = chain_base("poly", 2, 3)
-        quiver = builtin_quiver("An-linear:3")
-        table = _load_data("a3_loewy3_length_vectors.json")["vectors"]
-        _A4_CACHE[key] = verify_length_vector_table(quiver, base, table,
-                                                    margin=margin, budget=budget)
-    return _A4_CACHE[key]
+    """The length-vector sweep over the A3 table, once per (margin, budget)."""
+    base = chain_base("poly", 2, 3)
+    quiver = builtin_quiver("An-linear:3")
+    table = _load_data("a3_loewy3_length_vectors.json")["vectors"]
+    return verify_length_vector_table(quiver, base, table, margin=margin, budget=budget)
 
 
 def suite_a4(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:

@@ -11,7 +11,9 @@ import os
 
 import pytest
 
-from monocat.suites import run_suite
+from monocat.enumerate import DEFAULT_ENUM_BUDGET
+from monocat.rep import BudgetExceeded
+from monocat.suites import _a4_verify, run_suite
 
 FULL = os.environ.get("MONOCAT_FULL") == "1"
 
@@ -83,3 +85,10 @@ def test_p3_minimal_approximation_contract():
 def test_p4_stable_reduction_epivalence():
     result = _run("p4")
     assert result["ok"], result["details"]
+
+
+def test_a4_sweep_is_cached_per_budget():
+    assert _a4_verify(0, DEFAULT_ENUM_BUDGET) is _a4_verify(0, DEFAULT_ENUM_BUDGET)
+    # a cache keyed by the margin alone returned the default-budget sweep here
+    with pytest.raises(BudgetExceeded):
+        _a4_verify(0, 1)

@@ -181,6 +181,33 @@ def test_cli_fshriek_modules_list_is_input_error(tmp_path, capsys):
     assert "input must be a JSON object" in capsys.readouterr().err
 
 
+_K = {"coeff": [1, 0]}
+_K_TO_K = {"base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2}, "quiver": "An-linear:2",
+           "modules": {"1": {"parts": ["M1"]}, "2": {"parts": ["M1"]}},
+           "maps": {"a1": {"entries": [[_K]]}}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"maps": {"a": {"entries": [[_K]]}}}, "name no arrow"),
+    ({"modules": {"1": {"parts": ["M1"]}, "2": {"parts": ["M1"]}, "3": {"parts": ["M1"]}}},
+     "name no vertex"),
+    ({"maps": {"a1": {"entries": [[_K, _K]]}}}, "cells for 1 source parts"),
+    ({"maps": {"a1": {"entries": [[_K], [_K]]}}}, "entry rows for 1 target parts"),
+])
+def test_cli_decompose_unknown_key_or_overlong_map_is_input_error(tmp_path, capsys, change, message):
+    # each of these documents used to decompose silently as something else
+    assert main(["decompose", "-i", _write_json(tmp_path, _K_TO_K)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["factors"]) == 1
+    assert main(["decompose", "-i", _write_json(tmp_path, {**_K_TO_K, **change})]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_short_map_rows_read_as_zeros():
+    rep = mio.representation_from_json({**_K_TO_K, "maps": {"a1": {"entries": [[]]}}})
+    assert rep.maps["a1"].is_zero()
+    assert mio.representation_from_json({**_K_TO_K, "maps": {}}) == rep
+
+
 def test_cli_quiver_vertices_not_list_is_input_error(tmp_path, capsys):
     path = _write_json(tmp_path, {"base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2},
                                   "quiver": {"vertices": 5, "arrows": []}, "modules": {}, "maps": {}})

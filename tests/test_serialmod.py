@@ -185,7 +185,7 @@ def test_exactness_random():
             f = hom_space(a, b).random(rng)
             K, incl = kernel(f)
             C, proj = cokernel(f)
-            I, iincl, cor = image(f)
+            I, iincl = image(f)
             assert mor_compose(f, incl).is_zero()
             assert mor_compose(proj, f).is_zero()
             assert is_injective_map(incl)
@@ -194,7 +194,7 @@ def test_exactness_random():
             KC, _ = kernel(proj)
             assert KC == I
             assert a.length() == K.length() + I.length()
-            assert mor_equal(mor_compose(iincl, cor), f)
+            assert solve_right(iincl, f) is not None
 
 
 def test_injective_surjective_iso_flags():
@@ -239,7 +239,7 @@ def test_rad2nak_exactness_random():
         C, proj = cokernel(f)
         assert mor_compose(f, incl).is_zero()
         assert mor_compose(proj, f).is_zero()
-        I, _, _ = image(f)
+        I, _ = image(f)
         assert a.length() == K.length() + I.length()
         KC, _ = kernel(proj)
         assert KC == I

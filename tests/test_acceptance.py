@@ -89,6 +89,6 @@ def test_p4_stable_reduction_epivalence():
 
 def test_a4_sweep_is_cached_per_budget():
     assert _a4_verify(0, DEFAULT_ENUM_BUDGET) is _a4_verify(0, DEFAULT_ENUM_BUDGET)
-    # a cache keyed by the margin alone returned the default-budget sweep here
+    # the budget is part of the key: a tighter budget is not answered from the default sweep
     with pytest.raises(BudgetExceeded):
         _a4_verify(0, 1)

@@ -195,7 +195,7 @@ _K_TO_K = {"base": {"kind": "chain", "arith": "poly", "p": 2, "n": 2}, "quiver":
     ({"maps": {"a1": {"entries": [[_K], [_K]]}}}, "entry rows for 1 target parts"),
 ])
 def test_cli_decompose_unknown_key_or_overlong_map_is_input_error(tmp_path, capsys, change, message):
-    # each of these documents used to decompose silently as something else
+    # the document without the change is valid; each change must be refused, not read as another map
     assert main(["decompose", "-i", _write_json(tmp_path, _K_TO_K)]) == 0
     assert len(json.loads(capsys.readouterr().out)["factors"]) == 1
     assert main(["decompose", "-i", _write_json(tmp_path, {**_K_TO_K, **change})]) == 2

@@ -19,6 +19,10 @@ nilpotent, i.e. a local endomorphism ring), so every factor, cut out by
 coordinates or not, has been through that scan.  Equal factors are grouped
 by ``rep.is_iso_reps`` under the same budget, ``rep.DEFAULT_BUDGET`` by
 default.
+
+``_residue_witness`` is memoized by (representation, budget) with
+``serialmod.memo``; a representation hashes by value, and the witness it
+returns is shared between equal calls and never mutated.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .rep import (
     rebase,
     rep_morphism_compose,
 )
-from .serialmod import assemble, mor_compose
+from .serialmod import assemble, memo, mor_compose
 
 
 def coordinate_components(arrows, offsets, size, maps) -> Optional[List[List[int]]]:
@@ -154,6 +158,7 @@ def fitting_split(r: Representation, phi: RepMorphism):
     return k_rep, i_rep
 
 
+@memo
 def _residue_witness(r: Representation, budget: int):
     """A lifted endomorphism of r whose residue blocks are neither all
     invertible nor all nilpotent, or None when End(r) is local.

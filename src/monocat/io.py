@@ -38,10 +38,18 @@ def _keys_in(data: dict, names, kind: str) -> dict:
     return data
 
 
-def module_from_json(base: SerialBase, data: dict) -> SerialModule:
-    parts = _expect(_expect(data, dict, "module")["parts"], list, "module parts")
+def _field(data: dict, key: str, what: str):
+    """``data[key]``, else ValueError naming the key and ``what`` lacks it."""
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} key")
+    return data[key]
+
+
+def module_from_json(base: SerialBase, data: dict, what: str = "module") -> SerialModule:
+    """The module of ``data``; ``what`` names it in errors (say, the vertex)."""
+    parts = _expect(_field(_expect(data, dict, what), "parts", what), list, f"{what} parts")
     for label in parts:
-        _expect(label, str, "module part label")
+        _expect(label, str, f"{what} part label")
     return serial_module(base, parts)
 
 
@@ -52,31 +60,34 @@ def morphism_to_json(f: SerialMorphism) -> dict:
     return {"entries": entries}
 
 
-def morphism_from_json(source: SerialModule, target: SerialModule, data: Optional[dict]) -> SerialMorphism:
+def morphism_from_json(source: SerialModule, target: SerialModule, data: Optional[dict],
+                       what: str = "map") -> SerialMorphism:
+    """The map of ``data`` (None: zero); ``what`` names it in errors (say, the arrow)."""
     base = source.base
     zero = base.ring.zero
     rows = []
-    raw = [] if data is None else _expect(_expect(data, dict, "map").get("entries", []),
-                                          list, "map entries")
+    raw = [] if data is None else _expect(_expect(data, dict, what).get("entries", []),
+                                          list, f"{what} entries")
     if len(raw) > target.rank:
-        raise ValueError(f"map has {len(raw)} entry rows for {target.rank} target parts")
+        raise ValueError(f"{what} has {len(raw)} entry rows for {target.rank} target parts")
     for i in range(target.rank):
-        row_data = _expect(raw[i], list, "map entry row") if i < len(raw) else []
+        row_data = _expect(raw[i], list, f"{what} entry row") if i < len(raw) else []
         if len(row_data) > source.rank:
-            raise ValueError(f"map entry row {i} has {len(row_data)} cells "
+            raise ValueError(f"{what} entry row {i} has {len(row_data)} cells "
                              f"for {source.rank} source parts")
         row = []
         for j in range(source.rank):
             cell = row_data[j] if j < len(row_data) else None
-            row.append(zero if cell is None else _coeff_from_json(base.ring, cell))
+            row.append(zero if cell is None
+                       else _coeff_from_json(base.ring, cell, f"{what} entry ({i}, {j})"))
         rows.append(row)
     return morphism(source, target, rows)
 
 
-def _coeff_from_json(ring, cell):
-    digits = _expect(_expect(cell, dict, "map entry")["coeff"], list, "coefficient")
+def _coeff_from_json(ring, cell, what: str):
+    digits = _expect(_field(_expect(cell, dict, what), "coeff", what), list, f"{what} coefficient")
     for d in digits:
-        _expect(d, int, "coefficient digit")
+        _expect(d, int, f"{what} coefficient digit")
     return ring.elem(digits)
 
 
@@ -100,7 +111,7 @@ def vertex_modules_from_json(data: dict, base: Optional[SerialBase] = None,
     module_data = _keys_in(_expect(data.get("modules", {}), dict, "modules"),
                            quiver.vertices, "vertex")
     modules = {
-        v: module_from_json(base, module_data.get(v, {"parts": []}))
+        v: module_from_json(base, module_data.get(v, {"parts": []}), f"module at vertex {v}")
         for v in quiver.vertices
     }
     return base, quiver, modules
@@ -115,7 +126,7 @@ def representation_from_json(data: dict, base: Optional[SerialBase] = None,
     maps = {}
     for a in quiver.arrows:
         maps[a.name] = morphism_from_json(
-            modules[a.source], modules[a.target], map_data.get(a.name)
+            modules[a.source], modules[a.target], map_data.get(a.name), f"map of arrow {a.name}"
         )
     return Representation(quiver, base, modules, maps)
 

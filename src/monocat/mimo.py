@@ -9,7 +9,9 @@ the injective envelope J_i of ker(in-map at i) for every path from i to k;
 arrow maps shift the path blocks identically, feed R through its own maps,
 and route R into the new envelope block through a chosen lift of the
 envelope embedding.  The projection onto the original representation is a
-minimal right approximation by monic representations.
+minimal right approximation by monic representations.  ``mimo`` is memoized
+by the value of its argument with ``serialmod.memo``: the pair it returns is
+shared between equal calls and is never mutated.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .serialmod import (
     direct_sum,
     identity_morphism,
     injective_envelope,
+    memo,
     mor_block,
     mor_compose,
     rebase_map,
@@ -135,8 +138,9 @@ def _minimal_envelope_data(in_data):
     return out
 
 
+@memo
 def mimo(r: Representation):
-    """Minimal monic approximation (M, p: M -> r)."""
+    """Minimal monic approximation (M, p: M -> r), memoized by the value of r."""
     in_data = _in_map_kernels(r)
     return _mo(r, _minimal_envelope_data(in_data), in_data)
 

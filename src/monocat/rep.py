@@ -5,7 +5,14 @@ adjoint of the forgetful functor, hom spaces (the kernel of
 phi -> (phi_t o R_a - S_a o phi_s)_a, built as an ``exact.HomSystem``),
 partition vectors, and the residue scan ``ResidueSpace.first``: the one
 place where isomorphism here and locality of End(R) in ``decompose`` are
-decided, under the one default budget ``DEFAULT_BUDGET``.
+decided, under the one default budget ``DEFAULT_BUDGET``.  Equal
+representations are isomorphic through the identity, which ``find_iso_reps``
+returns without building a hom space.
+
+A ``Representation`` compares and hashes by value (quiver, base, vertex
+modules and arrow maps), so ``serialmod.memo`` caches functions of it.
+Nothing mutates the ``modules`` or ``maps`` of a representation, or the
+``components`` of a morphism, once built.
 
 Matrix conventions: columns index source parts and composition g o f is the
 matrix product g * f.
@@ -88,6 +95,11 @@ class Representation:
             and self.modules == other.modules
             and all(mor_equal(self.maps[a], other.maps[a]) for a in self.maps)
         )
+
+    def __hash__(self):
+        return hash((self.quiver, self.base,
+                     tuple(self.modules[v] for v in self.quiver.vertices),
+                     tuple(self.maps[a.name] for a in self.quiver.arrows)))
 
     def __repr__(self):
         mods = ", ".join(f"{v}:{self.modules[v]}" for v in self.quiver.vertices)
@@ -380,9 +392,12 @@ class ResidueSpace:
 def find_iso_reps(r: Representation, s: Representation,
                   budget: int = DEFAULT_BUDGET) -> Tuple[bool, Optional[RepMorphism], str]:
     """(found, witness, 'exhaustive'): an isomorphism r -> s is a morphism
-    whose residue blocks are all invertible over F_p."""
+    whose residue blocks are all invertible over F_p.  Equal representations
+    are answered with the identity, with no hom space built."""
     if any(r.modules[v] != s.modules.get(v) for v in r.quiver.vertices):
         return False, None, "exhaustive"
+    if r == s:
+        return True, rep_identity(r), "exhaustive"
     p = r.base.ring.p
     phi = ResidueSpace(hom_reps(r, s)).first(lambda mats: all(_fp_invertible(p, m) for m in mats),
                                              budget)

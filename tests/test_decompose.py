@@ -163,9 +163,12 @@ def test_indecomposable_matches_endomorphism_scan(arith, quiver_name):
 
 
 def _counting(monkeypatch, name):
-    """Replace decompose.<name> by a wrapper recording its arguments."""
+    """Replace decompose.<name> by a wrapper recording its arguments.  The
+    memo of _residue_witness is emptied first, so every connected node
+    solves its endomorphism ring again."""
     import monocat.decompose as dec
 
+    dec._residue_witness.cache_clear()
     calls = []
     real = getattr(dec, name)
 

@@ -202,6 +202,17 @@ def test_cli_decompose_unknown_key_or_overlong_map_is_input_error(tmp_path, caps
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"modules": {"1": {"prts": ["M1"]}, "2": {"parts": ["M1"]}}},
+     "module at vertex 1 has no 'parts' key"),
+    ({"maps": {"a1": {"entries": [[{"digits": [1]}]]}}},
+     "map of arrow a1 entry (0, 0) has no 'coeff' key"),
+])
+def test_cli_decompose_missing_key_names_its_place(tmp_path, capsys, change, message):
+    assert main(["decompose", "-i", _write_json(tmp_path, {**_K_TO_K, **change})]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_short_map_rows_read_as_zeros():
     rep = mio.representation_from_json({**_K_TO_K, "maps": {"a1": {"entries": [[]]}}})
     assert rep.maps["a1"].is_zero()

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from monocat import io as mio
 from monocat.base import chain_base, rad2nak_base, stable_base
-from monocat.decompose import is_indecomposable
+from monocat.decompose import _residue_witness, is_indecomposable
 from monocat.mimo import (
     injective_rep_recognize,
     mimo,
@@ -16,6 +17,7 @@ from monocat.mimo import (
 )
 from monocat.quiver import builtin_quiver
 from monocat.rep import (
+    DEFAULT_BUDGET,
     Representation,
     f_shriek,
     hom_reps,
@@ -28,6 +30,7 @@ from monocat.rep import (
     vertex_module,
 )
 from monocat.serialmod import (
+    MEMO_SIZE,
     hom_space,
     mor_equal,
     morphism,
@@ -88,6 +91,7 @@ def test_mimo_takes_each_in_map_kernel_once(monkeypatch):
     import monocat.mimo as mimo_mod
 
     r = random_representation(B3P, A2, random.Random(3))
+    mimo.cache_clear()  # a cached approximation would take no kernel at all
     calls = []
     kernel = mimo_mod.kernel
     monkeypatch.setattr(mimo_mod, "kernel", lambda f: calls.append(f) or kernel(f))
@@ -280,3 +284,59 @@ def test_stable_reduce_is_functorial():
         for a in A2.arrows:
             assert mor_equal(mor_compose(red.components[a.target], rr.maps[a.name]),
                              mor_compose(sr.maps[a.name], red.components[a.source]))
+
+
+# -- memoized by representation value ----------------------------------------------
+
+REP_MEMO_BASES = [B3I, B3P, rad2nak_base(2, 3)]
+REP_MEMO_IDS = ["chain-int", "chain-poly", "rad2nak"]
+
+
+def _components(phi):
+    return None if phi is None else phi.components
+
+
+@pytest.mark.parametrize("base", REP_MEMO_BASES, ids=REP_MEMO_IDS)
+def test_rep_memos_equal_their_uncached_results(base):
+    """mimo and _residue_witness equal what the undecorated functions build,
+    on a first call and on a repeat."""
+    rng = random.Random(23)
+    for quiver in (A2, builtin_quiver("A4-zigzag"), builtin_quiver("D4")):
+        for _ in range(8):
+            r = random_representation(base, quiver, rng)
+            m, p = mimo.__wrapped__(r)
+            for _ in range(2):
+                m_memo, p_memo = mimo(r)
+                assert m_memo == m and p_memo.source == m and p_memo.target == r
+                assert p_memo.components == p.components
+            for s in (r, m):
+                fresh = _components(_residue_witness.__wrapped__(s, DEFAULT_BUDGET))
+                for _ in range(2):
+                    assert _components(_residue_witness(s, DEFAULT_BUDGET)) == fresh
+
+
+@pytest.mark.parametrize("base", REP_MEMO_BASES, ids=REP_MEMO_IDS)
+def test_equal_representations_hash_equal(base):
+    rng = random.Random(29)
+    for quiver in (A2, builtin_quiver("kronecker")):
+        for _ in range(6):
+            r = random_representation(base, quiver, rng)
+            copy = Representation(r.quiver, r.base, dict(r.modules), dict(r.maps))
+            back = mio.representation_from_json(mio.representation_to_json(r))
+            assert back.quiver is not r.quiver
+            for s in (copy, back):
+                assert s == r and hash(s) == hash(r)
+            assert mimo(back) is mimo(r)
+
+
+def test_mimo_over_a_stable_backing_raises_on_every_call():
+    st = stable_base(B3I)
+    r = Representation(A2, st, {"1": serial_module(st, [st.labels[0]])}, {})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="self-injective"):
+            mimo(r)
+
+
+@pytest.mark.parametrize("fn", [mimo, _residue_witness], ids=lambda fn: fn.__name__)
+def test_rep_memos_share_the_module_memo_size(fn):
+    assert fn.cache_info().maxsize == MEMO_SIZE

@@ -250,6 +250,20 @@ def test_kopf_detects_isos_on_mono():
     assert found > 5
 
 
+def _conjugate_at(r, v, g, g_inv):
+    """r moved by the automorphism g of its module at v: g o f on the arrows
+    into v, f o g^-1 on the arrows out of it."""
+    maps = {}
+    for a in r.quiver.arrows:
+        f = r.maps[a.name]
+        if a.target == v:
+            f = mor_compose(g, f)
+        if a.source == v:
+            f = mor_compose(f, g_inv)
+        maps[a.name] = f
+    return Representation(r.quiver, r.base, r.modules, maps)
+
+
 def test_is_iso_reps_positive_and_negative():
     rng = random.Random(5)
     r = random_representation(B3, A2, rng)
@@ -258,6 +272,28 @@ def test_is_iso_reps_positive_and_negative():
     assert not is_iso_reps(r, s)
     ok, witness, cert = find_iso_reps(s, rep_direct_sum(r, r))
     assert ok and witness.is_iso()
+    # isomorphic but not equal: the residue scan, not the identity, decides
+    # this decomposable pair
+    moved = (_conjugate_at(s, "2", g, g_inv) for g, g_inv in automorphism_generators(s.modules["2"]))
+    t = next(t for t in moved if t != s)
+    ok, witness, cert = find_iso_reps(s, t, budget=1 << 10)
+    assert ok and cert == "exhaustive" and witness.is_iso()
+    RepMorphism(s, t, witness.components, check=True)
+    assert any(not mor_equal(f, identity_morphism(f.source)) for f in witness.components.values())
+
+
+def test_equal_representations_answer_with_the_identity():
+    """An equal pair needs no hom space: the identity is the witness, even at
+    a budget that could not scan any residue space."""
+    rng = random.Random(8)
+    for base in (B3, rad2nak_base(2, 2), stable_base(B3)):
+        r = random_representation(base, A3, rng)
+        copy = Representation(r.quiver, r.base, dict(r.modules), dict(r.maps))
+        ok, witness, cert = find_iso_reps(r, copy, budget=1)
+        assert ok and cert == "exhaustive"
+        RepMorphism(r, copy, witness.components, check=True)
+        assert all(mor_equal(f, identity_morphism(r.modules[v]))
+                   for v, f in witness.components.items())
 
 
 def test_undecided_iso_raises_budget_exceeded():

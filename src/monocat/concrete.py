@@ -1,9 +1,16 @@
 """Concrete element-level model of chain-backed modules.
 
 Elements are interned to integer indices; submodules are bitmasks over the
-element list, which makes subset tests and lattice walks cheap.  Used as the
-independent oracle for exhaustive enumeration (monic chains of submodules)
-and for validating the hom calculus against honest function composition.
+element list, which makes subset tests and lattice walks cheap.  It is the
+engine of the linear monic sweep (Aut(V)-orbits of submodule chains of the
+sink V) and checks the hom calculus against function composition.
+
+An element of V = (+)_i Lambda/pi^{l_i} is numbered by mixed radix: part 0
+is the most significant digit, each part's digit its ring number
+``to_int()``, so the tables are built part by part from the ring's tables.
+Submodules are walked upward from 0 by simple extensions: a nonzero T has a
+maximal S with T/S = F_p, and any x in T - S has pi*x in S and gives T as
+the union of the cosets kx + S, 0 <= k < p.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ class ConcreteModule:
         self.index: Dict[tuple, int] = {e: i for i, e in enumerate(self.elements)}
         self.size = len(self.elements)
         self.zero = self.index[tuple(self.ring.zero for _ in module.parts)]
+        self.part_lengths = [base.length(p) for p in module.parts]
         self._add_table = None
         self._scalar_table = None
         self._inclusion_cache = {}
@@ -46,33 +54,29 @@ class ConcreteModule:
         self._idempotents = None
         self._kept = {}
 
-    def _lengths(self):
-        return [self.base.length(p) for p in self.module.parts]
-
     def build_tables(self):
+        """``_add_table[i][j]``: the index of element i + element j;
+        ``_scalar_table[c.digits][i]``: of c * element i."""
         if self._add_table is not None:
             return
-        lengths = self._lengths()
-        self._add_table = [
-            [
-                self.index[tuple((x + y).truncate(l) for x, y, l in zip(self.elements[i], self.elements[j], lengths))]
-                for j in range(self.size)
-            ]
-            for i in range(self.size)
-        ]
-        self._scalar_table = {}
-        for c in self.ring.elements():
-            self._scalar_table[c.digits] = [
-                self.index[tuple((c * x).truncate(l) for x, l in zip(self.elements[i], lengths))]
-                for i in range(self.size)
-            ]
+        tab, numbers = self.ring.tables, range(self.ring.size)
+        add, scalar, width = [[0]], [[0] for _ in numbers], 1
+        for l in reversed(self.part_lengths):
+            # (a, r), a in this part and r in the later ones, has index a * width + r
+            part, trunc = range(self.ring.p ** l), tab.trunc[l]
+            add = [[u + y for u in shifts for y in row]
+                   for shifts in ([trunc[tab.add[a][b]] * width for b in part] for a in part)
+                   for row in add]
+            scalar = [[trunc[tab.mul[c][a]] * width + y for a in part for y in scalar[c]]
+                      for c in numbers]
+            width *= len(part)
+        self._add_table = add
+        self._scalar_table = {c.digits: scalar[c.num] for c in self.ring.elements()}
 
     def order_of(self, i: int) -> int:
         """Smallest d with pi^d * element = 0."""
-        e = self.elements[i]
-        lengths = self._lengths()
         d = 0
-        for x, l in zip(e, lengths):
+        for x, l in zip(self.elements[i], self.part_lengths):
             if not x.is_zero():
                 d = max(d, l - x.valuation())
         return d
@@ -116,25 +120,37 @@ class ConcreteModule:
         return out
 
     def submodules(self) -> List[int]:
-        """All submodule bitmasks, by closure of joins with cyclic submodules."""
+        """All submodule bitmasks, sorted, by the walk of simple extensions
+        (module docstring); an x in an extension of S already built is skipped."""
         self.build_tables()
+        add, p = self._add_table, self.ring.p
+        bits = [1 << x for x in range(self.size)]
+        # preimages[y]: mask of the x with pi*x = y
+        preimages = [0] * self.size
+        for x, y in enumerate(self._scalar_table[self.ring.pi.digits]):
+            preimages[y] |= bits[x]
         zero_mask = 1 << self.zero
-        cyclics = set()
-        for g in range(self.size):
-            cyclics.add(self.span(zero_mask, g))
         subs = {zero_mask}
         frontier = [zero_mask]
-        cyc_list = sorted(cyclics)
         while frontier:
-            s = frontier.pop()
-            for c in cyc_list:
-                if c & ~s == 0:
-                    continue
-                gen = (c & ~s).bit_length() - 1
-                joined = self.span(s, gen)
-                if joined not in subs:
-                    subs.add(joined)
-                    frontier.append(joined)
+            s_mask = frontier.pop()
+            elements = self.mask_elements(s_mask)
+            fresh = 0
+            for y in elements:
+                fresh |= preimages[y]
+            fresh &= ~s_mask
+            while fresh:
+                x = (fresh & -fresh).bit_length() - 1
+                t_mask, kx = s_mask, x
+                for _ in range(p - 1):
+                    # y -> kx + y is injective, so the coset's bits are distinct
+                    row = add[kx]
+                    t_mask |= sum([bits[row[y]] for y in elements])
+                    kx = row[x]
+                fresh &= ~t_mask
+                if t_mask not in subs:
+                    subs.add(t_mask)
+                    frontier.append(t_mask)
         return sorted(subs)
 
     def mask_elements(self, mask: int) -> List[int]:
@@ -284,13 +300,12 @@ class ConcreteModule:
             return result
         cover = serial_module(base, labels)
         order = sorted(range(len(gens)), key=lambda k: (base.label_sort_key(labels[k]), k))
-        lengths = self._lengths()
         cols = []
         for k in order:
             g = self.elements[gens[k]]
             d = self.order_of(gens[k])
             col = []
-            for x, l in zip(g, lengths):
+            for x, l in zip(g, self.part_lengths):
                 shift = max(0, l - d)
                 if x.valuation() < shift:
                     raise AssertionError("generator component not divisible")

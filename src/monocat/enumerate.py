@@ -355,8 +355,7 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
         # submodule; at the source vertex that submodule splits off a
         # path-indexed summand (the retraction restricts to every member
         # above it), so such chains are decomposable
-        has_injective = {m: any(conc.order_of(i) == n for i in conc.mask_elements(m))
-                         for m in subs}
+        full_order = sum(1 << i for i in range(conc.size) if conc.order_of(i) == n)
 
         def chains(position: int, upper_mask: int):
             # position counts how many proper submodules remain to be chosen;
@@ -368,7 +367,7 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                 if (
                     lengths[m] <= caps[order[position - 1]]
                     and (m & ~upper_mask) == 0
-                    and not (n > 1 and position == 1 and has_injective[m])
+                    and not (n > 1 and position == 1 and m & full_order)
                 ):
                     for rest in chains(position - 1, m):
                         yield rest + (m,)
@@ -382,7 +381,7 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
             for m2 in subs:
                 if lengths[m2] > caps[order[-2]]:
                     continue
-                if k == 2 and n > 1 and has_injective[m2]:
+                if k == 2 and n > 1 and m2 & full_order:
                     continue
                 # a socle element of the sink outside S_{k-1} + rad(sink)
                 # splits off a simple summand concentrated at the sink, so

@@ -105,9 +105,10 @@ def vertex_modules_from_json(data: dict, base: Optional[SerialBase] = None,
     """(base, quiver, module at every vertex) of a document; a base or quiver
     passed in replaces the document's, and absent vertices get zero modules.
     A module key that names no vertex is a ValueError."""
-    base = base or base_from_descriptor(_expect(data["base"], dict, "base descriptor"))
-    quiver = quiver or quiver_from_descriptor(_expect(data["quiver"], (str, dict),
-                                                      "quiver descriptor"))
+    base = base or base_from_descriptor(_expect(_field(data, "base", "document"), dict,
+                                                "base descriptor"))
+    quiver = quiver or quiver_from_descriptor(_expect(_field(data, "quiver", "document"),
+                                                      (str, dict), "quiver descriptor"))
     module_data = _keys_in(_expect(data.get("modules", {}), dict, "modules"),
                            quiver.vertices, "vertex")
     modules = {

@@ -1,0 +1,136 @@
+"""The element-level model of ``concrete``: its tables against their
+element-wise definition, and its submodule lattice against Birkhoff's count
+of the submodules of each type."""
+
+from collections import Counter
+import itertools
+
+import pytest
+
+from monocat.base import chain_base
+from monocat.concrete import ConcreteModule
+from monocat.enumerate import modules_up_to_length
+from monocat.serialmod import serial_module
+
+
+# (arith, p, n, parts): the zero module, single parts and mixed sums
+TABLE_CASES = [
+    (arith, p, n, parts)
+    for arith in ("int", "poly")
+    for p, n, part_lists in (
+        (2, 3, ([], ["M1"], ["M3"], ["M3", "M1"], ["M2", "M2", "M1"])),
+        (3, 2, ([], ["M2"], ["M2", "M1"], ["M1", "M1"])),
+        (5, 2, ([], ["M1"], ["M2"], ["M2", "M1"])),
+    )
+    for parts in part_lists
+]
+
+
+@pytest.mark.parametrize("arith,p,n,parts", TABLE_CASES)
+def test_tables_are_the_elementwise_operations(arith, p, n, parts):
+    """An element's index is its mixed-radix number (part 0 most
+    significant, each part's digit its ring number), and both tables are
+    tuple addition and scalar multiplication truncated per part, read back
+    through the index."""
+    conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
+    lengths = [int(label[1:]) for label in parts]
+    for e, i in conc.index.items():
+        number = 0
+        for x, length in zip(e, lengths):
+            number = number * p ** length + x.to_int()
+        assert i == number
+    assert conc.size == p ** sum(lengths)
+
+    conc.build_tables()
+    elements = conc.elements
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            total = tuple((x + y).truncate(l) for x, y, l in zip(a, b, lengths))
+            assert conc._add_table[i][j] == conc.index[total]
+    ring = conc.ring
+    assert list(conc._scalar_table) == [c.digits for c in ring.elements()]
+    for c in ring.elements():
+        row = conc._scalar_table[c.digits]
+        assert row == [conc.index[tuple((c * x).truncate(l) for x, l in zip(a, lengths))]
+                       for a in elements]
+
+
+def _gaussian_binomial(n, k, q):
+    out = 1
+    for j in range(k):
+        out = out * (q ** (n - j) - 1) // (q ** (j + 1) - 1)
+    return out
+
+
+def _birkhoff(lam_conj, mu_conj, p):
+    """alpha_lambda(mu; p), the number of submodules of type mu in a module
+    of type lambda, from the conjugate partitions (Butler, Mem. AMS 1994)."""
+    out = 1
+    for i, (l, m) in enumerate(zip(lam_conj, mu_conj)):
+        m_next = mu_conj[i + 1] if i + 1 < len(mu_conj) else 0
+        out *= p ** (m_next * (l - m)) * _gaussian_binomial(l - m_next, m - m_next, p)
+    return out
+
+
+def _conjugate(lengths, n):
+    return tuple(sum(1 for l in lengths if l > i) for i in range(n))
+
+
+def _submodule_types(conc):
+    """Counter of the conjugate type mu' of every submodule mask S, read from
+    |S cap ker pi^k| = p^(mu'_1 + ... + mu'_k)."""
+    n = conc.ring.n
+    conc.build_tables()
+    pi = conc._scalar_table[conc.ring.pi.digits]
+    power = list(range(conc.size))  # element -> pi^k * element
+    kernels = []
+    for _ in range(n):
+        power = [pi[x] for x in power]
+        kernels.append(sum(1 << x for x, y in enumerate(power) if y == conc.zero))
+    types = Counter()
+    for mask in conc.submodules():
+        sizes = [0] + [conc.mask_length(mask & kernel) for kernel in kernels]
+        types[tuple(b - a for a, b in zip(sizes, sizes[1:]))] += 1
+    return types
+
+
+def _is_submodule(conc, mask):
+    """Closed under addition and under pi; both rings are spanned additively
+    by the powers of pi and 1, so this is closure under the ring."""
+    pi = conc._scalar_table[conc.ring.pi.digits]
+    elements = conc.mask_elements(mask)
+    return (mask >> conc.zero & 1
+            and all(mask >> pi[x] & 1 for x in elements)
+            and all(mask >> conc._add_table[x][y] & 1 for x in elements for y in elements))
+
+
+def _check_birkhoff(conc):
+    p, n = conc.ring.p, conc.ring.n
+    lam_conj = _conjugate([conc.base.length(l) for l in conc.module.parts], n)
+    expected = {}
+    for mu_conj in itertools.product(*(range(l + 1) for l in lam_conj)):
+        if all(a >= b for a, b in zip(mu_conj, mu_conj[1:])):
+            expected[mu_conj] = _birkhoff(lam_conj, mu_conj, p)
+    found = _submodule_types(conc)
+    assert found == expected
+    return sum(found.values())
+
+
+@pytest.mark.parametrize("arith,p,n,parts,total", [
+    ("poly", 2, 3, ["M3", "M2", "M1"], 81),
+    ("int", 3, 2, ["M2", "M2"], 23),
+    ("poly", 2, 4, ["M4", "M2"], 29),
+    ("poly", 2, 2, ["M2", "M2", "M1"], 54),
+])
+def test_submodule_types_follow_birkhoff(arith, p, n, parts, total):
+    conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
+    assert _check_birkhoff(conc) == total
+    subs = conc.submodules()
+    assert len(set(subs)) == len(subs) == total
+    assert all(_is_submodule(conc, mask) for mask in subs)
+
+
+@pytest.mark.parametrize("arith,p,n", [("poly", 2, 3), ("int", 3, 2)])
+def test_submodule_types_follow_birkhoff_up_to_length_five(arith, p, n):
+    for module in modules_up_to_length(chain_base(arith, p, n), 5):
+        _check_birkhoff(ConcreteModule(module))

@@ -213,6 +213,13 @@ def test_cli_decompose_missing_key_names_its_place(tmp_path, capsys, change, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["base", "quiver"])
+def test_library_read_without_base_or_quiver_names_the_key(key):
+    data = {k: v for k, v in _K_TO_K.items() if k != key}
+    with pytest.raises(ValueError, match=f"document has no '{key}' key"):
+        mio.representation_from_json(data)
+
+
 def test_short_map_rows_read_as_zeros():
     rep = mio.representation_from_json({**_K_TO_K, "maps": {"a1": {"entries": [[]]}}})
     assert rep.maps["a1"].is_zero()

@@ -706,10 +706,13 @@ def _binomial_vector(p: int, n: int, a: int, b: int):
 
 
 def normalize_p1_point(p: int, param) -> Tuple[int, int]:
-    if isinstance(param, str):
-        a, b = (int(x) for x in param.split(":"))
-    else:
-        a, b = param
+    """The representative (1, b/a) or (0, 1) of the point a:b of P^1(F_p),
+    given as a pair of integers or as the text ``a:b``."""
+    try:
+        a, b = (int(x) for x in (param.split(":") if isinstance(param, str) else param))
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed projective point {param!r}: expected a:b "
+                         "with integers a and b") from None
     a %= p
     b %= p
     if a == 0 and b == 0:

@@ -6,9 +6,13 @@ naturality and lifting systems of representations -- is built by one
 ``HomSystem`` and solved by ``solve_hom_system``.  One engine backs the
 abelian operations: everything is lifted to free presentations over the
 chain ring itself, where honest Smith normal form exists (every element is a
-unit times a power of pi).  Kernels are computed from cokernels through the
-exact self-duality D(R/pi^a) = R/pi^a, which transposes matrices and keeps
-coefficients.  A rad2nak map is pushed down to a graded map over
+unit times a power of pi).  ``snf_free`` eliminates in place on element
+numbers and builds only the transforms its caller reads: columns past the
+matrix (a right-hand side, or an identity) ride along with the row
+operations and end as U times them, and identity rows below it ride along
+with the column operations and end as V.  Kernels are computed from
+cokernels through the exact self-duality D(R/pi^a) = R/pi^a, which
+transposes matrices and keeps coefficients.  A rad2nak map is pushed down to a graded map over
 F_p[x]/(x^2), and its kernel and cokernel are pulled back by reading each
 part's grade off the homogeneous entries.
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .base import CHAIN, SerialBase, chain_base
-from .chainring import POLY, ChainRingElem
+from .chainring import POLY
 from .serialmod import (
     SerialModule,
     SerialMorphism,
@@ -48,56 +52,31 @@ def _require_abelian(base: SerialBase, what: str):
 # -- Smith normal form over the chain ring itself (free modules) ----------------
 
 
-class FreeSnf:
-    """U * A * V = S with S diagonal (entries unit-normalized powers of pi)."""
+def snf_free(ring, M: List[list], nrows: int, ncols: int) -> List[int]:
+    """Diagonalize the leading nrows x ncols block A of M over the chain
+    ring by unimodular row and column operations, in place on element
+    numbers through the ring's tables.
 
-    def __init__(self, ring, U, S, V, diag_vals: List[int]):
-        self.ring = ring
-        self.nrows = len(U)
-        self.ncols = len(V)
-        self.U = U
-        self.S = S
-        self.V = V
-        self.diag_vals = diag_vals
+    Pivots come only from that block, and one of globally minimal valuation
+    divides every remaining entry, so all eliminations are exact; each pivot
+    is normalized to pi^e.  Columns past ``ncols`` are rider columns: they
+    go through the row operations only, so a rider column b ends as U*b.
+    Rows past ``nrows`` are rider rows: they go through the column
+    operations only, so rider rows holding the identity end as V.  Where
+    they cross, nothing is read or changed.  The block ends as S = U*A*V.
 
-    def apply_U(self, vec):
-        return [
-            _dot(self.ring, self.U[i], vec) for i in range(self.nrows)
-        ]
-
-    def apply_V(self, vec):
-        return [
-            _dot(self.ring, self.V[i], vec) for i in range(self.ncols)
-        ]
-
-
-def _dot(ring, row, vec):
-    acc = ring.zero
-    for a, b in zip(row, vec):
-        if not (a.is_zero() or b.is_zero()):
-            acc = acc + a * b
-    return acc
-
-
-def snf_free(ring, matrix: Sequence[Sequence[ChainRingElem]], nrows: int, ncols: int) -> FreeSnf:
-    """Diagonalize a matrix over the chain ring by unimodular row/column ops.
-
-    Pivots of globally minimal valuation divide every remaining entry, so all
-    eliminations are exact.  The elimination runs on element numbers through
-    the ring's tables.
-    """
+    Returns the valuations of the min(nrows, ncols) diagonal entries of S; a
+    position past the last pivot has valuation n."""
     tab = ring.tables
     add, mul, neg, val, sdn, inv = tab.add, tab.mul, tab.neg, tab.val, tab.shift_down, tab.inv
     n = ring.n
-    S = [[e.num for e in row] for row in matrix]
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    for k in range(min(nrows, ncols)):
+    riders = M[nrows:]
+    vals = [n] * min(nrows, ncols)
+    for k in range(len(vals)):
         best = None
         best_val = n
         for i in range(k, nrows):
-            row = S[i]
+            row = M[i]
             for j in range(k, ncols):
                 v = val[row[j]]
                 if v < best_val:
@@ -110,50 +89,32 @@ def snf_free(ring, matrix: Sequence[Sequence[ChainRingElem]], nrows: int, ncols:
             break
         bi, bj = best
         if bi != k:
-            S[k], S[bi] = S[bi], S[k]
-            U[k], U[bi] = U[bi], U[k]
+            M[k], M[bi] = M[bi], M[k]
         if bj != k:
-            for row in S:
+            for row in M:
                 row[k], row[bj] = row[bj], row[k]
-            for row in V:
-                row[k], row[bj] = row[bj], row[k]
-        e = best_val
-        u_inv = inv[sdn[e][S[k][k]]]
+        e = vals[k] = best_val
+        Mk = M[k]
+        u_inv = inv[sdn[e][Mk[k]]]
         if u_inv != 1:
             mu = mul[u_inv]
-            S[k] = [mu[x] for x in S[k]]
-            U[k] = [mu[x] for x in U[k]]
-        Sk, Uk = S[k], U[k]
+            Mk = M[k] = [mu[x] for x in Mk]
         for i in range(nrows):
-            if i == k:
-                continue
-            x = S[i][k]
-            if x == 0:
+            x = M[i][k]
+            if i == k or x == 0:
                 continue
             mc = mul[neg[sdn[e][x]]]
-            Si, Ui = S[i], U[i]
-            S[i] = [add[a][mc[b]] for a, b in zip(Si, Sk)]
-            U[i] = [add[a][mc[b]] for a, b in zip(Ui, Uk)]
-        for j in range(ncols):
-            if j == k:
-                continue
-            x = Sk[j]
+            M[i] = [add[a][mc[b]] for a, b in zip(M[i], Mk)]
+        # after the row operations only row k and the rider rows can be
+        # nonzero in column k
+        ops = [(j, mul[neg[sdn[e][Mk[j]]]]) for j in range(ncols) if j != k and Mk[j]]
+        for row in (Mk, *riders):
+            x = row[k]
             if x == 0:
                 continue
-            mc = mul[neg[sdn[e][x]]]
-            for row in S:
-                row[j] = add[row[j]][mc[row[k]]]
-            for row in V:
-                row[j] = add[row[j]][mc[row[k]]]
-
-    elems = tab.elems
-    return FreeSnf(
-        ring,
-        [[elems[x] for x in row] for row in U],
-        [[elems[x] for x in row] for row in S],
-        [[elems[x] for x in row] for row in V],
-        [val[S[k][k]] for k in range(min(nrows, ncols))],
-    )
+            for j, mc in ops:
+                row[j] = add[row[j]][mc[x]]
+    return vals
 
 
 # -- linear systems in hom coefficients ------------------------------------------
@@ -206,34 +167,28 @@ class LinearSolution:
         return self._trunc(vec)
 
 
-def _shift_row(tab, row: list, shift: int) -> list:
-    """``[c.shift_up(shift) for c in row]`` read from one table: ``row``
-    itself when ``shift`` is 0, and zero entries kept as they are."""
-    if shift == 0:
-        return row
-    up, elems = tab.shift_up[min(shift, tab.ring.n)], tab.elems
-    return [c if c.num == 0 else elems[up[c.num]] for c in row]
-
-
 def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSolution]:
     """Solve sum_t A_t x_t = r (mod pi^q) per row; slots x_t live mod pi^moduli[t].
 
     Rows are triples (coeffs, rhs, q).  Returns None when inconsistent.
+
+    Each row is scaled by pi^(n - q) to an equation mod pi^n and reduced by
+    ``snf_free``: a nonzero right-hand side rides along as a column, giving
+    U*r, and the identity rides along as rows, giving V.  With S = U*A*V
+    diagonal, x = V*y where pi^e_k y_k = (U*r)_k; each diagonal entry with
+    e_k > 0 adds the homogeneous generator pi^(n - e_k) times column k of V.
     """
     n = ring.n
     tab = ring.tables
     T = len(moduli)
-    scaled = []
-    rhs = []
+    M = []
     for coeffs, r, q in rows:
-        row = _shift_row(tab, [*coeffs, r], n - q)
-        rhs.append(row.pop())
-        scaled.append(row)
-    E = len(scaled)
+        up = tab.shift_up[n - q]
+        M.append([up[c.num] for c in coeffs] + [up[r.num]])
+    E = len(M)
+    homogeneous = not any(row[T] for row in M)
     if T == 0:
-        if any(not r.is_zero() for r in rhs):
-            return None
-        return LinearSolution(ring, moduli, [], [])
+        return LinearSolution(ring, moduli, [], []) if homogeneous else None
     if E == 0:
         gens = []
         for k in range(T):
@@ -242,34 +197,43 @@ def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSoluti
             gens.append(gen)
         return LinearSolution(ring, moduli, [ring.zero] * T, gens)
 
-    snf = snf_free(ring, scaled, E, T)
-    if all(r.is_zero() for r in rhs):
-        # homogeneous: U*0 = 0 and V*0 = 0
+    if homogeneous:
+        for row in M:
+            row.pop()
+    V = [[int(i == j) for j in range(len(M[0]))] for i in range(T)]
+    M += V
+    vals = snf_free(ring, M, E, T)
+    elems = tab.elems
+    if homogeneous:
         particular = [ring.zero] * T
     else:
-        ub = snf.apply_U(rhs)
-        y = [ring.zero] * T
-        for k in range(min(E, T)):
-            e = snf.diag_vals[k]
-            c = ub[k]
-            if c.is_zero():
+        add, mul, val, sdn = tab.add, tab.mul, tab.val, tab.shift_down
+        y = [0] * T
+        for k in range(E):
+            c = M[k][T]
+            if c == 0:
                 continue
-            if c.valuation() < e:
+            e = vals[k] if k < T else n
+            if val[c] < e:
                 return None
-            y[k] = c.shift_down(e)
-        for k in range(min(E, T), E):
-            if not ub[k].is_zero():
-                return None
-        particular = snf.apply_V(y)
+            y[k] = sdn[e][c]
+        particular = []
+        for row in V:
+            acc = 0
+            for a, b in zip(row, y):
+                if a and b:
+                    acc = add[acc][mul[a][b]]
+            particular.append(elems[acc])
 
     generators = []
     for k in range(T):
-        e = snf.diag_vals[k] if k < min(E, T) else n
+        e = vals[k] if k < len(vals) else n
         if e == 0:
             continue
-        col = _shift_row(tab, [snf.V[i][k] for i in range(T)], n - e)
-        if any(not x.is_zero() for x in col):
-            generators.append(col)
+        up = tab.shift_up[n - e]
+        col = [up[row[k]] for row in V]
+        if any(col):
+            generators.append([elems[x] for x in col])
     return LinearSolution(ring, moduli, particular, generators)
 
 
@@ -391,50 +355,44 @@ def solve_left(f: SerialMorphism, g: SerialMorphism) -> Optional[SerialMorphism]
 # -- kernel / cokernel / image: chain engine --------------------------------------
 
 
-def _lift_matrix(f: SerialMorphism):
-    """Free presentation lift: entry c*g_{b<-a} becomes c*pi^max(0, b-a) in R."""
-    base = f.base
-    source_lengths = [base.length(a) for a in f.source.parts]
-    target_lengths = [base.length(b) for b in f.target.parts]
-    return [[e.shift_up(max(0, b - a)) for e, a in zip(row, source_lengths)]
-            for row, b in zip(f.entries, target_lengths)]
-
-
 def _chain_cokernel(f: SerialMorphism):
+    """The cokernel of f from the Smith form of its free presentation [A | D]:
+    A lifts each entry c*g_{b<-a} to c*pi^max(0, b-a) in R, and D = diag(pi^b)
+    over the target parts b.  The identity rides along as columns, so each
+    part M_e of the cokernel (a diagonal entry of valuation e > 0) is
+    projected onto by row k of U."""
     base = f.base
     ring = base.ring
     t, s = f.target.rank, f.source.rank
     if t == 0:
         C = serial_module(base, [])
         return C, zero_morphism(f.target, C)
+    tab = ring.tables
+    source_lengths = [base.length(a) for a in f.source.parts]
     lengths = [base.length(b) for b in f.target.parts]
-    lifted = _lift_matrix(f)
     G = []
-    for i in range(t):
-        rel = [ring.zero] * t
-        rel[i] = ring.pi_pow(lengths[i])
-        G.append(lifted[i] + rel)
-    snf = snf_free(ring, G, t, s + t)
+    for i, (row, b) in enumerate(zip(f.entries, lengths)):
+        rel, unit = [0] * t, [0] * t
+        rel[i], unit[i] = ring.pi_pow(b).num, 1
+        G.append([tab.shift_up[max(0, b - a)][e.num] for e, a in zip(row, source_lengths)]
+                 + rel + unit)
+    vals = snf_free(ring, G, t, s + t)
 
-    kept = []  # (row index in S, valuation e > 0)
-    for k in range(t):
-        e = snf.S[k][k].valuation()
-        if e > 0:
-            kept.append((k, e))
+    kept = [(k, e) for k, e in enumerate(vals) if e > 0]  # (row of U, valuation)
     labels = [f"M{e}" for (_, e) in kept]
     order = sorted(range(len(kept)), key=lambda idx: (base.label_sort_key(labels[idx]), idx))
     C = serial_module(base, [labels[idx] for idx in order])
+    val, sdn, elems = tab.val, tab.shift_down, tab.elems
     entries = []
     for idx in order:
         k, e = kept[idx]
         row = []
-        for i, b in enumerate(lengths):
-            u = snf.U[k][i]
+        for u, b in zip(G[k][s + t:], lengths):
             if e > b:
-                if u.valuation() < e - b:
+                if val[u] < e - b:
                     raise AssertionError("cokernel projection entry not divisible")
-                u = u.shift_down(e - b)
-            row.append(u)
+                u = sdn[e - b][u]
+            row.append(elems[u])
         entries.append(row)
     q = morphism(f.target, C, entries)
     return C, q

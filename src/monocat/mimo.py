@@ -9,9 +9,15 @@ the injective envelope J_i of ker(in-map at i) for every path from i to k;
 arrow maps shift the path blocks identically, feed R through its own maps,
 and route R into the new envelope block through a chosen lift of the
 envelope embedding.  The projection onto the original representation is a
-minimal right approximation by monic representations.  ``mimo`` is memoized
-by the value of its argument with ``serialmod.memo``: the pair it returns is
-shared between equal calls and is never mutated.
+minimal right approximation by monic representations.
+
+``mimo`` and ``transfer`` are memoized by the value of their arguments (a
+``Representation`` hashes by value, bases are interned) with
+``serialmod.memo``: a result is shared between equal calls and is never
+mutated, and a call that raises is not cached.  So the small indecomposable
+factors that recur across inputs are transferred once, and each repeat skips
+the mono test, the injective recognition, the stable reduction and both
+changes of base.
 """
 
 from __future__ import annotations
@@ -215,6 +221,7 @@ def injective_rep_recognize(r: Representation) -> Optional[Dict[str, SerialModul
     return kopf_modules(r)
 
 
+@memo
 def transfer(r: Representation, target: SerialBase) -> Representation:
     """Carry a monic representation between chain rings of equal residue
     characteristic and equal Loewy length n <= 3.

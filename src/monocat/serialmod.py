@@ -14,7 +14,8 @@ Modules and morphisms are frozen dataclasses that hash and compare by value
 operations on them are memoized by value with ``memo``: ``mor_compose`` and
 ``direct_sum`` here, ``kernel``, ``cokernel``, ``image``, ``solve_right`` and
 ``solve_left`` in ``exact``.  ``rep.Representation`` hashes by value too, and
-the same ``memo`` caches ``mimo.mimo`` and ``decompose._residue_witness``.
+the same ``memo`` caches ``mimo.mimo``, ``mimo.transfer`` and
+``decompose._residue_witness``.
 This rests on one invariant: their arguments and results are immutable
 values, and nothing mutates a returned module, map or position tuple, nor the
 ``modules``, ``maps`` or ``components`` of a representation or morphism once
@@ -32,7 +33,7 @@ from .base import SerialBase
 # Entries kept by each memoized operation: above the distinct calls one pass
 # of the benchmark's approximation battery makes to any of them (at most
 # 1,322, to mor_compose, over seeds 1 and 7 and input sets 0-3; mimo gets at
-# most 251 and _residue_witness 167).
+# most 251, _residue_witness 167 and transfer 109, with 82 at seed 7, set 0).
 MEMO_SIZE = 2048
 memo = lru_cache(maxsize=MEMO_SIZE)
 

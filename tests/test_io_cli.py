@@ -330,6 +330,15 @@ def test_cli_kronecker(capsys):
     assert out["modules"]["2"]["parts"] == ["M2", "M1"]
 
 
+@pytest.mark.parametrize("param", ["1:0:1", "x", "1", "1:"])
+def test_cli_kronecker_malformed_point_names_it(param, capsys):
+    rc = main(["kronecker", "--base", "chain:poly:2:2", "--family", "R",
+               "--index", "1", "--param", param])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"malformed projective point {param!r}" in err and "expected a:b" in err
+
+
 def test_cli_text_format(capsys):
     rc = main(["verify-suite", "--suite", "rad2-count", "--quiver", "An-linear:2",
                "--base", "chain:poly:2:2", "--format", "text"])

@@ -64,6 +64,9 @@ def test_point_normalization():
         normalize_p1_point(2, (0, 0))
     with pytest.raises(ValueError):
         normalize_p1_point(2, (2, 2))
+    for bad in [(1, 0, 1), (1,), "1:0:1", "x", 5]:
+        with pytest.raises(ValueError, match="malformed projective point"):
+            normalize_p1_point(2, bad)
 
 
 def test_family_validation():

@@ -14,6 +14,7 @@ from monocat.mimo import (
     stable_lift,
     stable_reduce,
     strip_injective_summands,
+    transfer,
 )
 from monocat.quiver import builtin_quiver
 from monocat.rep import (
@@ -337,6 +338,36 @@ def test_mimo_over_a_stable_backing_raises_on_every_call():
             mimo(r)
 
 
-@pytest.mark.parametrize("fn", [mimo, _residue_witness], ids=lambda fn: fn.__name__)
+TRANSFER_PAIRS = [(B3I, B3P), (B3P, B3I)]
+
+
+@pytest.mark.parametrize("base,partner", TRANSFER_PAIRS, ids=["chain-int", "chain-poly"])
+def test_transfer_memo_equals_its_uncached_result(base, partner):
+    """transfer equals what the undecorated function builds, on a first call
+    and on a repeat, for injective and non-injective monic inputs."""
+    rng = random.Random(31)
+    for quiver in (A2, builtin_quiver("A4-zigzag"), builtin_quiver("D4")):
+        for _ in range(6):
+            m = mimo(random_representation(base, quiver, rng))[0]
+            for r in (m, strip_injective_summands(m)[0]):
+                if not is_mono(r):
+                    continue
+                fresh = transfer.__wrapped__(r, partner)
+                for _ in range(2):
+                    out = transfer(r, partner)
+                    assert out == fresh and out.base is partner
+
+
+def test_transfer_raises_on_every_call():
+    r = simple_at(B3P, A2, "2")  # 0 -> M1 is monic
+    not_mono = simple_at(B3P, A2, "1")  # M1 -> 0 is not
+    for _ in range(2):
+        with pytest.raises(ValueError, match="monic representations"):
+            transfer(not_mono, B3I)
+        with pytest.raises(ValueError, match="residue characteristic"):
+            transfer(r, chain_base("int", 3, 3))
+
+
+@pytest.mark.parametrize("fn", [mimo, _residue_witness, transfer], ids=lambda fn: fn.__name__)
 def test_rep_memos_share_the_module_memo_size(fn):
     assert fn.cache_info().maxsize == MEMO_SIZE

@@ -159,7 +159,7 @@ def cmd_enumerate(args):
     base = parse_base(args.base)
     quiver = parse_quiver(args.quiver)
     if args.caps:
-        caps = [int(x) for x in args.caps.split(",")]
+        caps = [_cap(x, args.caps) for x in args.caps.split(",")]
         report = enumerate_bounded(quiver, base, caps, mono_only=args.mono_only,
                                    budget=args.budget)
     else:
@@ -168,6 +168,14 @@ def cmd_enumerate(args):
           [f"classes: {len(report.classes)} (injective {report.counts['injective']}, "
            f"non-injective {report.counts['non_injective']})"])
     return EXIT_OK
+
+
+def _cap(entry: str, text: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"malformed cap {entry!r} in --caps {text!r}: expected comma-separated "
+                         "non-negative integers, one per vertex") from None
 
 
 def cmd_kronecker(args):

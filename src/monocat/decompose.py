@@ -20,9 +20,11 @@ coordinates or not, has been through that scan.  Equal factors are grouped
 by ``rep.is_iso_reps`` under the same budget, ``rep.DEFAULT_BUDGET`` by
 default.
 
-``_residue_witness`` is memoized by (representation, budget) with
-``serialmod.memo``; a representation hashes by value, and the witness it
-returns is shared between equal calls and never mutated.
+``coordinate_blocks`` (by representation) and ``_residue_witness`` (by
+representation and budget) are memoized with ``serialmod.memo``; a
+representation hashes by value, keeping its hash once built, and the blocks
+(a tuple) and the witness returned are shared between equal calls and never
+mutated.
 """
 
 from __future__ import annotations
@@ -82,13 +84,15 @@ def coordinate_components(arrows, offsets, size, maps) -> Optional[List[List[int
     return list(by_root.values())
 
 
-def coordinate_blocks(r: Representation) -> Optional[List[Representation]]:
-    """The sub-representations of r on the connected components of its
-    (vertex, part) graph (``coordinate_components``), or None when the graph
-    is connected.  The arrow maps of r are block diagonal along the
-    components, so r is their direct sum.  A component keeps its parts in
-    their order in r, so its vertex modules are in normal form, and its arrow
-    maps are the blocks of r's (``rep.rebase`` over r's own base)."""
+@memo
+def coordinate_blocks(r: Representation) -> Optional[Tuple[Representation, ...]]:
+    """The tuple of sub-representations of r on the connected components of
+    its (vertex, part) graph (``coordinate_components``), or None when the
+    graph is connected; memoized by the value of r.  The arrow maps of r are
+    block diagonal along the components, so r is their direct sum.  A
+    component keeps its parts in their order in r, so its vertex modules are
+    in normal form, and its arrow maps are the blocks of r's (``rep.rebase``
+    over r's own base)."""
     vertices, arrows = r.quiver.vertices, r.quiver.arrows
     offsets, nodes = {}, []
     for v in vertices:
@@ -105,7 +109,7 @@ def coordinate_blocks(r: Representation) -> Optional[List[Representation]]:
             v, i = nodes[node]
             keep[v].append(i)
         blocks.append(rebase(r, r.base, keep))
-    return blocks
+    return tuple(blocks)
 
 
 def _subrep_from_inclusions(r: Representation, inclusions) -> Tuple[Representation, RepMorphism]:

@@ -77,6 +77,7 @@ class Representation:
             if f.source != self.modules[a.source] or f.target != self.modules[a.target]:
                 raise ValueError(f"map for arrow {a.name} has wrong shape")
             self.maps[a.name] = f
+        self._hash = None
 
     def length_vector(self) -> Dict[str, int]:
         return {v: m.length() for v, m in self.modules.items()}
@@ -97,9 +98,11 @@ class Representation:
         )
 
     def __hash__(self):
-        return hash((self.quiver, self.base,
-                     tuple(self.modules[v] for v in self.quiver.vertices),
-                     tuple(self.maps[a.name] for a in self.quiver.arrows)))
+        if self._hash is None:
+            self._hash = hash((self.quiver, self.base,
+                               tuple(self.modules[v] for v in self.quiver.vertices),
+                               tuple(self.maps[a.name] for a in self.quiver.arrows)))
+        return self._hash
 
     def __repr__(self):
         mods = ", ".join(f"{v}:{self.modules[v]}" for v in self.quiver.vertices)

@@ -9,13 +9,16 @@ permutation never leaks.  A morphism stores one canonical coefficient per
 (target part, source part) pair; a copied entry keeps its pair of labels and
 so stays canonical.
 
-Modules and morphisms are frozen dataclasses that hash and compare by value
-(bases are interned, ring elements interned with their hash), so pure
-operations on them are memoized by value with ``memo``: ``mor_compose`` and
-``direct_sum`` here, ``kernel``, ``cokernel``, ``image``, ``solve_right`` and
-``solve_left`` in ``exact``.  ``rep.Representation`` hashes by value too, and
-the same ``memo`` caches ``mimo.mimo``, ``mimo.transfer`` and
-``decompose._residue_witness``.
+Modules are interned slotted values: one object per (base, parts), so
+module equality and hashing are identity.  Morphisms are slotted values that
+compare by entries (modules by identity) and compute their hash once, on
+first use.  Neither accepts attribute assignment.  So pure operations on
+them are memoized by value with ``memo``: ``identity_morphism``,
+``injective_envelope``, ``mor_compose`` and ``direct_sum`` here, ``kernel``,
+``cokernel``, ``image``, ``solve_right`` and ``solve_left`` in ``exact``.
+``rep.Representation`` hashes by value too, keeping the hash once built, and
+the same ``memo`` caches ``mimo.mimo``, ``mimo.transfer``,
+``decompose.coordinate_blocks`` and ``decompose._residue_witness``.
 This rests on one invariant: their arguments and results are immutable
 values, and nothing mutates a returned module, map or position tuple, nor the
 ``modules``, ``maps`` or ``components`` of a representation or morphism once
@@ -24,7 +27,6 @@ built.  A call that raises is not cached and raises again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -33,15 +35,40 @@ from .base import SerialBase
 # Entries kept by each memoized operation: above the distinct calls one pass
 # of the benchmark's approximation battery makes to any of them (at most
 # 1,322, to mor_compose, over seeds 1 and 7 and input sets 0-3; mimo gets at
-# most 251, _residue_witness 167 and transfer 109, with 82 at seed 7, set 0).
+# most 251, coordinate_blocks 235, _residue_witness 167, transfer 109,
+# identity_morphism 45 and injective_envelope 42; at seed 7, set 0: transfer
+# 82, identity_morphism 43, injective_envelope 38, coordinate_blocks 226).
 MEMO_SIZE = 2048
 memo = lru_cache(maxsize=MEMO_SIZE)
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class SerialModule:
-    base: SerialBase
-    parts: tuple
+    """A module in normal form: ``parts`` sorted by ``base.label_sort_key``.
+
+    Interned: there is one object per (base, parts), so equality and hashing
+    are the object defaults (identity).  Bases are interned too, and the table
+    holds one entry per module value built, which the finitely many labels
+    of a base and the ranks a computation reaches keep small.  Built only in
+    normal form (``serial_module`` sorts; other constructors copy parts in
+    order)."""
+
+    __slots__ = ("base", "parts", "rank")
+
+    def __new__(cls, base: SerialBase, parts: tuple):
+        m = _MODULES.get((base, parts))
+        if m is None:
+            m = object.__new__(cls)
+            _set_base(m, base)
+            _set_parts(m, parts)
+            _set_rank(m, len(parts))
+            _MODULES[(base, parts)] = m
+        return m
+
+    __setattr__ = __delattr__ = _immutable
 
     def length(self) -> int:
         return sum(self.base.length(p) for p in self.parts)
@@ -53,12 +80,14 @@ class SerialModule:
     def is_zero(self) -> bool:
         return not self.parts
 
-    @property
-    def rank(self) -> int:
-        return len(self.parts)
-
     def __repr__(self):
         return "0" if not self.parts else "+".join(self.parts)
+
+
+_MODULES: dict = {}
+_set_base = SerialModule.base.__set__
+_set_parts = SerialModule.parts.__set__
+_set_rank = SerialModule.rank.__set__
 
 
 def serial_module(base: SerialBase, parts: Iterable[str]) -> SerialModule:
@@ -72,11 +101,36 @@ def zero_module(base: SerialBase) -> SerialModule:
     return SerialModule(base, ())
 
 
-@dataclass(frozen=True)
 class SerialMorphism:
-    source: SerialModule
-    target: SerialModule
-    entries: tuple  # rows = target parts, cols = source parts
+    """A map source -> target by its entries (rows = target parts, cols =
+    source parts).  Compares by value, identity first, and computes its hash
+    once, on first use.  Not interned: a long sweep builds maps without
+    bound."""
+
+    __slots__ = ("source", "target", "entries", "_hash")
+
+    def __init__(self, source: SerialModule, target: SerialModule, entries: tuple):
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_entries(self, entries)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not SerialMorphism:
+            return NotImplemented
+        return (self.source is other.source and self.target is other.target
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.source, self.target, self.entries))
+            _set_hash(self, h)
+            return h
 
     @property
     def base(self) -> SerialBase:
@@ -88,6 +142,12 @@ class SerialMorphism:
     def __repr__(self):
         rows = ["[" + " ".join(repr(e) for e in row) + "]" for row in self.entries]
         return f"({self.source} -> {self.target}: {'; '.join(rows)})"
+
+
+_set_source = SerialMorphism.source.__set__
+_set_target = SerialMorphism.target.__set__
+_set_entries = SerialMorphism.entries.__set__
+_set_hash = SerialMorphism._hash.__set__
 
 
 def morphism(source: SerialModule, target: SerialModule, entries: Sequence[Sequence]) -> SerialMorphism:
@@ -111,6 +171,7 @@ def zero_morphism(source: SerialModule, target: SerialModule) -> SerialMorphism:
     return SerialMorphism(source, target, tuple(tuple(z for _ in source.parts) for _ in target.parts))
 
 
+@memo
 def identity_morphism(m: SerialModule) -> SerialMorphism:
     one, z = m.base.one_coeff(), m.base.zero_coeff()
     return SerialMorphism(
@@ -155,7 +216,7 @@ def mor_compose(g: SerialMorphism, f: SerialMorphism) -> SerialMorphism:
 
 
 def mor_equal(f: SerialMorphism, g: SerialMorphism) -> bool:
-    return f.source == g.source and f.target == g.target and f.entries == g.entries
+    return f == g
 
 
 # -- direct sums ---------------------------------------------------------------
@@ -412,6 +473,7 @@ def socle_inclusion(m: SerialModule) -> SerialMorphism:
     return f
 
 
+@memo
 def injective_envelope(m: SerialModule):
     """Injective envelope (J, j) with j the canonical left-minimal inclusion."""
     base = m.base

@@ -297,6 +297,16 @@ def test_cli_negative_caps_is_input_error(capsys):
     assert "caps must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("caps, entry", [("3,x", "x"), ("2,,2", ""), ("2.5,1", "2.5")])
+def test_cli_malformed_caps_names_the_entry(capsys, caps, entry):
+    rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2",
+               "--caps", caps])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"malformed cap {entry!r} in --caps {caps!r}" in err
+    assert "comma-separated non-negative integers, one per vertex" in err
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     import monocat.cli as cli
 

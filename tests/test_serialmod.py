@@ -17,9 +17,14 @@ from monocat.exact import (
     solve_left,
     solve_right,
 )
+from monocat import io as mio
+from monocat.decompose import coordinate_blocks
 from monocat.enumerate import modules_up_to_length
+from monocat.quiver import builtin_quiver
+from monocat.rep import Representation, random_representation
 from monocat.serialmod import (
     MEMO_SIZE,
+    SerialModule,
     _direct_sum,
     apply_morphism,
     assemble,
@@ -520,7 +525,8 @@ def test_automorphism_generators_generate_the_units_of_end(m):
 
 # -- memoized operations ----------------------------------------------------------
 
-MEMOIZED = [kernel, cokernel, image, solve_right, solve_left, mor_compose, _direct_sum]
+MEMOIZED = [kernel, cokernel, image, solve_right, solve_left, mor_compose, _direct_sum,
+            identity_morphism, injective_envelope, coordinate_blocks]
 MEMO_BASES = [B3I, B3P, rad2nak_base(2, 3), stable_base(B3I)]
 MEMO_IDS = ["chain-int", "chain-poly", "rad2nak", "stable"]
 
@@ -565,6 +571,20 @@ def test_memoized_operations_equal_their_uncached_results(base):
     assert solvable == (60 if base.is_abelian else 0)
 
 
+@pytest.mark.parametrize("base", MEMO_BASES, ids=MEMO_IDS)
+def test_memoized_constructors_equal_their_uncached_results(base):
+    rng = random.Random(19)
+    for _ in range(20):
+        m = _random_module(base, rng)
+        _same_as_uncached(identity_morphism, m)
+        if base.is_selfinjective:
+            _same_as_uncached(injective_envelope, m)
+    for quiver in (builtin_quiver("A4-zigzag"), builtin_quiver("D4")):
+        for _ in range(10):
+            blocks = _same_as_uncached(coordinate_blocks, random_representation(base, quiver, rng))
+            assert blocks is None or type(blocks) is tuple
+
+
 def test_memoized_operations_raise_on_every_call():
     stable = stable_base(B3I)
     m = M(stable, *stable.labels)
@@ -576,8 +596,67 @@ def test_memoized_operations_raise_on_every_call():
             mor_compose(identity_morphism(n), identity_morphism(M(B3I, "M1")))
         with pytest.raises(ValueError, match="base mismatch"):
             direct_sum(B3I, [n, m])
+        with pytest.raises(ValueError, match="no injective envelopes"):
+            injective_envelope(m)
 
 
 @pytest.mark.parametrize("fn", MEMOIZED, ids=lambda fn: fn.__name__)
 def test_memoized_operations_share_one_cache_size(fn):
     assert fn.cache_info().maxsize == MEMO_SIZE
+
+
+# -- the value layer ----------------------------------------------------------------
+
+
+def test_modules_are_one_object_per_base_and_parts():
+    assert serial_module(B3I, ["M1", "M2"]) is serial_module(B3I, ["M2", "M1"])
+    assert SerialModule(B3I, ("M2", "M1")) is M(B3I, "M1", "M2")
+    assert zero_module(B3I) is zero_module(B3I) is M(B3I)
+    assert zero_module(B3I) is not zero_module(B3P)
+    assert M(B3I, "M2") is not M(B3P, "M2") and M(B3I, "M2") != M(B3P, "M2")
+    assert M(B3I, "M2").rank == 1 and zero_module(B3I).rank == 0
+
+
+@pytest.mark.parametrize("attr", ["base", "parts", "rank", "other"])
+def test_module_attributes_cannot_be_assigned(attr):
+    m = M(B3I, "M2", "M1")
+    with pytest.raises(AttributeError):
+        setattr(m, attr, zero_module(B3I))
+    with pytest.raises(AttributeError):
+        delattr(m, attr)
+    assert m.parts == ("M2", "M1") and m.rank == 2 and m.base is B3I
+
+
+@pytest.mark.parametrize("attr", ["source", "target", "entries", "base", "other"])
+def test_map_attributes_cannot_be_assigned(attr):
+    f = morphism(M(B3I, "M1"), M(B3I, "M2"), [[1]])
+    with pytest.raises(AttributeError):
+        setattr(f, attr, None)
+    with pytest.raises(AttributeError):
+        delattr(f, attr)
+    assert f == morphism(M(B3I, "M1"), M(B3I, "M2"), [[1]])
+
+
+def test_equal_maps_built_apart_compare_and_hash_equal():
+    a, b = M(B3I, "M2", "M1"), M(B3I, "M3")
+    f = morphism(a, b, [[2, 1]])
+    for g in (morphism(a, b, [[2, 1]]), mor_compose(identity_morphism(b), f),
+              mor_compose(f, identity_morphism(a))):
+        assert g is not f and g == f and hash(g) == hash(f) and {f: 0}[g] == 0
+    assert morphism(a, b, [[0, 1]]) != f
+    assert morphism(b, b, [[2]]) != morphism(b, b, [[2]]).entries
+
+
+def test_representation_hash_is_kept_and_equal_for_equal_values():
+    rng = random.Random(31)
+    for base in (B3I, rad2nak_base(2, 3), stable_base(B3I)):
+        for quiver in (builtin_quiver("A4-zigzag"), builtin_quiver("kronecker")):
+            r = random_representation(base, quiver, rng)
+            value = hash((r.quiver, r.base, tuple(r.modules[v] for v in quiver.vertices),
+                          tuple(r.maps[a.name] for a in quiver.arrows)))
+            assert hash(r) == value and hash(r) == value
+            copy = Representation(r.quiver, r.base, dict(r.modules), dict(r.maps))
+            assert copy == r and hash(copy) == hash(r)
+            if base.is_abelian:
+                back = mio.representation_from_json(mio.representation_to_json(r))
+                assert back == r and hash(back) == hash(r)

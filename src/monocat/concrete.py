@@ -22,7 +22,6 @@ from .exact import image, solve_right
 from .serialmod import (
     SerialModule,
     SerialMorphism,
-    apply_morphism,
     automorphism_generators,
     module_elements,
     morphism,
@@ -49,7 +48,6 @@ class ConcreteModule:
         self._scalar_table = None
         self._inclusion_cache = {}
         self._aut_gens = None
-        self._mask_images = None
         self._cyclics: Dict[int, List[int]] = {}
         self._idempotents = None
         self._kept = {}
@@ -198,46 +196,34 @@ class ConcreteModule:
 
     def automorphism_generators(self) -> List[tuple]:
         """Permutations of the element indices that generate Aut(V): the
-        action of ``serialmod.automorphism_generators`` (unit scalings of one
-        summand, transvections x_i <- x_i + pi^e x_j with
-        max(0, a_i - a_j) <= e < a_i, swaps of equal summands) on elements;
-        its docstring proves they generate."""
+        action of ``serialmod.automorphism_generators``, whose docstring
+        proves they generate.  Column j of g, g(e_j), is read from its
+        entries; g(x) = sum_j x_j g(e_j) is built part by part in the
+        mixed-radix order, one addition per element."""
         if self._aut_gens is None:
             self.build_tables()
-            add, scalar = self._add_table, self._scalar_table
-            ring = self.ring
-            rank = self.module.rank
-            basis = [tuple(ring.one if k == j else ring.zero for k in range(rank))
-                     for j in range(rank)]
+            add, tab, ring = self._add_table, self.ring.tables, self.ring
+            lengths = self.part_lengths
+            widths = [ring.p ** sum(lengths[i + 1:]) for i in range(len(lengths))]
             gens = set()
             for g, _ in automorphism_generators(self.module):
-                # g is linear: x = sum x_j e_j goes to sum x_j g(e_j)
-                columns = [self.index[apply_morphism(g, e)] for e in basis]
-                perm = []
-                for x in self.elements:
-                    acc = self.zero
-                    for xj, col in zip(x, columns):
-                        acc = add[acc][scalar[xj.digits][col]]
-                    perm.append(acc)
+                perm = [self.zero]
+                for j in reversed(range(len(lengths))):
+                    col = sum(tab.trunc[l][tab.shift_up[max(0, l - lengths[j])][row[j].num]] * w
+                              for row, l, w in zip(g.entries, lengths, widths))
+                    multiples = [self._scalar_table[tab.elems[a].digits][col]
+                                 for a in range(ring.p ** lengths[j])]
+                    perm = [add[c][y] for c in multiples for y in perm]
                 gens.add(tuple(perm))
             gens.discard(tuple(range(self.size)))
             self._aut_gens = sorted(gens)
-            self._mask_images = [{} for _ in self._aut_gens]
         return self._aut_gens
 
-    def mask_image(self, g: int, mask: int) -> int:
-        """Image of a submodule mask under automorphism generator number g."""
-        if self._mask_images is None:
-            self.automorphism_generators()
-        memo = self._mask_images[g]
-        out = memo.get(mask)
-        if out is None:
-            perm = self._aut_gens[g]
-            out = 0
-            for i in self.mask_elements(mask):
-                out |= 1 << perm[i]
-            memo[mask] = out
-        return out
+    def mask_images(self, mask: int) -> List[int]:
+        """Images of a submodule mask under each automorphism generator."""
+        elements = self.mask_elements(mask)
+        # a permutation sends distinct elements to distinct bits
+        return [sum([1 << perm[i] for i in elements]) for perm in self.automorphism_generators()]
 
     def coordinate_idempotents(self) -> List[tuple]:
         """Element-index maps of the projections e_J onto the parts in J, for

@@ -10,9 +10,10 @@
   linearly oriented quiver and a chain ring a monic representation is a chain
   of submodules of its sink module V, and two chains give isomorphic
   representations exactly when an automorphism of V carries one onto the
-  other; that path classifies by Aut(V)-orbits of chains, walked with the
-  generators of ``ConcreteModule.automorphism_generators``, and yields its
-  classes in generation order.  Every other quiver and backing searches the
+  other; that path classifies by Aut(V)-orbits of chains of lattice
+  indices, each generator of ``ConcreteModule.automorphism_generators``
+  moving a chain by reads of its permutation of the submodule lattice, and
+  yields its classes in generation order.  Every other quiver and backing searches the
   arrow maps depth first; for monic classes it checks each vertex's combined
   in-map for injectivity once per (vertex modules, in-maps) and cuts a branch
   at the first vertex that fails.  Two representations with the same vertex
@@ -34,6 +35,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -271,11 +273,13 @@ _LATTICE_CACHE: Dict[tuple, tuple] = {}
 
 
 def _concrete_with_submodules(base: SerialBase, parts: tuple):
+    """(V, its sorted submodule masks, per Aut(V) generator a dict from lattice
+    indices to those of their images, filled on first use), once per sink."""
     key = (base, parts)
     if key not in _LATTICE_CACHE:
         conc = ConcreteModule(serial_module(base, parts))
         subs = conc.submodules()
-        _LATTICE_CACHE[key] = (conc, subs)
+        _LATTICE_CACHE[key] = (conc, subs, [{} for _ in conc.automorphism_generators()])
     return _LATTICE_CACHE[key]
 
 
@@ -311,10 +315,6 @@ def _orbit_representatives(candidates: list, moves: list, splits):
         yield candidate, split
 
 
-def _move_chain(conc: ConcreteModule, g: int, chain: tuple) -> tuple:
-    return tuple(conc.mask_image(g, m) for m in chain)
-
-
 def _chain_splits(conc: ConcreteModule, chain: tuple) -> bool:
     """Whether some coordinate idempotent e_J of V, J a proper nonempty set
     of V's parts, keeps every submodule of the chain; the chain is then the
@@ -335,8 +335,10 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
     R = R' (+) R'' with both nonzero, both have nonzero sink modules (the
     maps are monic), and by Krull-Schmidt for the parts of V some g in
     Aut(V) carries R'_V and R''_V onto complementary coordinate summands,
-    so g moves the chain to a block-diagonal member of its orbit.  Raises
-    BudgetExceeded when more than ``budget`` chains are built."""
+    so g moves the chain to a block-diagonal member of its orbit.  Chains
+    are walked as lattice indices, each generator by reads of its lattice
+    permutation, filled from ``mask_images`` for the candidates' submodules.
+    Raises BudgetExceeded when more than ``budget`` chains are built."""
     order = is_linear_chain(quiver)
     k = len(order)
     n = base.ring.n
@@ -347,8 +349,8 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
         # S_{k-1} to be at least the number of parts of the sink module
         if k > 1 and len(top.parts) > caps[order[-2]]:
             continue
-        conc, subs = _concrete_with_submodules(base, top.parts)
-        lengths = {m: conc.mask_length(m) for m in subs}
+        conc, subs, images = _concrete_with_submodules(base, top.parts)
+        lengths = [conc.mask_length(m) for m in subs]
         rad = conc.radical_mask()
         soc = conc.socle_mask()
         # masks containing an element of maximal order carry an injective
@@ -363,14 +365,14 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
             if position == 0:
                 yield ()
                 return
-            for m in subs:
+            for i, m in enumerate(subs):
                 if (
-                    lengths[m] <= caps[order[position - 1]]
+                    lengths[i] <= caps[order[position - 1]]
                     and (m & ~upper_mask) == 0
                     and not (n > 1 and position == 1 and m & full_order)
                 ):
                     for rest in chains(position - 1, m):
-                        yield rest + (m,)
+                        yield rest + (i,)
 
         # every rule below (caps, the injective element, socle coverage) is
         # Aut(V)-invariant, so the candidates are a union of orbits
@@ -378,8 +380,8 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
         if k == 1:
             candidates = [()]
         else:
-            for m2 in subs:
-                if lengths[m2] > caps[order[-2]]:
+            for i, m2 in enumerate(subs):
+                if lengths[i] > caps[order[-2]]:
                     continue
                 if k == 2 and n > 1 and m2 & full_order:
                     continue
@@ -389,15 +391,18 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                 if soc & ~conc.join(m2, rad):
                     continue
                 for rest in chains(k - 2, m2):
-                    candidates.append(rest + (m2,))
+                    candidates.append(rest + (i,))
         count += len(candidates)
         if count > budget:
             raise BudgetExceeded(f"enumeration budget {budget} exceeded")
-        moves = [functools.partial(_move_chain, conc, g)
-                 for g in range(len(conc.automorphism_generators()))]
-        splits = functools.partial(_chain_splits, conc)
-        for chain, split in _orbit_representatives(candidates, moves, splits):
-            yield conc, chain, split
+        for i in set().union(*candidates):
+            if images and i not in images[0]:
+                for image, moved in zip(images, conc.mask_images(subs[i])):
+                    image[i] = bisect.bisect_left(subs, moved)
+        moves = [lambda chain, get=image.__getitem__: tuple(map(get, chain)) for image in images]
+        for chain, split in _orbit_representatives(
+                candidates, moves, lambda chain: _chain_splits(conc, map(subs.__getitem__, chain))):
+            yield conc, tuple(subs[i] for i in chain), split
 
 
 def _chain_representation(quiver: Quiver, base: SerialBase, conc: ConcreteModule,

@@ -394,60 +394,68 @@ def hom_space(m: SerialModule, n: SerialModule) -> HomSpace:
 # -- automorphisms ----------------------------------------------------------------
 
 
-def automorphism_generators(m: SerialModule):
-    """Pairs (g, g^-1) of automorphisms of M = (+) P_i that generate Aut(M).
+def _unit_generators(base: SerialBase, a: str) -> list:
+    """A greedy generating set of the units of End(a) = R/pi^L, L =
+    hom_length(a, a): each unit, in number order, outside the subgroup H of
+    the ones before it; the group is abelian, so <H, u> is the union of the u^k H."""
+    length = base.hom_length(a, a)
+    gens, group = [], {base.one_coeff()}
+    for u in sorted(base.hom_elements(a, a), key=lambda c: c.num):
+        if u.digits[0] and u not in group:
+            gens.append(u)
+            grown, power = set(group), u
+            while power not in group:
+                grown.update((power * h).truncate(length) for h in group)
+                power = (power * u).truncate(length)
+            group = grown
+    return gens
 
-    * scalings of one part P_i by a unit u != 1 of End(P_i), inverse u^-1;
-    * transvections 1 + pi^e g_{i<-j} for i != j and e < hom_length(P_j, P_i),
-      where g_{i<-j} is the canonical generator of Hom(P_j, P_i) placed at
-      (i, j); off the diagonal it squares to zero, so the inverse is
-      1 - pi^e g_{i<-j};
-    * swaps of two equal parts, their own inverses.
+
+def automorphism_generators(m: SerialModule):
+    """Pairs (g, g^-1) of automorphisms of M = (+) P_i that generate Aut(M):
+
+    * s_i(u), part P_i scaled by u, for each u of ``_unit_generators(P_i)``;
+      inverse s_i(u^-1);
+    * t_ij(1) for each ordered pair i != j with Hom(P_j, P_i) != 0, where
+      t_ij(c) = 1 + c g_{i<-j}, g_{i<-j} the canonical generator placed at
+      (i, j); inverse t_ij(-1).
+
+    Lemmas.  (1) t_ij(c) t_ij(c') = t_ij(c + c'): the matrix unit at (i, j)
+    squares to zero.  (2) Every t_ij(c) is generated.  Over Z/p^n, pi = p
+    and t_ij(pi^e) = t_ij(1)^(p^e) by (1).  Over F_p[x]/(x^n), s_i(u)
+    t_ij(c) s_i(u)^-1 = t_ij(uc), so by (1) the commutator of s_i(1+x) and
+    t_ij(x^(e-1)) is t_ij(x^e), and 1 + x is a unit of End(P_i) other than 1
+    as e < hom_length(P_j, P_i) <= hom_length(P_i, P_i).  Any c is a sum of
+    digit multiples of the pi^e.  (3) The swap of equal parts P_i = P_j is
+    s_j(-1) t_ij(1) t_ji(-1) t_ij(1), so none is listed.  Every scaling is
+    generated, since the ``_unit_generators`` generate the unit group.
 
     They generate Aut(M) because every End(P_i) is local.  Let phi be an
     automorphism with inverse psi.  Then 1 = sum_i psi_{1i} phi_{i1} in the
     local ring End(P_1), so some psi_{1i} phi_{i1} is a unit; phi_{i1} is then
     a split monomorphism into the indecomposable P_i, an isomorphism, so
-    P_i = P_1 (labels name isomorphism classes) and phi_{i1} = u id with u a
-    unit.  Composing on the left with a swap, a scaling and the elementary
-    maps 1 - phi_{k1} (row k minus phi_{k1} times row 1, k != 1) turns column
-    1 into (1, 0, ..., 0).  Every elementary map 1 + c g_{k<-1} is a product of
-    transvections: c is a sum of digit multiples t pi^e with e below the hom
-    length, and (1 + a g)(1 + b g) = 1 + (a + b) g since g_{k<-1} squares to
-    zero as a matrix unit.  Composing on the right with the elementary maps
-    1 - phi_{1j} (column j minus column 1 times phi_{1j}) then clears row 1 and
-    keeps column 1, leaving 1 (+) psi' with psi' an automorphism of the other
-    parts, whose generators are among those of M; induction on the number of
-    parts finishes.  Aut(M) is finite, so a set closed under the g alone is
-    closed under the group.
+    P_i = P_1 (labels name isomorphism classes) and phi_{i1} is a unit.  If
+    phi_{11} is not, t_1i(1) phi has the unit phi_{11} + phi_{i1} at (1, 1).
+    Composing on the left with s_1(phi_{11}^-1) and the t_k1(-phi_{k1}),
+    k != 1, turns column 1 into (1, 0, ..., 0); composing on the right with
+    the t_1j(-phi_{1j}) clears row 1, leaving 1 (+) psi' with psi' an
+    automorphism of the other parts, whose generators are among those of M;
+    induction on the number of parts finishes.  Aut(M) is finite, so a set
+    closed under the g alone is closed under the group.
     """
-    base = m.base
-    parts = m.parts
+    base, parts, one = m.base, m.parts, m.base.one_coeff()
     ident = identity_morphism(m)
 
-    def elementary(changes):
+    def elementary(i, j, c):
         rows = [list(r) for r in ident.entries]
-        for (i, j), c in changes.items():
-            rows[i][j] = base.coeff(parts[j], parts[i], c)
+        rows[i][j] = base.coeff(parts[j], parts[i], c)
         return SerialMorphism(m, m, tuple(tuple(r) for r in rows))
 
     out = []
     for i, a in enumerate(parts):
-        for u in base.hom_elements(a, a):
-            if u.digits[0] and u != base.one_coeff():
-                out.append((elementary({(i, i): u}), elementary({(i, i): u.inverse()})))
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
-            if i == j:
-                continue
-            for e in range(base.hom_length(b, a)):
-                c = base.ring.pi_pow(e)
-                out.append((elementary({(i, j): c}), elementary({(i, j): -c})))
-    for i, a in enumerate(parts):
-        for j in range(i + 1, len(parts)):
-            if parts[j] == a:
-                swap = elementary({(i, i): 0, (j, j): 0, (i, j): 1, (j, i): 1})
-                out.append((swap, swap))
+        out += [(elementary(i, i, u), elementary(i, i, u.inverse())) for u in _unit_generators(base, a)]
+        out += [(elementary(i, j, one), elementary(i, j, -one))
+                for j, b in enumerate(parts) if j != i and base.hom_length(b, a)]
     return out
 
 

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+import monocat.enumerate as enumerate_module
 from monocat.base import chain_base, rad2nak_base
 from monocat.concrete import ConcreteModule
 from monocat.decompose import is_indecomposable
@@ -23,7 +24,6 @@ from monocat.enumerate import (
     _linear_mono_candidates,
     _linear_orbits,
     _maps_split,
-    _move_chain,
     _move_maps,
     _orbit_representatives,
     _pruned_classes,
@@ -35,6 +35,7 @@ from monocat.quiver import Quiver, builtin_quiver
 from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono, rep_direct_sum
 from monocat.serialmod import (
     SerialMorphism,
+    apply_morphism,
     automorphism_generators,
     hom_space,
     identity_morphism,
@@ -57,10 +58,74 @@ def _closure(gens, size):
     return group
 
 
+def _full_generators(m):
+    """A redundant list of generator pairs of Aut(m): a scaling by every
+    unit != 1, every transvection 1 + pi^e g_{i<-j} with e below the hom
+    length, and every swap of two equal parts."""
+    base, parts = m.base, m.parts
+    ident = identity_morphism(m)
+
+    def elementary(changes):
+        rows = [list(r) for r in ident.entries]
+        for (i, j), c in changes.items():
+            rows[i][j] = base.coeff(parts[j], parts[i], c)
+        return SerialMorphism(m, m, tuple(tuple(r) for r in rows))
+
+    out = []
+    for i, a in enumerate(parts):
+        for u in base.hom_elements(a, a):
+            if u.digits[0] and u != base.one_coeff():
+                out.append((elementary({(i, i): u}), elementary({(i, i): u.inverse()})))
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            if i != j:
+                for e in range(base.hom_length(b, a)):
+                    c = base.ring.pi_pow(e)
+                    out.append((elementary({(i, j): c}), elementary({(i, j): -c})))
+    for i, a in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            if parts[j] == a:
+                swap = elementary({(i, i): 0, (j, j): 0, (i, j): 1, (j, i): 1})
+                out.append((swap, swap))
+    return out
+
+
+def _permutation(conc, g):
+    """The automorphism g on the element indices of conc, each column by
+    ``apply_morphism`` on a basis tuple."""
+    conc.build_tables()
+    add, scalar, ring = conc._add_table, conc._scalar_table, conc.ring
+    rank = conc.module.rank
+    columns = [conc.index[apply_morphism(g, tuple(ring.one if k == j else ring.zero
+                                                  for k in range(rank)))]
+               for j in range(rank)]
+    perm = []
+    for x in conc.elements:
+        acc = conc.zero
+        for xj, col in zip(x, columns):
+            acc = add[acc][scalar[xj.digits][col]]
+        perm.append(acc)
+    return tuple(perm)
+
+
+def _move_chain(conc, perm, chain):
+    """A chain of submodule masks moved by the element permutation perm."""
+    return tuple(sum(1 << perm[i] for i in conc.mask_elements(m)) for m in chain)
+
+
 @pytest.mark.parametrize("arith,p,n,parts", [
     ("poly", 2, 2, ["M1", "M1"]),
     ("poly", 2, 2, ["M2", "M1"]),
     ("int", 2, 3, ["M3", "M1"]),
+    # the swap of equal parts from transvections and s_j(-1), p odd
+    ("int", 3, 2, ["M2", "M2"]),
+    ("poly", 3, 2, ["M2", "M2"]),
+    # unit groups that are not cyclic
+    ("int", 2, 3, ["M3", "M3"]),
+    ("int", 2, 4, ["M4", "M2"]),
+    # t_ij(x^e), e >= 1, from commutators with s_i(1 + x)
+    ("poly", 2, 3, ["M3", "M3"]),
+    ("poly", 2, 4, ["M4", "M3"]),
 ])
 def test_automorphism_generators_generate_aut(arith, p, n, parts):
     conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
@@ -68,6 +133,9 @@ def test_automorphism_generators_generate_aut(arith, p, n, parts):
     conc.build_tables()
     add, scalar = conc._add_table, conc._scalar_table
     assert gens
+    # each permutation is the one apply_morphism gives for its generator
+    expected = {_permutation(conc, g) for g, _ in automorphism_generators(conc.module)}
+    assert set(gens) == expected - {tuple(range(conc.size))}
     for g in gens:
         assert sorted(g) == list(range(conc.size))
         for i in range(conc.size):
@@ -237,6 +305,44 @@ def test_linear_verdicts_where_first_members_are_off_diagonal():
     assert off_diagonal
 
 
+@pytest.mark.parametrize("base_args", [("poly", 2, 3), ("int", 2, 3)])
+def test_linear_orbits_match_the_full_generator_walk(base_args, monkeypatch):
+    # the lattice-index walk with the reduced generators against the walk of
+    # mask chains under every generator of _full_generators, on the same
+    # candidates of every sink module
+    quiver = builtin_quiver("An-linear:3")
+    base = chain_base(*base_args)
+    caps = dict(zip(quiver.vertices, (3, 4, 5)))
+    lattices, walked = [], []
+    real_lattice = enumerate_module._concrete_with_submodules
+    real_walk = enumerate_module._orbit_representatives
+
+    def lattice(*args):
+        lattices.append(real_lattice(*args))
+        return lattices[-1]
+
+    def walk(candidates, moves, splits):
+        walked.append(candidates)
+        return real_walk(candidates, moves, splits)
+
+    monkeypatch.setattr(enumerate_module, "_concrete_with_submodules", lattice)
+    monkeypatch.setattr(enumerate_module, "_orbit_representatives", walk)
+    found = [(conc.module.parts, chain, splits)
+             for conc, chain, splits in _linear_orbits(quiver, base, caps)]
+    assert len(lattices) == len(walked)
+    assert {conc.module.parts for conc, _, _ in lattices} == \
+        {m.parts for m in modules_up_to_length(base, 5) if len(m.parts) <= 4}
+    expected = []
+    for (conc, subs, _), candidates in zip(lattices, walked):
+        moves = [functools.partial(_move_chain, conc, _permutation(conc, g))
+                 for g, _ in _full_generators(conc.module)]
+        masks = [tuple(subs[i] for i in chain) for chain in candidates]
+        expected += [(conc.module.parts, chain, splits) for chain, splits in
+                     real_walk(masks, moves, functools.partial(_chain_splits, conc))]
+    assert found == expected
+    assert len(found) > 100
+
+
 def test_generic_verdicts_where_first_members_are_off_diagonal():
     quiver = builtin_quiver("An-linear:2")
     base = chain_base("int", 2, 3)
@@ -353,8 +459,7 @@ def test_off_diagonal_submodule_chain_is_reported_split():
     tilted = conc.span(zero_mask, conc.index[(ring.pi, ring.one)])
     assert _chain_splits(conc, (diagonal,))
     assert not _chain_splits(conc, (tilted,))
-    moves = [functools.partial(_move_chain, conc, g)
-             for g in range(len(conc.automorphism_generators()))]
+    moves = [functools.partial(_move_chain, conc, perm) for perm in conc.automorphism_generators()]
     orbit = _orbit((tilted,), moves)
     assert (diagonal,) in orbit
     candidates = [(tilted,)] + [c for c in orbit if c != (tilted,)]

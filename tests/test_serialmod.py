@@ -26,6 +26,7 @@ from monocat.serialmod import (
     MEMO_SIZE,
     SerialModule,
     _direct_sum,
+    _unit_generators,
     apply_morphism,
     assemble,
     automorphism_generators,
@@ -500,6 +501,14 @@ AUT_CASES = [
     M(chain_base("poly", 3, 2), "M1", "M1"), M(chain_base("int", 3, 2), "M2", "M1"),
     M(rad2nak_base(2, 2), "P1", "P1"), M(rad2nak_base(2, 2), "P1", "P2", "S2"),
     M(rad2nak_base(3, 2), "P1", "P2", "S2", "S2"), M(rad2nak_base(2, 3), "P1", "S1"),
+    # the swap of equal parts from transvections and s_j(-1), p odd
+    M(chain_base("int", 3, 2), "M2", "M2"), M(chain_base("poly", 3, 2), "M2", "M2"),
+    M(rad2nak_base(2, 3), "P2", "P2"), M(rad2nak_base(2, 3), "S1", "S1", "P2"),
+    # unit groups that are not cyclic
+    M(B3I, "M3", "M3"), M(chain_base("int", 2, 4), "M4", "M2"),
+    # t_ij(x^e), e >= 1, from commutators with s_i(1 + x)
+    M(B3P, "M3", "M3"), M(chain_base("poly", 2, 4), "M4", "M3"),
+    M(rad2nak_base(2, 2), "S1", "S1", "P2"),
 ]
 
 
@@ -521,6 +530,48 @@ def test_automorphism_generators_generate_the_units_of_end(m):
                 group.add(gh.entries)
                 frontier.append(gh)
     assert group == _units(m)
+
+
+def _generated(units, length):
+    """The subgroup of the units of R/pi^length generated by ``units``."""
+    group = {units[0].ring.one} if units else set()
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for u in units:
+            uh = (u * h).truncate(length)
+            if uh not in group:
+                group.add(uh)
+                frontier.append(uh)
+    return group
+
+
+@pytest.mark.parametrize("m", AUT_CASES, ids=repr)
+def test_automorphism_generators_are_scalings_and_one_transvection_per_pair(m):
+    base, parts = m.base, m.parts
+    one = base.one_coeff()
+    scalings = {i: [] for i in range(m.rank)}
+    transvections = []
+    for g, _ in automorphism_generators(m):
+        moved = [(i, j) for i in range(m.rank) for j in range(m.rank)
+                 if g.entries[i][j] != (one if i == j else base.zero_coeff())]
+        assert len(moved) == 1  # no swap: a swap moves four entries
+        (i, j), = moved
+        if i == j:
+            scalings[i].append(g.entries[i][i])
+        else:
+            assert g.entries[i][j] == base.coeff(parts[j], parts[i], one)
+            transvections.append((i, j))
+    assert sorted(transvections) == [(i, j) for i in range(m.rank) for j in range(m.rank)
+                                     if i != j and base.hom_length(parts[j], parts[i])]
+    for i, a in enumerate(parts):
+        length = base.hom_length(a, a)
+        units = [u for u in base.hom_elements(a, a) if u.digits[0]]
+        assert scalings[i] == _unit_generators(base, a)
+        assert _generated(scalings[i], length) | {one} == set(units)
+        # greedy: none is generated by the ones before it
+        assert all(u not in _generated(scalings[i][:k], length) | {one}
+                   for k, u in enumerate(scalings[i]))
 
 
 # -- memoized operations ----------------------------------------------------------

@@ -100,19 +100,10 @@ class SerialBase:
         return self.ring.one
 
     def hom_elements(self, a: str, b: str):
-        """All elements of Hom(a, b) as coefficients, in digit order."""
-        ln = self.hom_length(a, b)
-        r = self.ring
-        if ln == 0:
-            yield r.zero
-            return
-        def rec(prefix):
-            if len(prefix) == ln:
-                yield r.elem(tuple(prefix) + (0,) * (r.n - ln))
-                return
-            for d in range(r.p):
-                yield from rec(prefix + [d])
-        yield from rec([])
+        """All elements of Hom(a, b) as coefficients, in number order: those
+        of hom length l are the ring elements numbered below p^l."""
+        elems = self.ring.tables.elems
+        return (elems[x] for x in range(self.ring.p ** self.hom_length(a, b)))
 
     def injective_labels(self) -> tuple:
         return tuple(l for l in self.labels if self.is_injective(l))

@@ -14,7 +14,6 @@ for the polynomial kind.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -95,13 +94,9 @@ class ChainRing:
         return self.tables.elems[self.p ** k if k < self.n else 0]
 
     def elements(self) -> Iterator["ChainRingElem"]:
-        """All p^n elements, in lexicographic digit order."""
+        """All p^n elements, in number order."""
         elems = self.tables.elems
-        for digits in itertools.product(range(self.p), repeat=self.n):
-            yield elems[_number(self.p, digits)]
-
-    def units(self) -> Iterator["ChainRingElem"]:
-        return (e for e in self.elements() if e.valuation() == 0)
+        return (elems[a] for a in range(self.size))
 
     @property
     def size(self) -> int:

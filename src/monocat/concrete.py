@@ -1,13 +1,14 @@
 """Concrete element-level model of chain-backed modules.
 
-Elements are interned to integer indices; submodules are bitmasks over the
-element list, which makes subset tests and lattice walks cheap.  It is the
-engine of the linear monic sweep (Aut(V)-orbits of submodule chains of the
-sink V) and checks the hom calculus against function composition.
+Elements are numbered; submodules are bitmasks over the element numbers,
+which makes subset tests and lattice walks cheap.  It is the engine of the
+linear monic sweep (Aut(V)-orbits of submodule chains of the sink V).
 
 An element of V = (+)_i Lambda/pi^{l_i} is numbered by mixed radix: part 0
 is the most significant digit, each part's digit its ring number
-``to_int()``, so the tables are built part by part from the ring's tables.
+``to_int()``, so the tables are built part by part from the ring's tables,
+and the digit of part i of element x is x // width_i % p^{l_i}, width_i the
+number of elements of the parts after i.
 Submodules are walked upward from 0 by simple extensions: a nonzero T has a
 maximal S with T/S = F_p, and any x in T - S has pi*x in S and gives T as
 the union of the cosets kx + S, 0 <= k < p.
@@ -23,14 +24,13 @@ from .serialmod import (
     SerialModule,
     SerialMorphism,
     automorphism_generators,
-    module_elements,
     morphism,
     serial_module,
 )
 
 
 class ConcreteModule:
-    """A chain-backed module with interned elements and precomputed tables."""
+    """A chain-backed module with numbered elements and precomputed tables."""
 
     def __init__(self, module: SerialModule):
         base = module.base
@@ -39,13 +39,14 @@ class ConcreteModule:
         self.base = base
         self.module = module
         self.ring = base.ring
-        self.elements: List[tuple] = list(module_elements(module))
-        self.index: Dict[tuple, int] = {e: i for i, e in enumerate(self.elements)}
-        self.size = len(self.elements)
-        self.zero = self.index[tuple(self.ring.zero for _ in module.parts)]
         self.part_lengths = [base.length(p) for p in module.parts]
+        p = self.ring.p
+        self.widths = [p ** sum(self.part_lengths[i + 1:]) for i in range(module.rank)]
+        self.size = p ** sum(self.part_lengths)
+        self.zero = 0
         self._add_table = None
         self._scalar_table = None
+        self._orders = None
         self._inclusion_cache = {}
         self._aut_gens = None
         self._cyclics: Dict[int, List[int]] = {}
@@ -53,31 +54,30 @@ class ConcreteModule:
         self._kept = {}
 
     def build_tables(self):
-        """``_add_table[i][j]``: the index of element i + element j;
-        ``_scalar_table[c.digits][i]``: of c * element i."""
+        """``_add_table[i][j]``: the number of element i + element j;
+        ``_scalar_table[c][i]``: of c * element i, c a ring number;
+        ``_orders[i]``: the order of element i (``order_of``)."""
         if self._add_table is not None:
             return
         tab, numbers = self.ring.tables, range(self.ring.size)
-        add, scalar, width = [[0]], [[0] for _ in numbers], 1
-        for l in reversed(self.part_lengths):
-            # (a, r), a in this part and r in the later ones, has index a * width + r
+        add, scalar, orders = [[0]], [[0] for _ in numbers], [0]
+        for l, width in zip(reversed(self.part_lengths), reversed(self.widths)):
+            # (a, r), a in this part and r in the later ones, has number a * width + r
             part, trunc = range(self.ring.p ** l), tab.trunc[l]
             add = [[u + y for u in shifts for y in row]
                    for shifts in ([trunc[tab.add[a][b]] * width for b in part] for a in part)
                    for row in add]
             scalar = [[trunc[tab.mul[c][a]] * width + y for a in part for y in scalar[c]]
                       for c in numbers]
-            width *= len(part)
+            orders = [max(d, y) for d in [0] + [l - tab.val[a] for a in part[1:]] for y in orders]
         self._add_table = add
-        self._scalar_table = {c.digits: scalar[c.num] for c in self.ring.elements()}
+        self._scalar_table = scalar
+        self._orders = orders
 
     def order_of(self, i: int) -> int:
         """Smallest d with pi^d * element = 0."""
-        d = 0
-        for x, l in zip(self.elements[i], self.part_lengths):
-            if not x.is_zero():
-                d = max(d, l - x.valuation())
-        return d
+        self.build_tables()
+        return self._orders[i]
 
     def mask_length(self, mask: int) -> int:
         """Composition length of a submodule given as a bitmask: log_p |S|."""
@@ -94,7 +94,7 @@ class ConcreteModule:
         out = self._cyclics.get(gen)
         if out is None:
             self.build_tables()
-            out = self._cyclics[gen] = sorted({table[gen] for table in self._scalar_table.values()})
+            out = self._cyclics[gen] = sorted({table[gen] for table in self._scalar_table})
         return out
 
     def span(self, mask: int, gen: int) -> int:
@@ -125,7 +125,7 @@ class ConcreteModule:
         bits = [1 << x for x in range(self.size)]
         # preimages[y]: mask of the x with pi*x = y
         preimages = [0] * self.size
-        for x, y in enumerate(self._scalar_table[self.ring.pi.digits]):
+        for x, y in enumerate(self._scalar_table[self.ring.pi.num]):
             preimages[y] |= bits[x]
         zero_mask = 1 << self.zero
         subs = {zero_mask}
@@ -163,21 +163,17 @@ class ConcreteModule:
     def radical_mask(self) -> int:
         """Bitmask of pi*V."""
         self.build_tables()
-        pi = self.ring.pi
-        table = self._scalar_table[pi.digits]
         out = 0
-        for i in range(self.size):
-            out |= 1 << table[i]
+        for y in self._scalar_table[self.ring.pi.num]:
+            out |= 1 << y
         return out
 
     def socle_mask(self) -> int:
         """Bitmask of the socle: elements killed by pi."""
         self.build_tables()
-        pi = self.ring.pi
-        table = self._scalar_table[pi.digits]
         out = 0
-        for i in range(self.size):
-            if table[i] == self.zero:
+        for i, y in enumerate(self._scalar_table[self.ring.pi.num]):
+            if y == self.zero:
                 out |= 1 << i
         return out
 
@@ -202,17 +198,15 @@ class ConcreteModule:
         mixed-radix order, one addition per element."""
         if self._aut_gens is None:
             self.build_tables()
-            add, tab, ring = self._add_table, self.ring.tables, self.ring
-            lengths = self.part_lengths
-            widths = [ring.p ** sum(lengths[i + 1:]) for i in range(len(lengths))]
+            add, scalar, tab = self._add_table, self._scalar_table, self.ring.tables
+            lengths, widths = self.part_lengths, self.widths
             gens = set()
             for g, _ in automorphism_generators(self.module):
                 perm = [self.zero]
                 for j in reversed(range(len(lengths))):
                     col = sum(tab.trunc[l][tab.shift_up[max(0, l - lengths[j])][row[j].num]] * w
                               for row, l, w in zip(g.entries, lengths, widths))
-                    multiples = [self._scalar_table[tab.elems[a].digits][col]
-                                 for a in range(ring.p ** lengths[j])]
+                    multiples = [scalar[a][col] for a in range(self.ring.p ** lengths[j])]
                     perm = [add[c][y] for c in multiples for y in perm]
                 gens.add(tuple(perm))
             gens.discard(tuple(range(self.size)))
@@ -226,20 +220,25 @@ class ConcreteModule:
         return [sum([1 << perm[i] for i in elements]) for perm in self.automorphism_generators()]
 
     def coordinate_idempotents(self) -> List[tuple]:
-        """Element-index maps of the projections e_J onto the parts in J, for
-        every proper nonempty set J of parts that contains part 0.  A
+        """Element-number maps of the projections e_J onto the parts in J,
+        for every proper nonempty set J of parts that contains part 0.  A
         submodule is kept by e_J exactly when it is kept by 1 - e_J, the
-        projection onto the complement, so the complements are left out."""
+        projection onto the complement, so the complements are left out.
+        e_J keeps the digits of the parts in J and zeroes the others; the
+        map is built part by part in the mixed-radix order."""
         if self._idempotents is None:
-            rank = self.module.rank
-            zero = self.ring.zero
+            rank, p = self.module.rank, self.ring.p
             self._idempotents = []
             # bits picks J - {0} among parts 1..rank-1; all of them is not proper
             for bits in range((1 << (rank - 1)) - 1 if rank > 1 else 0):
-                J = [j == 0 or bits >> (j - 1) & 1 for j in range(rank)]
-                self._idempotents.append(tuple(
-                    self.index[tuple(x if keep else zero for x, keep in zip(e, J))]
-                    for e in self.elements))
+                e = [0]
+                for j in reversed(range(rank)):
+                    part = range(p ** self.part_lengths[j])
+                    if j == 0 or bits >> (j - 1) & 1:
+                        e = [a * self.widths[j] + y for a in part for y in e]
+                    else:
+                        e = [y for _ in part for y in e]
+                self._idempotents.append(tuple(e))
         return self._idempotents
 
     def kept_idempotents(self, mask: int) -> int:
@@ -258,8 +257,8 @@ class ConcreteModule:
     def minimal_generators(self, mask: int) -> List[int]:
         """Greedy minimal generating set (large orders first)."""
         self.build_tables()
-        elems = self.mask_elements(mask)
-        elems.sort(key=lambda i: -self.order_of(i))
+        elems, orders = self.mask_elements(mask), self._orders
+        elems.sort(key=lambda i: -orders[i])
         covered = 1 << self.zero
         gens = []
         for i in elems:
@@ -286,12 +285,14 @@ class ConcreteModule:
             return result
         cover = serial_module(base, labels)
         order = sorted(range(len(gens)), key=lambda k: (base.label_sort_key(labels[k]), k))
+        elems = self.ring.tables.elems
         cols = []
         for k in order:
-            g = self.elements[gens[k]]
-            d = self.order_of(gens[k])
+            g = gens[k]
+            d = self.order_of(g)
             col = []
-            for x, l in zip(g, self.part_lengths):
+            for l, width in zip(self.part_lengths, self.widths):
+                x = elems[g // width % self.ring.p ** l]
                 shift = max(0, l - d)
                 if x.valuation() < shift:
                     raise AssertionError("generator component not divisible")

@@ -24,10 +24,10 @@
   generation order.  Both walks decide indecomposability on the way: a
   representation is decomposable exactly when some member of its orbit is
   block diagonal for a splitting of the vertex modules' parts into two
-  nonempty sets (``_chain_splits``, ``_maps_split``), so no endomorphism
-  ring is computed.  ``IsoClassifier`` (fingerprint buckets, then
-  ``is_iso_reps``) and ``decompose.is_indecomposable`` remain as the
-  oracles of the tests; the latter shares only the union-find
+  nonempty sets (``_chain_splits``, ``decompose.coordinate_components``),
+  so no endomorphism ring is computed.  ``IsoClassifier`` (fingerprint
+  buckets, then ``is_iso_reps``) and ``decompose.is_indecomposable`` remain
+  as the oracles of the tests; the latter shares only the union-find
   (``decompose.coordinate_components``), and answers every connected
   representation from its endomorphism ring.
 * The Kronecker families built from the homogeneous two-variable form model.
@@ -170,12 +170,10 @@ class IsoClassifier:
 
 
 def enumerate_gabriel(quiver: Quiver, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> List[Representation]:
-    """One indecomposable representation over F_p per positive root."""
-    typ = dynkin_type(quiver)
-    if typ is None:
-        raise ValueError("enumerate_gabriel requires a Dynkin quiver")
+    """One indecomposable representation over F_p per positive root;
+    ValueError off Dynkin quivers."""
+    roots = positive_roots(quiver)
     base = chain_base(INT, p, 1)
-    roots = positive_roots(typ)
     out = []
     count = 0
     for root in roots:
@@ -541,16 +539,6 @@ def _move_maps(arrows, modules, v, g, g_inv, memo, maps):
     return tuple(out)
 
 
-def _maps_split(arrows, offsets, size, maps) -> bool:
-    """Whether the arrow maps ``maps`` (entries per arrow, in ``arrows``
-    order) are block diagonal for a splitting of the vertex modules' parts
-    into two nonempty sets: the union-find of
-    ``decompose.coordinate_components`` over the ``size`` nodes (vertex,
-    part), numbered ``offsets[vertex] + part``, leaves at least two
-    components."""
-    return coordinate_components(arrows, offsets, size, maps) is not None
-
-
 def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                            mono_only: bool, budget: int):
     """Yield (rep, splits) for each isomorphism class among
@@ -566,7 +554,10 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
     assignment are a union of orbits.
 
     ``splits`` says whether rep is decomposable: some member of its orbit is
-    block diagonal (``_maps_split``).  If rep = R' (+) R'' with both nonzero,
+    block diagonal for a splitting of the vertex modules' parts into two
+    nonempty sets, that is, the union-find of ``coordinate_components`` over
+    the nodes (vertex, part), numbered ``offsets[vertex] + part``, leaves at
+    least two components.  If rep = R' (+) R'' with both nonzero,
     Krull-Schmidt for the parts gives (g_v) carrying R'_v and R''_v onto
     complementary coordinate summands at every vertex, and the moved member
     is block diagonal along them; conversely the coordinate projections of
@@ -598,7 +589,10 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
         for v in vertices:
             offsets[v] = size
             size += modules[v].rank
-        splits = functools.partial(_maps_split, arrows, offsets, size)
+
+        def splits(maps, offsets=offsets, size=size):
+            return coordinate_components(arrows, offsets, size, maps) is not None
+
         for maps, split in _orbit_representatives(list(by_maps), moves, splits):
             yield by_maps[maps], split
 

@@ -33,11 +33,8 @@ from .chainring import POLY
 from .serialmod import (
     SerialModule,
     SerialMorphism,
-    identity_morphism,
     memo,
     mor_block,
-    mor_compose,
-    mor_equal,
     morphism,
     serial_module,
     zero_morphism,
@@ -636,12 +633,6 @@ def is_injective_map(*maps: SerialMorphism) -> bool:
     return True
 
 
-def is_surjective_map(f: SerialMorphism) -> bool:
-    _require_abelian(f.base, "is_surjective_map")
-    C, _ = cokernel(f)
-    return C.is_zero()
-
-
 def is_iso(f: SerialMorphism) -> bool:
     """Isomorphism test valid over every backing.
 
@@ -658,13 +649,3 @@ def is_iso(f: SerialMorphism) -> bool:
         if not _fp_invertible(p, [[f.entries[i][j].digits[0] for j in idx] for i in idx]):
             return False
     return True
-
-
-def invert(f: SerialMorphism) -> SerialMorphism:
-    """Two-sided inverse of an isomorphism."""
-    if not is_iso(f):
-        raise ValueError("morphism is not invertible")
-    inv = solve_right(f, identity_morphism(f.target))
-    if inv is None or not mor_equal(mor_compose(inv, f), identity_morphism(f.source)):
-        raise AssertionError("inverse computation failed")
-    return inv

@@ -191,32 +191,18 @@ def dynkin_type(q: Quiver) -> Optional[str]:
     return None
 
 
-def _dynkin_adjacency(typ: str):
-    """Vertex count and edge list of the standard diagram of the given type."""
-    kind, k = typ[0], int(typ[1:])
-    if kind == "A":
-        return k, [(i, i + 1) for i in range(k - 1)]
-    if kind == "D":
-        if k < 4:
-            raise ValueError("D requires k >= 4")
-        edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, k - 1)]
-        return k, edges
-    if kind == "E":
-        if k not in (6, 7, 8):
-            raise ValueError("E requires k in {6,7,8}")
-        # path 0-1-2-3-...-(k-2), extra vertex k-1 attached to vertex 2
-        edges = [(i, i + 1) for i in range(k - 2)] + [(2, k - 1)]
-        return k, edges
-    raise ValueError(f"unknown Dynkin type {typ}")
-
-
-def positive_roots(typ: str):
-    """Positive roots as dimension vectors, by closure under simple reflections."""
-    k, edges = _dynkin_adjacency(typ)
+def positive_roots(q: Quiver):
+    """Positive roots of a Dynkin quiver as dimension vectors in the order of
+    ``q.vertices``, by closure under the simple reflections of its underlying
+    graph; ValueError off Dynkin quivers, where the closure does not end."""
+    if dynkin_type(q) is None:
+        raise ValueError("positive roots require a Dynkin quiver")
+    k = len(q.vertices)
+    position = {v: i for i, v in enumerate(q.vertices)}
     adj = [[] for _ in range(k)]
-    for s, t in edges:
-        adj[s].append(t)
-        adj[t].append(s)
+    for s, t in q.underlying_edges():
+        adj[position[s]].append(position[t])
+        adj[position[t]].append(position[s])
 
     def reflect(v, i):
         w = list(v)

@@ -27,6 +27,7 @@ built.  A call that raises is not cached and raises again.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -290,52 +291,6 @@ def rebase_map(f: SerialMorphism, source: SerialModule, target: SerialModule,
     return morphism(source, target, [[elem(f.entries[i][j].num) for j in cols] for i in rows])
 
 
-# -- concrete elements (used by oracles and exhaustive checks) ------------------
-
-
-def module_elements(m: SerialModule) -> Iterator[tuple]:
-    """All elements of a chain-backed module as tuples of truncated ring values."""
-    ring = m.base.ring
-
-    def rec(i, prefix):
-        if i == m.rank:
-            yield tuple(prefix)
-            return
-        ln = m.base.length(m.parts[i])
-        for digits in _digit_tuples(ring.p, ln):
-            prefix.append(ring.elem(digits + (0,) * (ring.n - ln)))
-            yield from rec(i + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, [])
-
-
-def _digit_tuples(p: int, ln: int):
-    if ln == 0:
-        yield ()
-        return
-    for rest in _digit_tuples(p, ln - 1):
-        for d in range(p):
-            yield (d,) + rest
-
-
-def apply_morphism(f: SerialMorphism, vector: tuple) -> tuple:
-    """Evaluate a chain-backed morphism on a concrete element of its source."""
-    base = f.base
-    out = []
-    for i, tp in enumerate(f.target.parts):
-        b = base.length(tp)
-        acc = base.ring.zero
-        for j, sp in enumerate(f.source.parts):
-            a = base.length(sp)
-            c = f.entries[i][j]
-            if c.is_zero():
-                continue
-            acc = acc + (c * vector[j]).shift_up(max(0, b - a))
-        out.append(acc.truncate(b))
-    return tuple(out)
-
-
 class HomSpace:
     """Finite description of Hom(M, N): entrywise product of cyclic modules."""
 
@@ -354,26 +309,14 @@ class HomSpace:
         return p ** sum(sum(row) for row in self.moduli)
 
     def __iter__(self) -> Iterator[SerialMorphism]:
-        slots = [
-            (i, j, self.moduli[i][j])
-            for i in range(self.target.rank)
-            for j in range(self.source.rank)
-            if self.moduli[i][j] > 0
-        ]
-        z = self.base.ring.zero
-
-        def rec(idx, rows):
-            if idx == len(slots):
-                yield SerialMorphism(self.source, self.target, tuple(tuple(r) for r in rows))
-                return
-            i, j, ln = slots[idx]
-            for digits in _digit_tuples(self.base.ring.p, ln):
-                rows[i][j] = self.base.ring.elem(digits + (0,) * (self.base.ring.n - ln))
-                yield from rec(idx + 1, rows)
-            rows[i][j] = z
-
-        start = [[z] * self.source.rank for _ in range(self.target.rank)]
-        yield from rec(0, start)
+        """Every map once, in mixed-radix order of the entries' numbers:
+        row-major, the last entry fastest, each entry over the ring elements
+        numbered below p^length."""
+        elems, p = self.base.ring.tables.elems, self.base.ring.p
+        rows = [list(itertools.product(*([elems[x] for x in range(p ** ln)] for ln in row)))
+                for row in self.moduli]
+        for entries in itertools.product(*rows):
+            yield SerialMorphism(self.source, self.target, entries)
 
     def random(self, rng) -> SerialMorphism:
         rows = []
@@ -400,7 +343,7 @@ def _unit_generators(base: SerialBase, a: str) -> list:
     the ones before it; the group is abelian, so <H, u> is the union of the u^k H."""
     length = base.hom_length(a, a)
     gens, group = [], {base.one_coeff()}
-    for u in sorted(base.hom_elements(a, a), key=lambda c: c.num):
+    for u in base.hom_elements(a, a):
         if u.digits[0] and u not in group:
             gens.append(u)
             grown, power = set(group), u
@@ -462,23 +405,12 @@ def automorphism_generators(m: SerialModule):
 # -- socle and injective envelope -----------------------------------------------
 
 
-def socle(m: SerialModule) -> SerialModule:
-    return serial_module(m.base, (m.base.socle_label(p) for p in m.parts))
-
-
 def _generator_sum(base: SerialBase, pairs) -> SerialMorphism:
     """Direct sum of the canonical generators a -> b over the label pairs."""
     one = base.one_coeff()
     return mor_direct_sum(base, [
         morphism(serial_module(base, (a,)), serial_module(base, (b,)), [[one]]) for a, b in pairs
     ])
-
-
-def socle_inclusion(m: SerialModule) -> SerialMorphism:
-    """The canonical monomorphism socle(M) -> M."""
-    f = _generator_sum(m.base, [(m.base.socle_label(p), p) for p in m.parts])
-    assert f.target == m and f.source == socle(m)
-    return f
 
 
 @memo

@@ -515,7 +515,7 @@ def suite_rad2_count(quiver=None, base=None, seed: int = 0, budget: int = DEFAUL
     typ = dynkin_type(quiver)
     m = len(base.injective_labels())
     t = len(stable_base(base).labels)
-    expected = m * len(quiver.vertices) + t * len(positive_roots(typ))
+    expected = m * len(quiver.vertices) + t * len(positive_roots(quiver))
     ok = len(report.classes) == expected
     return _result("rad2-count", ok, classes=len(report.classes), expected=expected,
                    m=m, t=t, dynkin=typ)

@@ -12,6 +12,9 @@ from monocat.concrete import ConcreteModule
 from monocat.enumerate import modules_up_to_length
 from monocat.serialmod import serial_module
 
+import oracles
+from oracles import apply_morphism, element_number, module_elements, order_of
+
 
 # (arith, p, n, parts): the zero module, single parts and mixed sums
 TABLE_CASES = [
@@ -28,31 +31,37 @@ TABLE_CASES = [
 
 @pytest.mark.parametrize("arith,p,n,parts", TABLE_CASES)
 def test_tables_are_the_elementwise_operations(arith, p, n, parts):
-    """An element's index is its mixed-radix number (part 0 most
-    significant, each part's digit its ring number), and both tables are
-    tuple addition and scalar multiplication truncated per part, read back
-    through the index."""
+    """Element i of the function model (``oracles.module_elements``) has the
+    mixed-radix number i (part 0 most significant, each part's digit its
+    ring number); the tables are tuple addition and scalar multiplication
+    truncated per part, read back through the numbering; and the element
+    orders, the coordinate idempotents and every submodule's inclusion are
+    those of the tuple oracles."""
     conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
-    lengths = [int(label[1:]) for label in parts]
-    for e, i in conc.index.items():
-        number = 0
-        for x, length in zip(e, lengths):
-            number = number * p ** length + x.to_int()
-        assert i == number
-    assert conc.size == p ** sum(lengths)
+    module, lengths = conc.module, [int(label[1:]) for label in parts]
+    elements = module_elements(module)
+    assert [element_number(module, e) for e in elements] == list(range(conc.size))
+    assert conc.size == p ** sum(lengths) and conc.zero == 0
 
     conc.build_tables()
-    elements = conc.elements
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             total = tuple((x + y).truncate(l) for x, y, l in zip(a, b, lengths))
-            assert conc._add_table[i][j] == conc.index[total]
+            assert conc._add_table[i][j] == element_number(module, total)
     ring = conc.ring
-    assert list(conc._scalar_table) == [c.digits for c in ring.elements()]
+    assert len(conc._scalar_table) == ring.size
     for c in ring.elements():
-        row = conc._scalar_table[c.digits]
-        assert row == [conc.index[tuple((c * x).truncate(l) for x, l in zip(a, lengths))]
-                       for a in elements]
+        assert conc._scalar_table[c.num] == [
+            element_number(module, tuple((c * x).truncate(l) for x, l in zip(a, lengths)))
+            for a in elements]
+
+    assert [conc.order_of(i) for i in range(conc.size)] == [order_of(module, e) for e in elements]
+    assert conc.coordinate_idempotents() == oracles.coordinate_idempotents(module)
+    for mask in conc.submodules():
+        S, incl = conc.submodule_inclusion(mask)
+        assert (S, incl) == oracles.submodule_inclusion(module, conc.minimal_generators(mask))
+        assert {element_number(module, apply_morphism(incl, x))
+                for x in module_elements(S)} == set(conc.mask_elements(mask))
 
 
 def _gaussian_binomial(n, k, q):
@@ -81,7 +90,7 @@ def _submodule_types(conc):
     |S cap ker pi^k| = p^(mu'_1 + ... + mu'_k)."""
     n = conc.ring.n
     conc.build_tables()
-    pi = conc._scalar_table[conc.ring.pi.digits]
+    pi = conc._scalar_table[conc.ring.pi.num]
     power = list(range(conc.size))  # element -> pi^k * element
     kernels = []
     for _ in range(n):
@@ -97,7 +106,7 @@ def _submodule_types(conc):
 def _is_submodule(conc, mask):
     """Closed under addition and under pi; both rings are spanned additively
     by the powers of pi and 1, so this is closure under the ring."""
-    pi = conc._scalar_table[conc.ring.pi.digits]
+    pi = conc._scalar_table[conc.ring.pi.num]
     elements = conc.mask_elements(mask)
     return (mask >> conc.zero & 1
             and all(mask >> pi[x] & 1 for x in elements)

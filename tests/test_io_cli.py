@@ -123,6 +123,25 @@ def test_cli_enumerate_rad2_count(capsys):
     assert len(out["classes"]) == 9
 
 
+# linear A3 with its vertices listed 2, 1, 3: not the standard diagram's order
+REORDERED_A3 = json.dumps({"vertices": ["2", "1", "3"], "arrows": [
+    {"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"}]})
+
+
+def test_cli_enumerate_rad2_on_reordered_vertices(capsys):
+    rc = main(["enumerate", "--quiver", REORDERED_A3, "--base", "chain:poly:2:2"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["counts"] == {"injective": 3, "non_injective": 6}
+    assert len(out["classes"]) == 9
+    rc = main(["verify-suite", "--suite", "rad2-count",
+               "--quiver", REORDERED_A3, "--base", "chain:poly:2:2"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    assert out["results"][0]["details"]["classes"] == 9
+
+
 def test_cli_enumerate_budget_exit_code(capsys):
     rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2",
                "--caps", "2,2", "--budget", "3"])

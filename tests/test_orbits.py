@@ -13,7 +13,7 @@ import pytest
 import monocat.enumerate as enumerate_module
 from monocat.base import chain_base, rad2nak_base
 from monocat.concrete import ConcreteModule
-from monocat.decompose import is_indecomposable
+from monocat.decompose import coordinate_components, is_indecomposable
 from monocat.enumerate import (
     DEFAULT_ENUM_BUDGET,
     IsoClassifier,
@@ -23,7 +23,6 @@ from monocat.enumerate import (
     _generic_orbit_classes,
     _linear_mono_candidates,
     _linear_orbits,
-    _maps_split,
     _move_maps,
     _orbit_representatives,
     _pruned_classes,
@@ -35,13 +34,14 @@ from monocat.quiver import Quiver, builtin_quiver
 from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono, rep_direct_sum
 from monocat.serialmod import (
     SerialMorphism,
-    apply_morphism,
     automorphism_generators,
     hom_space,
     identity_morphism,
     morphism,
     serial_module,
 )
+
+from oracles import apply_morphism, element_number, module_elements
 
 
 def _closure(gens, size):
@@ -91,19 +91,18 @@ def _full_generators(m):
 
 
 def _permutation(conc, g):
-    """The automorphism g on the element indices of conc, each column by
+    """The automorphism g on the element numbers of conc, each column by
     ``apply_morphism`` on a basis tuple."""
     conc.build_tables()
-    add, scalar, ring = conc._add_table, conc._scalar_table, conc.ring
-    rank = conc.module.rank
-    columns = [conc.index[apply_morphism(g, tuple(ring.one if k == j else ring.zero
-                                                  for k in range(rank)))]
-               for j in range(rank)]
+    add, scalar, ring, m = conc._add_table, conc._scalar_table, conc.ring, conc.module
+    columns = [element_number(m, apply_morphism(g, tuple(ring.one if k == j else ring.zero
+                                                         for k in range(m.rank))))
+               for j in range(m.rank)]
     perm = []
-    for x in conc.elements:
+    for x in module_elements(m):
         acc = conc.zero
         for xj, col in zip(x, columns):
-            acc = add[acc][scalar[xj.digits][col]]
+            acc = add[acc][scalar[xj.num][col]]
         perm.append(acc)
     return tuple(perm)
 
@@ -141,7 +140,7 @@ def test_automorphism_generators_generate_aut(arith, p, n, parts):
         for i in range(conc.size):
             for j in range(conc.size):
                 assert g[add[i][j]] == add[g[i]][g[j]]
-            for table in scalar.values():
+            for table in scalar:
                 assert g[table[i]] == table[g[i]]
     units = sum(1 for f in hom_space(conc.module, conc.module) if is_iso(f))
     assert len(_closure(gens, conc.size)) == units
@@ -352,7 +351,8 @@ def test_generic_verdicts_where_first_members_are_off_diagonal():
         assert splits == (not rep.is_zero() and not is_indecomposable(rep))
         offsets = {"1": 0, "2": rep.modules["1"].rank}
         maps = tuple(rep.maps[a.name].entries for a in quiver.arrows)
-        diagonal = _maps_split(quiver.arrows, offsets, offsets["2"] + rep.modules["2"].rank, maps)
+        size = offsets["2"] + rep.modules["2"].rank
+        diagonal = coordinate_components(quiver.arrows, offsets, size, maps) is not None
         off_diagonal += splits and not diagonal
     assert off_diagonal
 
@@ -409,7 +409,10 @@ def test_off_diagonal_direct_sum_is_reported_split():
              for g, g_inv in automorphism_generators(total.modules[v])]
     offsets = {"1": 0, "2": total.modules["1"].rank}
     size = offsets["2"] + total.modules["2"].rank
-    splits = functools.partial(_maps_split, arrows, offsets, size)
+
+    def splits(maps, offsets=offsets, size=size):
+        return coordinate_components(arrows, offsets, size, maps) is not None
+
     diagonal = tuple(total.maps[a.name].entries for a in arrows)
     assert splits(diagonal)
     orbit = _orbit(diagonal, moves)
@@ -424,8 +427,8 @@ def test_off_diagonal_direct_sum_is_reported_split():
              for v in quiver.vertices
              for g, g_inv in automorphism_generators(socle.modules[v])]
     assert list(_orbit_representatives(_orbit(alone, moves), moves,
-                                       functools.partial(_maps_split, arrows,
-                                                         {"1": 0, "2": 1}, 2))) == [(alone, False)]
+                                       functools.partial(splits, offsets={"1": 0, "2": 1},
+                                                         size=2))) == [(alone, False)]
 
 
 @pytest.mark.parametrize("arith,p,n,parts", [
@@ -439,7 +442,7 @@ def test_span_is_a_submodule_plus_a_cyclic_one(arith, p, n, parts):
     for S in subs:
         elements = conc.mask_elements(S)
         for g in range(conc.size):
-            multiples = {table[g] for table in conc._scalar_table.values()}
+            multiples = {table[g] for table in conc._scalar_table}
             brute = 0
             for s in elements:
                 for c in multiples:
@@ -455,8 +458,8 @@ def test_off_diagonal_submodule_chain_is_reported_split():
     conc.build_tables()
     ring = conc.ring
     zero_mask = 1 << conc.zero
-    diagonal = conc.span(zero_mask, conc.index[(ring.zero, ring.one)])
-    tilted = conc.span(zero_mask, conc.index[(ring.pi, ring.one)])
+    diagonal = conc.span(zero_mask, element_number(conc.module, (ring.zero, ring.one)))
+    tilted = conc.span(zero_mask, element_number(conc.module, (ring.pi, ring.one)))
     assert _chain_splits(conc, (diagonal,))
     assert not _chain_splits(conc, (tilted,))
     moves = [functools.partial(_move_chain, conc, perm) for perm in conc.automorphism_generators()]

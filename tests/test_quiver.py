@@ -63,20 +63,50 @@ def test_dynkin_disconnected_raises():
         dynkin_type(q)
 
 
+def _e_quiver(k):
+    """E_k: arms of 1, 2 and k - 4 vertices, each a path into the branch
+    vertex "b", which is listed last."""
+    vertices, arrows = [], []
+    for j, length in enumerate((1, 2, k - 4)):
+        arm = [f"{j}.{i}" for i in range(length)] + ["b"]
+        vertices += arm[:-1]
+        arrows += [(f"{s}>{t}", s, t) for s, t in zip(arm, arm[1:])]
+    return Quiver(vertices + ["b"], arrows)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_positive_roots_type_a_count(k):
-    assert len(positive_roots(f"A{k}")) == k * (k + 1) // 2
+    assert len(positive_roots(builtin_quiver(f"An-linear:{k}"))) == k * (k + 1) // 2
 
 
 def test_positive_roots_d4_and_e6():
-    assert len(positive_roots("D4")) == 12
-    assert len(positive_roots("E6")) == 36
+    assert len(positive_roots(builtin_quiver("D4"))) == 12
+    assert dynkin_type(_e_quiver(6)) == "E6"
+    assert len(positive_roots(_e_quiver(6))) == 36
+
+
+def test_positive_roots_e7_and_e8():
+    assert dynkin_type(_e_quiver(7)) == "E7" and dynkin_type(_e_quiver(8)) == "E8"
+    assert len(positive_roots(_e_quiver(7))) == 63
+    assert len(positive_roots(_e_quiver(8))) == 120
 
 
 def test_roots_a3_vectors():
-    roots = positive_roots("A3")
+    roots = positive_roots(builtin_quiver("An-linear:3"))
     assert len(roots) == 6
     assert tuple([1, 1, 1]) in {tuple(r) for r in roots}
+
+
+def test_roots_follow_the_vertex_order():
+    """The vertices 2, 1, 3 of the path 1 - 2 - 3: the middle vertex comes
+    first, so (1, 1, 0) and (1, 0, 1) are roots and (0, 1, 1) is not."""
+    q = Quiver(["2", "1", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    assert positive_roots(q) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+
+
+def test_positive_roots_reject_non_dynkin():
+    with pytest.raises(ValueError):
+        positive_roots(builtin_quiver("kronecker"))
 
 
 def test_descriptor_roundtrip():

@@ -9,10 +9,8 @@ from monocat.exact import (
     cokernel,
     dual_morphism,
     image,
-    invert,
     is_injective_map,
     is_iso,
-    is_surjective_map,
     kernel,
     solve_left,
     solve_right,
@@ -27,25 +25,23 @@ from monocat.serialmod import (
     SerialModule,
     _direct_sum,
     _unit_generators,
-    apply_morphism,
     assemble,
     automorphism_generators,
     direct_sum,
     hom_space,
     identity_morphism,
     injective_envelope,
-    module_elements,
     mor_block,
     mor_compose,
     mor_direct_sum,
     mor_equal,
     morphism,
     serial_module,
-    socle,
-    socle_inclusion,
     zero_module,
     zero_morphism,
 )
+
+from oracles import apply_morphism, invert, is_surjective_map, module_elements, socle, socle_inclusion
 
 B2I = chain_base("int", 2, 2)
 B3I = chain_base("int", 2, 3)
@@ -426,6 +422,40 @@ def test_hom_space_sizes():
     assert hom_space(M(B3I, "M2"), M(B3I, "M2")).size == 4
     assert hom_space(M(B3I, "M2"), zero_module(B3I)).size == 1
     assert len(list(hom_space(M(B2P, "M1"), M(B2P, "M2")))) == 2
+
+
+HOM_ORDER_CASES = [
+    (B3I, ("M3", "M1"), ("M2", "M2", "M1")),
+    (B2P, ("M2", "M1"), ("M2",)),
+    (chain_base("int", 3, 2), ("M2",), ("M2", "M1")),
+    # rank-0 source or target: the one zero map
+    (B3P, (), ("M3", "M1")),
+    (B3P, ("M2", "M1"), ()),
+    (B3P, (), ()),
+    # zero-length entries: Hom(S1, S2) = Hom(P1, P1 -> S2) = 0 over rad2nak
+    (rad2nak_base(2, 2), ("P1", "S1"), ("P2", "S2", "S1")),
+    (rad2nak_base(3, 3), ("S1", "P2"), ("P1", "S3")),
+    (stable_base(B3I), ("M2", "M1"), ("M2", "M1")),
+]
+
+
+@pytest.mark.parametrize("base,source,target", HOM_ORDER_CASES)
+def test_hom_space_lists_each_map_once_in_mixed_radix_order(base, source, target):
+    """Iteration gives ``size`` maps, each once, in mixed-radix order of the
+    entries' numbers (row-major, the last entry fastest): the brute-force
+    product of every entry's values, each the truncation of every ring
+    element, sorted by number, which is also ``hom_elements``."""
+    m, n = serial_module(base, source), serial_module(base, target)
+    values = [sorted({base.coeff(a, b, c) for c in base.ring.elements()}, key=lambda c: c.num)
+              for b in n.parts for a in m.parts]
+    assert values == [list(base.hom_elements(a, b)) for b in n.parts for a in m.parts]
+    expected = [tuple(tuple(entries[i * m.rank:(i + 1) * m.rank]) for i in range(n.rank))
+                for entries in itertools.product(*values)]
+    space = hom_space(m, n)
+    maps = list(space)
+    assert [f.entries for f in maps] == expected
+    assert len(maps) == len(set(maps)) == space.size
+    assert all(f.source is m and f.target is n for f in maps)
 
 
 def test_dual_morphism_involution():

@@ -30,7 +30,9 @@
   as the oracles of the tests; the latter shares only the union-find
   (``decompose.coordinate_components``), and answers every connected
   representation from its endomorphism ring.
-* The Kronecker families built from the homogeneous two-variable form model.
+* The Kronecker families: minimal monic approximations of the classical
+  Kronecker modules over F_p placed on the simple of the stable base, the
+  same placement as the radical-square-zero classification.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from .base import CHAIN, POLY, RAD2NAK, SerialBase, chain_base, stable_base
 from .chainring import INT
 from .concrete import ConcreteModule, chain_of_inclusions
 from .decompose import BudgetExceeded, coordinate_components, is_indecomposable
-from .exact import image, is_injective_map, solve_left
+from .exact import image, is_injective_map
 from .mimo import injective_rep_recognize, mimo_from_stable
-from .quiver import Quiver, dynkin_type, positive_roots
+from .quiver import Quiver, builtin_quiver, dynkin_type, positive_roots
 from .rep import (
     Representation,
     f_shriek,
@@ -65,7 +67,6 @@ from .serialmod import (
     morphism,
     rebase_map,
     serial_module,
-    zero_module,
 )
 
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -204,6 +205,18 @@ def enumerate_gabriel(quiver: Quiver, p: int, budget: int = DEFAULT_ENUM_BUDGET)
 # -- rad^2-zero classification --------------------------------------------------------------
 
 
+def _mimo_on_simple(g: Representation, st: SerialBase, s: str) -> Representation:
+    """The minimal monic approximation of the F_p representation g placed on
+    the simple s of the stable base st: each vertex space F^d becomes s^d and
+    each arrow keeps its matrix."""
+    quiver = g.quiver
+    modules = {v: serial_module(st, [s] * g.modules[v].rank) for v in quiver.vertices}
+    maps = {a.name: rebase_map(g.maps[a.name], modules[a.source], modules[a.target],
+                               range(modules[a.target].rank), range(modules[a.source].rank))
+            for a in quiver.arrows}
+    return mimo_from_stable(Representation(quiver, st, modules, maps))
+
+
 def enumerate_mono_rad2(quiver: Quiver, base: SerialBase, verify: bool = False) -> EnumerationReport:
     """All indecomposables in the monomorphism category over a radical square
     zero Nakayama backing: path-indexed injectives plus minimal monic
@@ -228,12 +241,7 @@ def enumerate_mono_rad2(quiver: Quiver, base: SerialBase, verify: bool = False) 
     simples = st.labels  # all non-injective labels are simple here
     for s in simples:
         for g in gabriel:
-            modules = {v: serial_module(st, [s] * g.modules[v].rank) for v in quiver.vertices}
-            maps = {a.name: rebase_map(g.maps[a.name], modules[a.source], modules[a.target],
-                                       range(modules[a.target].rank), range(modules[a.source].rank))
-                    for a in quiver.arrows}
-            stable_rep = Representation(quiver, st, modules, maps)
-            classes.append((mimo_from_stable(stable_rep), "family"))
+            classes.append((_mimo_on_simple(g, st, s), "family"))
 
     if verify:
         reps = [r for r, _ in classes]
@@ -680,30 +688,6 @@ def verify_length_vector_table(quiver: Quiver, base: SerialBase, table: Sequence
 # -- Kronecker families ---------------------------------------------------------------------
 
 
-def _form_space(p: int, degree: int) -> SerialModule:
-    base1 = chain_base(INT, p, 1)
-    if degree < 0:
-        return zero_module(base1)
-    return serial_module(base1, ["M1"] * (degree + 1))
-
-
-def _mul_form_matrices(p: int, degree: int):
-    """Matrices of multiplication by y and z from forms of degree-1 to degree."""
-    base1 = chain_base(INT, p, 1)
-    src = _form_space(p, degree - 1)
-    tgt = _form_space(p, degree)
-    d = degree
-    y = [[1 if i == j else 0 for j in range(d)] for i in range(d + 1)]
-    z = [[1 if i == j + 1 else 0 for j in range(d)] for i in range(d + 1)]
-    return (morphism(src, tgt, y), morphism(src, tgt, z))
-
-
-def _binomial_vector(p: int, n: int, a: int, b: int):
-    """Coefficients of (a*y + b*z)^n over the monomial basis of degree n."""
-    import math
-    return [(math.comb(n, k) * pow(a, n - k) * pow(b, k)) % p for k in range(n + 1)]
-
-
 def normalize_p1_point(p: int, param) -> Tuple[int, int]:
     """The representative (1, b/a) or (0, 1) of the point a:b of P^1(F_p),
     given as a pair of integers or as the text ``a:b``."""
@@ -726,19 +710,17 @@ def p1_points(p: int) -> List[Tuple[int, int]]:
     return [(1, t) for t in range(p)] + [(0, 1)]
 
 
-def _transpose_digits(f, p):
-    return [[f.entries[j][i].digits[0] % p for j in range(f.target.rank)] for i in range(f.source.rank)]
-
-
 def kronecker_family(base: SerialBase, which: str, n: int, param=None) -> Representation:
-    """Explicit monic Kronecker-quiver representations over F_p[x]/(x^2).
+    """Monic Kronecker-quiver representations over F_p[x]/(x^2): the minimal
+    monic approximation of a classical Kronecker module over F_p placed on
+    the simple M1 of the stable base (``_mimo_on_simple``).
 
     'P' and 'I' are the two countable families, 'R' the one-parameter family
-    parametrized by the projective line.  Each member is assembled from the
-    homogeneous two-variable form model: vertex 1 carries the form space with
-    trivial radical action, vertex 2 adds one length-2 block per kernel
-    dimension of the in-map, and the radical rows of the two arrow matrices
-    are a retraction (computed exactly) of the kernel inclusion.
+    parametrized by the projective line.  P_n has A, B: F^n -> F^(n+1) the
+    embeddings e_j -> e_j and e_j -> e_(j+1); I_n has their transposes;
+    R_n at a:b (n >= 1) has A, B: F^n -> F^n with a*A + b*B one nilpotent
+    Jordan block N: A = N - t, B = 1 at 1:t, and A = 1, B = N at 0:1.
+    Only R takes a point (default 1:0).
     """
     if base.backing != CHAIN or base.ring.n != 2 or base.ring.kind != POLY:
         raise ValueError("Kronecker families are built over F_p[x]/(x^2)")
@@ -746,81 +728,28 @@ def kronecker_family(base: SerialBase, which: str, n: int, param=None) -> Repres
         raise ValueError("invalid family index")
     if which not in ("P", "I", "R"):
         raise ValueError(f"unknown family {which!r}; expected P, I or R")
+    if which != "R" and param is not None:
+        raise ValueError(f"family {which} takes no projective point; only R does")
     p = base.ring.p
-    from .exact import cokernel
-    from .quiver import builtin_quiver
-    from .serialmod import assemble, identity_morphism, mor_block, mor_compose, zero_morphism
-
-    quiver = builtin_quiver("kronecker")
-    base1 = chain_base(INT, p, 1)
-
-    # W1 =(A,B)=> W2 is the plain two-arrow diagram; K -> W1 (+) W1 spans the
-    # kernel of the combined map (A B).
-    if which == "P":
-        W1, W2 = _form_space(p, n - 1), _form_space(p, n)
-        A, B = _mul_form_matrices(p, n)
-        K = _form_space(p, n - 2)
-        if K.rank:
-            yk, zk = _mul_form_matrices(p, n - 1)
-            top = [[(-x) % p for x in row] for row in [[e.digits[0] for e in r] for r in zk.entries]]
-            bot = [[e.digits[0] for e in r] for r in yk.entries]
-        else:
-            top = bot = [[] for _ in range(W1.rank)]
-    elif which == "I":
-        W1, W2 = _form_space(p, n), _form_space(p, n - 1)
-        A0, B0 = _mul_form_matrices(p, n)
-        A = morphism(W1, W2, _transpose_digits(A0, p))
-        B = morphism(W1, W2, _transpose_digits(B0, p))
-        K = _form_space(p, n + 1)
-        yk, zk = _mul_form_matrices(p, n + 1)
-        top = [[(-x) % p for x in row] for row in _transpose_digits(zk, p)]
-        bot = _transpose_digits(yk, p)
-    else:  # R
-        a, b = normalize_p1_point(p, param if param is not None else (1, 0))
-        W1 = _form_space(p, n - 1)
-        Vn = _form_space(p, n)
-        qmap = morphism(serial_module(base1, ["M1"]), Vn, [[c] for c in _binomial_vector(p, n, a, b)])
-        W2, proj = cokernel(qmap)
-        Ay, Az = _mul_form_matrices(p, n)
-        A = mor_compose(proj, Ay)
-        B = mor_compose(proj, Az)
-        kfree = n - 1  # dim of the degree-(n-2) form space
-        K = serial_module(base1, ["M1"] * ((kfree if kfree > 0 else 0) + 1))
-        qn1 = _binomial_vector(p, n - 1, a, b)
-        if n >= 2:
-            yk, zk = _mul_form_matrices(p, n - 1)
-            top0 = [[(-e.digits[0]) % p for e in r] for r in zk.entries]
-            bot0 = [[e.digits[0] for e in r] for r in yk.entries]
-        else:
-            top0 = bot0 = [[] for _ in range(W1.rank)]
-        top = [row + [(a * qn1[i]) % p] for i, row in enumerate(top0)]
-        bot = [row + [(b * qn1[i]) % p] for i, row in enumerate(bot0)]
-
-    if K.rank:
-        incl, _, (pos1, pos2) = assemble(base1, [K], [W1, W1],
-                                         {(0, 0): morphism(K, W1, top), (1, 0): morphism(K, W1, bot)})
-        retract = solve_left(incl, identity_morphism(K))
-        if retract is None:
-            raise AssertionError("kernel inclusion must split over a field")
-        r1 = mor_block(retract, range(K.rank), pos1)
-        r2 = mor_block(retract, range(K.rank), pos2)
+    if which == "R":
+        a, t = normalize_p1_point(p, param if param is not None else (1, 0))
+        one = [[int(j == i) for j in range(n)] for i in range(n)]
+        N = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        if a:  # 1:t, so A + t*B = N
+            A, B = [[(x - t * y) % p for x, y in zip(*rows)] for rows in zip(N, one)], one
+        else:  # 0:1, so B = N
+            A, B = one, N
+        dims = (n, n)
     else:
-        r1 = zero_morphism(W1, K)
-        r2 = zero_morphism(W1, K)
-
-    V1 = serial_module(base, ["M1"] * W1.rank)
-    V2 = serial_module(base, ["M2"] * K.rank + ["M1"] * W2.rank)
-
-    def arrow_entries(scalar_map, rad_map):
-        entries = []
-        for i in range(K.rank):  # M2 parts come first in normal form
-            entries.append([rad_map.entries[i][j].digits[0] for j in range(W1.rank)])
-        for i in range(W2.rank):
-            entries.append([scalar_map.entries[i][j].digits[0] for j in range(W1.rank)])
-        return entries
-
-    maps = {
-        "a": morphism(V1, V2, arrow_entries(A, r1)),
-        "b": morphism(V1, V2, arrow_entries(B, r2)),
-    }
-    return Representation(quiver, base, {"1": V1, "2": V2}, maps)
+        A = [[int(i == j) for j in range(n)] for i in range(n + 1)]
+        B = [[int(i == j + 1) for j in range(n)] for i in range(n + 1)]
+        dims = (n, n + 1)
+        if which == "I":
+            A, B = [list(c) for c in zip(*A)], [list(c) for c in zip(*B)]
+            dims = (n + 1, n)
+    quiver = builtin_quiver("kronecker")
+    field = chain_base(INT, p, 1)
+    V1, V2 = (serial_module(field, ["M1"] * d) for d in dims)
+    classical = Representation(quiver, field, {"1": V1, "2": V2},
+                               {"a": morphism(V1, V2, A), "b": morphism(V1, V2, B)})
+    return _mimo_on_simple(classical, stable_base(base), "M1")

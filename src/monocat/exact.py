@@ -133,28 +133,6 @@ class LinearSolution:
     def _trunc(self, vec):
         return tuple(x.truncate(m) for x, m in zip(vec, self.moduli))
 
-    def subgroup(self, budget: int) -> Optional[set]:
-        """All homogeneous solutions, or None once the budget is exceeded."""
-        group = {self._trunc([self.ring.zero] * len(self.moduli))}
-        for gen in self.generators:
-            multiples = {self._trunc([c * g for g in gen]) for c in self.ring.elements()}
-            new = set()
-            for s in group:
-                for m in multiples:
-                    new.add(tuple(a + b for a, b in zip(s, m)))
-                    if len(new) > budget:
-                        return None
-            group = {self._trunc(v) for v in new}
-        return group
-
-    def iterate(self, budget: int):
-        """All solutions, or None if the space exceeds the budget."""
-        grp = self.subgroup(budget)
-        if grp is None:
-            return None
-        part = self._trunc(self.particular)
-        return [self._trunc([a + b for a, b in zip(part, g)]) for g in grp]
-
     def random(self, rng):
         vec = list(self.particular)
         for gen in self.generators:

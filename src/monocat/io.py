@@ -88,6 +88,8 @@ def _coeff_from_json(ring, cell, what: str):
     digits = _expect(_field(_expect(cell, dict, what), "coeff", what), list, f"{what} coefficient")
     for d in digits:
         _expect(d, int, f"{what} coefficient digit")
+        if not 0 <= d < ring.p:
+            raise ValueError(f"{what} coefficient digit {d} is outside [0, {ring.p})")
     return ring.elem(digits)
 
 

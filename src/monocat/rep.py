@@ -287,13 +287,6 @@ class RepHomSpace:
     def _to_rep_morphism(self, vec) -> RepMorphism:
         return RepMorphism(self.r, self.s, self.system.morphisms(vec), check=False)
 
-    def iterate(self, budget: int):
-        """All morphisms R -> S, or None if there are more than ``budget``."""
-        sols = self.solution.iterate(budget)
-        if sols is None:
-            return None
-        return [self._to_rep_morphism(vec) for vec in sols]
-
     def random(self, rng) -> RepMorphism:
         return self._to_rep_morphism(self.solution.random(rng))
 

@@ -266,10 +266,12 @@ def suite_a6(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
 
 
 def suite_a7(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
-    """Kronecker families for p in {2,3}, indices n <= 3: members are monic,
-    pairwise non-isomorphic, reconstructed by the generic minimal monic
-    approximation from their stable image, and the only injective classes are
-    the two path-indexed ones."""
+    """Kronecker families for p in {2,3}, indices n <= 3, each member the
+    minimal monic approximation of a classical Kronecker module over F_p
+    placed on the stable simple: members are monic, not injective, pairwise
+    non-isomorphic and rebuilt up to isomorphism by the approximation of
+    their stable image, and the only injective classes are the two
+    path-indexed ones."""
     failures = []
     quiver = builtin_quiver("kronecker")
     for p in (2, 3):

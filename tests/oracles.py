@@ -1,17 +1,28 @@
 """Oracles of the tests: the function model of chain-backed modules, whose
 elements are tuples of truncated ring values, one per part, and maps that
-act on them; the tuple forms of the ``concrete`` tables; and the inverse,
-surjectivity test and socle inclusion that only the tests call."""
+act on them; the tuple forms of the ``concrete`` tables; the inverse,
+surjectivity test and socle inclusion that only the tests call; the
+listing of hom solution sets; and the Kronecker families built from the
+homogeneous two-variable form model."""
 
 import itertools
+import math
 
-from monocat.exact import cokernel, image, is_iso, solve_right
+from monocat.base import chain_base
+from monocat.enumerate import normalize_p1_point
+from monocat.exact import cokernel, image, is_iso, solve_left, solve_right
+from monocat.quiver import builtin_quiver
+from monocat.rep import Representation
 from monocat.serialmod import (
+    assemble,
     identity_morphism,
+    mor_block,
     mor_compose,
     mor_direct_sum,
     morphism,
     serial_module,
+    zero_module,
+    zero_morphism,
 )
 
 
@@ -116,3 +127,150 @@ def socle_inclusion(m):
                                        serial_module(base, (p,)), [[one]]) for p in m.parts])
     assert f.target == m and f.source == socle(m)
     return f
+
+
+# -- listing hom solution sets ------------------------------------------------------------
+
+
+def solution_subgroup(solution, budget: int):
+    """All homogeneous solutions of an ``exact.LinearSolution``, or None once
+    the budget is exceeded."""
+    group = {solution._trunc([solution.ring.zero] * len(solution.moduli))}
+    for gen in solution.generators:
+        multiples = {solution._trunc([c * g for g in gen]) for c in solution.ring.elements()}
+        new = set()
+        for s in group:
+            for m in multiples:
+                new.add(tuple(a + b for a, b in zip(s, m)))
+                if len(new) > budget:
+                    return None
+        group = {solution._trunc(v) for v in new}
+    return group
+
+
+def list_solutions(solution, budget: int):
+    """All solutions of an ``exact.LinearSolution``, or None if the space
+    exceeds the budget."""
+    group = solution_subgroup(solution, budget)
+    if group is None:
+        return None
+    part = solution._trunc(solution.particular)
+    return [solution._trunc([a + b for a, b in zip(part, g)]) for g in group]
+
+
+def rep_homs(space, budget: int):
+    """All morphisms R -> S of a ``rep.RepHomSpace``, or None if there are
+    more than ``budget``."""
+    vecs = list_solutions(space.solution, budget)
+    if vecs is None:
+        return None
+    return [space._to_rep_morphism(vec) for vec in vecs]
+
+
+# -- the Kronecker families from the form model --------------------------------------------
+
+
+def _form_space(p: int, degree: int):
+    base1 = chain_base("int", p, 1)
+    if degree < 0:
+        return zero_module(base1)
+    return serial_module(base1, ["M1"] * (degree + 1))
+
+
+def _mul_form_matrices(p: int, degree: int):
+    """Matrices of multiplication by y and z from forms of degree-1 to degree."""
+    src = _form_space(p, degree - 1)
+    tgt = _form_space(p, degree)
+    d = degree
+    y = [[1 if i == j else 0 for j in range(d)] for i in range(d + 1)]
+    z = [[1 if i == j + 1 else 0 for j in range(d)] for i in range(d + 1)]
+    return (morphism(src, tgt, y), morphism(src, tgt, z))
+
+
+def _binomial_vector(p: int, n: int, a: int, b: int):
+    """Coefficients of (a*y + b*z)^n over the monomial basis of degree n."""
+    return [(math.comb(n, k) * pow(a, n - k) * pow(b, k)) % p for k in range(n + 1)]
+
+
+def _transpose_digits(f, p):
+    return [[f.entries[j][i].digits[0] % p for j in range(f.target.rank)] for i in range(f.source.rank)]
+
+
+def kronecker_forms(base, which: str, n: int, param=None):
+    """The member of ``enumerate.kronecker_family`` assembled from the
+    homogeneous two-variable form model: vertex 1 carries the form space with
+    trivial radical action, vertex 2 adds one length-2 block per kernel
+    dimension of the in-map, and the radical rows of the two arrow matrices
+    are a retraction (computed exactly) of the kernel inclusion."""
+    p = base.ring.p
+    base1 = chain_base("int", p, 1)
+
+    # W1 =(A,B)=> W2 is the plain two-arrow diagram; K -> W1 (+) W1 spans the
+    # kernel of the combined map (A B).
+    if which == "P":
+        W1, W2 = _form_space(p, n - 1), _form_space(p, n)
+        A, B = _mul_form_matrices(p, n)
+        K = _form_space(p, n - 2)
+        if K.rank:
+            yk, zk = _mul_form_matrices(p, n - 1)
+            top = [[(-x) % p for x in row] for row in [[e.digits[0] for e in r] for r in zk.entries]]
+            bot = [[e.digits[0] for e in r] for r in yk.entries]
+        else:
+            top = bot = [[] for _ in range(W1.rank)]
+    elif which == "I":
+        W1, W2 = _form_space(p, n), _form_space(p, n - 1)
+        A0, B0 = _mul_form_matrices(p, n)
+        A = morphism(W1, W2, _transpose_digits(A0, p))
+        B = morphism(W1, W2, _transpose_digits(B0, p))
+        K = _form_space(p, n + 1)
+        yk, zk = _mul_form_matrices(p, n + 1)
+        top = [[(-x) % p for x in row] for row in _transpose_digits(zk, p)]
+        bot = _transpose_digits(yk, p)
+    else:  # R
+        a, b = normalize_p1_point(p, param if param is not None else (1, 0))
+        W1 = _form_space(p, n - 1)
+        Vn = _form_space(p, n)
+        qmap = morphism(serial_module(base1, ["M1"]), Vn, [[c] for c in _binomial_vector(p, n, a, b)])
+        W2, proj = cokernel(qmap)
+        Ay, Az = _mul_form_matrices(p, n)
+        A = mor_compose(proj, Ay)
+        B = mor_compose(proj, Az)
+        kfree = n - 1  # dim of the degree-(n-2) form space
+        K = serial_module(base1, ["M1"] * ((kfree if kfree > 0 else 0) + 1))
+        qn1 = _binomial_vector(p, n - 1, a, b)
+        if n >= 2:
+            yk, zk = _mul_form_matrices(p, n - 1)
+            top0 = [[(-e.digits[0]) % p for e in r] for r in zk.entries]
+            bot0 = [[e.digits[0] for e in r] for r in yk.entries]
+        else:
+            top0 = bot0 = [[] for _ in range(W1.rank)]
+        top = [row + [(a * qn1[i]) % p] for i, row in enumerate(top0)]
+        bot = [row + [(b * qn1[i]) % p] for i, row in enumerate(bot0)]
+
+    if K.rank:
+        incl, _, (pos1, pos2) = assemble(base1, [K], [W1, W1],
+                                         {(0, 0): morphism(K, W1, top), (1, 0): morphism(K, W1, bot)})
+        retract = solve_left(incl, identity_morphism(K))
+        assert retract is not None, "kernel inclusion must split over a field"
+        r1 = mor_block(retract, range(K.rank), pos1)
+        r2 = mor_block(retract, range(K.rank), pos2)
+    else:
+        r1 = zero_morphism(W1, K)
+        r2 = zero_morphism(W1, K)
+
+    V1 = serial_module(base, ["M1"] * W1.rank)
+    V2 = serial_module(base, ["M2"] * K.rank + ["M1"] * W2.rank)
+
+    def arrow_entries(scalar_map, rad_map):
+        entries = []
+        for i in range(K.rank):  # M2 parts come first in normal form
+            entries.append([rad_map.entries[i][j].digits[0] for j in range(W1.rank)])
+        for i in range(W2.rank):
+            entries.append([scalar_map.entries[i][j].digits[0] for j in range(W1.rank)])
+        return entries
+
+    maps = {
+        "a": morphism(V1, V2, arrow_entries(A, r1)),
+        "b": morphism(V1, V2, arrow_entries(B, r2)),
+    }
+    return Representation(builtin_quiver("kronecker"), base, {"1": V1, "2": V2}, maps)

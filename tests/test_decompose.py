@@ -29,6 +29,7 @@ from monocat.serialmod import (
     morphism,
     serial_module,
 )
+from oracles import rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3 = chain_base("int", 2, 3)
@@ -127,7 +128,7 @@ def test_basis_witness_decides_above_budget():
 def _local_by_scan(r, budget):
     """End(r) is local iff every endomorphism is invertible or nilpotent;
     decided by listing End(r), or None when it exceeds the budget."""
-    endos = hom_reps(r, r).iterate(budget)
+    endos = rep_homs(hom_reps(r, r), budget)
     if endos is None:
         return None
     for phi in endos:

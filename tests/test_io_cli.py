@@ -226,6 +226,8 @@ def test_cli_decompose_unknown_key_or_overlong_map_is_input_error(tmp_path, caps
      "module at vertex 1 has no 'parts' key"),
     ({"maps": {"a1": {"entries": [[{"digits": [1]}]]}}},
      "map of arrow a1 entry (0, 0) has no 'coeff' key"),
+    ({"maps": {"a1": {"entries": [[{"coeff": [3, -1]}]]}}},
+     "map of arrow a1 entry (0, 0) coefficient digit 3 is outside [0, 2)"),
 ])
 def test_cli_decompose_missing_key_names_its_place(tmp_path, capsys, change, message):
     assert main(["decompose", "-i", _write_json(tmp_path, {**_K_TO_K, **change})]) == 2
@@ -366,6 +368,14 @@ def test_cli_kronecker_malformed_point_names_it(param, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"malformed projective point {param!r}" in err and "expected a:b" in err
+
+
+@pytest.mark.parametrize("family, param", [("P", "x"), ("I", "1:1")])
+def test_cli_kronecker_point_outside_r_is_input_error(family, param, capsys):
+    rc = main(["kronecker", "--base", "chain:poly:2:2", "--family", family,
+               "--index", "1", "--param", param])
+    assert rc == 2
+    assert f"family {family} takes no projective point" in capsys.readouterr().err
 
 
 def test_cli_text_format(capsys):

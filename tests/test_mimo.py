@@ -39,6 +39,7 @@ from monocat.serialmod import (
     zero_module,
     zero_morphism,
 )
+from oracles import rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3P = chain_base("poly", 2, 3)
@@ -142,8 +143,8 @@ def test_mimo_approximation_property_exhaustive_small():
         m, p = mimo(r)
         n0 = random_representation(B2, A2, rng, max_parts=1)
         n, _ = mimo(n0)  # monic by construction
-        targets = hom_reps(n, r).iterate(1 << 12)
-        lifts = hom_reps(n, m).iterate(1 << 12)
+        targets = rep_homs(hom_reps(n, r), 1 << 12)
+        lifts = rep_homs(hom_reps(n, m), 1 << 12)
         reachable = set()
         for h in lifts:
             comp = {v: None for v in A2.vertices}

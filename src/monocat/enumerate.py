@@ -13,15 +13,16 @@
   other; that path classifies by Aut(V)-orbits of chains of lattice
   indices, each generator of ``ConcreteModule.automorphism_generators``
   moving a chain by reads of its permutation of the submodule lattice, and
-  yields its classes in generation order.  Every other quiver and backing searches the
-  arrow maps depth first; for monic classes it checks each vertex's combined
-  in-map for injectivity once per (vertex modules, in-maps) and cuts a branch
-  at the first vertex that fails.  Two representations with the same vertex
-  modules are isomorphic exactly when some (g_v) in prod_v Aut(M_v) carries
-  one family of arrow maps onto the other, so that path keeps the first
-  arrow-map tuple of each orbit, walked with the generators of
-  ``serialmod.automorphism_generators``, and also yields its classes in
-  generation order.  Both walks decide indecomposability on the way: a
+  yields its classes in generation order.  Every other quiver and backing
+  searches the arrow maps depth first, as indices into their hom spaces; for
+  monic classes each arrow runs over the monic maps of its space, and a
+  branch is cut as soon as the in-arrows assigned into a vertex are not
+  jointly monic.  Two representations with the same vertex modules are
+  isomorphic exactly when some (g_v) in prod_v Aut(M_v) carries one family
+  of arrow maps onto the other, so that path keeps the first index tuple of
+  each orbit, each generator of ``serialmod.automorphism_generators``
+  moving it by reads of its permutations of hom-space indices, and builds
+  representations for those alone, in generation order.  Both walks decide indecomposability on the way: a
   representation is decomposable exactly when some member of its orbit is
   block diagonal for a splitting of the vertex modules' parts into two
   nonempty sets (``_chain_splits``, ``decompose.coordinate_components``),
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import CHAIN, POLY, RAD2NAK, SerialBase, chain_base, stable_base
-from .chainring import INT
+from .chainring import INT, _Lazy
 from .concrete import ConcreteModule, chain_of_inclusions
 from .decompose import BudgetExceeded, coordinate_components, is_indecomposable
 from .exact import image, is_injective_map
@@ -60,7 +61,6 @@ from .rep import (
 )
 from .serialmod import (
     SerialModule,
-    SerialMorphism,
     automorphism_generators,
     hom_space,
     mor_compose,
@@ -452,99 +452,129 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
 
 def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                         mono_only: bool, budget: int):
-    """Yield every representation with vertex modules from
-    ``modules_up_to_length`` and arrow maps from the hom spaces, in
-    ``itertools.product`` order: vertex modules in ``quiver.vertices`` order,
-    then arrow maps in ``quiver.arrows`` order.
+    """Yield (modules, spaces, tuples) for each assignment of vertex modules
+    from ``modules_up_to_length``, in ``itertools.product`` order over
+    ``quiver.vertices``, that has a candidate: ``spaces`` holds each arrow's
+    hom space as ``hom_space`` lists it, and ``tuples`` the candidate arrow
+    maps as tuples of indices into them, in ``itertools.product`` order.
 
-    The maps are assigned depth first.  With ``mono_only`` a branch is cut
-    as soon as the last arrow into a vertex is assigned and that vertex's
-    combined in-map is not injective, so exactly the monic tuples remain.
-    Monicity is local (each arrow enters one vertex), and each verdict is
-    cached for the call by (source parts, target parts, hom-space indices).
-    Raises BudgetExceeded when more than ``budget`` tuples, partial or
-    complete, are visited.
+    The maps are assigned depth first.  With ``mono_only`` each arrow runs
+    over the monic maps of its space only, listed once per hom space, and a
+    branch is cut as soon as the in-arrows assigned so far into a vertex are
+    two or more and not jointly monic: a family of maps into one module is
+    jointly monic only if each subfamily is, so exactly the monic tuples
+    remain.  Joint verdicts are cached for the call by the (source parts,
+    target parts, index) of each assigned in-arrow.  Raises BudgetExceeded
+    when more than ``budget`` tuples, partial or complete, are visited.
 
-    The candidates of one vertex-module assignment are consecutive and form
-    a union of prod_v Aut(M_v)-orbits (the mono condition is invariant), which
-    ``_generic_orbit_classes`` relies on to keep one tuple per orbit."""
+    The candidates of one assignment form a union of prod_v Aut(M_v)-orbits
+    (the mono condition is invariant), which ``_generic_orbit_classes``
+    relies on to keep one tuple per orbit."""
     arrows = quiver.arrows
-    names = [a.name for a in arrows]
-    into: Dict[str, List[int]] = {}  # vertex -> indices of its in-arrows
-    for i, a in enumerate(arrows):
-        into.setdefault(a.target, []).append(i)
-    # closes[i]: the vertex whose last in-arrow is arrows[i], else None
-    closes = [a.target if i == into[a.target][-1] else None for i, a in enumerate(arrows)]
+    # joint[i]: the arrows up to arrows[i] into its target, when monicity is
+    # checked and they are two or more, else ()
+    joint = [tuple(j for j, b in enumerate(arrows[:i + 1]) if b.target == a.target)
+             for i, a in enumerate(arrows)]
+    joint = [js if mono_only and len(js) > 1 else () for js in joint]
     inventories = [modules_up_to_length(base, caps[v]) for v in quiver.vertices]
-    homs: Dict[tuple, list] = {}
+    homs: Dict[tuple, tuple] = {}  # hom key -> (its space, the indices tried)
     verdicts: Dict[tuple, bool] = {}
     count = 0
-
-    def visit():
-        nonlocal count
+    for assignment in itertools.product(*inventories):
         count += 1
         if count > budget:
             raise BudgetExceeded(f"enumeration budget {budget} exceeded")
-
-    for assignment in itertools.product(*inventories):
         modules = dict(zip(quiver.vertices, assignment))
-        spaces = []
-        for a in arrows:
-            key = (modules[a.source].parts, modules[a.target].parts)
+        keys = [(modules[a.source].parts, modules[a.target].parts) for a in arrows]
+        for key, a in zip(keys, arrows):
             if key not in homs:
-                homs[key] = list(hom_space(modules[a.source], modules[a.target]))
-            spaces.append(homs[key])
-        shapes = {v: (tuple(modules[arrows[i].source].parts for i in into[v]), modules[v].parts)
-                  for v in into}
-        chosen: List[int] = []
-
-        def monic_at(v):
-            key = (shapes[v], tuple(chosen[i] for i in into[v]))
-            verdict = verdicts.get(key)
-            if verdict is None:
-                verdict = verdicts[key] = is_injective_map(*(spaces[i][chosen[i]] for i in into[v]))
-            return verdict
+                space = list(hom_space(modules[a.source], modules[a.target]))
+                homs[key] = (space, [k for k, f in enumerate(space) if is_injective_map(f)]
+                             if mono_only else range(len(space)))
+        spaces, tried = zip(*(homs[key] for key in keys)) if arrows else ((), ())
+        chosen = [0] * len(arrows)
+        tuples = []
 
         def extend(depth):
+            nonlocal count
             if depth == len(arrows):
-                yield Representation(quiver, base, modules,
-                                     {names[i]: spaces[i][k] for i, k in enumerate(chosen)})
+                tuples.append(tuple(chosen))
                 return
-            for k in range(len(spaces[depth])):
-                visit()
-                chosen.append(k)
-                v = closes[depth]
-                if not (mono_only and v is not None and not monic_at(v)):
-                    yield from extend(depth + 1)
-                chosen.pop()
+            js = joint[depth]
+            for k in tried[depth]:
+                count += 1
+                if count > budget:
+                    raise BudgetExceeded(f"enumeration budget {budget} exceeded")
+                chosen[depth] = k
+                if js:
+                    key = tuple((keys[j], chosen[j]) for j in js)
+                    if key not in verdicts:
+                        verdicts[key] = is_injective_map(*(spaces[j][chosen[j]] for j in js))
+                    if not verdicts[key]:
+                        continue
+                extend(depth + 1)
 
-        visit()
-        yield from extend(0)
+        extend(0)
+        if tuples:
+            yield modules, spaces, tuples
 
 
-def _move_maps(arrows, modules, v, g, g_inv, memo, maps):
-    """The arrow maps ``maps`` (entries per arrow, in ``arrows`` order) moved by
-    the automorphism g of ``modules[v]``: phi becomes g o phi on each arrow
-    into v and phi o g^-1 on each arrow out of v, so that g at v and the
-    identity elsewhere is an isomorphism onto the result.  ``memo`` holds
-    this g's images, keyed by the entries of the map moved."""
-    out = list(maps)
-    for i, a in enumerate(arrows):
-        into_v, out_of_v = a.target == v, a.source == v
-        if not (into_v or out_of_v):
-            continue
-        source, target = modules[a.source], modules[a.target]
-        key = (into_v, out_of_v, source.parts, target.parts, out[i])
-        image = memo.get(key)
-        if image is None:
-            f = SerialMorphism(source, target, out[i])
-            if into_v:
-                f = mor_compose(g, f)
-            if out_of_v:
-                f = mor_compose(f, g_inv)
-            image = memo[key] = f.entries
-        out[i] = image
-    return tuple(out)
+class _HomActions:
+    """prod_v Aut(M_v) acting on tuples of hom-space indices, for one sweep.
+
+    A generator pair (g, g^-1) of ``automorphism_generators(M_v)`` moves the
+    map phi of an arrow into v to g o phi and that of an arrow out of v to
+    phi o g^-1 (the quiver has no loops), so that g at v and the identity
+    elsewhere is an isomorphism onto the moved tuple.  On each arrow that is
+    a permutation of the indices of the arrow's hom space, kept in ``perms``
+    by (source parts, target parts, into v, generator number) and filled on
+    first read: one ``mor_compose``, then a lookup of the image's entries in
+    ``indices`` (per hom key, {entries: index})."""
+
+    def __init__(self):
+        self.generators: Dict[tuple, list] = {}  # module parts -> generator pairs
+        self.indices: Dict[tuple, dict] = {}
+        self.perms: Dict[tuple, _Lazy] = {}
+
+    def _perm(self, space, hom, into_v, g, g_inv) -> _Lazy:
+        if hom not in self.indices:
+            self.indices[hom] = {f.entries: k for k, f in enumerate(space)}
+        index = self.indices[hom]
+        if into_v:
+            return _Lazy(lambda k: index[mor_compose(g, space[k]).entries])
+        return _Lazy(lambda k: index[mor_compose(space[k], g_inv).entries])
+
+    def moves(self, quiver: Quiver, modules, spaces) -> list:
+        """(v, g, move) for each vertex v that an arrow touches, in
+        ``quiver.vertices`` order, and each pair (g, g^-1) of
+        ``automorphism_generators(M_v)``: move takes a tuple of indices into
+        ``spaces`` (one per arrow, in ``quiver.arrows`` order) to that of
+        the maps moved by g, by one read per arrow touching v."""
+        out = []
+        for v in quiver.vertices:
+            touching = [i for i, a in enumerate(quiver.arrows) if v in (a.source, a.target)]
+            parts = modules[v].parts
+            if touching and parts not in self.generators:
+                self.generators[parts] = automorphism_generators(modules[v])
+            for n, (g, g_inv) in enumerate(self.generators[parts] if touching else ()):
+                acts = []
+                for i in touching:
+                    a = quiver.arrows[i]
+                    hom = (modules[a.source].parts, modules[a.target].parts)
+                    key = hom + (a.target == v, n)
+                    if key not in self.perms:
+                        self.perms[key] = self._perm(spaces[i], hom, a.target == v, g, g_inv)
+                    acts.append((i, self.perms[key]))
+                out.append((v, g, functools.partial(_move_indices, acts)))
+        return out
+
+
+def _move_indices(acts, indices: tuple) -> tuple:
+    """``indices`` with each position i of ``acts`` read through its permutation."""
+    moved = list(indices)
+    for i, perm in acts:
+        moved[i] = perm[moved[i]]
+    return tuple(moved)
 
 
 def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
@@ -556,10 +586,12 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
     Two representations with the same vertex modules are isomorphic exactly
     when some (g_v) carries one family of arrow maps onto the other, and
     modules in normal form are isomorphic only when equal, so the orbits are
-    the classes.  The group is walked with the generator pairs (g, g^-1) of
-    ``automorphism_generators`` at each vertex (``_move_maps``).  The mono
-    condition is invariant under the action, so the candidates of one
-    assignment are a union of orbits.
+    the classes.  The group is walked on tuples of hom-space indices with
+    the generator pairs (g, g^-1) of ``automorphism_generators`` at each
+    vertex, a move being one read per arrow it touches (``_HomActions``).
+    The mono condition is invariant under the action, so the candidates of
+    one assignment are a union of orbits.  Only the first candidate of each
+    orbit becomes a ``Representation``.
 
     ``splits`` says whether rep is decomposable: some member of its orbit is
     block diagonal for a splitting of the vertex modules' parts into two
@@ -572,37 +604,20 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
     a block-diagonal member are an idempotent endomorphism other than 0
     and 1."""
     arrows = quiver.arrows
-    vertices = quiver.vertices
-    touched = [v for v in vertices if any(v in (a.source, a.target) for a in arrows)]
-    # module parts -> (g, g^-1, memo of g's images) per automorphism generator
-    generators: Dict[tuple, list] = {}
+    actions = _HomActions()
+    for modules, spaces, tuples in _generic_candidates(quiver, base, caps, mono_only, budget):
+        moves = [move for _, _, move in actions.moves(quiver, modules, spaces)]
+        ranks = [modules[v].rank for v in quiver.vertices]
+        offsets = dict(zip(quiver.vertices, itertools.accumulate([0] + ranks)))
+        size = sum(ranks)
 
-    def assignment(rep):
-        return tuple(rep.modules[v].parts for v in vertices)
-
-    candidates = _generic_candidates(quiver, base, caps, mono_only, budget)
-    for _, group in itertools.groupby(candidates, key=assignment):
-        by_maps = {tuple(r.maps[a.name].entries for a in arrows): r for r in group}
-        modules = next(iter(by_maps.values())).modules
-        moves = []
-        for v in touched:
-            parts = modules[v].parts
-            if parts not in generators:
-                generators[parts] = [(g, g_inv, {})
-                                     for g, g_inv in automorphism_generators(modules[v])]
-            moves.extend(functools.partial(_move_maps, arrows, modules, v, g, g_inv, memo)
-                         for g, g_inv, memo in generators[parts])
-        offsets = {}
-        size = 0
-        for v in vertices:
-            offsets[v] = size
-            size += modules[v].rank
-
-        def splits(maps, offsets=offsets, size=size):
+        def splits(indices, spaces=spaces, offsets=offsets, size=size):
+            maps = [space[k].entries for space, k in zip(spaces, indices)]
             return coordinate_components(arrows, offsets, size, maps) is not None
 
-        for maps, split in _orbit_representatives(list(by_maps), moves, splits):
-            yield by_maps[maps], split
+        for indices, split in _orbit_representatives(tuples, moves, splits):
+            yield Representation(quiver, base, modules, {
+                a.name: space[k] for a, space, k in zip(arrows, spaces, indices)}), split
 
 
 def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = False,
@@ -613,15 +628,17 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     classified by Aut(V)-orbits of submodule chains (``_linear_mono_candidates``)
     and come in generation order: sinks in ``modules_up_to_length`` order, then
     chains in candidate order.  Every other case searches all vertex modules
-    and arrow maps (``_generic_candidates``); with ``mono_only`` it checks
-    the monic in-maps per vertex and never builds a non-monic tuple.  It then
-    keeps the first tuple of each prod_v Aut(M_v)-orbit
+    and arrow maps as hom-space indices (``_generic_candidates``); with
+    ``mono_only`` it tries only monic maps, checks the in-arrows into a
+    vertex jointly as they are assigned, and never builds a non-monic tuple.
+    It then keeps the first tuple of each prod_v Aut(M_v)-orbit
     (``_generic_orbit_classes``), again in generation order: vertex modules
     in product order, then tuples in candidate order.  Both walks visit
     every member of an orbit, and an orbit is kept only when none of its
     members is block diagonal, which is exactly indecomposability; no
     endomorphism ring is computed.  ``budget`` bounds the chains built or
-    the arrow-map tuples, partial or complete, visited.
+    the arrow-map tuples, partial or complete, visited; with ``mono_only``
+    only tuples of monic maps are visited.
     """
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")

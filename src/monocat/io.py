@@ -23,8 +23,9 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an in
 
 
 def _expect(value, kind, what: str):
-    """``value`` if it has the JSON type ``kind``, else ValueError naming ``what``."""
-    if not isinstance(value, kind):
+    """``value`` if it has the JSON type ``kind``, else ValueError naming ``what``.
+    A JSON boolean is not an integer, though Python's ``bool`` is an ``int``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
     return value
 
@@ -86,6 +87,8 @@ def morphism_from_json(source: SerialModule, target: SerialModule, data: Optiona
 
 def _coeff_from_json(ring, cell, what: str):
     digits = _expect(_field(_expect(cell, dict, what), "coeff", what), list, f"{what} coefficient")
+    if len(digits) != ring.n:
+        raise ValueError(f"{what} coefficient needs {ring.n} digits, got {len(digits)}")
     for d in digits:
         _expect(d, int, f"{what} coefficient digit")
         if not 0 <= d < ring.p:

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,26 @@ def test_cli_enumerate_budget_exit_code_generic_mono(capsys):
     assert rc == 3
 
 
+def test_cli_enumerate_output_does_not_depend_on_the_hash_seed():
+    # str hashes, and so the order of sets of strings, change with
+    # PYTHONHASHSEED (under 0 and 1 {"M1", "M2"} iterates one way, under 3
+    # the other); the generic sweep's output must not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    args = ["enumerate", "--quiver", "A4-zigzag", "--base", "chain:poly:2:2",
+            "--caps", "2,2,2,2", "--mono-only"]
+    outputs = []
+    for seed in ("0", "1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from monocat.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *args],
+            env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert json.loads(outputs[0])["counts"] == {"injective": 4, "non_injective": 8}
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_cli_verify_suite_rad2(capsys):
     rc = main(["verify-suite", "--suite", "rad2-count",
                "--quiver", "An-linear:3", "--base", "chain:poly:2:2"])
@@ -228,6 +252,10 @@ def test_cli_decompose_unknown_key_or_overlong_map_is_input_error(tmp_path, caps
      "map of arrow a1 entry (0, 0) has no 'coeff' key"),
     ({"maps": {"a1": {"entries": [[{"coeff": [3, -1]}]]}}},
      "map of arrow a1 entry (0, 0) coefficient digit 3 is outside [0, 2)"),
+    ({"maps": {"a1": {"entries": [[{"coeff": [True, False]}]]}}},
+     "map of arrow a1 entry (0, 0) coefficient digit must be an integer, not bool"),
+    ({"maps": {"a1": {"entries": [[{"coeff": [1]}]]}}},
+     "map of arrow a1 entry (0, 0) coefficient needs 2 digits, got 1"),
 ])
 def test_cli_decompose_missing_key_names_its_place(tmp_path, capsys, change, message):
     assert main(["decompose", "-i", _write_json(tmp_path, {**_K_TO_K, **change})]) == 2

@@ -1,9 +1,9 @@
 """The orbit classifications: the Aut(V) generators of ``ConcreteModule`` and
 the linear sweep against the isomorphism-filtered generic search; the generic
-search's per-vertex mono pruning against the filtered product of all arrow
-maps; the generic sweep's prod_v Aut(M_v)-orbits against ``IsoClassifier``
-over that filtered product; each orbit's split verdict against
-``is_indecomposable``."""
+search's per-in-arrow mono pruning against the filtered product of all arrow
+maps; the generic sweep's prod_v Aut(M_v)-orbits, walked on hom-space
+indices, against ``IsoClassifier`` over that filtered product; each orbit's
+split verdict against ``is_indecomposable``."""
 
 import functools
 import itertools
@@ -17,13 +17,13 @@ from monocat.decompose import coordinate_components, is_indecomposable
 from monocat.enumerate import (
     DEFAULT_ENUM_BUDGET,
     IsoClassifier,
+    _HomActions,
     _generic_candidates,
     _chain_representation,
     _chain_splits,
     _generic_orbit_classes,
     _linear_mono_candidates,
     _linear_orbits,
-    _move_maps,
     _orbit_representatives,
     _pruned_classes,
     enumerate_bounded,
@@ -161,7 +161,7 @@ def test_orbit_sweep_matches_iso_filtered_oracle(qname, base_args, caps):
     base = chain_base(*base_args)
     cap_dict = dict(zip(quiver.vertices, caps))
     classifier = IsoClassifier()
-    for rep in _generic_candidates(quiver, base, cap_dict, True, DEFAULT_ENUM_BUDGET):
+    for rep in _candidate_reps(quiver, base, cap_dict, True):
         classifier.add(rep)
     oracle = classifier.classes()
 
@@ -195,6 +195,20 @@ def test_orbit_sweep_matches_iso_filtered_oracle(qname, base_args, caps):
         k = next(k for k, s in enumerate(remaining) if is_iso_reps(r, s))
         remaining.pop(k)
     assert not remaining
+
+
+def _indexed_rep(quiver, base, modules, spaces, indices):
+    """The representation whose arrow maps are ``spaces`` read at ``indices``."""
+    return Representation(quiver, base, modules, {
+        a.name: space[k] for a, space, k in zip(quiver.arrows, spaces, indices)})
+
+
+def _candidate_reps(quiver, base, caps, mono_only):
+    """Every candidate of ``_generic_candidates``, in order, as a representation."""
+    return [_indexed_rep(quiver, base, modules, spaces, indices)
+            for modules, spaces, tuples in
+            _generic_candidates(quiver, base, caps, mono_only, DEFAULT_ENUM_BUDGET)
+            for indices in tuples]
 
 
 def _filtered_product(quiver, base, caps, mono_only):
@@ -232,7 +246,7 @@ GENERIC_IDS = ["zigzag-1111", "zigzag-2121", "kronecker-22", "d4-1111", "interle
 @pytest.mark.parametrize("quiver,base,caps", GENERIC_CONFIGS, ids=GENERIC_IDS)
 def test_generic_mono_candidates_match_filtered_product(quiver, base, caps):
     cap_dict = dict(zip(quiver.vertices, caps))
-    found = list(_generic_candidates(quiver, base, cap_dict, True, DEFAULT_ENUM_BUDGET))
+    found = _candidate_reps(quiver, base, cap_dict, True)
     expected = _filtered_product(quiver, base, cap_dict, mono_only=True)
     assert found
     assert found == expected
@@ -243,7 +257,7 @@ def test_generic_mono_candidates_match_filtered_product(quiver, base, caps):
                          ids=[GENERIC_IDS[0], GENERIC_IDS[4]])
 def test_generic_candidates_without_mono_is_the_full_product(quiver, base, caps):
     cap_dict = dict(zip(quiver.vertices, caps))
-    found = list(_generic_candidates(quiver, base, cap_dict, False, DEFAULT_ENUM_BUDGET))
+    found = _candidate_reps(quiver, base, cap_dict, False)
     expected = _filtered_product(quiver, base, cap_dict, mono_only=False)
     assert found == expected
     assert not all(is_mono(rep) for rep in found)
@@ -363,21 +377,48 @@ def test_each_orbit_move_is_an_isomorphism(index):
     # its image; RepMorphism checks every naturality square
     quiver, base, caps, mono_only = ORBIT_CONFIGS[index]
     cap_dict = dict(zip(quiver.vertices, caps))
-    arrows = quiver.arrows
+    actions = _HomActions()
     moved = 0
-    for rep in _generic_candidates(quiver, base, cap_dict, mono_only, DEFAULT_ENUM_BUDGET):
-        maps = tuple(rep.maps[a.name].entries for a in arrows)
-        for v in quiver.vertices:
-            for g, g_inv in automorphism_generators(rep.modules[v]):
-                image = _move_maps(arrows, rep.modules, v, g, g_inv, {}, maps)
-                target = Representation(quiver, base, rep.modules, {
-                    a.name: SerialMorphism(rep.modules[a.source], rep.modules[a.target], e)
-                    for a, e in zip(arrows, image)})
-                components = {u: g if u == v else identity_morphism(rep.modules[u])
-                              for u in quiver.vertices}
-                RepMorphism(rep, target, components)
-                moved += image != maps
+    for modules, spaces, tuples in _generic_candidates(quiver, base, cap_dict, mono_only,
+                                                       DEFAULT_ENUM_BUDGET):
+        moves = actions.moves(quiver, modules, spaces)
+        # one move per vertex touched by an arrow and generator of its Aut
+        assert [(v, g) for v, g, _ in moves] == [
+            (v, g) for v in quiver.vertices for g, _ in automorphism_generators(modules[v])
+            if any(v in (a.source, a.target) for a in quiver.arrows)]
+        for v, g, move in moves:
+            components = {u: g if u == v else identity_morphism(modules[u])
+                          for u in quiver.vertices}
+            for indices in tuples:
+                image = move(indices)
+                RepMorphism(_indexed_rep(quiver, base, modules, spaces, indices),
+                            _indexed_rep(quiver, base, modules, spaces, image), components)
+                moved += image != indices
     assert moved
+
+
+@pytest.mark.parametrize("quiver,base,caps", GENERIC_CONFIGS, ids=GENERIC_IDS)
+def test_filled_hom_permutations_are_bijections(quiver, base, caps, monkeypatch):
+    # each permutation the orbit walk filled, completed, permutes the indices
+    # of its whole hom space, and that space lists each map once
+    made = []
+
+    class Recording(_HomActions):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(enumerate_module, "_HomActions", Recording)
+    list(_generic_orbit_classes(quiver, base, dict(zip(quiver.vertices, caps)), True,
+                                DEFAULT_ENUM_BUDGET))
+    (actions,) = made
+    # the caps of zigzag-1111 and zigzag-2121 leave only modules whose Aut is trivial
+    assert bool(actions.perms) == any(actions.generators.values())
+    for (source, target, _, _), perm in actions.perms.items():
+        size = hom_space(serial_module(base, source), serial_module(base, target)).size
+        assert len(actions.indices[source, target]) == size
+        assert all(0 <= k < size and 0 <= x < size for k, x in perm.items())
+        assert sorted(perm[k] for k in range(size)) == list(range(size))
 
 
 def _orbit(start, moves):
@@ -392,6 +433,25 @@ def _orbit(start, moves):
     return orbit
 
 
+def _index_walk(rep):
+    """(moves, splits, start) of the index walk on rep's vertex modules, as
+    ``_generic_orbit_classes`` makes them: start indexes rep's own maps."""
+    quiver = rep.quiver
+    spaces = [list(hom_space(rep.modules[a.source], rep.modules[a.target]))
+              for a in quiver.arrows]
+    moves = [move for _, _, move in _HomActions().moves(quiver, rep.modules, spaces)]
+    ranks = [rep.modules[v].rank for v in quiver.vertices]
+    offsets = dict(zip(quiver.vertices, itertools.accumulate([0] + ranks)))
+    size = sum(ranks)
+
+    def splits(indices):
+        maps = [space[k].entries for space, k in zip(spaces, indices)]
+        return coordinate_components(quiver.arrows, offsets, size, maps) is not None
+
+    return moves, splits, tuple(space.index(rep.maps[a.name])
+                                for space, a in zip(spaces, quiver.arrows))
+
+
 def test_off_diagonal_direct_sum_is_reported_split():
     # (M1 -pi-> M2) (+) (M2 -id-> M2) over Z/4 is block diagonal; some
     # member of its orbit is not, and the walk started there still splits
@@ -403,32 +463,17 @@ def test_off_diagonal_direct_sum_is_reported_split():
                                {"a1": identity_morphism(m2)})
     assert is_indecomposable(socle) and is_indecomposable(injective)
     total = rep_direct_sum(socle, injective)
-    arrows = quiver.arrows
-    moves = [functools.partial(_move_maps, arrows, total.modules, v, g, g_inv, {})
-             for v in quiver.vertices
-             for g, g_inv in automorphism_generators(total.modules[v])]
-    offsets = {"1": 0, "2": total.modules["1"].rank}
-    size = offsets["2"] + total.modules["2"].rank
-
-    def splits(maps, offsets=offsets, size=size):
-        return coordinate_components(arrows, offsets, size, maps) is not None
-
-    diagonal = tuple(total.maps[a.name].entries for a in arrows)
+    moves, splits, diagonal = _index_walk(total)
     assert splits(diagonal)
     orbit = _orbit(diagonal, moves)
-    off = [maps for maps in orbit if not splits(maps)]
+    off = [indices for indices in orbit if not splits(indices)]
     assert off
     for start in off:
-        candidates = [start] + [maps for maps in orbit if maps != start]
+        candidates = [start] + [indices for indices in orbit if indices != start]
         assert list(_orbit_representatives(candidates, moves, splits)) == [(start, True)]
     # an indecomposable's orbit never splits
-    alone = tuple(socle.maps[a.name].entries for a in arrows)
-    moves = [functools.partial(_move_maps, arrows, socle.modules, v, g, g_inv, {})
-             for v in quiver.vertices
-             for g, g_inv in automorphism_generators(socle.modules[v])]
-    assert list(_orbit_representatives(_orbit(alone, moves), moves,
-                                       functools.partial(splits, offsets={"1": 0, "2": 1},
-                                                         size=2))) == [(alone, False)]
+    moves, splits, alone = _index_walk(socle)
+    assert list(_orbit_representatives(_orbit(alone, moves), moves, splits)) == [(alone, False)]
 
 
 @pytest.mark.parametrize("arith,p,n,parts", [

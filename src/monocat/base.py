@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .chainring import INT, POLY, ChainRing, ChainRingElem, chain_ring
+from .chainring import INT, POLY, ChainRing, ChainRingElem, _Lazy, chain_ring
 
 CHAIN = "chain"
 RAD2NAK = "rad2nak"
@@ -33,9 +33,11 @@ STABLE = "stable"
 class SerialBase:
     """Common interface of the three backings.
 
-    All instances are immutable after construction.  ``chain_base``,
-    ``rad2nak_base`` and ``stable_base`` build one instance per descriptor,
-    so two bases are equal exactly when they are the same object.
+    All instances are immutable after construction, apart from the
+    composition tables of ``compose_table``, which only cache
+    ``compose_coeff``.  ``chain_base``, ``rad2nak_base`` and ``stable_base``
+    build one instance per descriptor, so two bases are equal exactly when
+    they are the same object.
     """
 
     backing: str
@@ -64,6 +66,18 @@ class SerialBase:
     def envelope_label(self, label: str) -> str:
         """Label of the injective envelope of the given indecomposable."""
         raise NotImplementedError
+
+    def compose_table(self, a: str, b: str, c: str) -> _Lazy:
+        """``compose_coeff(a, b, c, v, u)`` on element numbers: ``table[v][u]``
+        is the number of the coefficient, filled from ``compose_coeff`` on
+        first read.  One table per label triple, kept on the base."""
+        tables = self.__dict__.setdefault("_compose_tables", {})
+        table = tables.get((a, b, c))
+        if table is None:
+            elems = self.ring.tables.elems
+            table = tables[a, b, c] = _Lazy(lambda v: _Lazy(
+                lambda u: self.compose_coeff(a, b, c, elems[v], elems[u]).num))
+        return table
 
     # -- generic helpers --------------------------------------------------------
 

@@ -46,15 +46,22 @@ from .rep import (
 from .serialmod import assemble, memo, mor_compose
 
 
-def coordinate_components(arrows, offsets, size, maps) -> Optional[List[List[int]]]:
+def nonzero_entries(f) -> tuple:
+    """The positions (i, j) of the nonzero entries of the map f."""
+    return tuple((i, j) for i, row in enumerate(f.entries) for j, e in enumerate(row)
+                 if not e.is_zero())
+
+
+def coordinate_components(arrows, offsets, size, supports) -> Optional[List[List[int]]]:
     """The connected components of the graph on the ``size`` nodes (vertex,
     part), numbered ``offsets[vertex] + part``, in which the source part j
-    and the target part i of every nonzero entry (i, j) of ``maps`` (entries
-    per arrow, in ``arrows`` order) are joined; None as soon as the graph is
-    connected.  Each component lists its nodes in increasing order, and the
-    components come in the order of their least node.  The arrow maps are
-    block diagonal for a splitting of the vertex modules' parts into two
-    nonempty sets exactly when the result is not None."""
+    and the target part i of every nonzero entry (i, j) of an arrow map are
+    joined; ``supports`` lists those positions per arrow, in ``arrows``
+    order (``nonzero_entries``).  None as soon as the graph is connected.
+    Each component lists its nodes in increasing order, and the components
+    come in the order of their least node.  The arrow maps are block
+    diagonal for a splitting of the vertex modules' parts into two nonempty
+    sets exactly when the result is not None."""
     if size < 2:
         return None
     parent = list(range(size))
@@ -66,18 +73,15 @@ def coordinate_components(arrows, offsets, size, maps) -> Optional[List[List[int
         return x
 
     components = size
-    for a, entries in zip(arrows, maps):
+    for a, support in zip(arrows, supports):
         s, t = offsets[a.source], offsets[a.target]
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                if e.is_zero():
-                    continue
-                x, y = find(s + j), find(t + i)
-                if x != y:
-                    parent[x] = y
-                    components -= 1
-                    if components < 2:
-                        return None
+        for i, j in support:
+            x, y = find(s + j), find(t + i)
+            if x != y:
+                parent[x] = y
+                components -= 1
+                if components < 2:
+                    return None
     by_root = {}
     for node in range(size):
         by_root.setdefault(find(node), []).append(node)
@@ -99,7 +103,7 @@ def coordinate_blocks(r: Representation) -> Optional[Tuple[Representation, ...]]
         offsets[v] = len(nodes)
         nodes.extend((v, i) for i in range(r.modules[v].rank))
     components = coordinate_components(arrows, offsets, len(nodes),
-                                       [r.maps[a.name].entries for a in arrows])
+                                       [nonzero_entries(r.maps[a.name]) for a in arrows])
     if components is None:
         return None
     blocks = []
@@ -124,7 +128,8 @@ def _subrep_from_inclusions(r: Representation, inclusions) -> Tuple[Representati
             raise AssertionError("submodule family is not arrow-stable")
         maps[a.name] = lifted
     sub = Representation(r.quiver, r.base, modules, maps)
-    incl = RepMorphism(sub, r, {v: inclusions[v] for v in r.quiver.vertices})
+    # each lifted map solves k_t o lifted = r.maps[a] o k_s, which is naturality
+    incl = RepMorphism(sub, r, {v: inclusions[v] for v in r.quiver.vertices}, check=False)
     return sub, incl
 
 

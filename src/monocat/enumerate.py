@@ -14,23 +14,26 @@
   indices, each generator of ``ConcreteModule.automorphism_generators``
   moving a chain by reads of its permutation of the submodule lattice, and
   yields its classes in generation order.  Every other quiver and backing
-  searches the arrow maps depth first, as indices into their hom spaces; for
-  monic classes each arrow runs over the monic maps of its space, and a
-  branch is cut as soon as the in-arrows assigned into a vertex are not
-  jointly monic.  Two representations with the same vertex modules are
+  searches the arrow maps depth first, as map numbers in their hom spaces
+  (``serialmod.HomSpace``); for monic classes it skips vertex modules whose
+  socles cannot hold those of the in-arrows' sources, each arrow runs over
+  the monic maps of its space, and a branch is cut as soon as the in-arrows
+  assigned into a vertex are not jointly monic, every test a rank of cached
+  F_p socle columns.  Two representations with the same vertex modules are
   isomorphic exactly when some (g_v) in prod_v Aut(M_v) carries one family
-  of arrow maps onto the other, so that path keeps the first index tuple of
-  each orbit, each generator of ``serialmod.automorphism_generators``
-  moving it by reads of its permutations of hom-space indices, and builds
-  representations for those alone, in generation order.  Both walks decide indecomposability on the way: a
-  representation is decomposable exactly when some member of its orbit is
-  block diagonal for a splitting of the vertex modules' parts into two
-  nonempty sets (``_chain_splits``, ``decompose.coordinate_components``),
-  so no endomorphism ring is computed.  ``IsoClassifier`` (fingerprint
-  buckets, then ``is_iso_reps``) and ``decompose.is_indecomposable`` remain
-  as the oracles of the tests; the latter shares only the union-find
-  (``decompose.coordinate_components``), and answers every connected
-  representation from its endomorphism ring.
+  of arrow maps onto the other, so that path keeps the first tuple of map
+  numbers of each orbit, each generator of
+  ``serialmod.automorphism_generators`` moving it by reads of its
+  permutations of map numbers, filled by digit updates, and builds
+  representations for those alone, in generation order.  Both walks decide
+  indecomposability on the way: a representation is decomposable exactly
+  when some member of its orbit is block diagonal for a splitting of the
+  vertex modules' parts into two nonempty sets (``_chain_splits``,
+  ``decompose.coordinate_components``), so no endomorphism ring is
+  computed.  ``IsoClassifier`` (fingerprint buckets, then ``is_iso_reps``)
+  and ``decompose.is_indecomposable`` remain as the oracles of the tests;
+  the latter shares only the union-find (``decompose.coordinate_components``),
+  and answers every connected representation from its endomorphism ring.
 * The Kronecker families: minimal monic approximations of the classical
   Kronecker modules over F_p placed on the simple of the stable base, the
   same placement as the radical-square-zero classification.
@@ -48,7 +51,7 @@ from .base import CHAIN, POLY, RAD2NAK, SerialBase, chain_base, stable_base
 from .chainring import INT, _Lazy
 from .concrete import ConcreteModule, chain_of_inclusions
 from .decompose import BudgetExceeded, coordinate_components, is_indecomposable
-from .exact import image, is_injective_map
+from .exact import image, independent_columns, socle_residue
 from .mimo import injective_rep_recognize, mimo_from_stable
 from .quiver import Quiver, builtin_quiver, dynkin_type, positive_roots
 from .rep import (
@@ -450,48 +453,93 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
     yield from _pruned_classes(quiver, base, caps)
 
 
+def _socle_columns(space) -> list:
+    """For each map number k of the ``HomSpace``, the columns of the map's
+    socle matrix (entries ``socle_residue``), one per source part."""
+    base, W, Q = space.base, space.weights, space.radices
+    cells = [[(W[i][j], Q[i][j], [socle_residue(base, a, b, d) for d in range(Q[i][j])])
+              for i, b in enumerate(space.target.parts)]
+             for j, a in enumerate(space.source.parts)]
+    return [tuple(tuple(residues[k // w % q] for w, q, residues in column) for column in cells)
+            for k in range(space.size)]
+
+
 def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                         mono_only: bool, budget: int):
     """Yield (modules, spaces, tuples) for each assignment of vertex modules
     from ``modules_up_to_length``, in ``itertools.product`` order over
     ``quiver.vertices``, that has a candidate: ``spaces`` holds each arrow's
-    hom space as ``hom_space`` lists it, and ``tuples`` the candidate arrow
-    maps as tuples of indices into them, in ``itertools.product`` order.
+    ``HomSpace``, and ``tuples`` the candidate arrow maps as tuples of map
+    numbers in them, in ``itertools.product`` order.
 
-    The maps are assigned depth first.  With ``mono_only`` each arrow runs
-    over the monic maps of its space only, listed once per hom space, and a
-    branch is cut as soon as the in-arrows assigned so far into a vertex are
-    two or more and not jointly monic: a family of maps into one module is
-    jointly monic only if each subfamily is, so exactly the monic tuples
-    remain.  Joint verdicts are cached for the call by the (source parts,
-    target parts, index) of each assigned in-arrow.  Raises BudgetExceeded
-    when more than ``budget`` tuples, partial or complete, are visited.
+    The maps are assigned depth first.  With ``mono_only`` an assignment is
+    first skipped when, for some simple S, the sources of the arrows into a
+    vertex together have more socle summands S than its module: a jointly
+    monic family embeds the socle of the sum of its sources, S-isotypic part
+    into S-isotypic part.  That test depends on the modules alone.  In the
+    other assignments each arrow runs over the monic maps of its space only,
+    and a branch is cut as soon as the in-arrows assigned so far into a
+    vertex are two or more and not jointly monic: a family of maps into one
+    module is jointly monic only if each subfamily is, so exactly the monic
+    tuples remain.  Every monic test is one rank over F_p of socle columns
+    (``_socle_columns``, listed once per hom space for the call, with the
+    monic maps); joint verdicts are cached for the call by the (source
+    parts, target parts, map number) of each assigned in-arrow.  Raises
+    BudgetExceeded when more than ``budget`` assignments and tuples, partial
+    or complete, are visited; an assignment counts before its socle test.
 
     The candidates of one assignment form a union of prod_v Aut(M_v)-orbits
     (the mono condition is invariant), which ``_generic_orbit_classes``
     relies on to keep one tuple per orbit."""
     arrows = quiver.arrows
+    p = base.ring.p
     # joint[i]: the arrows up to arrows[i] into its target, when monicity is
     # checked and they are two or more, else ()
     joint = [tuple(j for j, b in enumerate(arrows[:i + 1]) if b.target == a.target)
              for i, a in enumerate(arrows)]
     joint = [js if mono_only and len(js) > 1 else () for js in joint]
     inventories = [modules_up_to_length(base, caps[v]) for v in quiver.vertices]
-    homs: Dict[tuple, tuple] = {}  # hom key -> (its space, the indices tried)
+    # (vertex position, source positions of its in-arrows) for each vertex
+    # that has in-arrows, and the socle summands of each module per simple
+    position = {v: n for n, v in enumerate(quiver.vertices)}
+    into = [(position[v], [position[a.source] for a in quiver.arrows_into(v)])
+            for v in quiver.vertices if quiver.arrows_into(v)]
+    simples = list(dict.fromkeys(base.socle_label(label) for label in base.labels))
+    socles = {m: [sum(base.socle_label(x) == s for x in m.parts) for s in simples]
+              for inventory in inventories for m in inventory}
+
+    def socles_fit(assignment):
+        for v, sources in into:
+            for s, have in enumerate(socles[assignment[v]]):
+                need = 0
+                for u in sources:
+                    need += socles[assignment[u]][s]
+                if need > have:
+                    return False
+        return True
+
+    homs: Dict[tuple, tuple] = {}  # hom key -> (its space, the numbers tried, socle columns)
     verdicts: Dict[tuple, bool] = {}
     count = 0
     for assignment in itertools.product(*inventories):
         count += 1
         if count > budget:
             raise BudgetExceeded(f"enumeration budget {budget} exceeded")
+        if mono_only and not socles_fit(assignment):
+            continue
         modules = dict(zip(quiver.vertices, assignment))
         keys = [(modules[a.source].parts, modules[a.target].parts) for a in arrows]
         for key, a in zip(keys, arrows):
             if key not in homs:
-                space = list(hom_space(modules[a.source], modules[a.target]))
-                homs[key] = (space, [k for k, f in enumerate(space) if is_injective_map(f)]
-                             if mono_only else range(len(space)))
-        spaces, tried = zip(*(homs[key] for key in keys)) if arrows else ((), ())
+                space = hom_space(modules[a.source], modules[a.target])
+                if mono_only:
+                    columns = _socle_columns(space)
+                    homs[key] = (space, [k for k, cols in enumerate(columns)
+                                         if independent_columns(p, space.target.rank, cols)],
+                                 columns)
+                else:
+                    homs[key] = (space, range(space.size), None)
+        spaces, tried, columns = zip(*(homs[key] for key in keys)) if arrows else ((), (), ())
         chosen = [0] * len(arrows)
         tuples = []
 
@@ -507,9 +555,11 @@ def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                     raise BudgetExceeded(f"enumeration budget {budget} exceeded")
                 chosen[depth] = k
                 if js:
-                    key = tuple((keys[j], chosen[j]) for j in js)
+                    key = tuple([(keys[j], chosen[j]) for j in js])
                     if key not in verdicts:
-                        verdicts[key] = is_injective_map(*(spaces[j][chosen[j]] for j in js))
+                        verdicts[key] = independent_columns(
+                            p, spaces[depth].target.rank,
+                            itertools.chain.from_iterable(columns[j][chosen[j]] for j in js))
                     if not verdicts[key]:
                         continue
                 extend(depth + 1)
@@ -520,50 +570,92 @@ def _generic_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
 
 
 class _HomActions:
-    """prod_v Aut(M_v) acting on tuples of hom-space indices, for one sweep.
+    """prod_v Aut(M_v) acting on tuples of map numbers, for one sweep.
 
     A generator pair (g, g^-1) of ``automorphism_generators(M_v)`` moves the
     map phi of an arrow into v to g o phi and that of an arrow out of v to
     phi o g^-1 (the quiver has no loops), so that g at v and the identity
     elsewhere is an isomorphism onto the moved tuple.  On each arrow that is
-    a permutation of the indices of the arrow's hom space, kept in ``perms``
-    by (source parts, target parts, into v, generator number) and filled on
-    first read: one ``mor_compose``, then a lookup of the image's entries in
-    ``indices`` (per hom key, {entries: index})."""
+    a permutation of the map numbers of the arrow's ``HomSpace``, kept in
+    ``perms`` by (source parts, target parts, into v, generator number) and
+    filled on first read by digit updates.  g o phi differs from phi only in
+    the rows where g is not the identity, and phi o g^-1 only in the columns
+    where g^-1 is not (one row or column for each generator listed), so a
+    fill recomputes only those entries: each is a sum of products read from
+    ``SerialBase.compose_table`` at digits of the map number, truncated to
+    its hom length, and the number moves by (new - old) * weight."""
 
-    def __init__(self):
+    def __init__(self, quiver: Quiver):
+        # (v, (position, arrow) of each arrow touching v) for each vertex an
+        # arrow touches
+        touching = ((v, [(i, a) for i, a in enumerate(quiver.arrows) if v in (a.source, a.target)])
+                    for v in quiver.vertices)
+        self.touching = [(v, arrows) for v, arrows in touching if arrows]
         self.generators: Dict[tuple, list] = {}  # module parts -> generator pairs
-        self.indices: Dict[tuple, dict] = {}
         self.perms: Dict[tuple, _Lazy] = {}
 
-    def _perm(self, space, hom, into_v, g, g_inv) -> _Lazy:
-        if hom not in self.indices:
-            self.indices[hom] = {f.entries: k for k, f in enumerate(space)}
-        index = self.indices[hom]
-        if into_v:
-            return _Lazy(lambda k: index[mor_compose(g, space[k]).entries])
-        return _Lazy(lambda k: index[mor_compose(space[k], g_inv).entries])
+    @staticmethod
+    def _perm(space, into_v: bool, h) -> _Lazy:
+        """The permutation phi -> h o phi (``into_v``) or phi -> phi o h of
+        the map numbers of ``space``."""
+        base, tab = space.base, space.base.ring.tables
+        a, b = space.source.parts, space.target.parts
+        W, Q = space.weights, space.radices
+        # (weight, radix, truncation, terms) per changed entry; each term is
+        # the (weight, radix) of a digit and the product number per digit
+        updates = []
+        if into_v:  # row i of h o phi is the sum over l of h[i][l] phi[l][.]
+            for i, row in enumerate(h.entries):
+                support = [(l, c.num) for l, c in enumerate(row) if c.num]
+                if support == [(i, 1)]:
+                    continue
+                updates += [(W[i][j], Q[i][j], tab.trunc[space.moduli[i][j]], [
+                    (W[l][j], Q[l][j], [base.compose_table(a[j], b[l], b[i])[c][d]
+                                        for d in range(Q[l][j])])
+                    for l, c in support if Q[l][j] > 1])
+                    for j in range(len(a)) if Q[i][j] > 1]
+        else:  # column j of phi o h is the sum over l of phi[.][l] h[l][j]
+            for j in range(len(a)):
+                support = [(l, row[j].num) for l, row in enumerate(h.entries) if row[j].num]
+                if support == [(j, 1)]:
+                    continue
+                updates += [(W[i][j], Q[i][j], tab.trunc[space.moduli[i][j]], [
+                    (W[i][l], Q[i][l], [base.compose_table(a[j], a[l], b[i])[d][c]
+                                        for d in range(Q[i][l])])
+                    for l, c in support if Q[i][l] > 1])
+                    for i in range(len(b)) if Q[i][j] > 1]
+        add = tab.add
 
-    def moves(self, quiver: Quiver, modules, spaces) -> list:
+        def fill(k):
+            moved = k
+            for w, q, trunc, terms in updates:
+                acc = 0
+                for w_in, q_in, product in terms:
+                    acc = add[acc][product[k // w_in % q_in]]
+                moved += (trunc[acc] - k // w % q) * w
+            return moved
+
+        return _Lazy(fill)
+
+    def moves(self, modules, spaces) -> list:
         """(v, g, move) for each vertex v that an arrow touches, in
         ``quiver.vertices`` order, and each pair (g, g^-1) of
-        ``automorphism_generators(M_v)``: move takes a tuple of indices into
-        ``spaces`` (one per arrow, in ``quiver.arrows`` order) to that of
-        the maps moved by g, by one read per arrow touching v."""
+        ``automorphism_generators(M_v)``: move takes a tuple of map numbers
+        in ``spaces`` (``HomSpace``s, one per arrow, in ``quiver.arrows``
+        order) to that of the maps moved by g, by one read per arrow
+        touching v."""
         out = []
-        for v in quiver.vertices:
-            touching = [i for i, a in enumerate(quiver.arrows) if v in (a.source, a.target)]
+        for v, touching in self.touching:
             parts = modules[v].parts
-            if touching and parts not in self.generators:
+            if parts not in self.generators:
                 self.generators[parts] = automorphism_generators(modules[v])
-            for n, (g, g_inv) in enumerate(self.generators[parts] if touching else ()):
+            for n, (g, g_inv) in enumerate(self.generators[parts]):
                 acts = []
-                for i in touching:
-                    a = quiver.arrows[i]
-                    hom = (modules[a.source].parts, modules[a.target].parts)
-                    key = hom + (a.target == v, n)
+                for i, a in touching:
+                    into_v = a.target == v
+                    key = (modules[a.source].parts, modules[a.target].parts, into_v, n)
                     if key not in self.perms:
-                        self.perms[key] = self._perm(spaces[i], hom, a.target == v, g, g_inv)
+                        self.perms[key] = self._perm(spaces[i], into_v, g if into_v else g_inv)
                     acts.append((i, self.perms[key]))
                 out.append((v, g, functools.partial(_move_indices, acts)))
         return out
@@ -586,34 +678,42 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
     Two representations with the same vertex modules are isomorphic exactly
     when some (g_v) carries one family of arrow maps onto the other, and
     modules in normal form are isomorphic only when equal, so the orbits are
-    the classes.  The group is walked on tuples of hom-space indices with
-    the generator pairs (g, g^-1) of ``automorphism_generators`` at each
-    vertex, a move being one read per arrow it touches (``_HomActions``).
-    The mono condition is invariant under the action, so the candidates of
-    one assignment are a union of orbits.  Only the first candidate of each
+    the classes.  The group is walked on tuples of map numbers with the
+    generator pairs (g, g^-1) of ``automorphism_generators`` at each vertex,
+    a move being one read per arrow it touches (``_HomActions``).  The mono
+    condition is invariant under the action, so the candidates of one
+    assignment are a union of orbits.  Only the first candidate of each
     orbit becomes a ``Representation``.
 
     ``splits`` says whether rep is decomposable: some member of its orbit is
     block diagonal for a splitting of the vertex modules' parts into two
     nonempty sets, that is, the union-find of ``coordinate_components`` over
     the nodes (vertex, part), numbered ``offsets[vertex] + part``, leaves at
-    least two components.  If rep = R' (+) R'' with both nonzero,
-    Krull-Schmidt for the parts gives (g_v) carrying R'_v and R''_v onto
-    complementary coordinate summands at every vertex, and the moved member
-    is block diagonal along them; conversely the coordinate projections of
-    a block-diagonal member are an idempotent endomorphism other than 0
-    and 1."""
+    least two components.  The nonzero entries of a map are read from the
+    digits of its number (``HomSpace.support``), once per hom space and
+    number.  If rep = R' (+) R'' with both nonzero, Krull-Schmidt for the
+    parts gives (g_v) carrying R'_v and R''_v onto complementary coordinate
+    summands at every vertex, and the moved member is block diagonal along
+    them; conversely the coordinate projections of a block-diagonal member
+    are an idempotent endomorphism other than 0 and 1."""
     arrows = quiver.arrows
-    actions = _HomActions()
+    actions = _HomActions(quiver)
+    supports: Dict[tuple, _Lazy] = {}  # hom key -> map number -> its nonzero entries
     for modules, spaces, tuples in _generic_candidates(quiver, base, caps, mono_only, budget):
-        moves = [move for _, _, move in actions.moves(quiver, modules, spaces)]
+        moves = [move for _, _, move in actions.moves(modules, spaces)]
         ranks = [modules[v].rank for v in quiver.vertices]
         offsets = dict(zip(quiver.vertices, itertools.accumulate([0] + ranks)))
         size = sum(ranks)
+        nonzero = []
+        for space in spaces:
+            key = (space.source.parts, space.target.parts)
+            if key not in supports:
+                supports[key] = _Lazy(space.support)
+            nonzero.append(supports[key])
 
-        def splits(indices, spaces=spaces, offsets=offsets, size=size):
-            maps = [space[k].entries for space, k in zip(spaces, indices)]
-            return coordinate_components(arrows, offsets, size, maps) is not None
+        def splits(indices, nonzero=nonzero, offsets=offsets, size=size):
+            return coordinate_components(arrows, offsets, size, [
+                support[k] for support, k in zip(nonzero, indices)]) is not None
 
         for indices, split in _orbit_representatives(tuples, moves, splits):
             yield Representation(quiver, base, modules, {
@@ -628,17 +728,19 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     classified by Aut(V)-orbits of submodule chains (``_linear_mono_candidates``)
     and come in generation order: sinks in ``modules_up_to_length`` order, then
     chains in candidate order.  Every other case searches all vertex modules
-    and arrow maps as hom-space indices (``_generic_candidates``); with
-    ``mono_only`` it tries only monic maps, checks the in-arrows into a
-    vertex jointly as they are assigned, and never builds a non-monic tuple.
+    and arrow maps as numbers in their hom spaces (``_generic_candidates``);
+    with ``mono_only`` it skips vertex modules whose socles are too small
+    for a jointly monic family, tries only monic maps, checks the in-arrows
+    into a vertex jointly as they are assigned, and never builds a non-monic
+    tuple.
     It then keeps the first tuple of each prod_v Aut(M_v)-orbit
     (``_generic_orbit_classes``), again in generation order: vertex modules
     in product order, then tuples in candidate order.  Both walks visit
     every member of an orbit, and an orbit is kept only when none of its
     members is block diagonal, which is exactly indecomposability; no
     endomorphism ring is computed.  ``budget`` bounds the chains built or
-    the arrow-map tuples, partial or complete, visited; with ``mono_only``
-    only tuples of monic maps are visited.
+    the vertex-module assignments and arrow-map tuples, partial or complete,
+    visited; with ``mono_only`` only tuples of monic maps are visited.
     """
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")

@@ -577,6 +577,22 @@ def image(f: SerialMorphism):
     return kernel(q)
 
 
+def socle_residue(base, a: str, b: str, c: int) -> int:
+    """The socle-matrix entry of a map entry from part a to part b with
+    coefficient number c: the residue over F_p of the coefficient of
+    soc(a) -> a -> b, the second map c times the canonical generator, on the
+    canonical generator of Hom(soc a, b) (the socle inclusion of b), 0 where
+    that hom space is zero.  Read from ``compose_table``."""
+    return base.compose_table(base.socle_label(a), a, b)[c][1] % base.ring.p
+
+
+def independent_columns(p: int, nrows: int, columns) -> bool:
+    """Whether the columns, vectors of length nrows over F_p, are linearly
+    independent."""
+    rr = _Rref(p, (), nrows)
+    return all(rr.add(column) for column in columns)
+
+
 def is_injective_map(*maps: SerialMorphism) -> bool:
     """Whether the maps, all into one module (+) b_i, are jointly monic: the
     map they induce from the direct sum of their sources is.  Decided on
@@ -584,31 +600,20 @@ def is_injective_map(*maps: SerialMorphism) -> bool:
 
     The socle of the source is essential, so f is monic iff its restriction
     to the socle is.  That restriction sends the simple socle of a_j into the
-    socles of the b_i; its F_p matrix has at (i, j) the residue of the
-    coefficient of soc(a_j) -> a_j -> b_i on the canonical generator (the
-    socle inclusion of b_i), which is 0 where that hom space is zero.  The
-    maps are jointly monic iff the columns of all their matrices together
-    have full rank."""
+    socles of the b_i; its F_p matrix has at (i, j) the ``socle_residue`` of
+    the entry.  The maps are jointly monic iff the columns of all their
+    matrices together are linearly independent."""
     if not maps:
         return True
     base = maps[0].base
     _require_abelian(base, "is_injective_map")
-    one = base.one_coeff()
-    targets = maps[0].target.parts
-    rr = _Rref(base.ring.p, (), len(targets))
+    target = maps[0].target
     for f in maps:
-        if f.target != maps[0].target:
+        if f.target != target:
             raise ValueError("is_injective_map: targets differ")
-        for j, a in enumerate(f.source.parts):
-            s = base.socle_label(a)
-            column = [0] * len(targets)
-            for i, b in enumerate(targets):
-                c = f.entries[i][j]
-                if not c.is_zero():
-                    column[i] = base.compose_coeff(s, a, b, c, one).digits[0]
-            if not rr.add(column):
-                return False
-    return True
+    return independent_columns(base.ring.p, target.rank, (
+        [socle_residue(base, a, b, row[j].num) for b, row in zip(target.parts, f.entries)]
+        for f in maps for j, a in enumerate(f.source.parts)))
 
 
 def is_iso(f: SerialMorphism) -> bool:

@@ -123,7 +123,8 @@ def _mo(r: Representation, envelope_data, in_data):
         v: assemble(base, summands[v], [r.modules[v]], {(0, 0): identity_morphism(r.modules[v])})[0]
         for v in quiver.vertices
     }
-    p = RepMorphism(result, r, p_components)
+    # p keeps summand 0, and row 0 of every result map is (r.maps[a], 0, ...)
+    p = RepMorphism(result, r, p_components, check=False)
     return result, p
 
 

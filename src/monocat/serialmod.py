@@ -292,7 +292,12 @@ def rebase_map(f: SerialMorphism, source: SerialModule, target: SerialModule,
 
 
 class HomSpace:
-    """Finite description of Hom(M, N): entrywise product of cyclic modules."""
+    """Finite description of Hom(M, N): entrywise product of cyclic modules.
+
+    Its maps are numbered 0 .. size - 1 in the order of ``__iter__``; the
+    number of a map is a mixed-radix number whose digit at entry (i, j) is
+    that entry's ring number, of radix ``radices[i][j]`` and weight
+    ``weights[i][j]``."""
 
     def __init__(self, source: SerialModule, target: SerialModule):
         if source.base != target.base:
@@ -300,13 +305,17 @@ class HomSpace:
         self.source = source
         self.target = target
         self.base = source.base
+        p = self.base.ring.p
         # per-entry lengths of the cyclic coefficient modules
         self.moduli = [[self.base.hom_length(a, b) for a in source.parts] for b in target.parts]
-
-    @property
-    def size(self) -> int:
-        p = self.base.ring.p
-        return p ** sum(sum(row) for row in self.moduli)
+        self.radices = [[p ** ln for ln in row] for row in self.moduli]
+        self.weights = [[0] * source.rank for _ in target.parts]
+        size = 1
+        for i in reversed(range(target.rank)):
+            for j in reversed(range(source.rank)):
+                self.weights[i][j] = size
+                size *= self.radices[i][j]
+        self.size = size
 
     def __iter__(self) -> Iterator[SerialMorphism]:
         """Every map once, in mixed-radix order of the entries' numbers:
@@ -317,6 +326,20 @@ class HomSpace:
                 for row in self.moduli]
         for entries in itertools.product(*rows):
             yield SerialMorphism(self.source, self.target, entries)
+
+    def __getitem__(self, k: int) -> SerialMorphism:
+        """The map numbered k, the k-th of ``__iter__``."""
+        if not 0 <= k < self.size:
+            raise IndexError(f"map number {k} out of range for a hom space of size {self.size}")
+        elems = self.base.ring.tables.elems
+        return SerialMorphism(self.source, self.target, tuple([
+            tuple([elems[k // w % q] for w, q in zip(ws, qs)])
+            for ws, qs in zip(self.weights, self.radices)]))
+
+    def support(self, k: int) -> tuple:
+        """The positions (i, j) of the nonzero entries of the map numbered k."""
+        return tuple([(i, j) for i, (ws, qs) in enumerate(zip(self.weights, self.radices))
+                      for j, (w, q) in enumerate(zip(ws, qs)) if k // w % q])
 
     def random(self, rng) -> SerialMorphism:
         rows = []

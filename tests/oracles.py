@@ -2,13 +2,15 @@
 elements are tuples of truncated ring values, one per part, and maps that
 act on them; the tuple forms of the ``concrete`` tables; the inverse,
 surjectivity test and socle inclusion that only the tests call; the
-listing of hom solution sets; and the Kronecker families built from the
-homogeneous two-variable form model."""
+permutations of hom-space map numbers by composition; the listing of hom
+solution sets; and the Kronecker families built from the homogeneous
+two-variable form model."""
 
 import itertools
 import math
 
 from monocat.base import chain_base
+from monocat.chainring import _Lazy
 from monocat.enumerate import normalize_p1_point
 from monocat.exact import cokernel, image, is_iso, solve_left, solve_right
 from monocat.quiver import builtin_quiver
@@ -127,6 +129,22 @@ def socle_inclusion(m):
                                        serial_module(base, (p,)), [[one]]) for p in m.parts])
     assert f.target == m and f.source == socle(m)
     return f
+
+
+# -- permutations of map numbers by composition ------------------------------------------
+
+
+def composition_perm(space, into_v: bool, h):
+    """The permutation phi -> h o phi (``into_v``) or phi -> phi o h of the
+    map numbers of the ``HomSpace``, with the signature of
+    ``enumerate._HomActions._perm``: each entry, on first read, is one
+    ``mor_compose`` and a lookup of the image's entries among the maps."""
+    maps = list(space)
+    index = {f.entries: k for k, f in enumerate(maps)}
+    assert len(index) == space.size, "the hom space lists a map twice"
+    if into_v:
+        return _Lazy(lambda k: index[mor_compose(h, maps[k]).entries])
+    return _Lazy(lambda k: index[mor_compose(maps[k], h).entries])
 
 
 # -- listing hom solution sets ------------------------------------------------------------

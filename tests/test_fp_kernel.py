@@ -1,5 +1,6 @@
 """The F_p elimination ``exact._Rref`` and the residue tests built on it,
-checked against exhaustive counts and brute-force spans."""
+checked against exhaustive counts and brute-force spans; the socle test of
+``is_injective_map`` against kernels, on every small map."""
 
 import itertools
 import math
@@ -7,7 +8,17 @@ import random
 
 import pytest
 
-from monocat.exact import _fp_invertible, _fp_nilpotent, _Rref
+from monocat.base import chain_base, rad2nak_base
+from monocat.enumerate import _socle_columns
+from monocat.exact import (
+    _fp_invertible,
+    _fp_nilpotent,
+    _Rref,
+    independent_columns,
+    is_injective_map,
+    kernel,
+)
+from monocat.serialmod import assemble, hom_space, serial_module
 
 # (q, n): every n x n matrix over F_q is tried
 SMALL = [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
@@ -83,3 +94,31 @@ def test_rref_augmented_rows_keep_their_coefficients(p):
             back = [(r + sum(a * row[j] for a, row in zip(coords, rr.rows))) % p
                     for j, r in enumerate(residual)]
             assert back == v
+
+
+@pytest.mark.parametrize("base", [chain_base("int", 2, 3), chain_base("poly", 3, 2),
+                                  rad2nak_base(2, 3)], ids=["int-2-3", "poly-3-2", "rad2nak-2-3"])
+def test_socle_test_agrees_with_kernels_on_every_small_map(base):
+    # every map between modules of at most two parts, and every pair of maps
+    # from one-part modules into one such module: jointly monic exactly when
+    # the map from the direct sum of the sources has zero kernel (that map is
+    # among the first, so its kernel is read from them)
+    modules = [serial_module(base, parts) for rank in range(3)
+               for parts in itertools.combinations_with_replacement(base.labels, rank)]
+    monic = {f: kernel(f)[0].is_zero() for source in modules for target in modules
+             for f in hom_space(source, target)}
+    assert any(monic.values()) and not all(monic.values())
+    for f, verdict in monic.items():
+        assert is_injective_map(f) == verdict, f
+    # the cached socle columns of the generic sweep give the same verdicts
+    for source in modules:
+        for target in modules:
+            space = hom_space(source, target)
+            assert [independent_columns(base.ring.p, target.rank, columns)
+                    for columns in _socle_columns(space)] == [monic[f] for f in space]
+    singles = [m for m in modules if m.rank == 1]
+    for target in modules:
+        for a, b in itertools.product(singles, repeat=2):
+            for f, g in itertools.product(hom_space(a, target), hom_space(b, target)):
+                joint, _, _ = assemble(base, [a, b], [target], {(0, 0): f, (0, 1): g})
+                assert is_injective_map(f, g) == monic[joint], (f, g)

@@ -3,17 +3,19 @@ the linear sweep against the isomorphism-filtered generic search; the generic
 search's per-in-arrow mono pruning against the filtered product of all arrow
 maps; the generic sweep's prod_v Aut(M_v)-orbits, walked on hom-space
 indices, against ``IsoClassifier`` over that filtered product; each orbit's
-split verdict against ``is_indecomposable``."""
+split verdict against ``is_indecomposable``; the walk over the stable
+quotient of F_2[x]/(x^5) against the one whose permutations compose maps."""
 
 import functools
 import itertools
+import os
 
 import pytest
 
 import monocat.enumerate as enumerate_module
-from monocat.base import chain_base, rad2nak_base
+from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.concrete import ConcreteModule
-from monocat.decompose import coordinate_components, is_indecomposable
+from monocat.decompose import coordinate_components, is_indecomposable, nonzero_entries
 from monocat.enumerate import (
     DEFAULT_ENUM_BUDGET,
     IsoClassifier,
@@ -41,7 +43,7 @@ from monocat.serialmod import (
     serial_module,
 )
 
-from oracles import apply_morphism, element_number, module_elements
+from oracles import apply_morphism, composition_perm, element_number, module_elements
 
 
 def _closure(gens, size):
@@ -364,9 +366,9 @@ def test_generic_verdicts_where_first_members_are_off_diagonal():
     for rep, splits in _generic_orbit_classes(quiver, base, cap_dict, False, DEFAULT_ENUM_BUDGET):
         assert splits == (not rep.is_zero() and not is_indecomposable(rep))
         offsets = {"1": 0, "2": rep.modules["1"].rank}
-        maps = tuple(rep.maps[a.name].entries for a in quiver.arrows)
+        supports = [nonzero_entries(rep.maps[a.name]) for a in quiver.arrows]
         size = offsets["2"] + rep.modules["2"].rank
-        diagonal = coordinate_components(quiver.arrows, offsets, size, maps) is not None
+        diagonal = coordinate_components(quiver.arrows, offsets, size, supports) is not None
         off_diagonal += splits and not diagonal
     assert off_diagonal
 
@@ -377,11 +379,11 @@ def test_each_orbit_move_is_an_isomorphism(index):
     # its image; RepMorphism checks every naturality square
     quiver, base, caps, mono_only = ORBIT_CONFIGS[index]
     cap_dict = dict(zip(quiver.vertices, caps))
-    actions = _HomActions()
+    actions = _HomActions(quiver)
     moved = 0
     for modules, spaces, tuples in _generic_candidates(quiver, base, cap_dict, mono_only,
                                                        DEFAULT_ENUM_BUDGET):
-        moves = actions.moves(quiver, modules, spaces)
+        moves = actions.moves(modules, spaces)
         # one move per vertex touched by an arrow and generator of its Aut
         assert [(v, g) for v, g, _ in moves] == [
             (v, g) for v in quiver.vertices for g, _ in automorphism_generators(modules[v])
@@ -399,13 +401,14 @@ def test_each_orbit_move_is_an_isomorphism(index):
 
 @pytest.mark.parametrize("quiver,base,caps", GENERIC_CONFIGS, ids=GENERIC_IDS)
 def test_filled_hom_permutations_are_bijections(quiver, base, caps, monkeypatch):
-    # each permutation the orbit walk filled, completed, permutes the indices
-    # of its whole hom space, and that space lists each map once
+    # each permutation the orbit walk filled agrees, entry by entry, with
+    # composition by the generator (the oracle lists each map of the space
+    # once), and completed it permutes the map numbers of its whole space
     made = []
 
     class Recording(_HomActions):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, quiver):
+            super().__init__(quiver)
             made.append(self)
 
     monkeypatch.setattr(enumerate_module, "_HomActions", Recording)
@@ -414,11 +417,41 @@ def test_filled_hom_permutations_are_bijections(quiver, base, caps, monkeypatch)
     (actions,) = made
     # the caps of zigzag-1111 and zigzag-2121 leave only modules whose Aut is trivial
     assert bool(actions.perms) == any(actions.generators.values())
-    for (source, target, _, _), perm in actions.perms.items():
-        size = hom_space(serial_module(base, source), serial_module(base, target)).size
-        assert len(actions.indices[source, target]) == size
+    for (source, target, into_v, n), perm in actions.perms.items():
+        space = hom_space(serial_module(base, source), serial_module(base, target))
+        size = space.size
+        g, g_inv = automorphism_generators(space.target if into_v else space.source)[n]
+        oracle = composition_perm(space, into_v, g if into_v else g_inv)
+        assert perm and all(x == oracle[k] for k, x in perm.items())
         assert all(0 <= k < size and 0 <= x < size for k, x in perm.items())
         assert sorted(perm[k] for k in range(size)) == list(range(size))
+
+
+def _stable_s5_walk(cap):
+    """``_generic_orbit_classes`` over the stable quotient of F_2[x]/(x^5) on
+    A2 at caps (cap, cap): the objects of rep(A2, the stable category), whose
+    classes Mimo takes to the non-injective classes of S(5)."""
+    quiver = builtin_quiver("An-linear:2")
+    base = stable_base(chain_base("poly", 2, 5))
+    return list(_generic_orbit_classes(quiver, base, dict(zip(quiver.vertices, (cap, cap))),
+                                       False, DEFAULT_ENUM_BUDGET))
+
+
+def _unsplit(found):
+    return sum(not splits and not rep.is_zero() for rep, splits in found)
+
+
+def test_stable_s5_walk_matches_the_composition_walk(monkeypatch):
+    found = _stable_s5_walk(3)
+    assert _unsplit(found) == 19
+    monkeypatch.setattr(_HomActions, "_perm", staticmethod(composition_perm))
+    assert _stable_s5_walk(3) == found
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("MONOCAT_FULL") != "1", reason="caps (4,4); set MONOCAT_FULL=1")
+def test_stable_s5_walk_at_caps_4():
+    assert _unsplit(_stable_s5_walk(4)) == 33
 
 
 def _orbit(start, moves):
@@ -437,18 +470,17 @@ def _index_walk(rep):
     """(moves, splits, start) of the index walk on rep's vertex modules, as
     ``_generic_orbit_classes`` makes them: start indexes rep's own maps."""
     quiver = rep.quiver
-    spaces = [list(hom_space(rep.modules[a.source], rep.modules[a.target]))
-              for a in quiver.arrows]
-    moves = [move for _, _, move in _HomActions().moves(quiver, rep.modules, spaces)]
+    spaces = [hom_space(rep.modules[a.source], rep.modules[a.target]) for a in quiver.arrows]
+    moves = [move for _, _, move in _HomActions(quiver).moves(rep.modules, spaces)]
     ranks = [rep.modules[v].rank for v in quiver.vertices]
     offsets = dict(zip(quiver.vertices, itertools.accumulate([0] + ranks)))
     size = sum(ranks)
 
     def splits(indices):
-        maps = [space[k].entries for space, k in zip(spaces, indices)]
-        return coordinate_components(quiver.arrows, offsets, size, maps) is not None
+        supports = [space.support(k) for space, k in zip(spaces, indices)]
+        return coordinate_components(quiver.arrows, offsets, size, supports) is not None
 
-    return moves, splits, tuple(space.index(rep.maps[a.name])
+    return moves, splits, tuple(list(space).index(rep.maps[a.name])
                                 for space, a in zip(spaces, quiver.arrows))
 
 

@@ -16,7 +16,7 @@ from monocat.exact import (
     solve_right,
 )
 from monocat import io as mio
-from monocat.decompose import coordinate_blocks
+from monocat.decompose import coordinate_blocks, nonzero_entries
 from monocat.enumerate import modules_up_to_length
 from monocat.quiver import builtin_quiver
 from monocat.rep import Representation, random_representation
@@ -456,6 +456,12 @@ def test_hom_space_lists_each_map_once_in_mixed_radix_order(base, source, target
     assert [f.entries for f in maps] == expected
     assert len(maps) == len(set(maps)) == space.size
     assert all(f.source is m and f.target is n for f in maps)
+    # the map numbered k is the k-th, its nonzero entries read from the digits
+    assert [space[k] for k in range(space.size)] == maps
+    assert [space.support(k) for k in range(space.size)] == [nonzero_entries(f) for f in maps]
+    for k in (-1, space.size):
+        with pytest.raises(IndexError):
+            space[k]
 
 
 def test_dual_morphism_involution():

@@ -158,7 +158,7 @@ def cmd_transfer(args):
 def cmd_enumerate(args):
     base = parse_base(args.base)
     quiver = parse_quiver(args.quiver)
-    if args.caps:
+    if args.caps is not None:
         caps = [_cap(x, args.caps) for x in args.caps.split(",")]
         report = enumerate_bounded(quiver, base, caps, mono_only=args.mono_only,
                                    budget=args.budget)

@@ -12,6 +12,10 @@ number of elements of the parts after i.
 Submodules are walked upward from 0 by simple extensions: a nonzero T has a
 maximal S with T/S = F_p, and any x in T - S has pi*x in S and gives T as
 the union of the cosets kx + S, 0 <= k < p.
+The coordinate masks are those of the sums V_J of the parts in a set J; a
+submodule is split by the coordinate idempotent e_J exactly when its
+intersections with V_J and with the complementary sum have sizes whose
+product is its own (``kept_idempotents``).
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ class ConcreteModule:
         self._inclusion_cache = {}
         self._aut_gens = None
         self._cyclics: Dict[int, List[int]] = {}
-        self._idempotents = None
-        self._kept = {}
+        self._coordinate_masks = None
 
     def build_tables(self):
         """``_add_table[i][j]``: the number of element i + element j;
@@ -219,39 +222,32 @@ class ConcreteModule:
         # a permutation sends distinct elements to distinct bits
         return [sum([1 << perm[i] for i in elements]) for perm in self.automorphism_generators()]
 
-    def coordinate_idempotents(self) -> List[tuple]:
-        """Element-number maps of the projections e_J onto the parts in J,
-        for every proper nonempty set J of parts that contains part 0.  A
-        submodule is kept by e_J exactly when it is kept by 1 - e_J, the
-        projection onto the complement, so the complements are left out.
-        e_J keeps the digits of the parts in J and zeroes the others; the
-        map is built part by part in the mixed-radix order."""
-        if self._idempotents is None:
-            rank, p = self.module.rank, self.ring.p
-            self._idempotents = []
-            # bits picks J - {0} among parts 1..rank-1; all of them is not proper
-            for bits in range((1 << (rank - 1)) - 1 if rank > 1 else 0):
-                e = [0]
-                for j in reversed(range(rank)):
-                    part = range(p ** self.part_lengths[j])
-                    if j == 0 or bits >> (j - 1) & 1:
-                        e = [a * self.widths[j] + y for a in part for y in e]
-                    else:
-                        e = [y for _ in part for y in e]
-                self._idempotents.append(tuple(e))
-        return self._idempotents
+    def coordinate_masks(self) -> List[Tuple[int, int]]:
+        """(mask of V_J, mask of V_J') for every proper nonempty set J of
+        parts that contains part 0, in the order of J as a bitmask over the
+        parts, J' its complement; V_J is the sum of the parts in J, the
+        elements whose digits outside J are zero.  The sets with part 0
+        suffice: e_J keeps a submodule exactly when 1 - e_J does."""
+        if self._coordinate_masks is None:
+            p, full = self.ring.p, (1 << self.module.rank) - 1
+            sums = {0: 1}  # J -> mask of V_J
+            for j, (l, width) in enumerate(zip(self.part_lengths, self.widths)):
+                # digit j is zero on V_J, so adding a * width sets it to a
+                sums.update({J | 1 << j: sum(m << a * width for a in range(p ** l))
+                             for J, m in sums.items()})
+            self._coordinate_masks = [(sums[J], sums[full ^ J]) for J in range(1, full, 2)]
+        return self._coordinate_masks
 
     def kept_idempotents(self, mask: int) -> int:
-        """Bitmask over ``coordinate_idempotents`` of the e_J with
-        e_J(S) <= S for the submodule mask S."""
-        kept = self._kept.get(mask)
-        if kept is None:
-            elements = self.mask_elements(mask)
-            kept = 0
-            for k, e in enumerate(self.coordinate_idempotents()):
-                if all(mask >> e[i] & 1 for i in elements):
-                    kept |= 1 << k
-            self._kept[mask] = kept
+        """Bitmask over ``coordinate_masks`` of the e_J with e_J(S) <= S for
+        the submodule mask S.  That holds exactly when S is the direct sum
+        of S & V_J and S & V_J'; the two meet in 0, so their sum, inside S,
+        has |S & V_J| * |S & V_J'| elements and is S when that is |S|."""
+        size = mask.bit_count()
+        kept = 0
+        for k, (inside, outside) in enumerate(self.coordinate_masks()):
+            if (mask & inside).bit_count() * (mask & outside).bit_count() == size:
+                kept |= 1 << k
         return kept
 
     def minimal_generators(self, mask: int) -> List[int]:
@@ -271,38 +267,18 @@ class ConcreteModule:
         return gens
 
     def submodule_inclusion(self, mask: int) -> Tuple[SerialModule, SerialMorphism]:
-        """(abstract submodule S, monic inclusion S -> ambient) for a mask."""
+        """(abstract submodule S, monic inclusion S -> ambient) for a mask:
+        the image of the free module R^m -> V that sends generator k to the
+        k-th of the ``minimal_generators``, its entries their digits."""
         cached = self._inclusion_cache.get(mask)
-        if cached is not None:
-            return cached
-        base = self.base
-        gens = self.minimal_generators(mask)
-        labels = [f"M{self.order_of(g)}" for g in gens]
-        if not gens:
-            S = serial_module(base, [])
-            result = S, morphism(S, self.module, [[] for _ in self.module.parts])
-            self._inclusion_cache[mask] = result
-            return result
-        cover = serial_module(base, labels)
-        order = sorted(range(len(gens)), key=lambda k: (base.label_sort_key(labels[k]), k))
-        elems = self.ring.tables.elems
-        cols = []
-        for k in order:
-            g = gens[k]
-            d = self.order_of(g)
-            col = []
-            for l, width in zip(self.part_lengths, self.widths):
-                x = elems[g // width % self.ring.p ** l]
-                shift = max(0, l - d)
-                if x.valuation() < shift:
-                    raise AssertionError("generator component not divisible")
-                col.append(x.shift_down(shift))
-            cols.append(col)
-        entries = [[cols[j][i] for j in range(len(cols))] for i in range(self.module.rank)]
-        phi = morphism(cover, self.module, entries)
-        S, incl = image(phi)
-        self._inclusion_cache[mask] = (S, incl)
-        return S, incl
+        if cached is None:
+            gens = self.minimal_generators(mask)
+            free = serial_module(self.base, [self.base.labels[-1]] * len(gens))
+            p = self.ring.p
+            entries = [[g // width % p ** l for g in gens]
+                       for l, width in zip(self.part_lengths, self.widths)]
+            cached = self._inclusion_cache[mask] = image(morphism(free, self.module, entries))
+        return cached
 
 
 def chain_of_inclusions(concrete: ConcreteModule, masks: List[int]):

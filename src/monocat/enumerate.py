@@ -13,26 +13,29 @@
   other; that path classifies by Aut(V)-orbits of chains of lattice
   indices, each generator of ``ConcreteModule.automorphism_generators``
   moving a chain by reads of its permutation of the submodule lattice, and
-  yields its classes in generation order.  Every other quiver and backing
-  searches the arrow maps depth first, as map numbers in their hom spaces
-  (``serialmod.HomSpace``); for monic classes it skips vertex modules whose
-  socles cannot hold those of the in-arrows' sources, each arrow runs over
-  the monic maps of its space, and a branch is cut as soon as the in-arrows
-  assigned into a vertex are not jointly monic, every test a rank of cached
-  F_p socle columns.  Two representations with the same vertex modules are
-  isomorphic exactly when some (g_v) in prod_v Aut(M_v) carries one family
-  of arrow maps onto the other, so that path keeps the first tuple of map
-  numbers of each orbit, each generator of
+  yields its classes in generation order.  Its pruning rules drop only
+  decomposable chains and apply to sinks with two or more parts, so no
+  class is added back: the simple at the sink and the source's
+  path-indexed injective come in walk order with the rest.  Every other
+  quiver and backing searches the arrow maps depth first, as map numbers in
+  their hom spaces (``serialmod.HomSpace``); for monic classes it skips
+  vertex modules whose socles cannot hold those of the in-arrows' sources,
+  each arrow runs over the monic maps of its space, and a branch is cut as
+  soon as the in-arrows assigned into a vertex are not jointly monic, every
+  test a rank of cached F_p socle columns.  Two representations with the
+  same vertex modules are isomorphic exactly when some (g_v) in prod_v
+  Aut(M_v) carries one family of arrow maps onto the other, so that path
+  keeps the first tuple of map numbers of each orbit, each generator of
   ``serialmod.automorphism_generators`` moving it by reads of its
   permutations of map numbers, filled by digit updates, and builds
   representations for those alone, in generation order.  Both walks decide
   indecomposability on the way: a representation is decomposable exactly
   when some member of its orbit is block diagonal for a splitting of the
   vertex modules' parts into two nonempty sets (``_chain_splits``,
-  ``decompose.coordinate_components``), so no endomorphism ring is
-  computed.  ``IsoClassifier`` (fingerprint buckets, then ``is_iso_reps``)
-  and ``decompose.is_indecomposable`` remain as the oracles of the tests;
-  the latter shares only the union-find (``decompose.coordinate_components``),
+  ``decompose.coordinate_components``), so no endomorphism ring is computed.
+  ``IsoClassifier`` (fingerprint buckets, then ``is_iso_reps``) and
+  ``decompose.is_indecomposable`` remain as the oracles of the tests; the
+  latter shares only the union-find (``decompose.coordinate_components``),
   and answers every connected representation from its endomorphism ring.
 * The Kronecker families: minimal monic approximations of the classical
   Kronecker modules over F_p placed on the simple of the stable base, the
@@ -328,7 +331,7 @@ def _chain_splits(conc: ConcreteModule, chain: tuple) -> bool:
     """Whether some coordinate idempotent e_J of V, J a proper nonempty set
     of V's parts, keeps every submodule of the chain; the chain is then the
     direct sum of its parts in J and outside J."""
-    kept = (1 << len(conc.coordinate_idempotents())) - 1
+    kept = (1 << len(conc.coordinate_masks())) - 1
     for m in chain:
         kept &= conc.kept_idempotents(m)
     return kept != 0
@@ -344,19 +347,23 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
     R = R' (+) R'' with both nonzero, both have nonzero sink modules (the
     maps are monic), and by Krull-Schmidt for the parts of V some g in
     Aut(V) carries R'_V and R''_V onto complementary coordinate summands,
-    so g moves the chain to a block-diagonal member of its orbit.  Chains
-    are walked as lattice indices, each generator by reads of its lattice
-    permutation, filled from ``mask_images`` for the candidates' submodules.
+    so g moves the chain to a block-diagonal member of its orbit.  So a
+    sink with one part has no decomposable chain, and the pruning rules,
+    which drop only decomposable chains, apply to sinks with two or more
+    parts; no class is removed, the simple at the sink and the source's
+    path-indexed injective included.  Chains are walked as lattice indices,
+    each generator by reads of its lattice permutation, filled from
+    ``mask_images`` for the candidates' submodules.
     Raises BudgetExceeded when more than ``budget`` chains are built."""
     order = is_linear_chain(quiver)
     k = len(order)
-    n = base.ring.n
-    sink_cap = caps[order[-1]]
     count = 0
-    for top in modules_up_to_length(base, sink_cap):
+    for top in modules_up_to_length(base, caps[order[-1]]):
+        # the rules drop only decomposable chains, and a one-part sink has none
+        prune = len(top.parts) > 1
         # top coverage: S_{k-1} + rad(sink) = sink forces the length of
         # S_{k-1} to be at least the number of parts of the sink module
-        if k > 1 and len(top.parts) > caps[order[-2]]:
+        if prune and k > 1 and len(top.parts) > caps[order[-2]]:
             continue
         conc, subs, images = _concrete_with_submodules(base, top.parts)
         lengths = [conc.mask_length(m) for m in subs]
@@ -366,41 +373,29 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
         # submodule; at the source vertex that submodule splits off a
         # path-indexed summand (the retraction restricts to every member
         # above it), so such chains are decomposable
-        full_order = sum(1 << i for i in range(conc.size) if conc.order_of(i) == n)
+        full_order = sum(1 << i for i in range(conc.size) if conc.order_of(i) == base.ring.n)
 
         def chains(position: int, upper_mask: int):
-            # position counts how many proper submodules remain to be chosen;
-            # builds S_1 <= ... <= S_{k-1} ascending
+            # position counts how many submodules remain to be chosen;
+            # builds S_1 <= ... <= S_{k-1} ascending below upper_mask
             if position == 0:
                 yield ()
                 return
             for i, m in enumerate(subs):
-                if (
-                    lengths[i] <= caps[order[position - 1]]
-                    and (m & ~upper_mask) == 0
-                    and not (n > 1 and position == 1 and m & full_order)
-                ):
-                    for rest in chains(position - 1, m):
-                        yield rest + (i,)
+                if lengths[i] > caps[order[position - 1]] or m & ~upper_mask:
+                    continue
+                # S_1 with an element of maximal order, or S_{k-1} + rad(sink)
+                # missing a socle element of the sink, which then splits off
+                # a simple summand concentrated at the sink
+                if prune and (position == 1 and m & full_order
+                              or position == k - 1 and soc & ~conc.join(m, rad)):
+                    continue
+                for rest in chains(position - 1, m):
+                    yield rest + (i,)
 
-        # every rule below (caps, the injective element, socle coverage) is
+        # every rule (caps, the injective element, socle coverage) is
         # Aut(V)-invariant, so the candidates are a union of orbits
-        candidates = []
-        if k == 1:
-            candidates = [()]
-        else:
-            for i, m2 in enumerate(subs):
-                if lengths[i] > caps[order[-2]]:
-                    continue
-                if k == 2 and n > 1 and m2 & full_order:
-                    continue
-                # a socle element of the sink outside S_{k-1} + rad(sink)
-                # splits off a simple summand concentrated at the sink, so
-                # no indecomposable beyond the simple class itself survives
-                if soc & ~conc.join(m2, rad):
-                    continue
-                for rest in chains(k - 2, m2):
-                    candidates.append(rest + (i,))
+        candidates = list(chains(k - 1, subs[-1]))
         count += len(candidates)
         if count > budget:
             raise BudgetExceeded(f"enumeration budget {budget} exceeded")
@@ -425,32 +420,15 @@ def _chain_representation(quiver: Quiver, base: SerialBase, conc: ConcreteModule
         arrow_by_pair[(order[i], order[i + 1])]: maps[i] for i in range(len(order) - 1)})
 
 
-def _pruned_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int]):
-    """Yield the indecomposable classes that the pruning of ``_linear_orbits``
-    removes: the simple at the sink, and the path-indexed representation of
-    the injective label supported on the source vertex (its own chain starts
-    with an injective).  Both have a one-part sink module."""
-    order = is_linear_chain(quiver)
-    n = base.ring.n
-    if len(order) > 1:
-        if caps[order[-1]] >= 1:
-            yield Representation(quiver, base, {order[-1]: serial_module(base, ["M1"])}, {})
-        if n > 1 and all(caps[v] >= n for v in order):
-            inj = serial_module(base, [base.labels[n - 1]])
-            yield f_shriek(base, quiver, vertex_module(base, quiver, order[0], inj))
-
-
 def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                             budget: int = DEFAULT_ENUM_BUDGET):
     """Yield one monic representation per indecomposable class, and the zero
     representation, for a linearly oriented quiver: the orbits of
-    ``_linear_orbits`` that do not split, in walk order, then
-    ``_pruned_classes``.  Only these chains are turned into
-    representations."""
+    ``_linear_orbits`` that do not split, in walk order; no class is added
+    back.  Only these chains are turned into representations."""
     for conc, chain, splits in _linear_orbits(quiver, base, caps, budget):
         if not splits:
             yield _chain_representation(quiver, base, conc, chain)
-    yield from _pruned_classes(quiver, base, caps)
 
 
 def _socle_columns(space) -> list:
@@ -727,8 +705,10 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     Monic classes over a linearly oriented quiver and a chain ring are
     classified by Aut(V)-orbits of submodule chains (``_linear_mono_candidates``)
     and come in generation order: sinks in ``modules_up_to_length`` order, then
-    chains in candidate order.  Every other case searches all vertex modules
-    and arrow maps as numbers in their hom spaces (``_generic_candidates``);
+    chains in candidate order, the simple at the sink and the source's
+    path-indexed injective among them; no class is added back after the
+    walk.  Every other case searches all vertex modules and arrow maps as
+    numbers in their hom spaces (``_generic_candidates``);
     with ``mono_only`` it skips vertex modules whose socles are too small
     for a jointly monic family, tries only monic maps, checks the in-arrows
     into a vertex jointly as they are assigned, and never builds a non-monic

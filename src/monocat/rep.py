@@ -46,7 +46,6 @@ from .serialmod import (
     identity_morphism,
     mor_block,
     mor_compose,
-    mor_direct_sum,
     mor_equal,
     rebase_map,
     serial_module,
@@ -145,16 +144,6 @@ def rep_morphism_compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
 
 def rep_identity(r: Representation) -> RepMorphism:
     return RepMorphism(r, r, {v: identity_morphism(m) for v, m in r.modules.items()}, check=False)
-
-
-def rep_direct_sum(r: Representation, s: Representation) -> Representation:
-    """Direct sum with block-diagonal arrow maps."""
-    if r.quiver != s.quiver or r.base != s.base:
-        raise ValueError("direct sum requires same quiver and base")
-    base = r.base
-    modules = {v: direct_sum(base, [r.modules[v], s.modules[v]])[0] for v in r.quiver.vertices}
-    maps = {a.name: mor_direct_sum(base, [r.maps[a.name], s.maps[a.name]]) for a in r.quiver.arrows}
-    return Representation(r.quiver, base, modules, maps)
 
 
 def rebase(r: Representation, base: SerialBase, keep=None) -> Representation:

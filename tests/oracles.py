@@ -1,10 +1,10 @@
 """Oracles of the tests: the function model of chain-backed modules, whose
 elements are tuples of truncated ring values, one per part, and maps that
 act on them; the tuple forms of the ``concrete`` tables; the inverse,
-surjectivity test and socle inclusion that only the tests call; the
-permutations of hom-space map numbers by composition; the listing of hom
-solution sets; and the Kronecker families built from the homogeneous
-two-variable form model."""
+surjectivity test, socle inclusion and direct sum of representations that
+only the tests call; the permutations of hom-space map numbers by
+composition; the listing of hom solution sets; and the Kronecker families
+built from the homogeneous two-variable form model."""
 
 import itertools
 import math
@@ -17,6 +17,7 @@ from monocat.quiver import builtin_quiver
 from monocat.rep import Representation
 from monocat.serialmod import (
     assemble,
+    direct_sum,
     identity_morphism,
     mor_block,
     mor_compose,
@@ -75,8 +76,9 @@ def order_of(m, x: tuple) -> int:
 
 
 def coordinate_idempotents(m) -> list:
-    """The projections e_J of ``ConcreteModule.coordinate_idempotents`` as
-    maps of element numbers, each element zeroed outside J as a tuple."""
+    """The projections e_J, J over the sets of ``ConcreteModule.coordinate_masks``
+    in their order, as maps of element numbers, each element zeroed outside
+    J as a tuple."""
     zero, rank = m.base.ring.zero, m.rank
     elements = module_elements(m)
     out = []
@@ -129,6 +131,16 @@ def socle_inclusion(m):
                                        serial_module(base, (p,)), [[one]]) for p in m.parts])
     assert f.target == m and f.source == socle(m)
     return f
+
+
+def rep_direct_sum(r, s):
+    """Direct sum with block-diagonal arrow maps."""
+    if r.quiver != s.quiver or r.base != s.base:
+        raise ValueError("direct sum requires same quiver and base")
+    base = r.base
+    modules = {v: direct_sum(base, [r.modules[v], s.modules[v]])[0] for v in r.quiver.vertices}
+    maps = {a.name: mor_direct_sum(base, [r.maps[a.name], s.maps[a.name]]) for a in r.quiver.arrows}
+    return Representation(r.quiver, base, modules, maps)
 
 
 # -- permutations of map numbers by composition ------------------------------------------

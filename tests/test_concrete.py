@@ -35,8 +35,9 @@ def test_tables_are_the_elementwise_operations(arith, p, n, parts):
     mixed-radix number i (part 0 most significant, each part's digit its
     ring number); the tables are tuple addition and scalar multiplication
     truncated per part, read back through the numbering; and the element
-    orders, the coordinate idempotents and every submodule's inclusion are
-    those of the tuple oracles."""
+    orders, the split test of every submodule against each coordinate
+    projection, and every submodule's inclusion are those of the tuple
+    oracles."""
     conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
     module, lengths = conc.module, [int(label[1:]) for label in parts]
     elements = module_elements(module)
@@ -56,8 +57,13 @@ def test_tables_are_the_elementwise_operations(arith, p, n, parts):
             for a in elements]
 
     assert [conc.order_of(i) for i in range(conc.size)] == [order_of(module, e) for e in elements]
-    assert conc.coordinate_idempotents() == oracles.coordinate_idempotents(module)
+    projections = oracles.coordinate_idempotents(module)
+    assert len(conc.coordinate_masks()) == len(projections)
     for mask in conc.submodules():
+        # bit k is set iff the projection e_k maps the submodule into itself
+        elements = conc.mask_elements(mask)
+        assert conc.kept_idempotents(mask) == sum(
+            1 << k for k, e in enumerate(projections) if all(mask >> e[x] & 1 for x in elements))
         S, incl = conc.submodule_inclusion(mask)
         assert (S, incl) == oracles.submodule_inclusion(module, conc.minimal_generators(mask))
         assert {element_number(module, apply_morphism(incl, x))

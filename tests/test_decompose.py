@@ -18,7 +18,6 @@ from monocat.rep import (
     hom_reps,
     is_iso_reps,
     random_representation,
-    rep_direct_sum,
     rep_morphism_compose,
     vertex_module,
 )
@@ -29,7 +28,7 @@ from monocat.serialmod import (
     morphism,
     serial_module,
 )
-from oracles import rep_homs
+from oracles import rep_direct_sum, rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3 = chain_base("int", 2, 3)

@@ -146,6 +146,16 @@ def test_cli_enumerate_rad2_on_reordered_vertices(capsys):
     assert out["results"][0]["details"]["classes"] == 9
 
 
+def test_cli_enumerate_zero_cap_before_the_sink(capsys):
+    # the sink-only classes M1, M2 and M3
+    rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:3",
+               "--caps", "0,3", "--mono-only"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["counts"] == {"injective": 1, "non_injective": 2}
+    assert len(out["classes"]) == 3
+
+
 def test_cli_enumerate_budget_exit_code(capsys):
     rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2",
                "--caps", "2,2", "--budget", "3"])
@@ -346,7 +356,7 @@ def test_cli_negative_caps_is_input_error(capsys):
     assert "caps must be non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("caps, entry", [("3,x", "x"), ("2,,2", ""), ("2.5,1", "2.5")])
+@pytest.mark.parametrize("caps, entry", [("3,x", "x"), ("2,,2", ""), ("2.5,1", "2.5"), ("", "")])
 def test_cli_malformed_caps_names_the_entry(capsys, caps, entry):
     rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2",
                "--caps", caps])

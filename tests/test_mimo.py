@@ -26,7 +26,6 @@ from monocat.rep import (
     is_iso_reps,
     is_mono,
     random_representation,
-    rep_direct_sum,
     rep_identity,
     vertex_module,
 )
@@ -39,7 +38,7 @@ from monocat.serialmod import (
     zero_module,
     zero_morphism,
 )
-from oracles import rep_homs
+from oracles import rep_direct_sum, rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3P = chain_base("poly", 2, 3)

@@ -27,13 +27,12 @@ from monocat.enumerate import (
     _linear_mono_candidates,
     _linear_orbits,
     _orbit_representatives,
-    _pruned_classes,
     enumerate_bounded,
     modules_up_to_length,
 )
 from monocat.exact import is_iso
 from monocat.quiver import Quiver, builtin_quiver
-from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono, rep_direct_sum
+from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono
 from monocat.serialmod import (
     SerialMorphism,
     automorphism_generators,
@@ -43,7 +42,13 @@ from monocat.serialmod import (
     serial_module,
 )
 
-from oracles import apply_morphism, composition_perm, element_number, module_elements
+from oracles import (
+    apply_morphism,
+    composition_perm,
+    element_number,
+    module_elements,
+    rep_direct_sum,
+)
 
 
 def _closure(gens, size):
@@ -167,26 +172,26 @@ def test_orbit_sweep_matches_iso_filtered_oracle(qname, base_args, caps):
         classifier.add(rep)
     oracle = classifier.classes()
 
-    # every orbit representative, split or not, and every class the pruning
-    # re-adds is its own class: it matches exactly one oracle class, and no
-    # two of them match the same one
+    # every orbit representative, split or not, is its own class: it
+    # matches exactly one oracle class, and no two of them match the same one
+    walked = list(_linear_orbits(quiver, base, cap_dict))
     orbits = [(_chain_representation(quiver, base, conc, chain), splits)
-              for conc, chain, splits in _linear_orbits(quiver, base, cap_dict)]
-    pruned = list(_pruned_classes(quiver, base, cap_dict))
+              for conc, chain, splits in walked]
     hits = []
-    for rep in [rep for rep, _ in orbits] + pruned:
+    for rep, _ in orbits:
         matches = [k for k, s in enumerate(oracle) if is_iso_reps(rep, s)]
         assert len(matches) == 1
         hits.append(matches[0])
     assert len(set(hits)) == len(hits)
 
-    # the walk's verdict is decomposability, on split and unsplit orbits
+    # the walk's verdict is decomposability, on split and unsplit orbits;
+    # a sink with one part has no decomposable chain
     for rep, splits in orbits:
         assert splits == (not rep.is_zero() and not is_indecomposable(rep))
     assert any(splits for _, splits in orbits)
-    assert all(is_indecomposable(rep) for rep in pruned)
+    assert not any(splits for conc, _, splits in walked if conc.module.rank == 1)
     assert list(_linear_mono_candidates(quiver, base, cap_dict)) == \
-        [rep for rep, splits in orbits if not splits] + pruned
+        [rep for rep, splits in orbits if not splits]
 
     # the indecomposable classes agree, one to one
     expected = [s for s in oracle if not s.is_zero() and is_indecomposable(s)]
@@ -305,6 +310,32 @@ def test_generic_orbit_classes_match_iso_filtered_product(quiver, base, caps, mo
     # the walk's verdict is decomposability, on split and unsplit orbits
     for rep, splits in found:
         assert splits == (not rep.is_zero() and not is_indecomposable(rep))
+
+
+# every cap tuple of {0, 1, 2}^k, k = 1..3, of sum at most 5; with a zero
+# cap before the sink the walk must still find the sink-only classes M_l
+LINEAR_GRID_CAPS = [caps for k in (1, 2, 3) for caps in itertools.product(range(3), repeat=k)
+                    if sum(caps) <= 5]
+LINEAR_GRID_BASES = [("poly", 2, 1), ("poly", 3, 1), ("poly", 2, 2), ("int", 2, 2),
+                     ("poly", 3, 2), ("int", 2, 3), ("poly", 2, 3)]
+
+
+@pytest.mark.parametrize("base_args", LINEAR_GRID_BASES,
+                         ids=["-".join(map(str, b)) for b in LINEAR_GRID_BASES])
+def test_linear_walk_matches_the_generic_walk_on_small_caps(base_args):
+    base = chain_base(*base_args)
+    for caps in LINEAR_GRID_CAPS:
+        quiver = builtin_quiver(f"An-linear:{len(caps)}")
+        cap_dict = dict(zip(quiver.vertices, caps))
+        found = [rep for rep in _linear_mono_candidates(quiver, base, cap_dict)
+                 if not rep.is_zero()]
+        remaining = [rep for rep, splits in _generic_orbit_classes(
+            quiver, base, cap_dict, True, DEFAULT_ENUM_BUDGET) if not splits and not rep.is_zero()]
+        assert len(found) == len(remaining), caps
+        for rep in found:
+            matches = [k for k, s in enumerate(remaining) if is_iso_reps(rep, s)]
+            assert matches, caps
+            remaining.pop(matches[0])
 
 
 def test_linear_verdicts_where_first_members_are_off_diagonal():

@@ -98,14 +98,10 @@ class SerialBase:
         return (-self.length(label), self.labels.index(label))
 
     def coeff(self, a: str, b: str, value) -> ChainRingElem:
-        """Canonical coefficient of Hom(a, b) from digits or an integer."""
-        if isinstance(value, ChainRingElem):
-            e = value
-        elif isinstance(value, int):
-            e = self.ring.from_int(value)
-        else:
-            e = self.ring.elem(value)
-        return e.truncate(self.hom_length(a, b))
+        """Canonical coefficient of Hom(a, b) from a ring element or an integer."""
+        if isinstance(value, int):
+            value = self.ring.from_int(value)
+        return value.truncate(self.hom_length(a, b))
 
     def zero_coeff(self) -> ChainRingElem:
         return self.ring.zero
@@ -143,9 +139,6 @@ class ChainBase(SerialBase):
         self._label_set = frozenset(self.labels)
         self._lengths = {l: int(l[1:]) for l in self.labels}
 
-    def _len(self, label: str) -> int:
-        return self._lengths[label]
-
     def length(self, label: str) -> int:
         ln = self._lengths.get(label)
         if ln is None:
@@ -167,7 +160,7 @@ class ChainBase(SerialBase):
         return max(0, b - a) + max(0, c - b) - max(0, c - a)
 
     def compose_coeff(self, a, b, c, v, u):
-        la, lb, lc = self._len(a), self._len(b), self._len(c)
+        la, lb, lc = self._lengths[a], self._lengths[b], self._lengths[c]
         w = (v * u).shift_up(self.delta(la, lb, lc))
         return w.truncate(min(la, lc))
 

@@ -14,6 +14,7 @@ for the polynomial kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -21,23 +22,9 @@ from typing import Iterator
 INT = "int"
 POLY = "poly"
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if p == q:
-            return True
-        if p % q == 0:
-            return False
-    d = 41
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@
 * The radical-square-zero classification: injective classes are path-indexed
   representations of injective labels, non-injective classes are minimal
   monic approximations of the Gabriel classes placed on each non-injective
-  simple.
+  simple.  In every report a class counts as injective exactly when it is
+  monic with injective vertex modules: by the theorem these are the
+  path-indexed f_!(J), the objects the epivalence sends to zero.
 * Bounded exhaustive enumeration, the cross-validation oracle.  Over a
   linearly oriented quiver and a chain ring a monic representation is a chain
   of submodules of its sink module V, and two chains give isomorphic
@@ -14,15 +16,15 @@
   indices, each generator of ``ConcreteModule.automorphism_generators``
   moving a chain by reads of its permutation of the submodule lattice, and
   yields its classes in generation order.  Its pruning rules drop only
-  decomposable chains and apply to sinks with two or more parts, so no
-  class is added back: the simple at the sink and the source's
-  path-indexed injective come in walk order with the rest.  Every other
-  quiver and backing searches the arrow maps depth first, as map numbers in
-  their hom spaces (``serialmod.HomSpace``); for monic classes it skips
-  vertex modules whose socles cannot hold those of the in-arrows' sources,
-  each arrow runs over the monic maps of its space, and a branch is cut as
-  soon as the in-arrows assigned into a vertex are not jointly monic, every
-  test a rank of cached F_p socle columns.  Two representations with the
+  decomposable chains and apply to sinks with two or more parts, so the
+  simple at the sink and the source's path-indexed injective come in walk
+  order with the rest.  Every other quiver and backing searches the arrow
+  maps depth first, as map numbers in their hom spaces
+  (``serialmod.HomSpace``); for monic classes it skips vertex modules whose
+  socles cannot hold those of the in-arrows' sources, each arrow runs over
+  the monic maps of its space, and a branch is cut as soon as the in-arrows
+  assigned into a vertex are not jointly monic, every test a rank of cached
+  F_p socle columns.  Two representations with the
   same vertex modules are isomorphic exactly when some (g_v) in prod_v
   Aut(M_v) carries one family of arrow maps onto the other, so that path
   keeps the first tuple of map numbers of each orbit, each generator of
@@ -47,7 +49,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import CHAIN, POLY, RAD2NAK, SerialBase, chain_base, stable_base
@@ -55,7 +57,7 @@ from .chainring import INT, _Lazy
 from .concrete import ConcreteModule, chain_of_inclusions
 from .decompose import BudgetExceeded, coordinate_components, is_indecomposable
 from .exact import image, independent_columns, socle_residue
-from .mimo import injective_rep_recognize, mimo_from_stable
+from .mimo import is_injective_rep, mimo_from_stable
 from .quiver import Quiver, builtin_quiver, dynkin_type, positive_roots
 from .rep import (
     Representation,
@@ -84,19 +86,14 @@ class EnumerationReport:
     quiver: Quiver
     caps: Optional[Dict[str, int]]
     classes: List[Tuple[Representation, str]]
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.counts:
-            inj = sum(1 for r, _ in self.classes if _safe_recognize(r) is not None)
-            self.counts = {"injective": inj, "non_injective": len(self.classes) - inj}
+    counts: Dict[str, int]
 
 
-def _safe_recognize(r: Representation):
-    try:
-        return injective_rep_recognize(r)
-    except ValueError:
-        return None
+def _counts(classes: List[Tuple[Representation, str]]) -> Dict[str, int]:
+    """Injective and non-injective classes: a class is injective exactly when
+    it is monic with injective vertex modules (``is_injective_rep``)."""
+    inj = sum(1 for r, _ in classes if is_injective_rep(r))
+    return {"injective": inj, "non_injective": len(classes) - inj}
 
 
 # -- module inventories ---------------------------------------------------------------
@@ -226,7 +223,9 @@ def _mimo_on_simple(g: Representation, st: SerialBase, s: str) -> Representation
 def enumerate_mono_rad2(quiver: Quiver, base: SerialBase, verify: bool = False) -> EnumerationReport:
     """All indecomposables in the monomorphism category over a radical square
     zero Nakayama backing: path-indexed injectives plus minimal monic
-    approximations of the Gabriel classes of the semisimple stable quotient."""
+    approximations of the Gabriel classes of the semisimple stable quotient.
+    A class counts as injective when it is monic with injective vertex
+    modules (``_counts``)."""
     typ = dynkin_type(quiver)
     if typ is None:
         raise ValueError("the monomorphism category has finite type only for Dynkin quivers")
@@ -259,10 +258,7 @@ def enumerate_mono_rad2(quiver: Quiver, base: SerialBase, verify: bool = False) 
                 assert not is_iso_reps(reps[i], reps[j]), "classified objects must be pairwise distinct"
         classes = [(r, "family+verified") for r, _ in classes]
 
-    inj_count = len(base.injective_labels()) * len(quiver.vertices)
-    report = EnumerationReport(base, quiver, None, classes,
-                               {"injective": inj_count, "non_injective": len(classes) - inj_count})
-    return report
+    return EnumerationReport(base, quiver, None, classes, _counts(classes))
 
 
 # -- bounded exhaustive enumeration ------------------------------------------------------------
@@ -350,10 +346,10 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
     so g moves the chain to a block-diagonal member of its orbit.  So a
     sink with one part has no decomposable chain, and the pruning rules,
     which drop only decomposable chains, apply to sinks with two or more
-    parts; no class is removed, the simple at the sink and the source's
-    path-indexed injective included.  Chains are walked as lattice indices,
-    each generator by reads of its lattice permutation, filled from
-    ``mask_images`` for the candidates' submodules.
+    parts, the simple at the sink and the source's path-indexed injective
+    kept.  Chains are walked as lattice indices, each generator by reads of
+    its lattice permutation, filled from ``mask_images`` for the candidates'
+    submodules.
     Raises BudgetExceeded when more than ``budget`` chains are built."""
     order = is_linear_chain(quiver)
     k = len(order)
@@ -424,8 +420,8 @@ def _linear_mono_candidates(quiver: Quiver, base: SerialBase, caps: Dict[str, in
                             budget: int = DEFAULT_ENUM_BUDGET):
     """Yield one monic representation per indecomposable class, and the zero
     representation, for a linearly oriented quiver: the orbits of
-    ``_linear_orbits`` that do not split, in walk order; no class is added
-    back.  Only these chains are turned into representations."""
+    ``_linear_orbits`` that do not split, in walk order.  Only these chains
+    are turned into representations."""
     for conc, chain, splits in _linear_orbits(quiver, base, caps, budget):
         if not splits:
             yield _chain_representation(quiver, base, conc, chain)
@@ -706,13 +702,12 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     classified by Aut(V)-orbits of submodule chains (``_linear_mono_candidates``)
     and come in generation order: sinks in ``modules_up_to_length`` order, then
     chains in candidate order, the simple at the sink and the source's
-    path-indexed injective among them; no class is added back after the
-    walk.  Every other case searches all vertex modules and arrow maps as
-    numbers in their hom spaces (``_generic_candidates``);
-    with ``mono_only`` it skips vertex modules whose socles are too small
-    for a jointly monic family, tries only monic maps, checks the in-arrows
-    into a vertex jointly as they are assigned, and never builds a non-monic
-    tuple.
+    path-indexed injective among them.  Every other case searches all vertex
+    modules and arrow maps as numbers in their hom spaces
+    (``_generic_candidates``); with ``mono_only`` it skips vertex modules
+    whose socles are too small for a jointly monic family, tries only monic
+    maps, checks the in-arrows into a vertex jointly as they are assigned,
+    and never builds a non-monic tuple.
     It then keeps the first tuple of each prod_v Aut(M_v)-orbit
     (``_generic_orbit_classes``), again in generation order: vertex modules
     in product order, then tuples in candidate order.  Both walks visit
@@ -721,6 +716,8 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     endomorphism ring is computed.  ``budget`` bounds the chains built or
     the vertex-module assignments and arrow-map tuples, partial or complete,
     visited; with ``mono_only`` only tuples of monic maps are visited.
+    A class counts as injective when it is monic with injective vertex
+    modules (``_counts``).
     """
     if not base.is_abelian:
         raise ValueError("bounded enumeration requires an abelian backing")
@@ -739,7 +736,7 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
                            _generic_orbit_classes(quiver, base, caps, mono_only, budget)
                            if not splits]
     classes = [(rep, "exhaustive") for rep in representatives if not rep.is_zero()]
-    return EnumerationReport(base, quiver, caps, classes)
+    return EnumerationReport(base, quiver, caps, classes, _counts(classes))
 
 
 def enumerate_exact_vectors(quiver: Quiver, base: SerialBase, caps: Dict[str, int],

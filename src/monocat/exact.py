@@ -37,7 +37,6 @@ from .serialmod import (
     mor_block,
     morphism,
     serial_module,
-    zero_morphism,
 )
 
 
@@ -152,6 +151,10 @@ def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSoluti
     U*r, and the identity rides along as rows, giving V.  With S = U*A*V
     diagonal, x = V*y where pi^e_k y_k = (U*r)_k; each diagonal entry with
     e_k > 0 adds the homogeneous generator pi^(n - e_k) times column k of V.
+    Systems without slots or without rows take the same elimination: with
+    no slots a nonzero right-hand side is inconsistent, and with no rows
+    every slot is free, so V = 1 gives the unit generators.  V has T
+    columns: ``snf_free`` never reads a rider row past the block.
     """
     n = ring.n
     tab = ring.tables
@@ -162,20 +165,10 @@ def solve_hom_system(ring, moduli: Sequence[int], rows) -> Optional[LinearSoluti
         M.append([up[c.num] for c in coeffs] + [up[r.num]])
     E = len(M)
     homogeneous = not any(row[T] for row in M)
-    if T == 0:
-        return LinearSolution(ring, moduli, [], []) if homogeneous else None
-    if E == 0:
-        gens = []
-        for k in range(T):
-            gen = [ring.zero] * T
-            gen[k] = ring.one
-            gens.append(gen)
-        return LinearSolution(ring, moduli, [ring.zero] * T, gens)
-
     if homogeneous:
         for row in M:
             row.pop()
-    V = [[int(i == j) for j in range(len(M[0]))] for i in range(T)]
+    V = [[int(i == j) for j in range(T)] for i in range(T)]
     M += V
     vals = snf_free(ring, M, E, T)
     elems = tab.elems
@@ -339,9 +332,6 @@ def _chain_cokernel(f: SerialMorphism):
     base = f.base
     ring = base.ring
     t, s = f.target.rank, f.source.rank
-    if t == 0:
-        C = serial_module(base, [])
-        return C, zero_morphism(f.target, C)
     tab = ring.tables
     source_lengths = [base.length(a) for a in f.source.parts]
     lengths = [base.length(b) for b in f.target.parts]
@@ -461,8 +451,7 @@ def _fp_nilpotent(p, mat) -> bool:
     return all(x % p == 0 for row in m for x in row)
 
 
-def _combine(p, basis, coords):
-    n = len(basis[0])
+def _combine(p, basis, coords, n):
     out = [0] * n
     for c, v in zip(coords, basis):
         if c % p:

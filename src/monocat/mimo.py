@@ -209,17 +209,20 @@ def mimo_from_stable(s: Representation) -> Representation:
 # -- injective recognition and the length-3 transfer -----------------------------------
 
 
+def is_injective_rep(r: Representation) -> bool:
+    """Whether r is mono with injective vertex modules: over a self-injective
+    backing these are exactly the injective objects of the monomorphism
+    category, the path-indexed f_!(J)."""
+    return all(_is_injective_module(r.base, m) for m in r.modules.values()) and is_mono(r)
+
+
 def injective_rep_recognize(r: Representation) -> Optional[Dict[str, SerialModule]]:
-    """If r is mono with injective vertex modules, the vertex-indexed J with
-    r isomorphic to the path-indexed representation of J; otherwise None."""
+    """If r is injective (``is_injective_rep``), the vertex-indexed J with r
+    isomorphic to the path-indexed representation of J; otherwise None."""
     base = r.base
     if not (base.is_abelian and base.is_selfinjective):
         raise ValueError("injective recognition needs an abelian self-injective backing")
-    if not all(_is_injective_module(base, m) for m in r.modules.values()):
-        return None
-    if not is_mono(r):
-        return None
-    return kopf_modules(r)
+    return kopf_modules(r) if is_injective_rep(r) else None
 
 
 @memo

@@ -328,17 +328,14 @@ class ResidueSpace:
 
     def residue_of(self, combo):
         """Residue vector (ints mod p) of an F_p combination of the basis."""
-        if not self.basis:
-            return [0] * len(self.coord_slots)
-        return _combine(self.p, self.basis, combo)
+        return _combine(self.p, self.basis, combo, len(self.coord_slots))
 
     def lift_of(self, combo):
         """Lifted solution vector of an F_p combination of the basis."""
         ring = self.space.r.base.ring
         lift = [ring.zero] * len(self.space.slots)
-        if not self.basis:
-            return lift
-        for c, gen in zip(_combine(self.p, self.coeffs, combo), self.generators):
+        for c, gen in zip(_combine(self.p, self.coeffs, combo, len(self.generators)),
+                          self.generators):
             if c:
                 factor = ring.from_int(c)
                 lift = [x + factor * y for x, y in zip(lift, gen)]

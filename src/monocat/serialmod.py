@@ -27,7 +27,6 @@ built.  A call that raises is not cached and raises again.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -235,8 +234,6 @@ def _direct_sum(base: SerialBase, summands: tuple):
     for m in summands:
         if m.base != base:
             raise ValueError("base mismatch among summands")
-    if len(summands) == 1:  # every SerialModule is already in normal form
-        return summands[0], (tuple(range(summands[0].rank)),)
     tagged = []
     for t, m in enumerate(summands):
         for local, p in enumerate(m.parts):
@@ -321,11 +318,7 @@ class HomSpace:
         """Every map once, in mixed-radix order of the entries' numbers:
         row-major, the last entry fastest, each entry over the ring elements
         numbered below p^length."""
-        elems, p = self.base.ring.tables.elems, self.base.ring.p
-        rows = [list(itertools.product(*([elems[x] for x in range(p ** ln)] for ln in row)))
-                for row in self.moduli]
-        for entries in itertools.product(*rows):
-            yield SerialMorphism(self.source, self.target, entries)
+        return map(self.__getitem__, range(self.size))
 
     def __getitem__(self, k: int) -> SerialMorphism:
         """The map numbered k, the k-th of ``__iter__``."""

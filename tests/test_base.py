@@ -193,6 +193,16 @@ def test_composition_associative_bilinear_exhaustive():
                         assert b.coeff(a, e, lhs) == b.coeff(a, e, rhs)
 
 
+@pytest.mark.parametrize("arith,p,n,message", [
+    ("int", 4, 2, "p must be prime"), ("poly", 1, 2, "p must be prime"),
+    ("int", 0, 1, "p must be prime"), ("poly", 2, 0, "Loewy length must be >= 1"),
+    ("int", 3, -1, "Loewy length must be >= 1"), ("gauss", 2, 2, "unknown chain ring kind"),
+])
+def test_chain_base_refuses_bad_descriptors(arith, p, n, message):
+    with pytest.raises(ValueError, match=message):
+        chain_base(arith, p, n)
+
+
 def test_descriptor_roundtrip():
     for desc in [
         {"kind": "chain", "arith": "poly", "p": 3, "n": 2},

@@ -1,6 +1,6 @@
 import pytest
 
-from monocat.chainring import chain_ring
+from monocat.chainring import _is_prime, chain_ring
 
 
 def test_add_int_carry():
@@ -94,3 +94,11 @@ def test_shift_and_truncate():
     assert a.truncate(2) == r.elem([0, 1, 0])
     with pytest.raises(ValueError):
         r.one.shift_down(1)
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 1998
+    for d in range(2, 45):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, 2000, d))
+    assert [p for p in range(-3, 2000) if _is_prime(p)] == [p for p in range(2000) if sieve[p]]

@@ -12,6 +12,7 @@ from monocat.enumerate import (
 from monocat.mimo import injective_rep_recognize
 from monocat.quiver import builtin_quiver
 from monocat.rep import is_iso_reps, is_mono
+from monocat.serialmod import morphism, serial_module
 
 
 def test_gabriel_a2():
@@ -145,6 +146,38 @@ def test_rad2_report_invariants():
         j = injective_rep_recognize(rep)
         if j is None:
             assert is_iso_reps(mimo_from_stable(stable_reduce(rep)), rep)
+
+
+COUNT_CASES = [
+    ("linear-a3", lambda: enumerate_bounded(builtin_quiver("An-linear:3"), chain_base("poly", 2, 3),
+                                            (3, 4, 5), mono_only=True)),
+    ("zigzag", lambda: enumerate_bounded(builtin_quiver("A4-zigzag"), chain_base("poly", 2, 2),
+                                         (2, 2, 2, 2), mono_only=True)),
+    ("a4-rad2-chain", lambda: enumerate_mono_rad2(builtin_quiver("An-linear:4"),
+                                                  chain_base("poly", 2, 2))),
+    ("a4-rad2nak", lambda: enumerate_mono_rad2(builtin_quiver("An-linear:4"), rad2nak_base(2, 2))),
+    ("a2-not-mono", lambda: enumerate_bounded(builtin_quiver("An-linear:2"),
+                                              chain_base("poly", 2, 2), (2, 2))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in COUNT_CASES], ids=[i for i, _ in COUNT_CASES])
+def test_injective_count_agrees_with_recognition(make):
+    """A class counts as injective exactly when ``injective_rep_recognize``
+    finds it path-indexed; over An-linear:2 without the mono condition the
+    class M2 -x-> M2 has injective vertex modules and is not counted."""
+    report = make()
+    recognized = sum(1 for r, _ in report.classes if injective_rep_recognize(r) is not None)
+    assert report.counts == {"injective": recognized,
+                             "non_injective": len(report.classes) - recognized}
+    assert recognized > 0
+    if not all(is_mono(r) for r, _ in report.classes):
+        base = report.base
+        M2 = serial_module(base, ["M2"])
+        x = morphism(M2, M2, [[base.ring.pi]])
+        [r] = [r for r, _ in report.classes
+               if set(r.modules.values()) == {M2} and list(r.maps.values()) == [x]]
+        assert not is_mono(r) and injective_rep_recognize(r) is None
 
 
 def test_verify_table_empty():

@@ -156,6 +156,13 @@ def test_cli_enumerate_zero_cap_before_the_sink(capsys):
     assert len(out["classes"]) == 3
 
 
+def test_cli_enumerate_non_prime_base_is_input_error(capsys):
+    rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:4:2",
+               "--caps", "1,1", "--mono-only"])
+    assert rc == 2
+    assert "p must be prime, got 4" in capsys.readouterr().err
+
+
 def test_cli_enumerate_budget_exit_code(capsys):
     rc = main(["enumerate", "--quiver", "An-linear:2", "--base", "chain:poly:2:2",
                "--caps", "2,2", "--budget", "3"])

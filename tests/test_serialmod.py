@@ -485,6 +485,32 @@ def test_zero_module_everywhere():
     assert is_injective_map(f) and is_surjective_map(g)
 
 
+@pytest.mark.parametrize("base", [B3I, B2P, rad2nak_base(2, 3), rad2nak_base(3, 2)],
+                         ids=["chain-int", "chain-poly", "rad2nak-2-3", "rad2nak-3-2"])
+def test_kernel_cokernel_image_at_the_zero_module(base):
+    """Maps to and from the zero module go through the one Smith path: the
+    zero side gives the zero module and the empty map, the other side the
+    module itself up to an isomorphism."""
+    z = zero_module(base)
+    zz = zero_morphism(z, z)
+    for m in modules_up_to_length(base, 3):
+        into, out = zero_morphism(z, m), zero_morphism(m, z)
+        assert kernel(into) == (z, zz) and image(into) == (z, into)
+        C, q = cokernel(into)
+        assert C == m and is_iso(q)
+        K, incl = kernel(out)
+        assert K == m and is_iso(incl)
+        assert cokernel(out) == (z, zz) and image(out) == (z, zz)
+
+
+@pytest.mark.parametrize("base", [B3I, rad2nak_base(2, 3), stable_base(B3I)],
+                         ids=["chain", "rad2nak", "stable"])
+def test_direct_sum_of_one_summand_is_the_summand(base):
+    for m in modules_up_to_length(base, 3):
+        total, positions = direct_sum(base, [m])
+        assert total is m and positions == (tuple(range(m.rank)),)
+
+
 # (base, length cap): every morphism between modules up to the cap is tried
 SOCLE_CASES = [
     (chain_base("poly", 2, 3), 3), (chain_base("int", 2, 3), 3), (rad2nak_base(2, 2), 3),

@@ -67,6 +67,32 @@ def test_solve_hom_system_matches_brute_force(base, name):
         assert set(list_solutions(sol, 10 ** 6)) == solutions
 
 
+@pytest.mark.parametrize("base,name", zip(BASES, IDS), ids=IDS)
+def test_solve_hom_system_without_slots_or_rows(base, name):
+    """``_random_system`` always draws a slot.  Without slots a system is
+    consistent exactly when every right-hand side vanishes mod pi^q, and then
+    has no generators; without rows the generators are the unit vectors and
+    the particular solution is zero.  Both are checked against brute force."""
+    ring = base.ring
+    n = ring.n
+    elements = list(ring.elements())
+    for rows in itertools.product([([], r, q) for r in elements for q in range(n + 1)],
+                                  repeat=2):
+        sol = solve_hom_system(ring, [], list(rows))
+        consistent = all(r.truncate(q).is_zero() for _, r, q in rows)
+        assert bool(_brute_force(ring, [], rows)) == consistent
+        assert (sol is None) == (not consistent)
+        if consistent:
+            assert sol.particular == [] and sol.generators == []
+    for T in range(4):
+        for moduli in itertools.product(range(n + 1), repeat=T):
+            sol = solve_hom_system(ring, list(moduli), [])
+            assert sol.particular == [ring.zero] * T
+            assert sol.generators == [[ring.one if i == k else ring.zero for i in range(T)]
+                                      for k in range(T)]
+            assert set(list_solutions(sol, 10 ** 6)) == _brute_force(ring, moduli, [])
+
+
 def _mat_mul(ring, A, B):
     return [[sum((a * B[k][j] for k, a in enumerate(row)), ring.zero) for j in range(len(B[0]))]
             for row in A]

@@ -16,7 +16,7 @@ import traceback
 from . import io as mio
 from .base import base_from_descriptor, chain_base, rad2nak_base, stable_base
 from .decompose import BudgetExceeded, decompose
-from .enumerate import DEFAULT_ENUM_BUDGET, enumerate_bounded, enumerate_mono_rad2, kronecker_family
+from .enumerate import enumerate_bounded, enumerate_mono_rad2, kronecker_family
 from .mimo import mimo, stable_reduce, transfer
 from .quiver import quiver_from_descriptor
 from .rep import f_shriek, kopf, l1_kopf
@@ -130,7 +130,7 @@ def cmd_kopf(args):
 
 def cmd_decompose(args):
     rep = _load_rep(args)
-    factors = decompose(rep, budget=args.budget)
+    factors = decompose(rep, **_given_budget(args))
     data = {
         "factors": [
             {"representation": mio.representation_to_json(r), "multiplicity": m, "certificate": c}
@@ -161,7 +161,7 @@ def cmd_enumerate(args):
     if args.caps is not None:
         caps = [_cap(x, args.caps) for x in args.caps.split(",")]
         report = enumerate_bounded(quiver, base, caps, mono_only=args.mono_only,
-                                   budget=args.budget)
+                                   **_given_budget(args))
     else:
         report = enumerate_mono_rad2(quiver, base)
     _emit(args, mio.report_to_json(report),
@@ -189,7 +189,7 @@ def cmd_verify_suite(args):
     names = DEFAULT_SUITE_ORDER if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        kwargs = {"seed": args.seed, "budget": args.budget}
+        kwargs = {"seed": args.seed, **_given_budget(args)}
         if name == "rad2-count":
             kwargs["quiver"] = parse_quiver(args.quiver) if args.quiver else None
             kwargs["base"] = parse_base(args.base) if args.base else None
@@ -198,6 +198,12 @@ def cmd_verify_suite(args):
     lines = [f"{r['name']}: {'PASS' if r['ok'] else 'FAIL'} ({r['seconds']}s)" for r in results]
     _emit(args, {"ok": ok, "results": results}, lines)
     return EXIT_OK if ok else EXIT_FALSE
+
+
+def _given_budget(args) -> dict:
+    """``budget`` as a keyword when --budget or MONOCAT_BUDGET gives one;
+    otherwise none, and each call keeps its library default."""
+    return {} if args.budget is None else {"budget": args.budget}
 
 
 def _budget(text: str) -> int:
@@ -211,8 +217,9 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="monocat",
                                      description="Exact monomorphism-category computations over serial rings")
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default goes through _budget only when --budget is not given
-    default_budget = os.environ.get("MONOCAT_BUDGET", str(DEFAULT_ENUM_BUDGET))
+    # MONOCAT_BUDGET, a string, goes through _budget only when --budget is
+    # not given; without either the budget is None (``_given_budget``)
+    default_budget = os.environ.get("MONOCAT_BUDGET")
 
     def common(p, needs_input=True):
         if needs_input:

@@ -9,9 +9,15 @@ is the most significant digit, each part's digit its ring number
 ``to_int()``, so the tables are built part by part from the ring's tables,
 and the digit of part i of element x is x // width_i % p^{l_i}, width_i the
 number of elements of the parts after i.
-Submodules are walked upward from 0 by simple extensions: a nonzero T has a
-maximal S with T/S = F_p, and any x in T - S has pi*x in S and gives T as
-the union of the cosets kx + S, 0 <= k < p.
+Submodules come by Goursat's lemma, each built once.  Write V = M (+) V',
+M = Lambda/pi^l the first part and V' the later ones, whose elements are the
+numbers below widths[0].  A submodule T meets V' in a submodule B, and its
+image in M is pi^k M, of length a = l - k.  If a = 0 then T = B; otherwise
+T = B + R(pi^k e + y) for e the generator of M and some y in
+Y_a = {y in V' : pi^a y in B}, and y is fixed by T up to its coset y + B.
+Conversely each such B, a and coset give a submodule with these B and a, so
+the submodules of V are in bijection with the triples (B, a, y + B), and
+the lattice of V' gives that of V.
 The coordinate masks are those of the sums V_J of the parts in a set J; a
 submodule is split by the coordinate idempotent e_J exactly when its
 intersections with V_J and with the complementary sum have sizes whose
@@ -121,38 +127,40 @@ class ConcreteModule:
         return out
 
     def submodules(self) -> List[int]:
-        """All submodule bitmasks, sorted, by the walk of simple extensions
-        (module docstring); an x in an extension of S already built is skipped."""
+        """All submodule bitmasks, sorted, each built once by Goursat's lemma
+        (module docstring), applied from the last part up: the lattice of
+        the parts from i on comes from that of the parts from i + 1 on.  For
+        B and a, one scan of V' finds the cosets of B in Y_a, kept as masks
+        per element; Y_1 <= Y_2 <= ..., so a coset found for a is one for
+        every larger a.  T for the coset of y is the union over the p^a ring
+        numbers c < p^a, one per class of R mod pi^a, of the coset of c*y
+        shifted by the number of c*pi^k*e, where e, the generator of M, has
+        the number |V'|."""
         self.build_tables()
-        add, p = self._add_table, self.ring.p
+        add, scalar, ring = self._add_table, self._scalar_table, self.ring
         bits = [1 << x for x in range(self.size)]
-        # preimages[y]: mask of the x with pi*x = y
-        preimages = [0] * self.size
-        for x, y in enumerate(self._scalar_table[self.ring.pi.num]):
-            preimages[y] |= bits[x]
-        zero_mask = 1 << self.zero
-        subs = {zero_mask}
-        frontier = [zero_mask]
-        while frontier:
-            s_mask = frontier.pop()
-            elements = self.mask_elements(s_mask)
-            fresh = 0
-            for y in elements:
-                fresh |= preimages[y]
-            fresh &= ~s_mask
-            while fresh:
-                x = (fresh & -fresh).bit_length() - 1
-                t_mask, kx = s_mask, x
-                for _ in range(p - 1):
-                    # y -> kx + y is injective, so the coset's bits are distinct
-                    row = add[kx]
-                    t_mask |= sum([bits[row[y]] for y in elements])
-                    kx = row[x]
-                fresh &= ~t_mask
-                if t_mask not in subs:
-                    subs.add(t_mask)
-                    frontier.append(t_mask)
-        return sorted(subs)
+        lattice = [bits[self.zero]]  # the submodules of the empty sum
+        for l, w in zip(reversed(self.part_lengths), reversed(self.widths)):
+            out = []
+            for b in lattice:
+                out.append(b)  # a = 0
+                elements = self.mask_elements(b)
+                coset_of = [0] * w  # element of V' -> its coset mask, once found
+                reps = []
+                for a in range(1, l + 1):
+                    into_b = scalar[ring.pi_pow(a).num]
+                    for y in range(w):
+                        if not coset_of[y] and b >> into_b[y] & 1:
+                            reps.append(y)
+                            coset = [add[y][x] for x in elements]
+                            mask = sum([bits[z] for z in coset])
+                            for z in coset:
+                                coset_of[z] = mask
+                    top = scalar[ring.pi_pow(l - a).num][w]  # pi^k * e
+                    times = scalar[:ring.p ** a]
+                    out += [sum([coset_of[c[y]] << c[top] for c in times]) for y in reps]
+            lattice = out
+        return sorted(lattice)
 
     def mask_elements(self, mask: int) -> List[int]:
         out = []

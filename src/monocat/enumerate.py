@@ -29,8 +29,9 @@
   Aut(M_v) carries one family of arrow maps onto the other, so that path
   keeps the first tuple of map numbers of each orbit, each generator of
   ``serialmod.automorphism_generators`` moving it by reads of its
-  permutations of map numbers, filled by digit updates, and builds
-  representations for those alone, in generation order.  Both walks decide
+  permutations of map numbers, filled by digit updates, and builds a
+  representation only for an orbit that neither splits nor is zero, in
+  generation order.  Both walks decide
   indecomposability on the way: a representation is decomposable exactly
   when some member of its orbit is block diagonal for a splitting of the
   vertex modules' parts into two nonempty sets (``_chain_splits``,
@@ -643,11 +644,22 @@ def _move_indices(acts, indices: tuple) -> tuple:
     return tuple(moved)
 
 
+def _indexed_rep(quiver: Quiver, base: SerialBase, modules, spaces,
+                 indices: tuple) -> Representation:
+    """The representation on ``modules`` whose arrow maps are ``spaces``
+    (``HomSpace``s in ``quiver.arrows`` order) read at the map numbers
+    ``indices``."""
+    return Representation(quiver, base, modules, {
+        a.name: space[k] for a, space, k in zip(quiver.arrows, spaces, indices)})
+
+
 def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                            mono_only: bool, budget: int):
-    """Yield (rep, splits) for each isomorphism class among
-    ``_generic_candidates``: for each vertex-module assignment, the first
-    candidate of each prod_v Aut(M_v)-orbit, in candidate order.
+    """Yield (modules, spaces, indices, splits) for each isomorphism class
+    among ``_generic_candidates``: for each vertex-module assignment, its
+    modules, the arrows' ``HomSpace``s and the first candidate of each
+    prod_v Aut(M_v)-orbit as a tuple of map numbers, in candidate order;
+    ``_indexed_rep`` reads the representation off them.
 
     Two representations with the same vertex modules are isomorphic exactly
     when some (g_v) carries one family of arrow maps onto the other, and
@@ -656,20 +668,19 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
     generator pairs (g, g^-1) of ``automorphism_generators`` at each vertex,
     a move being one read per arrow it touches (``_HomActions``).  The mono
     condition is invariant under the action, so the candidates of one
-    assignment are a union of orbits.  Only the first candidate of each
-    orbit becomes a ``Representation``.
+    assignment are a union of orbits.  No ``Representation`` is built here.
 
-    ``splits`` says whether rep is decomposable: some member of its orbit is
-    block diagonal for a splitting of the vertex modules' parts into two
-    nonempty sets, that is, the union-find of ``coordinate_components`` over
-    the nodes (vertex, part), numbered ``offsets[vertex] + part``, leaves at
-    least two components.  The nonzero entries of a map are read from the
-    digits of its number (``HomSpace.support``), once per hom space and
-    number.  If rep = R' (+) R'' with both nonzero, Krull-Schmidt for the
-    parts gives (g_v) carrying R'_v and R''_v onto complementary coordinate
-    summands at every vertex, and the moved member is block diagonal along
-    them; conversely the coordinate projections of a block-diagonal member
-    are an idempotent endomorphism other than 0 and 1."""
+    ``splits`` says whether the class is decomposable: some member of its
+    orbit is block diagonal for a splitting of the vertex modules' parts into
+    two nonempty sets, that is, the union-find of ``coordinate_components``
+    over the nodes (vertex, part), numbered ``offsets[vertex] + part``,
+    leaves at least two components.  The nonzero entries of a map are read
+    from the digits of its number (``HomSpace.support``), once per hom space
+    and number.  If the class is R' (+) R'' with both nonzero, Krull-Schmidt
+    for the parts gives (g_v) carrying R'_v and R''_v onto complementary
+    coordinate summands at every vertex, and the moved member is block
+    diagonal along them; conversely the coordinate projections of a
+    block-diagonal member are an idempotent endomorphism other than 0 and 1."""
     arrows = quiver.arrows
     actions = _HomActions(quiver)
     supports: Dict[tuple, _Lazy] = {}  # hom key -> map number -> its nonzero entries
@@ -690,8 +701,7 @@ def _generic_orbit_classes(quiver: Quiver, base: SerialBase, caps: Dict[str, int
                 support[k] for support, k in zip(nonzero, indices)]) is not None
 
         for indices, split in _orbit_representatives(tuples, moves, splits):
-            yield Representation(quiver, base, modules, {
-                a.name: space[k] for a, space, k in zip(arrows, spaces, indices)}), split
+            yield modules, spaces, indices, split
 
 
 def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = False,
@@ -713,7 +723,10 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     in product order, then tuples in candidate order.  Both walks visit
     every member of an orbit, and an orbit is kept only when none of its
     members is block diagonal, which is exactly indecomposability; no
-    endomorphism ring is computed.  ``budget`` bounds the chains built or
+    endomorphism ring is computed.  A ``Representation`` is built only for
+    a kept orbit with a nonzero vertex module: from its chain of masks
+    (``_chain_representation``) or its tuple of map numbers
+    (``_indexed_rep``).  ``budget`` bounds the chains built or
     the vertex-module assignments and arrow-map tuples, partial or complete,
     visited; with ``mono_only`` only tuples of monic maps are visited.
     A class counts as injective when it is monic with injective vertex
@@ -730,12 +743,14 @@ def enumerate_bounded(quiver: Quiver, base: SerialBase, caps, mono_only: bool = 
     if any(c < 0 for c in caps.values()):
         raise ValueError(f"caps must be non-negative, got {caps}")
     if mono_only and base.backing == CHAIN and is_linear_chain(quiver) is not None:
-        representatives = list(_linear_mono_candidates(quiver, base, caps, budget))
+        representatives = [rep for rep in _linear_mono_candidates(quiver, base, caps, budget)
+                           if not rep.is_zero()]
     else:
-        representatives = [rep for rep, splits in
+        representatives = [_indexed_rep(quiver, base, modules, spaces, indices)
+                           for modules, spaces, indices, splits in
                            _generic_orbit_classes(quiver, base, caps, mono_only, budget)
-                           if not splits]
-    classes = [(rep, "exhaustive") for rep in representatives if not rep.is_zero()]
+                           if not splits and any(m.rank for m in modules.values())]
+    classes = [(rep, "exhaustive") for rep in representatives]
     return EnumerationReport(base, quiver, caps, classes, _counts(classes))
 
 

@@ -46,8 +46,10 @@ class Quiver:
         if len({a.name for a in arrs}) != len(arrs):
             raise ValueError("duplicate arrow names")
         self.arrows = tuple(arrs)
+        self._into = {v: tuple(a for a in arrs if a.target == v) for v in self.vertices}
         self._topo = self._topological_order()
         self._paths = None
+        self._paths_into = None
 
     def _topological_order(self):
         indeg = {v: 0 for v in self.vertices}
@@ -71,7 +73,7 @@ class Quiver:
         return self._topo
 
     def arrows_into(self, v: str):
-        return tuple(a for a in self.arrows if a.target == v)
+        return self._into[v]
 
     def arrows_out_of(self, v: str):
         return tuple(a for a in self.arrows if a.source == v)
@@ -96,7 +98,11 @@ class Quiver:
         return self._paths
 
     def paths_into(self, v: str) -> Tuple[Path, ...]:
-        return tuple(p for p in self.paths() if p.target == v)
+        """The paths ending at v, in ``paths`` order; computed once per quiver."""
+        if self._paths_into is None:
+            self._paths_into = {u: tuple(p for p in self.paths() if p.target == u)
+                                for u in self.vertices}
+        return self._paths_into[v]
 
     def extend_path(self, arrow: Arrow, p: Path) -> Path:
         if p.target != arrow.source:
@@ -126,7 +132,9 @@ class Quiver:
         }
 
     def __eq__(self, other):
-        return isinstance(other, Quiver) and self.descriptor() == other.descriptor()
+        """Equal vertex lists and arrow lists, in order: equal descriptors."""
+        return (isinstance(other, Quiver)
+                and (self.vertices, self.arrows) == (other.vertices, other.arrows))
 
     def __hash__(self):
         return hash((self.vertices, self.arrows))

@@ -145,7 +145,22 @@ def test_submodule_types_follow_birkhoff(arith, p, n, parts, total):
     assert all(_is_submodule(conc, mask) for mask in subs)
 
 
-@pytest.mark.parametrize("arith,p,n", [("poly", 2, 3), ("int", 3, 2)])
+def _check_lattices(base, length):
+    """Birkhoff's counts, distinct masks and closed ones, for every module of
+    length at most ``length``."""
+    for module in modules_up_to_length(base, length):
+        conc = ConcreteModule(module)
+        _check_birkhoff(conc)
+        subs = conc.submodules()
+        assert len(set(subs)) == len(subs)
+        assert all(_is_submodule(conc, mask) for mask in subs)
+
+
+@pytest.mark.parametrize("arith,p,n", [("poly", 2, 3), ("int", 3, 2), ("int", 2, 3)])
 def test_submodule_types_follow_birkhoff_up_to_length_five(arith, p, n):
-    for module in modules_up_to_length(chain_base(arith, p, n), 5):
-        _check_birkhoff(ConcreteModule(module))
+    _check_lattices(chain_base(arith, p, n), 5)
+
+
+def test_submodule_types_follow_birkhoff_over_f5_up_to_length_four():
+    # length 5 would take M1^5, 3,125 elements and 42,176 submodules
+    _check_lattices(chain_base("poly", 5, 2), 4)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from monocat.base import chain_base, rad2nak_base
@@ -178,6 +180,26 @@ def test_injective_count_agrees_with_recognition(make):
         [r] = [r for r, _ in report.classes
                if set(r.modules.values()) == {M2} and list(r.maps.values()) == [x]]
         assert not is_mono(r) and injective_rep_recognize(r) is None
+
+
+def _s5_sweep(cap):
+    """The monic sweep of S(5) = mono(A2, F_2[x]/(x^5)) at caps (cap, cap)."""
+    return enumerate_bounded(builtin_quiver("An-linear:2"), chain_base("poly", 2, 5), (cap, cap),
+                             mono_only=True)
+
+
+def test_s5_sweep_at_caps_7():
+    # the count the Birkhoff mass balance confirms at caps (7,7); the
+    # injectives are 0 -> M5 and M5 -> M5
+    report = _s5_sweep(7)
+    assert len(report.classes) == 35
+    assert report.counts == {"injective": 2, "non_injective": 33}
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("MONOCAT_FULL") != "1", reason="caps (8,8); set MONOCAT_FULL=1")
+def test_s5_sweep_at_caps_8():
+    assert len(_s5_sweep(8).classes) == 41
 
 
 def test_verify_table_empty():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -9,9 +10,11 @@ import pytest
 
 from monocat import io as mio
 from monocat.base import chain_base, stable_base
+import monocat.cli as cli_module
 from monocat.cli import main, parse_base
+from monocat.decompose import decompose
 from monocat.quiver import builtin_quiver
-from monocat.rep import Representation, random_representation
+from monocat.rep import DEFAULT_BUDGET, Representation, random_representation
 from monocat.serialmod import morphism, serial_module
 
 
@@ -354,6 +357,32 @@ def test_cli_budget_option_overrides_bad_environment(monkeypatch, capsys):
     assert main(ENUM_SMALL + ["--budget", "1000"]) == 0
     monkeypatch.setenv("MONOCAT_BUDGET", "1000")
     assert main(ENUM_SMALL) == 0
+
+
+@pytest.mark.parametrize("env,argv,expected,rc", [
+    (None, [], DEFAULT_BUDGET, 0),
+    ("77", [], 77, 0),
+    ("77", ["--budget", "55"], 55, 0),
+    # a budget of 0 is given, not dropped, and too small for this input
+    (None, ["--budget", "0"], 0, 3),
+])
+def test_cli_decompose_budget_is_the_library_default_unless_given(tmp_path, monkeypatch, capsys,
+                                                                  env, argv, expected, rc):
+    # decompose receives --budget or MONOCAT_BUDGET when given, else its own default
+    received = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(decompose).bind(*args, **kwargs)
+        bound.apply_defaults()
+        received.append(bound.arguments["budget"])
+        return decompose(*args, **kwargs)
+
+    monkeypatch.delenv("MONOCAT_BUDGET", raising=False)
+    if env is not None:
+        monkeypatch.setenv("MONOCAT_BUDGET", env)
+    monkeypatch.setattr(cli_module, "decompose", recording)
+    assert main(["decompose", "-i", _write_json(tmp_path, _K_TO_K)] + argv) == rc
+    assert received == [expected]
 
 
 def test_cli_negative_caps_is_input_error(capsys):

@@ -24,6 +24,7 @@ from monocat.enumerate import (
     _chain_representation,
     _chain_splits,
     _generic_orbit_classes,
+    _indexed_rep,
     _linear_mono_candidates,
     _linear_orbits,
     _orbit_representatives,
@@ -204,18 +205,20 @@ def test_orbit_sweep_matches_iso_filtered_oracle(qname, base_args, caps):
     assert not remaining
 
 
-def _indexed_rep(quiver, base, modules, spaces, indices):
-    """The representation whose arrow maps are ``spaces`` read at ``indices``."""
-    return Representation(quiver, base, modules, {
-        a.name: space[k] for a, space, k in zip(quiver.arrows, spaces, indices)})
-
-
 def _candidate_reps(quiver, base, caps, mono_only):
     """Every candidate of ``_generic_candidates``, in order, as a representation."""
     return [_indexed_rep(quiver, base, modules, spaces, indices)
             for modules, spaces, tuples in
             _generic_candidates(quiver, base, caps, mono_only, DEFAULT_ENUM_BUDGET)
             for indices in tuples]
+
+
+def _orbit_reps(quiver, base, caps, mono_only):
+    """(representation, splits) for every orbit of ``_generic_orbit_classes``,
+    split or not, each built from its map numbers."""
+    return [(_indexed_rep(quiver, base, modules, spaces, indices), splits)
+            for modules, spaces, indices, splits in
+            _generic_orbit_classes(quiver, base, caps, mono_only, DEFAULT_ENUM_BUDGET)]
 
 
 def _filtered_product(quiver, base, caps, mono_only):
@@ -297,7 +300,7 @@ def test_generic_orbit_classes_match_iso_filtered_product(quiver, base, caps, mo
     for rep in _filtered_product(quiver, base, cap_dict, mono_only):
         classifier.add(rep)
     oracle = classifier.classes()
-    found = list(_generic_orbit_classes(quiver, base, cap_dict, mono_only, DEFAULT_ENUM_BUDGET))
+    found = _orbit_reps(quiver, base, cap_dict, mono_only)
     assert len(found) == len(oracle)
     # each orbit representative is isomorphic to exactly one oracle class,
     # and no two representatives to the same one
@@ -310,6 +313,27 @@ def test_generic_orbit_classes_match_iso_filtered_product(quiver, base, caps, mo
     # the walk's verdict is decomposability, on split and unsplit orbits
     for rep, splits in found:
         assert splits == (not rep.is_zero() and not is_indecomposable(rep))
+
+
+def test_generic_sweep_builds_representations_only_for_its_classes(monkeypatch):
+    # the zigzag sweep of the benchmark: of its 50 orbits 37 split and one is
+    # zero, and only the other 12 become representations
+    built = []
+
+    class Counting(Representation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(enumerate_module, "Representation", Counting)
+    quiver, base = builtin_quiver("A4-zigzag"), chain_base("poly", 2, 2)
+    caps = dict(zip(quiver.vertices, (2, 2, 2, 2)))
+    orbits = list(_generic_orbit_classes(quiver, base, caps, True, DEFAULT_ENUM_BUDGET))
+    assert (len(orbits), sum(splits for *_, splits in orbits)) == (50, 37)
+    assert not built
+    report = enumerate_bounded(quiver, base, caps, mono_only=True)
+    assert [rep for rep, _ in report.classes] == built
+    assert len(built) == 12
 
 
 # every cap tuple of {0, 1, 2}^k, k = 1..3, of sum at most 5; with a zero
@@ -329,8 +353,8 @@ def test_linear_walk_matches_the_generic_walk_on_small_caps(base_args):
         cap_dict = dict(zip(quiver.vertices, caps))
         found = [rep for rep in _linear_mono_candidates(quiver, base, cap_dict)
                  if not rep.is_zero()]
-        remaining = [rep for rep, splits in _generic_orbit_classes(
-            quiver, base, cap_dict, True, DEFAULT_ENUM_BUDGET) if not splits and not rep.is_zero()]
+        remaining = [rep for rep, splits in _orbit_reps(quiver, base, cap_dict, True)
+                     if not splits and not rep.is_zero()]
         assert len(found) == len(remaining), caps
         for rep in found:
             matches = [k for k, s in enumerate(remaining) if is_iso_reps(rep, s)]
@@ -394,7 +418,7 @@ def test_generic_verdicts_where_first_members_are_off_diagonal():
     base = chain_base("int", 2, 3)
     cap_dict = dict(zip(quiver.vertices, (3, 3)))
     off_diagonal = 0
-    for rep, splits in _generic_orbit_classes(quiver, base, cap_dict, False, DEFAULT_ENUM_BUDGET):
+    for rep, splits in _orbit_reps(quiver, base, cap_dict, False):
         assert splits == (not rep.is_zero() and not is_indecomposable(rep))
         offsets = {"1": 0, "2": rep.modules["1"].rank}
         supports = [nonzero_entries(rep.maps[a.name]) for a in quiver.arrows]
@@ -464,8 +488,7 @@ def _stable_s5_walk(cap):
     classes Mimo takes to the non-injective classes of S(5)."""
     quiver = builtin_quiver("An-linear:2")
     base = stable_base(chain_base("poly", 2, 5))
-    return list(_generic_orbit_classes(quiver, base, dict(zip(quiver.vertices, (cap, cap))),
-                                       False, DEFAULT_ENUM_BUDGET))
+    return _orbit_reps(quiver, base, dict(zip(quiver.vertices, (cap, cap))), False)
 
 
 def _unsplit(found):

@@ -114,6 +114,31 @@ def test_descriptor_roundtrip():
     assert quiver_from_descriptor(q.descriptor()) == q
 
 
+BUILTIN_NAMES = ["An-linear:1", "An-linear:2", "An-linear:3", "An-linear:5", "An:<>", "An:><<",
+                 "A4-zigzag", "kronecker", "D4", "D6"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_quivers_compare_by_vertices_and_arrows(name):
+    q = builtin_quiver(name)
+    copy = quiver_from_descriptor(q.descriptor())
+    assert copy is not q and copy == q and hash(copy) == hash(q)
+    assert copy != q.descriptor()
+    for v in q.vertices:
+        assert q.arrows_into(v) == tuple(a for a in q.arrows if a.target == v)
+        assert q.paths_into(v) == tuple(p for p in q.paths() if p.target == v)
+        assert q.arrows_into(v) is q.arrows_into(v) and q.paths_into(v) is q.paths_into(v)
+    if q.arrows:
+        desc = q.descriptor()
+        desc["arrows"][-1]["name"] += "'"
+        assert quiver_from_descriptor(desc) != q
+    # the same vertices listed in another order make another quiver
+    if len(q.vertices) > 1:
+        desc = q.descriptor()
+        desc["vertices"].reverse()
+        assert quiver_from_descriptor(desc) != q
+
+
 def test_orientation_pattern():
     q = builtin_quiver("An:<>")
     names = {(a.source, a.target) for a in q.arrows}

@@ -348,7 +348,10 @@ def stable_base(of: SerialBase) -> StableBase:
 
 
 def _field(desc: dict, key: str, kind: type):
-    """``desc[key]`` if it is a ``kind`` (bool is not an integer), else ValueError."""
+    """``desc[key]`` if it is a ``kind`` (bool is not an integer), else
+    ValueError naming the key, also when it is missing."""
+    if key not in desc:
+        raise ValueError(f"base descriptor has no {key!r} key")
     value = desc[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"base descriptor field {key!r} must be {kind.__name__}, "
@@ -359,11 +362,11 @@ def _field(desc: dict, key: str, kind: type):
 def base_from_descriptor(desc: dict) -> SerialBase:
     if not isinstance(desc, dict):
         raise ValueError(f"base descriptor must be an object, not {type(desc).__name__}")
-    kind = desc.get("kind")
+    kind = _field(desc, "kind", str)
     if kind == "chain":
         return chain_base(_field(desc, "arith", str), _field(desc, "p", int), _field(desc, "n", int))
     if kind == "rad2nak":
         return rad2nak_base(_field(desc, "m", int), _field(desc, "p", int))
     if kind == "stable":
-        return stable_base(base_from_descriptor(desc["of"]))
+        return stable_base(base_from_descriptor(_field(desc, "of", dict)))
     raise ValueError(f"unknown base descriptor {desc!r}")

@@ -18,6 +18,11 @@ Y_a = {y in V' : pi^a y in B}, and y is fixed by T up to its coset y + B.
 Conversely each such B, a and coset give a submodule with these B and a, so
 the submodules of V are in bijection with the triples (B, a, y + B), and
 the lattice of V' gives that of V.
+The same step read top down gives a submodule's generators: at most one per
+part, one of least valuation in the part's digit among the elements whose
+earlier digits are zero (``generators``), and they are the columns of its
+inclusion.  Its image in V/rad V is read off the digits mod p, so whether
+soc V <= S + rad V is one mask test per part of length 1 (``top_cosets``).
 The coordinate masks are those of the sums V_J of the parts in a set J; a
 submodule is split by the coordinate idempotent e_J exactly when its
 intersections with V_J and with the complementary sum have sizes whose
@@ -26,7 +31,7 @@ product is its own (``kept_idempotents``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .base import CHAIN
 from .exact import image, solve_right
@@ -59,7 +64,6 @@ class ConcreteModule:
         self._orders = None
         self._inclusion_cache = {}
         self._aut_gens = None
-        self._cyclics: Dict[int, List[int]] = {}
         self._coordinate_masks = None
 
     def build_tables(self):
@@ -96,34 +100,6 @@ class ConcreteModule:
         while cnt > 1:
             cnt //= p
             out += 1
-        return out
-
-    def cyclic(self, gen: int) -> List[int]:
-        """Element indices of the cyclic submodule R*gen, memoised per element."""
-        out = self._cyclics.get(gen)
-        if out is None:
-            self.build_tables()
-            out = self._cyclics[gen] = sorted({table[gen] for table in self._scalar_table})
-        return out
-
-    def span(self, mask: int, gen: int) -> int:
-        """Submodule mask S + R*gen for a submodule mask S and one element.
-
-        It is the union of the cosets c + S over c in R*gen.  The mask built
-        so far is a union of S-cosets, so a c already in it adds nothing and
-        each coset is added once."""
-        cyclic = self.cyclic(gen)
-        add_t = self._add_table
-        elements = None
-        out = mask
-        for c in cyclic:
-            if out >> c & 1:
-                continue
-            if elements is None:
-                elements = self.mask_elements(mask)
-            row = add_t[c]
-            for x in elements:
-                out |= 1 << row[x]
         return out
 
     def submodules(self) -> List[int]:
@@ -169,36 +145,6 @@ class ConcreteModule:
             low = m & -m
             out.append(low.bit_length() - 1)
             m ^= low
-        return out
-
-    def radical_mask(self) -> int:
-        """Bitmask of pi*V."""
-        self.build_tables()
-        out = 0
-        for y in self._scalar_table[self.ring.pi.num]:
-            out |= 1 << y
-        return out
-
-    def socle_mask(self) -> int:
-        """Bitmask of the socle: elements killed by pi."""
-        self.build_tables()
-        out = 0
-        for i, y in enumerate(self._scalar_table[self.ring.pi.num]):
-            if y == self.zero:
-                out |= 1 << i
-        return out
-
-    def join(self, mask1: int, mask2: int) -> int:
-        """Submodule sum of two submodule masks."""
-        self.build_tables()
-        out = mask1
-        m = mask2
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            m ^= low
-            if not (out >> idx) & 1:
-                out = self.span(out, idx)
         return out
 
     def automorphism_generators(self) -> List[tuple]:
@@ -258,29 +204,41 @@ class ConcreteModule:
                 kept |= 1 << k
         return kept
 
-    def minimal_generators(self, mask: int) -> List[int]:
-        """Greedy minimal generating set (large orders first)."""
-        self.build_tables()
-        elems, orders = self.mask_elements(mask), self._orders
-        elems.sort(key=lambda i: -orders[i])
-        covered = 1 << self.zero
+    def top_cosets(self) -> List[int]:
+        """One mask per part of length 1, in part order: the coset of rad V
+        whose image in V/rad V is that part's unit vector.  The image of an
+        element is its digits mod p, and digit i mod p is x // width_i % p."""
+        p, widths = self.ring.p, self.widths
+        return [sum(1 << x for x in range(self.size)
+                    if all(x // w % p == (i == j) for i, w in enumerate(widths)))
+                for j, l in enumerate(self.part_lengths) if l == 1]
+
+    def generators(self, mask: int) -> List[int]:
+        """Echelon generators of the submodule mask S, at most one per part.
+        For each part i in turn, level_i is the submodule of the elements of
+        S whose digits before part i are zero, those below ``widths[i - 1]``
+        (all of S for i = 0); its element with a nonzero part-i digit of
+        least valuation, when there is one, is the generator of part i.  Its
+        multiples have every part-i digit of level_i, so level_i is its span
+        plus level_{i + 1}, as in the Goursat step T = B + R(pi^k e + y).
+        The set need not be minimal: R(pi, 1) in M2 (+) M2 gets two."""
+        val = self.ring.tables.val
         gens = []
-        for i in elems:
-            if (1 << i) & covered:
-                continue
-            gens.append(i)
-            covered = self.span(covered, i)
-            if covered == mask:
-                break
+        for width in self.widths:
+            # the elements of level_i below width have part-i digit zero
+            nonzero = self.mask_elements(mask >> width << width)
+            if nonzero:
+                gens.append(min(nonzero, key=lambda x: val[x // width]))
+            mask &= (1 << width) - 1
         return gens
 
     def submodule_inclusion(self, mask: int) -> Tuple[SerialModule, SerialMorphism]:
         """(abstract submodule S, monic inclusion S -> ambient) for a mask:
         the image of the free module R^m -> V that sends generator k to the
-        k-th of the ``minimal_generators``, its entries their digits."""
+        k-th of the ``generators``, its entries their digits."""
         cached = self._inclusion_cache.get(mask)
         if cached is None:
-            gens = self.minimal_generators(mask)
+            gens = self.generators(mask)
             free = serial_module(self.base, [self.base.labels[-1]] * len(gens))
             p = self.ring.p
             entries = [[g // width % p ** l for g in gens]

@@ -278,18 +278,12 @@ def is_linear_chain(quiver: Quiver) -> Optional[List[str]]:
     return order
 
 
-_LATTICE_CACHE: Dict[tuple, tuple] = {}
-
-
 def _concrete_with_submodules(base: SerialBase, parts: tuple):
     """(V, its sorted submodule masks, per Aut(V) generator a dict from lattice
-    indices to those of their images, filled on first use), once per sink."""
-    key = (base, parts)
-    if key not in _LATTICE_CACHE:
-        conc = ConcreteModule(serial_module(base, parts))
-        subs = conc.submodules()
-        _LATTICE_CACHE[key] = (conc, subs, [{} for _ in conc.automorphism_generators()])
-    return _LATTICE_CACHE[key]
+    indices to those of their images, filled on first use), built afresh on
+    each call: a sweep visits each sink once."""
+    conc = ConcreteModule(serial_module(base, parts))
+    return conc, conc.submodules(), [{} for _ in conc.automorphism_generators()]
 
 
 def _orbit_representatives(candidates: list, moves: list, splits):
@@ -364,8 +358,9 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
             continue
         conc, subs, images = _concrete_with_submodules(base, top.parts)
         lengths = [conc.mask_length(m) for m in subs]
-        rad = conc.radical_mask()
-        soc = conc.socle_mask()
+        # soc V <= S + rad V exactly when S meets, for each part of V of
+        # length 1, the coset of rad V over that part's unit vector of V/rad V
+        tops = conc.top_cosets()
         # masks containing an element of maximal order carry an injective
         # submodule; at the source vertex that submodule splits off a
         # path-indexed summand (the retraction restricts to every member
@@ -385,7 +380,7 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                 # missing a socle element of the sink, which then splits off
                 # a simple summand concentrated at the sink
                 if prune and (position == 1 and m & full_order
-                              or position == k - 1 and soc & ~conc.join(m, rad)):
+                              or position == k - 1 and not all(m & c for c in tops)):
                     continue
                 for rest in chains(position - 1, m):
                     yield rest + (i,)

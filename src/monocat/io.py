@@ -9,7 +9,7 @@ from typing import Optional
 
 from .base import SerialBase, base_from_descriptor
 from .enumerate import EnumerationReport
-from .quiver import Quiver, quiver_from_descriptor
+from .quiver import Quiver, _field, quiver_from_descriptor
 from .rep import Representation
 from .serialmod import SerialModule, SerialMorphism, morphism, serial_module
 
@@ -37,13 +37,6 @@ def _keys_in(data: dict, names, kind: str) -> dict:
     if unknown:
         raise ValueError(f"keys {unknown} name no {kind} of the quiver")
     return data
-
-
-def _field(data: dict, key: str, what: str):
-    """``data[key]``, else ValueError naming the key and ``what`` lacks it."""
-    if key not in data:
-        raise ValueError(f"{what} has no {key!r} key")
-    return data[key]
 
 
 def module_from_json(base: SerialBase, data: dict, what: str = "module") -> SerialModule:

@@ -277,6 +277,13 @@ def builtin_quiver(name: str) -> Quiver:
     raise ValueError(f"unknown builtin quiver {name!r}")
 
 
+def _field(data: dict, key: str, what: str):
+    """``data[key]``, else ValueError naming the key and ``what`` lacks it."""
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} key")
+    return data[key]
+
+
 def quiver_from_descriptor(desc) -> Quiver:
     """A builtin quiver by name, or a quiver from {"vertices": [names],
     "arrows": [{"name", "from", "to"}]}; malformed fields raise ValueError."""
@@ -284,12 +291,14 @@ def quiver_from_descriptor(desc) -> Quiver:
         return builtin_quiver(desc)
     if not isinstance(desc, dict):
         raise ValueError(f"quiver descriptor must be a name or an object, not {type(desc).__name__}")
-    vertices, arrows = desc["vertices"], desc["arrows"]
+    vertices = _field(desc, "vertices", "quiver descriptor")
+    arrows = _field(desc, "arrows", "quiver descriptor")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ValueError("quiver vertices must be a list of strings")
     if not isinstance(arrows, list) or not all(isinstance(a, dict) for a in arrows):
         raise ValueError("quiver arrows must be a list of objects")
-    triples = [(a["name"], a["from"], a["to"]) for a in arrows]
+    triples = [tuple(_field(a, key, f"quiver arrow {k}") for key in ("name", "from", "to"))
+               for k, a in enumerate(arrows)]
     if not all(isinstance(x, str) for t in triples for x in t):
         raise ValueError("quiver arrow name, from and to must be strings")
     return Quiver(vertices, triples)

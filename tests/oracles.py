@@ -1,6 +1,7 @@
 """Oracles of the tests: the function model of chain-backed modules, whose
 elements are tuples of truncated ring values, one per part, and maps that
-act on them; the tuple forms of the ``concrete`` tables; the inverse,
+act on them; the tuple forms of the ``concrete`` tables and the submodule
+generated by given elements, closed element by element; the inverse,
 surjectivity test, socle inclusion and direct sum of representations that
 only the tests call; the permutations of hom-space map numbers by
 composition; the listing of hom solution sets; and the Kronecker families
@@ -87,6 +88,24 @@ def coordinate_idempotents(m) -> list:
         out.append(tuple(element_number(m, tuple(c if keep else zero for c, keep in zip(x, J)))
                          for x in elements))
     return out
+
+
+def submodule_mask(m, xs) -> int:
+    """Bitmask over element numbers of the submodule of m generated by the
+    element tuples xs, closed element by element under addition and under
+    pi; both rings are spanned additively by 1 and the powers of pi, so
+    this is closure under the ring.  Each element, when found, is added to
+    every one found before it and to itself."""
+    ring, lengths = m.base.ring, [m.base.length(label) for label in m.parts]
+    found, frontier = set(), [tuple(ring.zero for _ in lengths)] + list(xs)
+    while frontier:
+        x = frontier.pop()
+        if x in found:
+            continue
+        found.add(x)
+        frontier.append(tuple((ring.pi * c).truncate(l) for c, l in zip(x, lengths)))
+        frontier += [tuple((a + b).truncate(l) for a, b, l in zip(x, y, lengths)) for y in found]
+    return sum(1 << element_number(m, x) for x in found)
 
 
 def submodule_inclusion(m, gens: list):

@@ -203,6 +203,17 @@ def test_chain_base_refuses_bad_descriptors(arith, p, n, message):
         chain_base(arith, p, n)
 
 
+@pytest.mark.parametrize("desc,key", [
+    ({"kind": "stable"}, "of"), ({"kind": "chain", "p": 2, "n": 2}, "arith"),
+    ({"kind": "chain", "arith": "int", "p": 2}, "n"), ({"kind": "rad2nak", "p": 2}, "m"),
+    ({"kind": "stable", "of": {"kind": "rad2nak", "m": 3}}, "p"),
+    ({"arith": "int", "p": 2, "n": 2}, "kind"),
+])
+def test_base_descriptor_names_a_missing_key(desc, key):
+    with pytest.raises(ValueError, match=f"base descriptor has no '{key}' key"):
+        base_from_descriptor(desc)
+
+
 def test_descriptor_roundtrip():
     for desc in [
         {"kind": "chain", "arith": "poly", "p": 3, "n": 2},

@@ -1,6 +1,7 @@
 """The element-level model of ``concrete``: its tables against their
-element-wise definition, and its submodule lattice against Birkhoff's count
-of the submodules of each type."""
+element-wise definition, its socle-coverage cosets and echelon generators
+against closures built element by element, and its submodule lattice
+against Birkhoff's count of the submodules of each type."""
 
 from collections import Counter
 import itertools
@@ -16,7 +17,8 @@ import oracles
 from oracles import apply_morphism, element_number, module_elements, order_of
 
 
-# (arith, p, n, parts): the zero module, single parts and mixed sums
+# (arith, p, n, parts): the zero module, single parts and mixed sums; the
+# cases over fields come last
 TABLE_CASES = [
     (arith, p, n, parts)
     for arith in ("int", "poly")
@@ -26,7 +28,8 @@ TABLE_CASES = [
         (5, 2, ([], ["M1"], ["M2"], ["M2", "M1"])),
     )
     for parts in part_lists
-]
+] + [("poly", 2, 1, parts) for parts in ([], ["M1"], ["M1", "M1", "M1"])] + [
+    ("int", 3, 1, ["M1", "M1"])]
 
 
 @pytest.mark.parametrize("arith,p,n,parts", TABLE_CASES)
@@ -65,9 +68,40 @@ def test_tables_are_the_elementwise_operations(arith, p, n, parts):
         assert conc.kept_idempotents(mask) == sum(
             1 << k for k, e in enumerate(projections) if all(mask >> e[x] & 1 for x in elements))
         S, incl = conc.submodule_inclusion(mask)
-        assert (S, incl) == oracles.submodule_inclusion(module, conc.minimal_generators(mask))
+        assert (S, incl) == oracles.submodule_inclusion(module, conc.generators(mask))
         assert {element_number(module, apply_morphism(incl, x))
                 for x in module_elements(S)} == set(conc.mask_elements(mask))
+
+
+@pytest.mark.parametrize("arith,p,n,parts", TABLE_CASES)
+def test_socle_cosets_and_echelon_generators_on_every_submodule(arith, p, n, parts):
+    """For every submodule S: soc V <= S + rad V, with S + rad V closed
+    element by element (``oracles.submodule_mask``), exactly when S meets
+    each of the ``top_cosets``; and the ``generators`` of S span it, one
+    per part at most: the first nonzero digits of the generators lie in
+    strictly increasing parts, each of least valuation among the elements
+    of S whose digits before that part are zero."""
+    conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
+    module, ring = conc.module, conc.ring
+    lengths = [int(label[1:]) for label in parts]
+    elements = module_elements(module)
+    times_pi = [tuple((ring.pi * c).truncate(l) for c, l in zip(x, lengths)) for x in elements]
+    radical = set(times_pi)
+    socle = sum(1 << i for i, y in enumerate(times_pi) if all(c.is_zero() for c in y))
+    tops = conc.top_cosets()
+    assert len(tops) == lengths.count(1)
+    for mask in conc.submodules():
+        members = [elements[i] for i in conc.mask_elements(mask)]
+        covered = oracles.submodule_mask(module, members + list(radical))
+        assert (socle & ~covered == 0) == all(mask & c for c in tops)
+
+        gens = conc.generators(mask)
+        assert oracles.submodule_mask(module, [elements[g] for g in gens]) == mask
+        leads = [next(i for i, c in enumerate(elements[g]) if not c.is_zero()) for g in gens]
+        assert leads == sorted(set(leads))
+        for g, i in zip(gens, leads):
+            level = [x for x in members if all(c.is_zero() for c in x[:i])]
+            assert elements[g][i].valuation() == min(x[i].valuation() for x in level)
 
 
 def _gaussian_binomial(n, k, q):

@@ -316,6 +316,26 @@ def test_cli_base_field_type_is_input_error(tmp_path, capsys):
     assert "base descriptor field 'p' must be int, not str" in capsys.readouterr().err
 
 
+CHAIN_DESC = {"kind": "chain", "arith": "poly", "p": 2, "n": 2}
+MISSING_KEYS = [
+    ({"kind": "stable"}, "An-linear:2", "base descriptor has no 'of' key"),
+    ({"kind": "chain", "p": 2, "n": 2}, "An-linear:2", "base descriptor has no 'arith' key"),
+    (CHAIN_DESC, {"vertices": ["1"]}, "quiver descriptor has no 'arrows' key"),
+    (CHAIN_DESC, {"vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1"}]},
+     "quiver arrow 0 has no 'to' key"),
+]
+
+
+@pytest.mark.parametrize("base,quiver,message", MISSING_KEYS)
+def test_missing_descriptor_key_is_named(tmp_path, capsys, base, quiver, message):
+    # the library raises ValueError, and the CLI prints it with exit 2
+    with pytest.raises(ValueError, match=message):
+        mio.representation_from_json({"base": base, "quiver": quiver})
+    path = _write_json(tmp_path, {"base": base, "quiver": quiver, "modules": {}, "maps": {}})
+    assert main(["mono-check", "-i", path]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
 def test_cli_top_level_array_is_input_error(tmp_path, capsys):
     path = _write_json(tmp_path, [{"base": "chain:poly:2:2"}])
     assert main(["mono-check", "-i", path]) == 2

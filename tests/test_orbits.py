@@ -49,6 +49,7 @@ from oracles import (
     element_number,
     module_elements,
     rep_direct_sum,
+    submodule_mask,
 )
 
 
@@ -562,35 +563,14 @@ def test_off_diagonal_direct_sum_is_reported_split():
     assert list(_orbit_representatives(_orbit(alone, moves), moves, splits)) == [(alone, False)]
 
 
-@pytest.mark.parametrize("arith,p,n,parts", [
-    ("poly", 2, 3, ["M3", "M2"]), ("int", 3, 2, ["M2", "M1"]), ("poly", 2, 2, ["M2", "M1", "M1"]),
-])
-def test_span_is_a_submodule_plus_a_cyclic_one(arith, p, n, parts):
-    """span(S, g) equals S + R*g built element by element, for every
-    submodule S and element g, and lies in the lattice."""
-    conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
-    subs = conc.submodules()
-    for S in subs:
-        elements = conc.mask_elements(S)
-        for g in range(conc.size):
-            multiples = {table[g] for table in conc._scalar_table}
-            brute = 0
-            for s in elements:
-                for c in multiples:
-                    brute |= 1 << conc._add_table[s][c]
-            assert conc.span(S, g) == brute
-            assert brute in subs
-
-
 def test_off_diagonal_submodule_chain_is_reported_split():
     # S = 0 (+) M1 in V = M2 (+) M1 over F_2[x]/(x^2) is kept by the
     # projections; its image S' = <(pi, 1)> under a transvection is not
     conc = ConcreteModule(serial_module(chain_base("poly", 2, 2), ["M2", "M1"]))
-    conc.build_tables()
     ring = conc.ring
-    zero_mask = 1 << conc.zero
-    diagonal = conc.span(zero_mask, element_number(conc.module, (ring.zero, ring.one)))
-    tilted = conc.span(zero_mask, element_number(conc.module, (ring.pi, ring.one)))
+    diagonal = submodule_mask(conc.module, [(ring.zero, ring.one)])
+    tilted = submodule_mask(conc.module, [(ring.pi, ring.one)])
+    assert {diagonal, tilted} <= set(conc.submodules())
     assert _chain_splits(conc, (diagonal,))
     assert not _chain_splits(conc, (tilted,))
     moves = [functools.partial(_move_chain, conc, perm) for perm in conc.automorphism_generators()]

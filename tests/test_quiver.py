@@ -109,6 +109,20 @@ def test_positive_roots_reject_non_dynkin():
         positive_roots(builtin_quiver("kronecker"))
 
 
+@pytest.mark.parametrize("desc,message", [
+    ({"vertices": ["1"]}, "quiver descriptor has no 'arrows' key"),
+    ({"arrows": []}, "quiver descriptor has no 'vertices' key"),
+    ({"vertices": ["1", "2"], "arrows": [{"from": "1", "to": "2"}]},
+     "quiver arrow 0 has no 'name' key"),
+    ({"vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1", "to": "2"},
+                                         {"name": "b", "from": "1"}]},
+     "quiver arrow 1 has no 'to' key"),
+])
+def test_quiver_descriptor_names_a_missing_key(desc, message):
+    with pytest.raises(ValueError, match=message):
+        quiver_from_descriptor(desc)
+
+
 def test_descriptor_roundtrip():
     q = builtin_quiver("A4-zigzag")
     assert quiver_from_descriptor(q.descriptor()) == q

@@ -23,6 +23,19 @@ part, one of least valuation in the part's digit among the elements whose
 earlier digits are zero (``generators``), and they are the columns of its
 inclusion.  Its image in V/rad V is read off the digits mod p, so whether
 soc V <= S + rad V is one mask test per part of length 1 (``top_cosets``).
+The generators g_i, of orders o_i, are independent exactly when
+prod_i p^{o_i} = |S|: the map (+)_i R/pi^{o_i} -> S, generator i to g_i, is
+onto, so it is a bijection exactly when the sizes agree.  Then
+S = (+)_i M_{o_i} with basis (g_i), and each element of S is sum_i c_i g_i
+for one tuple of ring numbers c_i < p^{o_i} (``coordinates``).  A map into
+S is read off these coordinates, as one into V is off the digits, which
+are the coordinates over V's unit vectors: g of order o with coordinate
+c_i over a basis element of order o_i has pi^o c_i in pi^{o_i} R, so the
+hom entry c_i / pi^(o_i - o) is an exact division.  Inclusions and the
+steps of a chain of such submodules come from these tables alone; a
+submodule whose generators are redundant (R(pi, 1) in M2 (+) M2) takes its
+inclusion from the Smith-form ``image`` and its steps from ``solve_right``
+(``submodule_inclusion``, ``chain_of_inclusions``).
 The coordinate masks are those of the sums V_J of the parts in a set J; a
 submodule is split by the coordinate idempotent e_J exactly when its
 intersections with V_J and with the complementary sum have sizes whose
@@ -31,7 +44,7 @@ product is its own (``kept_idempotents``).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .base import CHAIN
 from .exact import image, solve_right
@@ -63,6 +76,7 @@ class ConcreteModule:
         self._scalar_table = None
         self._orders = None
         self._inclusion_cache = {}
+        self._coordinate_cache = {}
         self._aut_gens = None
         self._coordinate_masks = None
 
@@ -232,35 +246,92 @@ class ConcreteModule:
             mask &= (1 << width) - 1
         return gens
 
-    def submodule_inclusion(self, mask: int) -> Tuple[SerialModule, SerialMorphism]:
-        """(abstract submodule S, monic inclusion S -> ambient) for a mask:
-        the image of the free module R^m -> V that sends generator k to the
-        k-th of the ``generators``, its entries their digits."""
+    def submodule_inclusion(self, mask: int) -> Tuple[SerialModule, SerialMorphism, Optional[list]]:
+        """(abstract submodule S, monic inclusion S -> ambient, basis) for a
+        mask, cached.  Let g_i be the ``generators`` of S, of orders o_i.
+        The sum map (+)_i R/pi^{o_i} -> S, generator i to g_i, is onto, so
+        when prod_i p^{o_i} = |S| it is a bijection: the g_i are then an
+        independent basis and S is (+)_i M_{o_i}, its parts in normal form
+        (descending length, stable among equal ones).  ``basis`` lists
+        (g, o) in S's part order, and the inclusion's column for g has in
+        part j of V, of length l_j, g's part-j digit divided by
+        pi^(l_j - o) when l_j > o, a division that is exact because
+        pi^o g = 0 (``_entries``).  Otherwise ``basis`` is None and S is the
+        image of the free module R^m -> V that sends generator k to g_k,
+        its entries their digits: R(pi, 1) in M2 (+) M2, of 4 elements, gets
+        (pi, 1) and (0, pi), of orders 2 and 1."""
         cached = self._inclusion_cache.get(mask)
         if cached is None:
             gens = self.generators(mask)
-            free = serial_module(self.base, [self.base.labels[-1]] * len(gens))
-            p = self.ring.p
-            entries = [[g // width % p ** l for g in gens]
-                       for l, width in zip(self.part_lengths, self.widths)]
-            cached = self._inclusion_cache[mask] = image(morphism(free, self.module, entries))
+            orders = [self.order_of(g) for g in gens]
+            p, lengths, widths = self.ring.p, self.part_lengths, self.widths
+            if p ** sum(orders) == mask.bit_count():
+                basis = sorted(zip(gens, orders), key=lambda b: -b[1])
+                S = serial_module(self.base, [self.base.labels[o - 1] for _, o in basis])
+                digits = [[g // w % p ** l for l, w in zip(lengths, widths)] for g, _ in basis]
+                cached = S, morphism(S, self.module, _entries(self.ring, basis, lengths, digits)), basis
+            else:
+                free = serial_module(self.base, [self.base.labels[-1]] * len(gens))
+                entries = [[g // w % p ** l for g in gens] for l, w in zip(lengths, widths)]
+                cached = *image(morphism(free, self.module, entries)), None
+            self._inclusion_cache[mask] = cached
         return cached
+
+    def coordinates(self, mask: int) -> dict:
+        """For a submodule mask S with an independent basis (h_i, o_i)
+        (``submodule_inclusion``): element number -> its coordinates
+        (c_i), ring numbers c_i < p^{o_i}, with the element sum_i c_i h_i.
+        The numbers below p^o are one per class of R mod pi^o, so each
+        element of S = (+)_i R h_i comes once; built by the add and scalar
+        tables, one basis element at a time."""
+        coords = self._coordinate_cache.get(mask)
+        if coords is None:
+            self.build_tables()
+            add, scalar, p = self._add_table, self._scalar_table, self.ring.p
+            coords = {self.zero: ()}
+            for h, o in self.submodule_inclusion(mask)[2]:
+                multiples = [scalar[c][h] for c in range(p ** o)]
+                coords = {add[x][y]: cs + (c,)
+                          for x, cs in coords.items() for c, y in enumerate(multiples)}
+            self._coordinate_cache[mask] = coords
+        return coords
+
+
+def _entries(ring, basis: list, orders: list, coordinates: list) -> list:
+    """Entries of the map (+)_k M_{o_k} -> (+)_i M_{o_i} that sends
+    generator k, (g, o_k) of ``basis``, to the element with the
+    ``coordinates[k]`` (c_i) over an independent basis of the target, of
+    the ``orders`` o_i.  The entry at (i, k) is c_i divided by
+    pi^(o_i - o_k) when o_i > o_k: pi^{o_k} g = 0 gives pi^{o_k} c_i in
+    pi^{o_i} R by independence, so the division is exact."""
+    down = ring.tables.shift_down
+    return [[down[max(0, o_i - o)][cs[i]] for (_, o), cs in zip(basis, coordinates)]
+            for i, o_i in enumerate(orders)]
 
 
 def chain_of_inclusions(concrete: ConcreteModule, masks: List[int]):
     """Abstract modules and connecting monos for a chain S_1 <= ... <= S_k <= V.
 
-    Returns ([S_1..S_k, V-as-module], [S_1 -> S_2, ..., S_k -> V])."""
+    Returns ([S_1..S_k, V-as-module], [S_1 -> S_2, ..., S_k -> V]).  A step
+    S_j -> S_{j+1} between submodules with independent bases
+    (``submodule_inclusion``) is read off the ``coordinates`` of S_j's
+    basis over S_{j+1}'s (``_entries``); any other is solved for through
+    S_{j+1}'s inclusion."""
     pieces = [concrete.submodule_inclusion(m) for m in masks]
-    modules = [s for s, _ in pieces] + [concrete.module]
+    modules = [s for s, _, _ in pieces] + [concrete.module]
     maps = []
-    for idx in range(len(pieces)):
-        _, incl = pieces[idx]
-        if idx + 1 < len(pieces):
-            step = solve_right(pieces[idx + 1][1], incl)
+    for (S, incl, basis), (upper, upper_incl, upper_basis), upper_mask in zip(
+            pieces, pieces[1:], masks[1:]):
+        if basis is not None and upper_basis is not None:
+            coords = concrete.coordinates(upper_mask)
+            orders = [o for _, o in upper_basis]
+            maps.append(morphism(S, upper, _entries(concrete.ring, basis, orders,
+                                                    [coords[g] for g, _ in basis])))
+        else:
+            step = solve_right(upper_incl, incl)
             if step is None:
                 raise AssertionError("nested submodules must factor")
             maps.append(step)
-        else:
-            maps.append(incl)
+    if pieces:
+        maps.append(pieces[-1][1])
     return modules, maps

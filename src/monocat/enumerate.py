@@ -34,8 +34,9 @@
   generation order.  Both walks decide
   indecomposability on the way: a representation is decomposable exactly
   when some member of its orbit is block diagonal for a splitting of the
-  vertex modules' parts into two nonempty sets (``_chain_splits``,
-  ``decompose.coordinate_components``), so no endomorphism ring is computed.
+  vertex modules' parts into two nonempty sets
+  (``ConcreteModule.kept_idempotents``, ``decompose.coordinate_components``),
+  so no endomorphism ring is computed.
   ``IsoClassifier`` (fingerprint buckets, then ``is_iso_reps``) and
   ``decompose.is_indecomposable`` remain as the oracles of the tests; the
   latter shares only the union-find (``decompose.coordinate_components``),
@@ -279,11 +280,10 @@ def is_linear_chain(quiver: Quiver) -> Optional[List[str]]:
 
 
 def _concrete_with_submodules(base: SerialBase, parts: tuple):
-    """(V, its sorted submodule masks, per Aut(V) generator a dict from lattice
-    indices to those of their images, filled on first use), built afresh on
-    each call: a sweep visits each sink once."""
+    """(V, its sorted submodule masks), built afresh on each call: a sweep
+    visits each sink once."""
     conc = ConcreteModule(serial_module(base, parts))
-    return conc, conc.submodules(), [{} for _ in conc.automorphism_generators()]
+    return conc, conc.submodules()
 
 
 def _orbit_representatives(candidates: list, moves: list, splits):
@@ -318,23 +318,15 @@ def _orbit_representatives(candidates: list, moves: list, splits):
         yield candidate, split
 
 
-def _chain_splits(conc: ConcreteModule, chain: tuple) -> bool:
-    """Whether some coordinate idempotent e_J of V, J a proper nonempty set
-    of V's parts, keeps every submodule of the chain; the chain is then the
-    direct sum of its parts in J and outside J."""
-    kept = (1 << len(conc.coordinate_masks())) - 1
-    for m in chain:
-        kept &= conc.kept_idempotents(m)
-    return kept != 0
-
-
 def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
                    budget: int = DEFAULT_ENUM_BUDGET):
     """Yield (V, chain, splits) for each Aut(V)-orbit of the pruned submodule
     chains S_1 <= ... <= S_{k-1} of each sink module V (a ``ConcreteModule``)
     of a linearly oriented quiver, with its first chain in candidate order.
     ``splits`` says whether the representation is decomposable: some member
-    of the orbit is block diagonal (``_chain_splits``).  That is exact: if
+    of the orbit is block diagonal, that is, some coordinate idempotent e_J
+    keeps each of its submodules (the AND of their ``kept_idempotents``,
+    read once per lattice index at most).  That is exact: if
     R = R' (+) R'' with both nonzero, both have nonzero sink modules (the
     maps are monic), and by Krull-Schmidt for the parts of V some g in
     Aut(V) carries R'_V and R''_V onto complementary coordinate summands,
@@ -344,7 +336,11 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
     parts, the simple at the sink and the source's path-indexed injective
     kept.  Chains are walked as lattice indices, each generator by reads of
     its lattice permutation, filled from ``mask_images`` for the candidates'
-    submodules.
+    submodules.  A generator acts on a chain of indices only through that
+    permutation restricted to the indices the candidates use, so one whose
+    restriction is the identity, or equals an earlier generator's, adds no
+    move: dropping it leaves the group's permutations of the candidates,
+    and so the orbits and their verdicts, as they were.
     Raises BudgetExceeded when more than ``budget`` chains are built."""
     order = is_linear_chain(quiver)
     k = len(order)
@@ -356,7 +352,7 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
         # S_{k-1} to be at least the number of parts of the sink module
         if prune and k > 1 and len(top.parts) > caps[order[-2]]:
             continue
-        conc, subs, images = _concrete_with_submodules(base, top.parts)
+        conc, subs = _concrete_with_submodules(base, top.parts)
         lengths = [conc.mask_length(m) for m in subs]
         # soc V <= S + rad V exactly when S meets, for each part of V of
         # length 1, the coset of rad V over that part's unit vector of V/rad V
@@ -391,13 +387,26 @@ def _linear_orbits(quiver: Quiver, base: SerialBase, caps: Dict[str, int],
         count += len(candidates)
         if count > budget:
             raise BudgetExceeded(f"enumeration budget {budget} exceeded")
-        for i in set().union(*candidates):
-            if images and i not in images[0]:
-                for image, moved in zip(images, conc.mask_images(subs[i])):
-                    image[i] = bisect.bisect_left(subs, moved)
-        moves = [lambda chain, get=image.__getitem__: tuple(map(get, chain)) for image in images]
-        for chain, split in _orbit_representatives(
-                candidates, moves, lambda chain: _chain_splits(conc, map(subs.__getitem__, chain))):
+        # a generator acts on chains through its permutation of the used
+        # lattice indices: one that fixes them all or repeats an earlier
+        # one adds no move, and the orbits are those of all of Aut(V)
+        used = sorted(set().union(*candidates))
+        perms = dict.fromkeys(tuple(bisect.bisect_left(subs, moved) for moved in row)
+                              for row in zip(*(conc.mask_images(subs[i]) for i in used)))
+        perms.pop(tuple(used), None)
+        moves = [lambda chain, get=dict(zip(used, perm)).__getitem__: tuple(map(get, chain))
+                 for perm in perms]
+        kept = _Lazy(lambda i: conc.kept_idempotents(subs[i]))  # once per index at most
+        every = (1 << len(conc.coordinate_masks())) - 1
+
+        def splits(chain):
+            # some e_J keeps every member of the chain: it is block diagonal
+            common = every
+            for i in chain:
+                common &= kept[i]
+            return common != 0
+
+        for chain, split in _orbit_representatives(candidates, moves, splits):
             yield conc, tuple(subs[i] for i in chain), split
 
 

@@ -1,7 +1,9 @@
 """Oracles of the tests: the function model of chain-backed modules, whose
 elements are tuples of truncated ring values, one per part, and maps that
 act on them; the tuple forms of the ``concrete`` tables and the submodule
-generated by given elements, closed element by element; the inverse,
+generated by given elements, closed element by element; submodule
+inclusions and chains of them by the Smith-form engine, and the split test
+of a chain of masks; the inverse,
 surjectivity test, socle inclusion and direct sum of representations that
 only the tests call; the permutations of hom-space map numbers by
 composition; the listing of hom solution sets; and the Kronecker families
@@ -120,6 +122,28 @@ def submodule_inclusion(m, gens: list):
     cols = [[c.shift_down(max(0, base.length(label) - order_of(m, xs[k])))
              for c, label in zip(xs[k], m.parts)] for k in order]
     return image(morphism(cover, m, [[col[i] for col in cols] for i in range(m.rank)]))
+
+
+def chain_of_inclusions(conc, masks: list):
+    """([S_1..S_k, V], [S_1 -> S_2, ..., S_k -> V]) for a chain of submodule
+    masks of the ``ConcreteModule`` conc by the Smith-form engine: each
+    inclusion the image of a cover of the echelon generators
+    (``submodule_inclusion``), each step solved for through the next
+    inclusion (``solve_right``)."""
+    pieces = [submodule_inclusion(conc.module, conc.generators(m)) for m in masks]
+    steps = [solve_right(upper, incl) for (_, incl), (_, upper) in zip(pieces, pieces[1:])]
+    assert None not in steps
+    return [s for s, _ in pieces] + [conc.module], steps + [incl for _, incl in pieces[-1:]]
+
+
+def chain_splits(conc, chain) -> bool:
+    """Whether some coordinate idempotent e_J of V, J a proper nonempty set
+    of V's parts, keeps every submodule mask of the chain; the chain is then
+    the direct sum of its parts in J and outside J."""
+    kept = (1 << len(conc.coordinate_masks())) - 1
+    for m in chain:
+        kept &= conc.kept_idempotents(m)
+    return kept != 0
 
 
 # -- maps only the tests call ------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The element-level model of ``concrete``: its tables against their
 element-wise definition, its socle-coverage cosets and echelon generators
-against closures built element by element, and its submodule lattice
-against Birkhoff's count of the submodules of each type."""
+against closures built element by element, its submodule inclusions and
+chain representations against those of the Smith-form engine, and its
+submodule lattice against Birkhoff's count of the submodules of each
+type."""
 
 from collections import Counter
 import itertools
@@ -10,7 +12,15 @@ import pytest
 
 from monocat.base import chain_base
 from monocat.concrete import ConcreteModule
-from monocat.enumerate import modules_up_to_length
+from monocat.enumerate import (
+    _chain_representation,
+    _linear_orbits,
+    is_linear_chain,
+    modules_up_to_length,
+)
+from monocat.exact import is_injective_map
+from monocat.quiver import builtin_quiver
+from monocat.rep import Representation, is_iso_reps
 from monocat.serialmod import serial_module
 
 import oracles
@@ -38,9 +48,8 @@ def test_tables_are_the_elementwise_operations(arith, p, n, parts):
     mixed-radix number i (part 0 most significant, each part's digit its
     ring number); the tables are tuple addition and scalar multiplication
     truncated per part, read back through the numbering; and the element
-    orders, the split test of every submodule against each coordinate
-    projection, and every submodule's inclusion are those of the tuple
-    oracles."""
+    orders and the split test of every submodule against each coordinate
+    projection are those of the tuple oracles."""
     conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
     module, lengths = conc.module, [int(label[1:]) for label in parts]
     elements = module_elements(module)
@@ -67,10 +76,6 @@ def test_tables_are_the_elementwise_operations(arith, p, n, parts):
         elements = conc.mask_elements(mask)
         assert conc.kept_idempotents(mask) == sum(
             1 << k for k, e in enumerate(projections) if all(mask >> e[x] & 1 for x in elements))
-        S, incl = conc.submodule_inclusion(mask)
-        assert (S, incl) == oracles.submodule_inclusion(module, conc.generators(mask))
-        assert {element_number(module, apply_morphism(incl, x))
-                for x in module_elements(S)} == set(conc.mask_elements(mask))
 
 
 @pytest.mark.parametrize("arith,p,n,parts", TABLE_CASES)
@@ -102,6 +107,88 @@ def test_socle_cosets_and_echelon_generators_on_every_submodule(arith, p, n, par
         for g, i in zip(gens, leads):
             level = [x for x in members if all(c.is_zero() for c in x[:i])]
             assert elements[g][i].valuation() == min(x[i].valuation() for x in level)
+
+
+def _check_inclusions(conc) -> tuple:
+    """For every submodule mask S: the inclusion is monic and its image,
+    read back through the numbering, is S; its source parts are those of
+    the Smith-form oracle (``oracles.submodule_inclusion``), and where the
+    echelon generators are redundant (no basis) the inclusion is the
+    oracle's.  With a basis (h_i, o_i), ``coordinates`` gives every element
+    of S once, as sum_i c_i h_i with c_i < p^{o_i}.  Returns the numbers of
+    redundant masks and of all masks."""
+    module, ring = conc.module, conc.ring
+    elements = module_elements(module)
+    by_number = {c.num: c for c in ring.elements()}
+    lengths = [conc.base.length(label) for label in module.parts]
+    redundant, subs = 0, conc.submodules()
+    for mask in subs:
+        S, incl, basis = conc.submodule_inclusion(mask)
+        assert is_injective_map(incl)
+        assert sorted({element_number(module, apply_morphism(incl, x))
+                       for x in module_elements(S)}) == conc.mask_elements(mask)
+        oracle = oracles.submodule_inclusion(module, conc.generators(mask))
+        assert S.parts == oracle[0].parts
+        if basis is None:
+            redundant += 1
+            assert (S, incl) == oracle
+            continue
+        assert [o for _, o in basis] == [conc.base.length(label) for label in S.parts]
+        coords = conc.coordinates(mask)
+        assert sorted(coords) == conc.mask_elements(mask)
+        for x, cs in coords.items():
+            assert all(c < ring.p ** o for c, (_, o) in zip(cs, basis))
+            total = [ring.zero for _ in lengths]
+            for c, (h, _) in zip(cs, basis):
+                total = [(t + by_number[c] * y).truncate(l)
+                         for t, y, l in zip(total, elements[h], lengths)]
+            assert element_number(module, tuple(total)) == x
+    return redundant, len(subs)
+
+
+@pytest.mark.parametrize("arith,p,n,parts", TABLE_CASES)
+def test_submodule_inclusions_are_monic_onto_their_masks(arith, p, n, parts):
+    _check_inclusions(ConcreteModule(serial_module(chain_base(arith, p, n), parts)))
+
+
+def test_submodule_inclusions_of_every_linear_a3_sink():
+    # the sinks of the linear-a3 benchmark sweep; R(pi, 1) in M2 (+) M2 and
+    # its kind take the Smith-form path
+    base = chain_base("poly", 2, 3)
+    counts = [_check_inclusions(ConcreteModule(m)) for m in modules_up_to_length(base, 5)]
+    redundant, total = map(sum, zip(*counts))
+    assert 0 < redundant < total
+
+
+CHAIN_CONFIGS = [
+    ("An-linear:3", ("poly", 2, 3), (3, 4, 5)),
+    ("An-linear:4", ("poly", 2, 3), (2, 3, 4, 5)),
+    ("An-linear:3", ("int", 3, 2), (3, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("qname,base_args,caps", CHAIN_CONFIGS,
+                         ids=["a3-poly-2-3", "a4-poly-2-3", "a3-int-3-2"])
+def test_chain_representations_match_the_smith_form_chains(qname, base_args, caps):
+    """Every class of the linear sweep, built from coordinates over the
+    independent bases, is isomorphic to the representation of the same
+    chain that the Smith-form engine builds (``oracles.chain_of_inclusions``)."""
+    quiver, base = builtin_quiver(qname), chain_base(*base_args)
+    order = is_linear_chain(quiver)
+    arrows = {(a.source, a.target): a.name for a in quiver.arrows}
+    classes = read_off = 0
+    for conc, chain, splits in _linear_orbits(quiver, base, dict(zip(quiver.vertices, caps))):
+        if splits:
+            continue
+        rep = _chain_representation(quiver, base, conc, chain)
+        modules, maps = oracles.chain_of_inclusions(conc, chain)
+        oracle = Representation(quiver, base, dict(zip(order, modules)), {
+            arrows[pair]: f for pair, f in zip(zip(order, order[1:]), maps)})
+        assert is_iso_reps(rep, oracle)
+        bases = [conc.submodule_inclusion(m)[2] for m in chain]
+        classes += 1
+        read_off += sum(a is not None and b is not None for a, b in zip(bases, bases[1:]))
+    assert classes >= 10 and read_off > 0
 
 
 def _gaussian_binomial(n, k, q):

@@ -22,7 +22,6 @@ from monocat.enumerate import (
     _HomActions,
     _generic_candidates,
     _chain_representation,
-    _chain_splits,
     _generic_orbit_classes,
     _indexed_rep,
     _linear_mono_candidates,
@@ -45,6 +44,7 @@ from monocat.serialmod import (
 
 from oracles import (
     apply_morphism,
+    chain_splits,
     composition_perm,
     element_number,
     module_elements,
@@ -372,18 +372,17 @@ def test_linear_verdicts_where_first_members_are_off_diagonal():
     for conc, chain, splits in _linear_orbits(quiver, base, dict(zip(quiver.vertices, (3, 4, 5)))):
         rep = _chain_representation(quiver, base, conc, chain)
         assert splits == (not rep.is_zero() and not is_indecomposable(rep))
-        off_diagonal += splits and not _chain_splits(conc, chain)
+        off_diagonal += splits and not chain_splits(conc, chain)
     assert off_diagonal
 
 
 @pytest.mark.parametrize("base_args", [("poly", 2, 3), ("int", 2, 3)])
 def test_linear_orbits_match_the_full_generator_walk(base_args, monkeypatch):
-    # the lattice-index walk with the reduced generators against the walk of
-    # mask chains under every generator of _full_generators, on the same
-    # candidates of every sink module
-    quiver = builtin_quiver("An-linear:3")
+    # the lattice-index walk, with the generators that move a candidate index
+    # and the per-index split masks, against the walk of mask chains under
+    # every generator of _full_generators with chain_splits, on the same
+    # candidates of every sink module; on A4 the chains have three members
     base = chain_base(*base_args)
-    caps = dict(zip(quiver.vertices, (3, 4, 5)))
     lattices, walked = [], []
     real_lattice = enumerate_module._concrete_with_submodules
     real_walk = enumerate_module._orbit_representatives
@@ -398,20 +397,26 @@ def test_linear_orbits_match_the_full_generator_walk(base_args, monkeypatch):
 
     monkeypatch.setattr(enumerate_module, "_concrete_with_submodules", lattice)
     monkeypatch.setattr(enumerate_module, "_orbit_representatives", walk)
-    found = [(conc.module.parts, chain, splits)
-             for conc, chain, splits in _linear_orbits(quiver, base, caps)]
-    assert len(lattices) == len(walked)
-    assert {conc.module.parts for conc, _, _ in lattices} == \
-        {m.parts for m in modules_up_to_length(base, 5) if len(m.parts) <= 4}
-    expected = []
-    for (conc, subs, _), candidates in zip(lattices, walked):
-        moves = [functools.partial(_move_chain, conc, _permutation(conc, g))
-                 for g, _ in _full_generators(conc.module)]
-        masks = [tuple(subs[i] for i in chain) for chain in candidates]
-        expected += [(conc.module.parts, chain, splits) for chain, splits in
-                     real_walk(masks, moves, functools.partial(_chain_splits, conc))]
-    assert found == expected
-    assert len(found) > 100
+    for qname, caps in (("An-linear:3", (3, 4, 5)), ("An-linear:4", (2, 3, 4, 5))):
+        lattices.clear()
+        walked.clear()
+        quiver = builtin_quiver(qname)
+        found = [(conc.module.parts, chain, splits) for conc, chain, splits
+                 in _linear_orbits(quiver, base, dict(zip(quiver.vertices, caps)))]
+        assert len(lattices) == len(walked)
+        assert {conc.module.parts for conc, _ in lattices} == \
+            {m.parts for m in modules_up_to_length(base, 5) if len(m.parts) <= 4}
+        expected = []
+        for (conc, subs), candidates in zip(lattices, walked):
+            moves = [functools.partial(_move_chain, conc, _permutation(conc, g))
+                     for g, _ in _full_generators(conc.module)]
+            masks = [tuple(subs[i] for i in chain) for chain in candidates]
+            expected += [(conc.module.parts, chain, splits) for chain, splits in
+                         real_walk(masks, moves, functools.partial(chain_splits, conc))]
+        assert found == expected
+        # orbits of more than one chain, of decomposables and of indecomposables
+        assert 100 < len(found) < sum(map(len, walked))
+        assert {splits for *_, splits in found} == {True, False}
 
 
 def test_generic_verdicts_where_first_members_are_off_diagonal():
@@ -571,11 +576,11 @@ def test_off_diagonal_submodule_chain_is_reported_split():
     diagonal = submodule_mask(conc.module, [(ring.zero, ring.one)])
     tilted = submodule_mask(conc.module, [(ring.pi, ring.one)])
     assert {diagonal, tilted} <= set(conc.submodules())
-    assert _chain_splits(conc, (diagonal,))
-    assert not _chain_splits(conc, (tilted,))
+    assert chain_splits(conc, (diagonal,))
+    assert not chain_splits(conc, (tilted,))
     moves = [functools.partial(_move_chain, conc, perm) for perm in conc.automorphism_generators()]
     orbit = _orbit((tilted,), moves)
     assert (diagonal,) in orbit
     candidates = [(tilted,)] + [c for c in orbit if c != (tilted,)]
-    splits = functools.partial(_chain_splits, conc)
+    splits = functools.partial(chain_splits, conc)
     assert list(_orbit_representatives(candidates, moves, splits)) == [((tilted,), True)]

@@ -31,7 +31,13 @@
   ``serialmod.automorphism_generators`` moving it by reads of its
   permutations of map numbers, filled by digit updates, and builds a
   representation only for an orbit that neither splits nor is zero, in
-  generation order.  Both walks decide
+  generation order.  Both walks use the same generators of each Aut(M),
+  listed block by block (``serialmod.automorphism_generators``): scalings
+  and transvections between the first parts of the blocks of equal parts,
+  and within a block one transvection and its cycle, or two transvections
+  for two parts, so each walk pays per block rather than per pair of
+  parts.  Orbits, their first members and their verdicts do not depend on
+  the generating set.  Both walks decide
   indecomposability on the way: a representation is decomposable exactly
   when some member of its orbit is block diagonal for a splitting of the
   vertex modules' parts into two nonempty sets
@@ -559,8 +565,9 @@ class _HomActions:
     ``perms`` by (source parts, target parts, into v, generator number) and
     filled on first read by digit updates.  g o phi differs from phi only in
     the rows where g is not the identity, and phi o g^-1 only in the columns
-    where g^-1 is not (one row or column for each generator listed), so a
-    fill recomputes only those entries: each is a sum of products read from
+    where g^-1 is not (one row or column for a scaling or a transvection,
+    each of its block's for the cycle of a block), so a fill recomputes
+    only those entries: each is a sum of products read from
     ``SerialBase.compose_table`` at digits of the map number, truncated to
     its hom length, and the number moves by (new - old) * weight."""
 

@@ -371,50 +371,91 @@ def _unit_generators(base: SerialBase, a: str) -> list:
 
 
 def automorphism_generators(m: SerialModule):
-    """Pairs (g, g^-1) of automorphisms of M = (+) P_i that generate Aut(M):
+    """Pairs (g, g^-1) of automorphisms of M = (+) P_i that generate Aut(M),
+    listed block by block.  Normal form makes equal parts contiguous: a
+    block is P^m at the positions f .. f+m-1.  Write s_i(u) for part P_i
+    scaled by u, and t_ij(c) = 1 + c g_{i<-j} for i != j, g_{i<-j} the
+    canonical generator placed at (i, j).  For each block the list holds:
 
-    * s_i(u), part P_i scaled by u, for each u of ``_unit_generators(P_i)``;
-      inverse s_i(u^-1);
-    * t_ij(1) for each ordered pair i != j with Hom(P_j, P_i) != 0, where
-      t_ij(c) = 1 + c g_{i<-j}, g_{i<-j} the canonical generator placed at
-      (i, j); inverse t_ij(-1).
+    * s_f(u) for each u of ``_unit_generators(P)``, on the block's first
+      part only; inverse s_f(u^-1);
+    * for m = 2, t_{f,f+1}(1) and t_{f+1,f}(1); inverses t(-1);
+    * for m >= 3, t_{f,f+1}(1), and the cycle z of the block, which sends
+      part f+k onto part f+k+1 (indices of the block mod m); inverse the
+      reverse cycle;
+    * t_{f,f'}(1) for each other block P'^{m'}, at f', with
+      Hom(P', P) != 0; inverse t_{f,f'}(-1).
 
+    The full set: s_i(u) on every part for the ``_unit_generators(P_i)``
+    and t_ij(1) for each ordered pair i != j with Hom(P_j, P_i) != 0.
     Lemmas.  (1) t_ij(c) t_ij(c') = t_ij(c + c'): the matrix unit at (i, j)
-    squares to zero.  (2) Every t_ij(c) is generated.  Over Z/p^n, pi = p
-    and t_ij(pi^e) = t_ij(1)^(p^e) by (1).  Over F_p[x]/(x^n), s_i(u)
-    t_ij(c) s_i(u)^-1 = t_ij(uc), so by (1) the commutator of s_i(1+x) and
-    t_ij(x^(e-1)) is t_ij(x^e), and 1 + x is a unit of End(P_i) other than 1
-    as e < hom_length(P_j, P_i) <= hom_length(P_i, P_i).  Any c is a sum of
-    digit multiples of the pi^e.  (3) The swap of equal parts P_i = P_j is
-    s_j(-1) t_ij(1) t_ji(-1) t_ij(1), so none is listed.  Every scaling is
-    generated, since the ``_unit_generators`` generate the unit group.
+    squares to zero.  (2) Every t_ij(c) is generated by the full set.  Over
+    Z/p^n, pi = p and t_ij(pi^e) = t_ij(1)^(p^e) by (1).  Over
+    F_p[x]/(x^n), s_i(u) t_ij(c) s_i(u)^-1 = t_ij(uc), so by (1) the
+    commutator of s_i(1+x) and t_ij(x^(e-1)) is t_ij(x^e), and 1 + x is a
+    unit of End(P_i) other than 1 as e < hom_length(P_j, P_i) <=
+    hom_length(P_i, P_i).  Any c is a sum of digit multiples of the pi^e.
+    (3) A permutation of equal parts is generated by the full set, which
+    lists none: the swap of P_i = P_j is s_j(-1) t_ij(1) t_ji(-1) t_ij(1).
+    The list above names the cycle z of each block of three or more, so
+    that one transvection inside the block stands for all of them.  Every
+    scaling is generated, since the ``_unit_generators`` generate the unit
+    group.
 
-    They generate Aut(M) because every End(P_i) is local.  Let phi be an
-    automorphism with inverse psi.  Then 1 = sum_i psi_{1i} phi_{i1} in the
-    local ring End(P_1), so some psi_{1i} phi_{i1} is a unit; phi_{i1} is then
-    a split monomorphism into the indecomposable P_i, an isomorphism, so
-    P_i = P_1 (labels name isomorphism classes) and phi_{i1} is a unit.  If
-    phi_{11} is not, t_1i(1) phi has the unit phi_{11} + phi_{i1} at (1, 1).
-    Composing on the left with s_1(phi_{11}^-1) and the t_k1(-phi_{k1}),
-    k != 1, turns column 1 into (1, 0, ..., 0); composing on the right with
-    the t_1j(-phi_{1j}) clears row 1, leaving 1 (+) psi' with psi' an
-    automorphism of the other parts, whose generators are among those of M;
-    induction on the number of parts finishes.  Aut(M) is finite, so a set
-    closed under the g alone is closed under the group.
+    The full set generates Aut(M) because every End(P_i) is local.  Let phi
+    be an automorphism with inverse psi.  Then 1 = sum_i psi_{1i} phi_{i1}
+    in the local ring End(P_1), so some psi_{1i} phi_{i1} is a unit;
+    phi_{i1} is then a split monomorphism into the indecomposable P_i, an
+    isomorphism, so P_i = P_1 (labels name isomorphism classes) and phi_{i1}
+    is a unit.  If phi_{11} is not, t_1i(1) phi has the unit
+    phi_{11} + phi_{i1} at (1, 1).  Composing on the left with
+    s_1(phi_{11}^-1) and the t_k1(-phi_{k1}), k != 1, turns column 1 into
+    (1, 0, ..., 0); composing on the right with the t_1j(-phi_{1j}) clears
+    row 1, leaving 1 (+) psi' with psi' an automorphism of the other parts,
+    whose generators are among those of M; induction on the number of
+    parts finishes.
+
+    The list generates the full set, so it generates Aut(M).  For m = 2
+    the signed swap w = t_{f,f+1}(1) t_{f+1,f}(-1) t_{f,f+1}(1), which
+    sends e_f to -e_{f+1} and e_{f+1} to e_f, is in the group.  For
+    m >= 3, z^k t_{f,f+1}(1) z^-k = t_{f+k,f+k+1}(1), and the commutator
+    [t_ij(1), t_jk(1)] = t_ik(1), for i, j, k distinct, then gives every
+    t_ij(1) inside the block.  Conjugating by w, or by the powers of z,
+    moves s_f(u) onto every part of the block, and the t between the first
+    parts of two blocks onto every pair of their parts, up to the sign of
+    c: such a conjugation acts on one block's rows and columns alone.  A
+    t(-1) is the inverse of t(1).  Aut(M) is finite, so a set closed under
+    the g alone is closed under the group.
     """
     base, parts, one = m.base, m.parts, m.base.one_coeff()
     ident = identity_morphism(m)
 
-    def elementary(i, j, c):
+    def placed(changes):
         rows = [list(r) for r in ident.entries]
-        rows[i][j] = base.coeff(parts[j], parts[i], c)
+        for (i, j), c in changes.items():
+            rows[i][j] = base.coeff(parts[j], parts[i], c)
         return SerialMorphism(m, m, tuple(tuple(r) for r in rows))
 
+    def transvection(i, j):
+        return placed({(i, j): one}), placed({(i, j): -one})
+
+    firsts = [f for f, a in enumerate(parts) if f == 0 or parts[f - 1] != a]
     out = []
-    for i, a in enumerate(parts):
-        out += [(elementary(i, i, u), elementary(i, i, u.inverse())) for u in _unit_generators(base, a)]
-        out += [(elementary(i, j, one), elementary(i, j, -one))
-                for j, b in enumerate(parts) if j != i and base.hom_length(b, a)]
+    for f, end in zip(firsts, firsts[1:] + [len(parts)]):
+        a, size = parts[f], end - f
+        out += [(placed({(f, f): u}), placed({(f, f): u.inverse()}))
+                for u in _unit_generators(base, a)]
+        if size >= 2:
+            out.append(transvection(f, f + 1))
+        if size == 2:
+            out.append(transvection(f + 1, f))
+        elif size >= 3:  # z: part i onto part f + (i - f + 1) % size
+            steps = [(f + (i - f + 1) % size, i) for i in range(f, end)]
+            diagonal = {(i, i): base.ring.zero for i in range(f, end)}
+            out.append((placed({**diagonal, **dict.fromkeys(steps, one)}),
+                        placed({**diagonal, **dict.fromkeys([(j, i) for i, j in steps], one)})))
+        out += [transvection(f, other) for other in firsts
+                if other != f and base.hom_length(parts[other], a)]
     return out
 
 

@@ -3,7 +3,8 @@ elements are tuples of truncated ring values, one per part, and maps that
 act on them; the tuple forms of the ``concrete`` tables and the submodule
 generated by given elements, closed element by element; submodule
 inclusions and chains of them by the Smith-form engine, and the split test
-of a chain of masks; the inverse,
+of a chain of masks; the part-by-part generators of Aut(m) that the
+block-by-block list replaced; the inverse,
 surjectivity test, socle inclusion and direct sum of representations that
 only the tests call; the permutations of hom-space map numbers by
 composition; the listing of hom solution sets; and the Kronecker families
@@ -19,6 +20,8 @@ from monocat.exact import cokernel, image, is_iso, solve_left, solve_right
 from monocat.quiver import builtin_quiver
 from monocat.rep import Representation
 from monocat.serialmod import (
+    SerialMorphism,
+    _unit_generators,
     assemble,
     direct_sum,
     identity_morphism,
@@ -147,6 +150,27 @@ def chain_splits(conc, chain) -> bool:
 
 
 # -- maps only the tests call ------------------------------------------------------------
+
+
+def transvection_generators(m) -> list:
+    """The generator pairs (g, g^-1) of Aut(m) that ``automorphism_generators``
+    listed part by part before it listed them block by block: s_i(u) on
+    every part i for each u of ``_unit_generators(P_i)``, and t_ij(1) for
+    each ordered pair i != j with Hom(P_j, P_i) != 0, in row order."""
+    base, parts, one = m.base, m.parts, m.base.one_coeff()
+    ident = identity_morphism(m)
+
+    def elementary(i, j, c):
+        rows = [list(r) for r in ident.entries]
+        rows[i][j] = base.coeff(parts[j], parts[i], c)
+        return SerialMorphism(m, m, tuple(tuple(r) for r in rows))
+
+    out = []
+    for i, a in enumerate(parts):
+        out += [(elementary(i, i, u), elementary(i, i, u.inverse())) for u in _unit_generators(base, a)]
+        out += [(elementary(i, j, one), elementary(i, j, -one))
+                for j, b in enumerate(parts) if j != i and base.hom_length(b, a)]
+    return out
 
 
 def invert(f):

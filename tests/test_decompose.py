@@ -9,6 +9,7 @@ from monocat.decompose import (
     decompose,
     is_indecomposable,
 )
+from monocat.exact import is_iso, solve_right
 from monocat.mimo import mimo_from_stable
 from monocat.quiver import builtin_quiver
 from monocat.rep import (
@@ -22,7 +23,7 @@ from monocat.rep import (
     vertex_module,
 )
 from monocat.serialmod import (
-    automorphism_generators,
+    hom_space,
     identity_morphism,
     mor_compose,
     morphism,
@@ -223,14 +224,14 @@ def test_is_indecomposable_answers_blocks_without_hom_space(monkeypatch):
     assert not is_indecomposable(rep_direct_sum(_simple("1"), _simple("2")), budget=0)
 
 
-def _random_automorphism(m, rng, length=6):
-    """(g, g^-1) for a random word in the generators of Aut(m)."""
-    g = g_inv = identity_morphism(m)
-    gens = automorphism_generators(m)
-    for _ in range(length if gens else 0):
-        h, h_inv = rng.choice(gens)
-        g, g_inv = mor_compose(h, g), mor_compose(g_inv, h_inv)
-    return g, g_inv
+def _random_automorphism(m, rng):
+    """(g, g^-1) for g drawn uniformly from Aut(m): random endomorphisms
+    until one is invertible, whatever set generates the group."""
+    space = hom_space(m, m)
+    g = space.random(rng)
+    while not is_iso(g):
+        g = space.random(rng)
+    return g, solve_right(g, identity_morphism(m))
 
 
 def _conjugate(r, rng):

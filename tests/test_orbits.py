@@ -1,5 +1,7 @@
 """The orbit classifications: the Aut(V) generators of ``ConcreteModule`` and
-the linear sweep against the isomorphism-filtered generic search; the generic
+the linear sweep against the isomorphism-filtered generic search; the orbits
+of the block-by-block generators against those of the part-by-part
+transvections; the generic
 search's per-in-arrow mono pruning against the filtered product of all arrow
 maps; the generic sweep's prod_v Aut(M_v)-orbits, walked on hom-space
 indices, against ``IsoClassifier`` over that filtered product; each orbit's
@@ -50,6 +52,7 @@ from oracles import (
     module_elements,
     rep_direct_sum,
     submodule_mask,
+    transvection_generators,
 )
 
 
@@ -134,6 +137,10 @@ def _move_chain(conc, perm, chain):
     # t_ij(x^e), e >= 1, from commutators with s_i(1 + x)
     ("poly", 2, 3, ["M3", "M3"]),
     ("poly", 2, 4, ["M4", "M3"]),
+    # blocks of three and four equal parts: one transvection and the cycle
+    ("poly", 2, 2, ["M1"] * 3),
+    ("poly", 2, 2, ["M1"] * 4),
+    ("int", 3, 2, ["M1"] * 3),
 ])
 def test_automorphism_generators_generate_aut(arith, p, n, parts):
     conc = ConcreteModule(serial_module(chain_base(arith, p, n), parts))
@@ -249,9 +256,11 @@ GENERIC_CONFIGS = [
     (builtin_quiver("D4"), chain_base("poly", 3, 2), (1, 1, 1, 1)),
     (INTERLEAVED, chain_base("poly", 2, 2), (1, 2, 1, 1)),
     (builtin_quiver("An-linear:2"), rad2nak_base(2, 2), (2, 2)),
+    # M1^3 at both ends: the cycle of a block of three fills rows and columns
+    (builtin_quiver("An-linear:2"), chain_base("poly", 2, 1), (3, 3)),
 ]
 GENERIC_IDS = ["zigzag-1111", "zigzag-2121", "kronecker-22", "d4-1111", "interleaved",
-               "rad2nak-a2"]
+               "rad2nak-a2", "a2-field-33"]
 
 
 @pytest.mark.parametrize("quiver,base,caps", GENERIC_CONFIGS, ids=GENERIC_IDS)
@@ -288,10 +297,12 @@ ORBIT_CONFIGS = [
     (builtin_quiver("An-linear:2"), chain_base("int", 3, 2), (2, 2), False),
     # the middle vertex has arrows in and out, and g^-1 != g for some generators
     (builtin_quiver("An-linear:3"), chain_base("poly", 3, 2), (1, 2, 1), False),
+    # M1^3 at both ends: the cycle of a block of three fills rows and columns
+    (builtin_quiver("An-linear:2"), chain_base("poly", 2, 1), (3, 3), True),
 ]
 ORBIT_IDS = ["zigzag-1111", "zigzag-2121", "d4-1111", "interleaved", "kronecker-int-22",
              "kronecker-poly-22-all", "rad2nak-a2", "rad2nak-a2-all", "rad2nak-a3",
-             "a2-int-3-2-all", "a3-poly-3-2-all"]
+             "a2-int-3-2-all", "a3-poly-3-2-all", "a2-field-33"]
 
 
 @pytest.mark.parametrize("quiver,base,caps,mono_only", ORBIT_CONFIGS, ids=ORBIT_IDS)
@@ -376,13 +387,10 @@ def test_linear_verdicts_where_first_members_are_off_diagonal():
     assert off_diagonal
 
 
-@pytest.mark.parametrize("base_args", [("poly", 2, 3), ("int", 2, 3)])
-def test_linear_orbits_match_the_full_generator_walk(base_args, monkeypatch):
-    # the lattice-index walk, with the generators that move a candidate index
-    # and the per-index split masks, against the walk of mask chains under
-    # every generator of _full_generators with chain_splits, on the same
-    # candidates of every sink module; on A4 the chains have three members
-    base = chain_base(*base_args)
+def _record_linear_walk(monkeypatch):
+    """(lattices, walked): lists that ``_linear_orbits`` fills, for each sink
+    it walks, with its (``ConcreteModule``, lattice masks) and its candidate
+    chains of lattice indices."""
     lattices, walked = [], []
     real_lattice = enumerate_module._concrete_with_submodules
     real_walk = enumerate_module._orbit_representatives
@@ -397,6 +405,17 @@ def test_linear_orbits_match_the_full_generator_walk(base_args, monkeypatch):
 
     monkeypatch.setattr(enumerate_module, "_concrete_with_submodules", lattice)
     monkeypatch.setattr(enumerate_module, "_orbit_representatives", walk)
+    return lattices, walked
+
+
+@pytest.mark.parametrize("base_args", [("poly", 2, 3), ("int", 2, 3)])
+def test_linear_orbits_match_the_full_generator_walk(base_args, monkeypatch):
+    # the lattice-index walk, with the generators that move a candidate index
+    # and the per-index split masks, against the walk of mask chains under
+    # every generator of _full_generators with chain_splits, on the same
+    # candidates of every sink module; on A4 the chains have three members
+    base = chain_base(*base_args)
+    lattices, walked = _record_linear_walk(monkeypatch)
     for qname, caps in (("An-linear:3", (3, 4, 5)), ("An-linear:4", (2, 3, 4, 5))):
         lattices.clear()
         walked.clear()
@@ -412,11 +431,92 @@ def test_linear_orbits_match_the_full_generator_walk(base_args, monkeypatch):
                      for g, _ in _full_generators(conc.module)]
             masks = [tuple(subs[i] for i in chain) for chain in candidates]
             expected += [(conc.module.parts, chain, splits) for chain, splits in
-                         real_walk(masks, moves, functools.partial(chain_splits, conc))]
+                         _orbit_representatives(masks, moves,
+                                                functools.partial(chain_splits, conc))]
         assert found == expected
         # orbits of more than one chain, of decomposables and of indecomposables
         assert 100 < len(found) < sum(map(len, walked))
         assert {splits for *_, splits in found} == {True, False}
+
+
+def _orbit_partition(items, moves) -> set:
+    """The orbits of the group that the moves generate on ``items``, a set
+    that each move maps into itself (a finite group: the components of the
+    moves' graph), as a set of frozensets."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for move in moves:
+        for x in items:
+            parent[find(x)] = find(move(x))
+    orbits = {}
+    for x in items:
+        orbits.setdefault(find(x), set()).add(x)
+    return {frozenset(orbit) for orbit in orbits.values()}
+
+
+def _lattice_orbits(conc, subs, candidates, generators, permutations):
+    """The orbits of the used lattice indices and those of the candidate
+    chains under the group that the pairs (g, g^-1) of ``generators``
+    generate; each g acts through its element permutation, kept in the
+    dict ``permutations`` by g."""
+    position = {m: i for i, m in enumerate(subs)}
+    used = sorted(set().union(*candidates))
+    images = []
+    for g, _ in generators:
+        if g not in permutations:
+            permutations[g] = _permutation(conc, g)
+        perm = permutations[g]
+        images.append({i: position[sum(1 << perm[x] for x in conc.mask_elements(subs[i]))]
+                       for i in used})
+    chain_moves = [lambda chain, get=image.__getitem__: tuple(map(get, chain)) for image in images]
+    return (_orbit_partition(used, [image.__getitem__ for image in images]),
+            _orbit_partition(candidates, chain_moves))
+
+
+def _assert_block_and_transvection_orbits_agree(quiver, base, caps, monkeypatch, permutations):
+    """On every sink that ``_linear_orbits`` walks, the block-by-block
+    generators and the part-by-part transvection generators give the same
+    orbits of the used lattice indices and of the candidate chains; returns
+    the numbers of generators of the two sets over those sinks."""
+    lattices, walked = _record_linear_walk(monkeypatch)
+    list(_linear_orbits(quiver, base, dict(zip(quiver.vertices, caps))))
+    assert len(lattices) == len(walked)
+    counts = [0, 0]
+    for (conc, subs), candidates in zip(lattices, walked):
+        if not candidates:
+            continue
+        blocks = automorphism_generators(conc.module)
+        transvections = transvection_generators(conc.module)
+        assert _lattice_orbits(conc, subs, candidates, blocks, permutations) == \
+            _lattice_orbits(conc, subs, candidates, transvections, permutations), conc.module
+        counts[0] += len(blocks)
+        counts[1] += len(transvections)
+    return counts
+
+
+def test_block_generators_give_the_transvection_orbits_on_linear_a3(monkeypatch):
+    # the benchmark's sweep: every sink of An-linear:3 over F_2[x]/(x^3) at
+    # caps (3, 4, 5); of its 71 transvection generators 41 remain
+    quiver = builtin_quiver("An-linear:3")
+    counts = _assert_block_and_transvection_orbits_agree(
+        quiver, chain_base("poly", 2, 3), (3, 4, 5), monkeypatch, {})
+    assert counts == [41, 71]
+
+
+@pytest.mark.parametrize("base_args", LINEAR_GRID_BASES,
+                         ids=["-".join(map(str, b)) for b in LINEAR_GRID_BASES])
+def test_block_generators_give_the_transvection_orbits_on_small_caps(base_args, monkeypatch):
+    base, permutations = chain_base(*base_args), {}
+    for caps in LINEAR_GRID_CAPS:
+        quiver = builtin_quiver(f"An-linear:{len(caps)}")
+        _assert_block_and_transvection_orbits_agree(quiver, base, caps, monkeypatch,
+                                                    permutations)
 
 
 def test_generic_verdicts_where_first_members_are_off_diagonal():
@@ -434,7 +534,7 @@ def test_generic_verdicts_where_first_members_are_off_diagonal():
     assert off_diagonal
 
 
-@pytest.mark.parametrize("index", [2, 6, 10], ids=[ORBIT_IDS[k] for k in (2, 6, 10)])
+@pytest.mark.parametrize("index", [2, 6, 10, 11], ids=[ORBIT_IDS[k] for k in (2, 6, 10, 11)])
 def test_each_orbit_move_is_an_isomorphism(index):
     # g at v and the identity elsewhere must be natural from a candidate to
     # its image; RepMorphism checks every naturality square

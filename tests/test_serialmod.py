@@ -571,6 +571,9 @@ AUT_CASES = [
     # t_ij(x^e), e >= 1, from commutators with s_i(1 + x)
     M(B3P, "M3", "M3"), M(chain_base("poly", 2, 4), "M4", "M3"),
     M(rad2nak_base(2, 2), "S1", "S1", "P2"),
+    # blocks of three and four equal parts: one transvection and the cycle
+    M(B2P, "M1", "M1", "M1"), M(B2P, "M1", "M1", "M1", "M1"),
+    M(chain_base("int", 3, 2), "M1", "M1", "M1"), M(rad2nak_base(2, 2), "P1", "P1", "P1", "S2"),
 ]
 
 
@@ -608,25 +611,51 @@ def _generated(units, length):
     return group
 
 
+def _blocks(m):
+    """(first, end) of each block of equal parts of m, in part order."""
+    firsts = [f for f, a in enumerate(m.parts) if f == 0 or m.parts[f - 1] != a]
+    return list(zip(firsts, firsts[1:] + [m.rank]))
+
+
 @pytest.mark.parametrize("m", AUT_CASES, ids=repr)
 def test_automorphism_generators_are_scalings_and_one_transvection_per_pair(m):
+    # per block P^k at f: scalings on part f, then t_{f,f+1} and t_{f+1,f}
+    # (k = 2) or t_{f,f+1} and the cycle (k >= 3), then one transvection
+    # t_{f,f'} per other block f' with Hom(P', P) != 0
     base, parts = m.base, m.parts
-    one = base.one_coeff()
+    one, zero = base.one_coeff(), base.zero_coeff()
+    ident = identity_morphism(m)
     scalings = {i: [] for i in range(m.rank)}
-    transvections = []
-    for g, _ in automorphism_generators(m):
+    transvections, cycles = [], []
+    for g, g_inv in automorphism_generators(m):
         moved = [(i, j) for i in range(m.rank) for j in range(m.rank)
-                 if g.entries[i][j] != (one if i == j else base.zero_coeff())]
-        assert len(moved) == 1  # no swap: a swap moves four entries
-        (i, j), = moved
-        if i == j:
-            scalings[i].append(g.entries[i][i])
-        else:
+                 if g.entries[i][j] != ident.entries[i][j]]
+        if len(moved) == 1 and moved[0][0] == moved[0][1]:
+            scalings[moved[0][0]].append(g.entries[moved[0][0]][moved[0][0]])
+        elif len(moved) == 1:
+            (i, j), = moved
             assert g.entries[i][j] == base.coeff(parts[j], parts[i], one)
             transvections.append((i, j))
-    assert sorted(transvections) == [(i, j) for i in range(m.rank) for j in range(m.rank)
-                                     if i != j and base.hom_length(parts[j], parts[i])]
+        else:
+            # a cycle of a block: part f + k onto part f + k + 1, mod its size
+            f, end = next(b for b in _blocks(m) if b[0] == moved[0][0])
+            image = {j: f + (j - f + 1) % (end - f) for j in range(f, end)}
+            assert sorted(moved) == sorted({(i, i) for i in image} | {(i, j) for j, i in image.items()})
+            assert all(g.entries[i][j] == (one if image[j] == i else zero) for i, j in moved)
+            assert all(g_inv.entries[j][i] == g.entries[i][j] for i, j in moved)
+            cycles.append(f)
+    blocks = _blocks(m)
+    firsts = [f for f, _ in blocks]
+    within = [(f, f + 1) for f, end in blocks if end - f >= 2] + \
+        [(f + 1, f) for f, end in blocks if end - f == 2]
+    across = [(f, g) for f in firsts for g in firsts
+              if g != f and base.hom_length(parts[g], parts[f])]
+    assert sorted(transvections) == sorted(within + across)
+    assert cycles == [f for f, end in blocks if end - f >= 3]
     for i, a in enumerate(parts):
+        if i not in firsts:
+            assert not scalings[i]
+            continue
         length = base.hom_length(a, a)
         units = [u for u in base.hom_elements(a, a) if u.digits[0]]
         assert scalings[i] == _unit_generators(base, a)

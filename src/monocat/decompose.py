@@ -1,5 +1,5 @@
-"""Krull-Schmidt decomposition of representations by coordinate blocks and
-Fitting splittings.
+"""Krull-Schmidt decomposition of representations by coordinate blocks,
+injective peels and Fitting splittings.
 
 ``decompose`` works through a stack of representations, the input first.
 Each one is first cut along its coordinates: the (vertex, part) nodes joined
@@ -7,43 +7,63 @@ by the nonzero arrow-map entries fall into connected components
 (``coordinate_components``), and when there are two or more the arrow maps
 are block diagonal, so the representation is the direct sum of the
 sub-representations on the components (``coordinate_blocks``), each pushed
-back on the stack with no hom space solved.  Only a connected representation
-is split by an endomorphism: one that is neither nilpotent nor invertible
-has complementary stable kernel and stable image.  Such an endomorphism is
+back on the stack with no hom space solved.  A connected monic
+representation over an abelian self-injective base that has both injective
+and non-injective parts is then split in one step along its tops
+(``_injective_peel``): the injective parts J of the tops give the
+path-indexed summand f_!(J), an injective object of the monomorphism
+category, and the rest is its cokernel, whose tops have no injective part;
+no piece of that rest is peeled again.  Only what remains is split by an
+endomorphism: one that is neither nilpotent nor invertible has
+complementary stable kernel and stable image.  Such an endomorphism is
 looked for in the residue algebra of the endomorphism ring by
 ``rep.ResidueSpace.first``, where invertibility and nilpotency are decided
 blockwise over F_p; the Fitting splitting is computed only for the witness
 found there.  Indecomposability is declared only with the exhaustive
 certificate (every residue element blockwise invertible or blockwise
 nilpotent, i.e. a local endomorphism ring), so every factor, cut out by
-coordinates or not, has been through that scan.  Equal factors are grouped
-by ``rep.is_iso_reps`` under the same budget, ``rep.DEFAULT_BUDGET`` by
-default.
+coordinates, by a peel or by a Fitting splitting, has been through that
+scan.  Equal factors are grouped by ``rep.is_iso_reps`` under the same
+budget, ``rep.DEFAULT_BUDGET`` by default.
 
-``coordinate_blocks`` (by representation) and ``_residue_witness`` (by
-representation and budget) are memoized with ``serialmod.memo``; a
-representation hashes by value, keeping its hash once built, and the blocks
-(a tuple) and the witness returned are shared between equal calls and never
-mutated.
+``coordinate_blocks`` and ``_injective_peel`` (by representation) and
+``_residue_witness`` (by representation and budget) are memoized with
+``serialmod.memo``; a representation hashes by value, keeping its hash once
+built, and the blocks and the peel (tuples) and the witness returned are
+shared between equal calls and never mutated.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .exact import _fp_invertible, _fp_nilpotent, image, is_iso, kernel, solve_right
+from .exact import (
+    _fp_invertible,
+    _fp_nilpotent,
+    cokernel,
+    image,
+    is_injective_map,
+    is_iso,
+    kernel,
+    solve_left,
+    solve_right,
+)
+from .quiver import Path
 from .rep import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Representation,
     RepMorphism,
     ResidueSpace,
+    f_shriek,
     hom_reps,
     is_iso_reps,
+    is_mono,
+    kopf,
     rebase,
     rep_morphism_compose,
 )
-from .serialmod import assemble, memo, mor_compose
+from .serialmod import assemble, identity_morphism, memo, mor_block, mor_compose, zero_module
 
 
 def nonzero_entries(f) -> tuple:
@@ -134,9 +154,18 @@ def _subrep_from_inclusions(r: Representation, inclusions) -> Tuple[Representati
 
 
 def _stable_power(phi: RepMorphism) -> RepMorphism:
-    """phi^m for m at least the total length: kernels and images have
-    stabilized.  m is the least power of two, reached by squaring."""
-    n = phi.source.total_length()
+    """phi^m for m at least the largest vertex-module length: kernels and
+    images have stabilized.  m is the least power of two, reached by
+    squaring.
+
+    The component of phi^k at v is (phi_v)^k, an endomorphism of R_v.  For
+    an endomorphism f of a module of length l the kernels of f^k increase
+    with k and stay put once two consecutive ones agree, so their lengths
+    rise strictly until then and are bounded by l: ker f^k = ker f^l for
+    every k >= l, and the images, whose lengths are l minus those, are
+    stable from the same power on.  So every vertex is stable from the
+    largest of its lengths on, not only from the total length."""
+    n = max(m.length() for m in phi.source.modules.values())
     power, m = phi, 1
     while m < n:
         power = rep_morphism_compose(power, power)
@@ -185,26 +214,140 @@ def _residue_witness(r: Representation, budget: int):
     return ResidueSpace(hom_reps(r, r)).first(splits, budget)
 
 
+@memo
+def _injective_peel(r: Representation):
+    """(M', F, iota) with r isomorphic to M' (+) F, where F = f_!(J) is the
+    path-indexed representation of the injective parts J of the tops of r
+    and iota: F -> r is monic with cokernel M'; or None when no top of r
+    has an injective part.  r must be monic over an abelian self-injective
+    base.  Memoized by the value of r.
+
+    At each vertex v let q_v: R_v -> T_v be the cokernel of the in-map
+    in_v (``rep.kopf``) and e_v: J_v -> T_v the inclusion of the injective
+    parts of T_v.  Over a self-injective base J_v is projective and q_v is
+    epic, so e_v lifts to s_v: J_v -> R_v with q_v o s_v = e_v
+    (``solve_right``).  The block of iota_w on the copy of J_{p.source} for
+    a path p into w is R_p o s_{p.source}; an arrow a sends the p-block of
+    F to the (a o p)-block, and R_{a o p} = R_a o R_p, so iota is natural.
+
+    iota is monic, by induction in topological order.  The paths into w are
+    e_w and a o p for the arrows a: u -> w and paths p into u, so
+    iota_w(x, y) = s_w(x) + in_w((+)_a iota_u)(y).  If that is zero, then
+    applying q_w, which kills the image of in_w, gives e_w(x) = 0 and x = 0;
+    then in_w((+) iota_u)(y) = 0, and in_w and (by induction) each iota_u
+    are monic, so y = 0.
+
+    M' = coker iota is monic by the same argument.  Its vertex modules are
+    coker(iota_w) with projections pi_w, and its arrow map at a: u -> w is
+    the unique M'_a with M'_a o pi_u = pi_w o R_a (``solve_left``; it exists
+    because pi_w o R_a o iota_u = pi_w o iota_w o F_a = 0).  Let an element
+    of (+)_a M'_u, lifted to y in (+)_a R_u, go to zero under the in-map of
+    M'.  Then pi_w(in_w(y)) = 0, and the kernel of pi_w is the image of
+    iota_w, so in_w(y) = iota_w(x, z) for some x in J_w and z in
+    (+)_a F_u; applying q_w gives e_w(x) = 0, so x = 0 and
+    in_w(y) = in_w((+) iota_u)(z).  As in_w is monic, y = ((+) iota_u)(z),
+    and its image in (+) M'_u is zero.
+
+    So 0 -> F -> r -> M' -> 0 is exact with all three terms monic, a
+    conflation of mono(Q, Lambda), and it splits because F = f_!(J) with J
+    injective is an injective object there (``mimo.is_injective_rep``):
+    r = M' (+) F.  The top is additive and top(F) = J (the in-map of F at w
+    is the inclusion of the blocks of the paths of positive length), so
+    T = top(M') (+) J.  By Krull-Schmidt over the base the parts of top(M')
+    are those of T less those of J, which are all the injective ones: top(M')
+    = T/J has no injective part.
+    A summand of M' has a summand of top(M') as its top, so no
+    representation that the decomposition of M' reaches has a top with an
+    injective part, and none needs another peel.
+
+    Checked at run time: iota is monic at each vertex
+    (``is_injective_map``) and M' is monic (``is_mono``); AssertionError
+    if not."""
+    base, quiver = r.base, r.quiver
+    lifts = {}
+    for v, (top, q) in kopf(r).items():
+        injective = [i for i, label in enumerate(top.parts) if base.is_injective(label)]
+        if injective:
+            lifts[v] = solve_right(q, mor_block(identity_morphism(top), range(top.rank), injective))
+    if not lifts:
+        return None
+    # the image of each path's block, R_p o s_{p.source}; a path's prefix
+    # comes before it in ``paths`` order, which is by length
+    images = {Path(v, v, ()): s for v, s in lifts.items()}
+    for p in quiver.paths():
+        if p in images:
+            for a in quiver.arrows_out_of(p.target):
+                images[quiver.extend_path(a, p)] = mor_compose(r.maps[a.name], images[p])
+    tops = {v: s.source for v, s in lifts.items()}
+    injective = f_shriek(base, quiver, tops)
+    zero = zero_module(base)
+    iota, modules, proj = {}, {}, {}
+    for w in quiver.vertices:
+        paths = quiver.paths_into(w)
+        iota[w] = assemble(base, [tops.get(p.source, zero) for p in paths], [r.modules[w]],
+                           {(0, k): images[p] for k, p in enumerate(paths) if p in images})[0]
+        if not is_injective_map(iota[w]):
+            raise AssertionError(f"injective peel is not monic at vertex {w}")
+        modules[w], proj[w] = cokernel(iota[w])
+    maps = {}
+    for a in quiver.arrows:
+        maps[a.name] = solve_left(proj[a.source], mor_compose(proj[a.target], r.maps[a.name]))
+        if maps[a.name] is None:
+            raise AssertionError(f"arrow {a.name} does not descend to the cokernel")
+    rest = Representation(quiver, base, modules, maps)
+    if not is_mono(rest):
+        raise AssertionError("the rest of an injective peel is not monic")
+    # iota is natural by construction: see above
+    return rest, injective, RepMorphism(injective, r, iota, check=False)
+
+
+def _peelable(r: Representation) -> bool:
+    """Whether ``_injective_peel`` applies to r and could leave two nonzero
+    sides: r is monic over an abelian self-injective base and its vertex
+    modules have both injective and non-injective parts.  (A quotient of a
+    module with no injective part has none, so a top can have an injective
+    part only if a vertex module does.)"""
+    base = r.base
+    if not (base.is_abelian and base.is_selfinjective):
+        return False
+    kinds = {base.is_injective(label) for m in r.modules.values() for label in m.parts}
+    return len(kinds) == 2 and is_mono(r)
+
+
 def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
     """List of (indecomposable factor, multiplicity, certificate).
 
     Each representation taken off the stack is cut into its coordinate
-    blocks when it has two or more (``coordinate_blocks``); only a connected
-    one has its endomorphism ring scanned (``_residue_witness``) and, when
-    that is not local, is split along the witness (``fitting_split``).  So
-    when r is block diagonal in its own coordinates its factors are
-    coordinate blocks of r, and every factor carries the exhaustive
-    certificate of a local endomorphism ring."""
+    blocks when it has two or more (``coordinate_blocks``).  A connected
+    monic one with both injective and non-injective parts (``_peelable``)
+    sheds the injective summand f_!(J) read off its tops in one step
+    (``_injective_peel``); its rest M', and every piece that comes from it,
+    is not peeled again, since no top of theirs has an injective part.  Any
+    other connected one has its endomorphism ring scanned
+    (``_residue_witness``) and, when that is not local, is split along the
+    witness (``fitting_split``).  The peel's two sides go back on the stack
+    like any other piece, so every factor, whichever step cut it out,
+    carries the exhaustive certificate of a local endomorphism ring.  When
+    the coordinate blocks of r are indecomposable they are its factors: an
+    indecomposable has no peel, since its top has an injective part only
+    when it is injective itself."""
     pieces: List[Representation] = []
-    stack = [r]
+    # (representation, whether a top of it may still have an injective part)
+    stack = [(r, True)]
     while stack:
-        cur = stack.pop()
+        cur, peel = stack.pop()
         if cur.is_zero():
             continue
         blocks = coordinate_blocks(cur)
         if blocks is not None:
-            stack.extend(blocks)
+            stack.extend((block, peel) for block in blocks)
             continue
+        if peel and _peelable(cur):
+            peeled = _injective_peel(cur)
+            if peeled is not None:
+                stack.extend(((peeled[0], False), (peeled[1], False)))
+                continue
+            peel = False  # no top of cur, nor of a summand of it, has an injective part
         witness = _residue_witness(cur, budget)
         if witness is None:
             pieces.append(cur)
@@ -212,7 +355,7 @@ def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
         split = fitting_split(cur, witness)
         if split is None:
             raise AssertionError("non-invertible non-nilpotent endomorphism must split")
-        stack.extend(split)
+        stack.extend((piece, peel) for piece in split)
     grouped: List[tuple] = []
     for piece in pieces:
         for idx, (rep, mult, cert) in enumerate(grouped):

@@ -18,7 +18,8 @@ them are memoized by value with ``memo``: ``identity_morphism``,
 ``cokernel``, ``image``, ``solve_right`` and ``solve_left`` in ``exact``.
 ``rep.Representation`` hashes by value too, keeping the hash once built, and
 the same ``memo`` caches ``mimo.mimo``, ``mimo.transfer``,
-``decompose.coordinate_blocks`` and ``decompose._residue_witness``.
+``decompose.coordinate_blocks``, ``decompose._residue_witness`` and
+``decompose._injective_peel``.
 This rests on one invariant: their arguments and results are immutable
 values, and nothing mutates a returned module, map or position tuple, nor the
 ``modules``, ``maps`` or ``components`` of a representation or morphism once
@@ -33,11 +34,12 @@ from typing import Iterable, Iterator, Sequence
 from .base import SerialBase
 
 # Entries kept by each memoized operation: above the distinct calls one pass
-# of the benchmark's approximation battery makes to any of them (at most
-# 1,322, to mor_compose, over seeds 1 and 7 and input sets 0-3; mimo gets at
-# most 251, coordinate_blocks 235, _residue_witness 167, transfer 109,
-# identity_morphism 45 and injective_envelope 42; at seed 7, set 0: transfer
-# 82, identity_morphism 43, injective_envelope 38, coordinate_blocks 226).
+# of the benchmark's approximation battery makes to any of them (at most 429,
+# to mor_compose, over seeds 1 and 7 and input sets 0-3; _direct_sum gets at
+# most 343, kernel 285, mimo 252, cokernel 230, coordinate_blocks 221,
+# solve_left 196, solve_right 125, transfer 109, _residue_witness 97,
+# _injective_peel 71, image 64, identity_morphism 46 and injective_envelope
+# 42).
 MEMO_SIZE = 2048
 memo = lru_cache(maxsize=MEMO_SIZE)
 

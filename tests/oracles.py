@@ -4,7 +4,7 @@ act on them; the tuple forms of the ``concrete`` tables and the submodule
 generated by given elements, closed element by element; submodule
 inclusions and chains of them by the Smith-form engine, and the split test
 of a chain of masks; the part-by-part generators of Aut(m) that the
-block-by-block list replaced; the inverse,
+block-by-block list replaced; uniformly drawn automorphisms; the inverse,
 surjectivity test, socle inclusion and direct sum of representations that
 only the tests call; the permutations of hom-space map numbers by
 composition; the listing of hom solution sets; and the Kronecker families
@@ -24,6 +24,7 @@ from monocat.serialmod import (
     _unit_generators,
     assemble,
     direct_sum,
+    hom_space,
     identity_morphism,
     mor_block,
     mor_compose,
@@ -171,6 +172,16 @@ def transvection_generators(m) -> list:
         out += [(elementary(i, j, one), elementary(i, j, -one))
                 for j, b in enumerate(parts) if j != i and base.hom_length(b, a)]
     return out
+
+
+def random_automorphism(m, rng):
+    """(g, g^-1) for g drawn uniformly from Aut(m): random endomorphisms
+    until one is invertible, whatever set generates the group."""
+    space = hom_space(m, m)
+    g = space.random(rng)
+    while not is_iso(g):
+        g = space.random(rng)
+    return g, solve_right(g, identity_morphism(m))
 
 
 def invert(f):

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from monocat.base import chain_base, stable_base
+from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.decompose import (
     BudgetExceeded,
+    _injective_peel,
+    _stable_power,
     coordinate_blocks,
     decompose,
     is_indecomposable,
 )
-from monocat.exact import is_iso, solve_right
-from monocat.mimo import mimo_from_stable
+from monocat.exact import image, is_injective_map, kernel, solve_right
+from monocat.mimo import injective_rep_recognize, mimo, mimo_from_stable
 from monocat.quiver import builtin_quiver
 from monocat.rep import (
     Representation,
@@ -18,18 +20,14 @@ from monocat.rep import (
     f_shriek,
     hom_reps,
     is_iso_reps,
+    is_mono,
+    kopf_modules,
     random_representation,
     rep_morphism_compose,
     vertex_module,
 )
-from monocat.serialmod import (
-    hom_space,
-    identity_morphism,
-    mor_compose,
-    morphism,
-    serial_module,
-)
-from oracles import rep_direct_sum, rep_homs
+from monocat.serialmod import mor_compose, morphism, serial_module
+from oracles import random_automorphism, rep_direct_sum, rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3 = chain_base("int", 2, 3)
@@ -224,20 +222,10 @@ def test_is_indecomposable_answers_blocks_without_hom_space(monkeypatch):
     assert not is_indecomposable(rep_direct_sum(_simple("1"), _simple("2")), budget=0)
 
 
-def _random_automorphism(m, rng):
-    """(g, g^-1) for g drawn uniformly from Aut(m): random endomorphisms
-    until one is invertible, whatever set generates the group."""
-    space = hom_space(m, m)
-    g = space.random(rng)
-    while not is_iso(g):
-        g = space.random(rng)
-    return g, solve_right(g, identity_morphism(m))
-
-
 def _conjugate(r, rng):
     """r moved by random vertex automorphisms (g_v): maps g_t o f_a o g_s^-1,
     with (g_v) checked to be an isomorphism r -> moved."""
-    pairs = {v: _random_automorphism(m, rng) for v, m in r.modules.items()}
+    pairs = {v: random_automorphism(m, rng) for v, m in r.modules.items()}
     maps = {a.name: mor_compose(pairs[a.target][0], mor_compose(r.maps[a.name], pairs[a.source][1]))
             for a in r.quiver.arrows}
     moved = Representation(r.quiver, r.base, r.modules, maps)
@@ -297,3 +285,119 @@ def test_coordinate_blocks_are_normal_form_summands(quiver_name):
         assert is_iso_reps(total, r)
         checked += 1
     assert checked >= 5
+
+
+def test_stable_power_matches_the_total_length_power():
+    """Squaring up to the largest vertex-module length gives the kernels and
+    images of the power at the total length."""
+    quiver = builtin_quiver("A4-zigzag")
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(12):
+        r = random_representation(B3, quiver, rng)
+        if r.is_zero():
+            continue
+        phi = hom_reps(r, r).random(rng)
+        ours = _stable_power(phi)
+        total = phi
+        for _ in range(r.total_length() - 1):
+            total = rep_morphism_compose(total, phi)
+        for f, g in zip(ours.components.values(), total.components.values()):
+            # equal modules, and ker f inside ker g, im g inside im f
+            (k, k_incl), (i, i_incl) = kernel(f), image(g)
+            assert k == kernel(g)[0] and mor_compose(g, k_incl).is_zero()
+            assert i == image(f)[0] and solve_right(image(f)[1], i_incl) is not None
+        checked += max(m.length() for m in r.modules.values()) < r.total_length()
+    assert checked >= 5
+
+
+# -- the injective peel -------------------------------------------------------------------
+
+PEEL_BASES = [chain_base("int", 2, 3), chain_base("poly", 3, 2), rad2nak_base(3, 2),
+              chain_base("int", 3, 3)]
+PEEL_IDS = ["chain:int:2:3", "chain:poly:3:2", "rad2nak:3:2", "chain:int:3:3"]
+
+
+def _injective_at(base, quiver, rng):
+    """f_!(I at v) for a random injective part I and vertex v."""
+    label = rng.choice(base.injective_labels())
+    v = rng.choice(quiver.vertices)
+    return f_shriek(base, quiver, vertex_module(base, quiver, v, serial_module(base, [label])))
+
+
+def _peel_inputs(base, seed, count=6):
+    """Monic representations over linear A3 and the A4 zigzag: minimal monic
+    approximations of random representations, and those plus an f_!(I at v)
+    moved by random vertex automorphisms, which joins their coordinate
+    blocks."""
+    rng = random.Random(seed)
+    for quiver in (builtin_quiver("An-linear:3"), builtin_quiver("A4-zigzag")):
+        for _ in range(count):
+            m = mimo(random_representation(base, quiver, rng))[0]
+            yield m
+            yield _conjugate(rep_direct_sum(m, _injective_at(base, quiver, rng)), rng)
+
+
+@pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)
+def test_injective_peel_splits_off_the_injective_tops(base):
+    """iota: f_!(J) -> M is monic, M' = coker iota is monic with no injective
+    part in its top, and M is isomorphic to M' (+) f_!(J) (checked where
+    the residue scan fits a small budget)."""
+    peeled = summed = 0
+    for m in _peel_inputs(base, 3):
+        for piece in coordinate_blocks(m) or [m]:
+            assert is_mono(piece)
+            split = _injective_peel(piece)
+            tops = kopf_modules(piece)
+            if split is None:
+                assert not any(base.is_injective(p) for t in tops.values() for p in t.parts)
+                continue
+            rest, injective, iota = split
+            assert injective_rep_recognize(injective) == {
+                v: serial_module(base, [p for p in t.parts if base.is_injective(p)])
+                for v, t in tops.items()}
+            RepMorphism(injective, piece, iota.components)  # raises unless natural
+            assert all(is_injective_map(f) for f in iota.components.values())
+            assert is_mono(rest)
+            assert not any(base.is_injective(p) for t in kopf_modules(rest).values() for p in t.parts)
+            peeled += 1
+            try:  # a residue space of 3^12 elements takes seconds to scan
+                assert is_iso_reps(rep_direct_sum(rest, injective), piece, budget=1 << 12)
+                summed += 1
+            except BudgetExceeded:
+                pass
+    assert peeled >= 8 and summed >= 6, (peeled, summed)
+
+
+@pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)
+def test_decompose_with_and_without_the_peel_agree(base, monkeypatch):
+    import monocat.decompose as dec
+
+    inputs = list(_peel_inputs(base, 8))
+    peels = _counting(monkeypatch, "_injective_peel")
+    with_peel = [decompose(m) for m in inputs]
+    assert sum(_injective_peel(r) is not None for r, in peels) >= 6
+    monkeypatch.setattr(dec, "_injective_peel", lambda r: None)
+    for m, ours in zip(inputs, with_peel):
+        _same_factors(ours, decompose(m))
+
+
+@pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)
+def test_connected_sum_with_an_injective_needs_no_fitting_split(base, monkeypatch):
+    """M' (+) f_!(I at v), M' indecomposable and not injective, moved by
+    vertex automorphisms until it is connected, is split by the peel alone."""
+    quiver = builtin_quiver("An-linear:3")
+    rng = random.Random(5)
+    rest = None
+    while rest is None:
+        for factor, _, _ in decompose(mimo(random_representation(base, quiver, rng))[0]):
+            if injective_rep_recognize(factor) is None:
+                rest = factor
+    injective = _injective_at(base, quiver, rng)
+    moved = _conjugate(rep_direct_sum(rest, injective), rng)
+    while coordinate_blocks(moved) is not None:
+        moved = _conjugate(rep_direct_sum(rest, injective), rng)
+    splits = _counting(monkeypatch, "fitting_split")
+    factors = decompose(moved)
+    assert not splits
+    _same_factors(factors, [(rest, 1, "exhaustive"), (injective, 1, "exhaustive")])

@@ -12,9 +12,16 @@ from monocat import io as mio
 from monocat.base import chain_base, stable_base
 import monocat.cli as cli_module
 from monocat.cli import main, parse_base
-from monocat.decompose import decompose
+from monocat.decompose import coordinate_blocks, decompose
 from monocat.quiver import builtin_quiver
-from monocat.rep import DEFAULT_BUDGET, Representation, random_representation
+from monocat.rep import (
+    DEFAULT_BUDGET,
+    Representation,
+    f_shriek,
+    is_iso_reps,
+    random_representation,
+    vertex_module,
+)
 from monocat.serialmod import morphism, serial_module
 
 
@@ -104,6 +111,30 @@ def test_cli_kopf_and_decompose(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["factors"]) == 1
     assert out["factors"][0]["certificate"] == "exhaustive"
+
+
+def test_cli_decompose_lists_the_injective_summands_of_a_monic_approximation(tmp_path, capsys):
+    # (M2 + M2 -> k + k) over F_2[x]/(x^2): its minimal monic approximation
+    # M2 + M2 -> M2 + M2 + k + k is connected in its coordinates, and its
+    # top at vertex 1 is M2 + M2, so it is f_!(M2 at 1)^2 (+) (0 -> k)^2
+    base = chain_base("poly", 2, 2)
+    q = builtin_quiver("An-linear:2")
+    m2 = serial_module(base, ["M2", "M2"])
+    k2 = serial_module(base, ["M1", "M1"])
+    r = Representation(q, base, {"1": m2, "2": k2}, {"a1": morphism(m2, k2, [[1, 1], [1, 0]])})
+    out_path = tmp_path / "mimo.json"
+    assert main(["mimo", "-i", _write_rep(tmp_path, r), "-o", str(out_path)]) == 0
+    m = mio.representation_from_json(json.loads(out_path.read_text())["representation"])
+    assert m.modules["2"].parts == ("M2", "M2", "M1", "M1") and coordinate_blocks(m) is None
+    assert main(["decompose", "-i", _write_rep(tmp_path, m, "m.json")]) == 0
+    factors = json.loads(capsys.readouterr().out)["factors"]
+    assert all(f["certificate"] == "exhaustive" for f in factors)
+    found = {(tuple(rep.modules["1"].parts), tuple(rep.modules["2"].parts)): f["multiplicity"]
+             for f in factors for rep in [mio.representation_from_json(f["representation"])]}
+    assert found == {(("M2",), ("M2",)): 2, ((), ("M1",)): 2}
+    injective = f_shriek(base, q, vertex_module(base, q, "1", serial_module(base, ["M2"])))
+    assert any(is_iso_reps(mio.representation_from_json(f["representation"]), injective)
+               for f in factors)
 
 
 def test_cli_transfer_and_stable_reduce(tmp_path, capsys):

@@ -8,12 +8,12 @@ by the nonzero arrow-map entries fall into connected components
 are block diagonal, so the representation is the direct sum of the
 sub-representations on the components (``coordinate_blocks``), each pushed
 back on the stack with no hom space solved.  A connected monic
-representation over an abelian self-injective base that has both injective
-and non-injective parts is then split in one step along its tops
-(``_injective_peel``): the injective parts J of the tops give the
-path-indexed summand f_!(J), an injective object of the monomorphism
-category, and the rest is its cokernel, whose tops have no injective part;
-no piece of that rest is peeled again.  Only what remains is split by an
+representation over an abelian self-injective base with injective and
+non-injective parts and a top with an injective part (``_injective_tops``)
+is split in one step along its tops (``_injective_peel``): the injective
+parts J of the tops give the path-indexed summand f_!(J), an injective
+object of the monomorphism category, and the rest is its cokernel, whose
+tops have no injective part.  Only what remains is split by an
 endomorphism: one that is neither nilpotent nor invertible has
 complementary stable kernel and stable image.  Such an endomorphism is
 looked for in the residue algebra of the endomorphism ring by
@@ -40,11 +40,13 @@ from typing import List, Optional, Tuple
 from .exact import (
     _fp_invertible,
     _fp_nilpotent,
+    _Rref,
     cokernel,
     image,
     is_injective_map,
     is_iso,
     kernel,
+    socle_columns,
     solve_left,
     solve_right,
 )
@@ -58,8 +60,8 @@ from .rep import (
     f_shriek,
     hom_reps,
     is_iso_reps,
+    in_map,
     is_mono,
-    kopf,
     rebase,
     rep_morphism_compose,
 )
@@ -219,13 +221,14 @@ def _injective_peel(r: Representation):
     """(M', F, iota) with r isomorphic to M' (+) F, where F = f_!(J) is the
     path-indexed representation of the injective parts J of the tops of r
     and iota: F -> r is monic with cokernel M'; or None when no top of r
-    has an injective part.  r must be monic over an abelian self-injective
+    has an injective part or r is not monic, over an abelian self-injective
     base.  Memoized by the value of r.
 
-    At each vertex v let q_v: R_v -> T_v be the cokernel of the in-map
-    in_v (``rep.kopf``) and e_v: J_v -> T_v the inclusion of the injective
-    parts of T_v.  Over a self-injective base J_v is projective and q_v is
-    epic, so e_v lifts to s_v: J_v -> R_v with q_v o s_v = e_v
+    At each vertex v whose top T_v has an injective part
+    (``_injective_tops``) let q_v: R_v -> T_v be the cokernel of the in-map
+    in_v and e_v: J_v -> T_v the inclusion of those parts (J_v = 0 at the
+    other vertices).  Over a self-injective base J_v is projective and q_v
+    is epic, so e_v lifts to s_v: J_v -> R_v with q_v o s_v = e_v
     (``solve_right``).  The block of iota_w on the copy of J_{p.source} for
     a path p into w is R_p o s_{p.source}; an arrow a sends the p-block of
     F to the (a o p)-block, and R_{a o p} = R_a o R_p, so iota is natural.
@@ -265,10 +268,10 @@ def _injective_peel(r: Representation):
     if not."""
     base, quiver = r.base, r.quiver
     lifts = {}
-    for v, (top, q) in kopf(r).items():
+    for v in _injective_tops(r) or ():
+        top, q = cokernel(in_map(r, v))
         injective = [i for i, label in enumerate(top.parts) if base.is_injective(label)]
-        if injective:
-            lifts[v] = solve_right(q, mor_block(identity_morphism(top), range(top.rank), injective))
+        lifts[v] = solve_right(q, mor_block(identity_morphism(top), range(top.rank), injective))
     if not lifts:
         return None
     # the image of each path's block, R_p o s_{p.source}; a path's prefix
@@ -301,17 +304,36 @@ def _injective_peel(r: Representation):
     return rest, injective, RepMorphism(injective, r, iota, check=False)
 
 
+def _injective_tops(r: Representation) -> Optional[List[str]]:
+    """The vertices whose top has an injective part, or None when r (over
+    an abelian self-injective base) is not monic: one F_p elimination per
+    vertex, and no top is built.  Injective indecomposables have the Loewy
+    length L of the base and the others are shorter, so the top R_v / U,
+    U = im(in_v), has an injective part iff rad^(L-1) R_v, spanned by the
+    socles e_i of the injective parts of R_v, is not inside U, that is, not
+    inside soc U.  For monic r, soc U = in_v(soc X_v): the column span of
+    the socle matrix of the maps into v (``exact.socle_columns``, as
+    ``rep.is_mono`` reads it), which the monic test has eliminated."""
+    out = []
+    for v in r.quiver.vertices:
+        m = r.modules[v]
+        rr = _Rref(r.base.ring.p, (), m.rank)
+        if not all(rr.add(column) for a in r.quiver.arrows_into(v)
+                   for column in socle_columns(r.maps[a.name])):
+            return None
+        if any(any(rr.reduce([int(k == i) for k in range(m.rank)])[0])
+               for i, label in enumerate(m.parts) if r.base.is_injective(label)):
+            out.append(v)
+    return out
+
+
 def _peelable(r: Representation) -> bool:
-    """Whether ``_injective_peel`` applies to r and could leave two nonzero
-    sides: r is monic over an abelian self-injective base and its vertex
-    modules have both injective and non-injective parts.  (A quotient of a
-    module with no injective part has none, so a top can have an injective
-    part only if a vertex module does.)"""
+    """Whether ``_injective_peel`` splits r into two nonzero sides: r has
+    injective and non-injective parts, and a top with an injective part."""
     base = r.base
-    if not (base.is_abelian and base.is_selfinjective):
-        return False
     kinds = {base.is_injective(label) for m in r.modules.values() for label in m.parts}
-    return len(kinds) == 2 and is_mono(r)
+    return (base.is_abelian and base.is_selfinjective and len(kinds) == 2
+            and bool(_injective_tops(r)))
 
 
 def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
@@ -319,35 +341,32 @@ def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
 
     Each representation taken off the stack is cut into its coordinate
     blocks when it has two or more (``coordinate_blocks``).  A connected
-    monic one with both injective and non-injective parts (``_peelable``)
-    sheds the injective summand f_!(J) read off its tops in one step
-    (``_injective_peel``); its rest M', and every piece that comes from it,
-    is not peeled again, since no top of theirs has an injective part.  Any
-    other connected one has its endomorphism ring scanned
-    (``_residue_witness``) and, when that is not local, is split along the
-    witness (``fitting_split``).  The peel's two sides go back on the stack
-    like any other piece, so every factor, whichever step cut it out,
-    carries the exhaustive certificate of a local endomorphism ring.  When
-    the coordinate blocks of r are indecomposable they are its factors: an
-    indecomposable has no peel, since its top has an injective part only
-    when it is injective itself."""
+    monic one with both injective and non-injective parts and a top with an
+    injective part (``_peelable``) sheds the injective summand f_!(J) read
+    off its tops in one step (``_injective_peel``); no top of its rest M',
+    or of a piece of M', has an injective part.  Any other connected one
+    has its endomorphism ring scanned (``_residue_witness``) and, when that
+    is not local, is split along the witness (``fitting_split``).  The
+    peel's two sides go back on the stack like any other piece, so every
+    factor, whichever step cut it out, carries the exhaustive certificate
+    of a local endomorphism ring.  When the coordinate blocks of r are
+    indecomposable they are its factors: an indecomposable has no peel,
+    since its top has an injective part only when it is injective itself."""
     pieces: List[Representation] = []
-    # (representation, whether a top of it may still have an injective part)
-    stack = [(r, True)]
+    stack = [r]
     while stack:
-        cur, peel = stack.pop()
+        cur = stack.pop()
         if cur.is_zero():
             continue
         blocks = coordinate_blocks(cur)
         if blocks is not None:
-            stack.extend((block, peel) for block in blocks)
+            stack.extend(blocks)
             continue
-        if peel and _peelable(cur):
+        if _peelable(cur):
             peeled = _injective_peel(cur)
             if peeled is not None:
-                stack.extend(((peeled[0], False), (peeled[1], False)))
+                stack.extend(peeled[:2])
                 continue
-            peel = False  # no top of cur, nor of a summand of it, has an injective part
         witness = _residue_witness(cur, budget)
         if witness is None:
             pieces.append(cur)
@@ -355,7 +374,7 @@ def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
         split = fitting_split(cur, witness)
         if split is None:
             raise AssertionError("non-invertible non-nilpotent endomorphism must split")
-        stack.extend((piece, peel) for piece in split)
+        stack.extend(split)
     grouped: List[tuple] = []
     for piece in pieces:
         for idx, (rep, mult, cert) in enumerate(grouped):

@@ -575,6 +575,14 @@ def socle_residue(base, a: str, b: str, c: int) -> int:
     return base.compose_table(base.socle_label(a), a, b)[c][1] % base.ring.p
 
 
+def socle_columns(f: SerialMorphism):
+    """The socle matrix of f by columns, one per source part a, in order:
+    the ``socle_residue`` of a's entries, one per target part."""
+    base = f.base
+    return ([socle_residue(base, a, b, row[j].num) for b, row in zip(f.target.parts, f.entries)]
+            for j, a in enumerate(f.source.parts))
+
+
 def independent_columns(p: int, nrows: int, columns) -> bool:
     """Whether the columns, vectors of length nrows over F_p, are linearly
     independent."""
@@ -600,9 +608,8 @@ def is_injective_map(*maps: SerialMorphism) -> bool:
     for f in maps:
         if f.target != target:
             raise ValueError("is_injective_map: targets differ")
-    return independent_columns(base.ring.p, target.rank, (
-        [socle_residue(base, a, b, row[j].num) for b, row in zip(target.parts, f.entries)]
-        for f in maps for j, a in enumerate(f.source.parts)))
+    return independent_columns(base.ring.p, target.rank,
+                               (column for f in maps for column in socle_columns(f)))
 
 
 def is_iso(f: SerialMorphism) -> bool:

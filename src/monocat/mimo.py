@@ -7,9 +7,10 @@ in ``transfer`` are each one change of base ``rep.rebase``.
 The approximation of a representation R places, at each vertex k, one copy of
 the injective envelope J_i of ker(in-map at i) for every path from i to k;
 arrow maps shift the path blocks identically, feed R through its own maps,
-and route R into the new envelope block through a chosen lift of the
-envelope embedding.  The projection onto the original representation is a
-minimal right approximation by monic representations.
+and route R into the new envelope block through e_k: X_k -> J_k, an
+injective envelope on the in-map's kernel read off its socle matrix.  The
+projection onto the original representation is a minimal right
+approximation by monic representations.
 
 ``mimo`` and ``transfer`` are memoized by the value of their arguments (a
 ``Representation`` hashes by value, bases are interned) with
@@ -25,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .base import CHAIN, SerialBase, StableBase, stable_base
-from .exact import is_injective_map, kernel, solve_left
+from .exact import _Rref, independent_columns, socle_columns
 from .rep import (
     Representation,
     RepMorphism,
@@ -34,6 +35,7 @@ from .rep import (
     is_mono,
     kopf_modules,
     rebase,
+    rep_identity,
 )
 from .serialmod import (
     SerialModule,
@@ -41,10 +43,8 @@ from .serialmod import (
     assemble,
     direct_sum,
     identity_morphism,
-    injective_envelope,
     memo,
     mor_block,
-    mor_compose,
     rebase_map,
     serial_module,
     zero_module,
@@ -52,104 +52,107 @@ from .serialmod import (
 )
 
 
-def _is_injective_module(base: SerialBase, m: SerialModule) -> bool:
-    return all(base.is_injective(p) for p in m.parts)
-
-
-def _in_map_kernels(r: Representation):
-    """Per vertex v: (X_v, arrows into v, positions of each R_{s(a)} in X_v,
-    kernel of the in-map X_v -> R_v and its inclusion), each built once for
-    ``mo`` and the minimal envelope data."""
+def _in_maps(r: Representation):
+    """Per vertex v: ``rep.in_map_data(r, v)``, after checking the base."""
     if not (r.base.is_abelian and r.base.is_selfinjective):
         raise ValueError("monic approximations need an abelian self-injective backing")
-    out = {}
-    for v in r.quiver.vertices:
-        total, f, arrows, positions = in_map_data(r, v)
-        out[v] = (total, arrows, positions) + kernel(f)
-    return out
+    return {v: in_map_data(r, v) for v in r.quiver.vertices}
+
+
+def _minimal_envelope(f: SerialMorphism) -> Tuple[SerialModule, SerialMorphism]:
+    """(J, e) for the in-map f: X -> R at a vertex, e: X -> J an injective
+    envelope on K = ker f, from one F_p elimination of the socle columns of
+    f (``exact.socle_columns``, in X's part order).  With D the parts a_j
+    whose column is in the span of those before it, J = (+)_{j in D} E(a_j),
+    E(a) labelled ``envelope_label(a)``, and e sends part j in D to its part
+    of J by the canonical generator, a monomorphism, and the others to 0.
+
+    The columns outside D are independent, and in the socle matrix of
+    (f, e): X -> R (+) J column j in D alone is nonzero at the socle of its
+    part of J; so (f, e) is monic, ker f meets ker e in 0, and e is monic on
+    K.  soc K = K meet soc X is the kernel of the socle matrix of f, of
+    dimension |D| (the nullity), which is dim soc J.  So e maps soc K onto
+    soc J, e(K) is essential in the injective J, and e restricted to K is
+    an injective envelope."""
+    base = f.base
+    rr = _Rref(base.ring.p, (), f.target.rank)
+    dependent = [j for j, column in enumerate(socle_columns(f)) if not rr.add(column)]
+    labels = [base.envelope_label(f.source.parts[j]) for j in dependent]
+    order = sorted(range(len(labels)), key=lambda k: (base.label_sort_key(labels[k]), k))
+    one, zero = base.one_coeff(), base.zero_coeff()
+    J = SerialModule(base, tuple(labels[k] for k in order))
+    return J, SerialMorphism(f.source, J, tuple(
+        tuple(one if j == dependent[k] else zero for j in range(f.source.rank)) for k in order))
 
 
 def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMorphism]]):
-    """Monic approximation from caller-supplied envelope data.
-
-    ``envelope_data[v]`` is a pair (J_v, e_v) with J_v injective and
-    e_v : X_v -> J_v monic on the kernel of the in-map at v.  Returns the
-    approximating representation and the projection onto ``r``.
-    """
-    return _mo(r, envelope_data, _in_map_kernels(r))
-
-
-def _mo(r: Representation, envelope_data, in_data):
-    """``mo`` on the in-maps and kernels of ``_in_map_kernels(r)``; validates
-    the envelope data against them."""
+    """Monic approximation from caller-supplied envelope data (J_v, e_v) =
+    ``envelope_data[v]``, J_v injective and e_v: X_v -> J_v monic on
+    ker(in_v), checked as (in_v, e_v): X_v -> R_v (+) J_v monic on the socle.
+    Returns the approximating representation and the projection onto r."""
     base = r.base
-    quiver = r.quiver
+    in_data = _in_maps(r)
     envelopes = {}
-    for v in quiver.vertices:
-        total, _, _, K, incl = in_data[v]
+    for v, (total, f, _, _) in in_data.items():
         J, e = envelope_data.get(v, (zero_module(base), zero_morphism(total, zero_module(base))))
-        if not _is_injective_module(base, J):
+        if not all(base.is_injective(label) for label in J.parts):
             raise ValueError(f"envelope module at vertex {v} is not injective")
         if e.source != total or e.target != J:
             raise ValueError(f"envelope map at vertex {v} has wrong shape")
-        if not K.is_zero() and not is_injective_map(mor_compose(e, incl)):
+        if not independent_columns(base.ring.p, f.target.rank + J.rank,
+                                   (c + d for c, d in zip(socle_columns(f), socle_columns(e)))):
             raise ValueError(f"envelope map at vertex {v} is not monic on the in-map kernel")
         envelopes[v] = (J, e)
+    return _mo(r, envelopes, in_data)
 
-    # vertex v carries r.modules[v] (summand 0) and J_{s(p)} for each path p into v
+
+def _mo(r: Representation, envelopes, in_data):
+    """``mo`` on checked envelope data and the in-maps of ``_in_maps(r)``.
+    Vertex v carries R_v (summand 0) and J_{s(p)} for each path p into v,
+    the trivial path first (``paths_into`` is ordered by length)."""
+    base, quiver = r.base, r.quiver
     paths_into = {v: quiver.paths_into(v) for v in quiver.vertices}
     summands = {v: [r.modules[v]] + [envelopes[p.source][0] for p in paths_into[v]]
                 for v in quiver.vertices}
     maps = {}
     for a in quiver.arrows:
-        src, tgt = a.source, a.target
-        # the original arrow map between the rep blocks
-        blocks = {(0, 0): r.maps[a.name]}
-        # the rep block feeds the trivial-path envelope block through e_tgt
-        _, arrows_in, in_pos, _, _ = in_data[tgt]
-        J, e_tgt = envelopes[tgt]
-        feed = mor_block(e_tgt, range(J.rank), in_pos[arrows_in.index(a)])
-        trivial = next(k for k, p in enumerate(paths_into[tgt]) if p.length == 0)
-        blocks[(1 + trivial, 0)] = feed
-        # path blocks shift identically
-        for k, p in enumerate(paths_into[src]):
-            q = paths_into[tgt].index(quiver.extend_path(a, p))
+        _, _, arrows_in, in_pos = in_data[a.target]
+        J, e = envelopes[a.target]
+        # R_a between the rep blocks, the rep block into J_t through e_t, and
+        # the path blocks shifted identically
+        blocks = {(0, 0): r.maps[a.name],
+                  (1, 0): mor_block(e, range(J.rank), in_pos[arrows_in.index(a)])}
+        for k, p in enumerate(paths_into[a.source]):
+            q = paths_into[a.target].index(quiver.extend_path(a, p))
             blocks[(1 + q, 1 + k)] = identity_morphism(envelopes[p.source][0])
-        maps[a.name] = assemble(base, summands[src], summands[tgt], blocks)[0]
-
-    vertex_mod = {v: direct_sum(base, summands[v])[0] for v in quiver.vertices}
-    result = Representation(quiver, base, vertex_mod, maps)
-    p_components = {
-        v: assemble(base, summands[v], [r.modules[v]], {(0, 0): identity_morphism(r.modules[v])})[0]
-        for v in quiver.vertices
-    }
+        maps[a.name] = assemble(base, summands[a.source], summands[a.target], blocks)[0]
+    sums = {v: direct_sum(base, summands[v]) for v in quiver.vertices}
+    result = Representation(quiver, base, {v: total for v, (total, _) in sums.items()}, maps)
     # p keeps summand 0, and row 0 of every result map is (r.maps[a], 0, ...)
-    p = RepMorphism(result, r, p_components, check=False)
+    one, zero = base.one_coeff(), base.zero_coeff()
+    p = RepMorphism(result, r, {
+        v: SerialMorphism(total, r.modules[v], tuple(
+            tuple(one if j == k else zero for j in range(total.rank)) for k in positions[0]))
+        for v, (total, positions) in sums.items()}, check=False)
     return result, p
 
 
 def minimal_envelope_data(r: Representation) -> Dict[str, Tuple[SerialModule, SerialMorphism]]:
-    """Canonical envelope data: J_v = injective envelope of ker(in-map at v),
-    e_v = the deterministic lift of the envelope embedding."""
-    return _minimal_envelope_data(_in_map_kernels(r))
-
-
-def _minimal_envelope_data(in_data):
-    out = {}
-    for v, (_, _, _, K, incl) in in_data.items():
-        J, j = injective_envelope(K)
-        e = solve_left(incl, j)
-        if e is None:
-            raise AssertionError("envelope embedding must extend along a monomorphism")
-        out[v] = (J, e)
-    return out
+    """The envelope data of ``mimo``: (J_v, e_v) = ``_minimal_envelope`` of
+    the in-map at each vertex."""
+    return {v: _minimal_envelope(f) for v, (_, f, _, _) in _in_maps(r).items()}
 
 
 @memo
 def mimo(r: Representation):
-    """Minimal monic approximation (M, p: M -> r), memoized by the value of r."""
-    in_data = _in_map_kernels(r)
-    return _mo(r, _minimal_envelope_data(in_data), in_data)
+    """Minimal monic approximation (M, p: M -> r), memoized by the value of
+    r: ``mo`` on ``minimal_envelope_data(r)``, unchecked, and (r, identity)
+    when r is monic (every J_v is zero)."""
+    in_data = _in_maps(r)
+    envelopes = {v: _minimal_envelope(f) for v, (_, f, _, _) in in_data.items()}
+    if all(J.is_zero() for J, _ in envelopes.values()):
+        return r, rep_identity(r)
+    return _mo(r, envelopes, in_data)
 
 
 # -- maximal injective summands and the stable category ------------------------------
@@ -213,7 +216,7 @@ def is_injective_rep(r: Representation) -> bool:
     """Whether r is mono with injective vertex modules: over a self-injective
     backing these are exactly the injective objects of the monomorphism
     category, the path-indexed f_!(J)."""
-    return all(_is_injective_module(r.base, m) for m in r.modules.values()) and is_mono(r)
+    return all(r.base.is_injective(p) for m in r.modules.values() for p in m.parts) and is_mono(r)
 
 
 def injective_rep_recognize(r: Representation) -> Optional[Dict[str, SerialModule]]:

@@ -14,8 +14,8 @@ module equality and hashing are identity.  Morphisms are slotted values that
 compare by entries (modules by identity) and compute their hash once, on
 first use.  Neither accepts attribute assignment.  So pure operations on
 them are memoized by value with ``memo``: ``identity_morphism``,
-``injective_envelope``, ``mor_compose`` and ``direct_sum`` here, ``kernel``,
-``cokernel``, ``image``, ``solve_right`` and ``solve_left`` in ``exact``.
+``mor_compose`` and ``direct_sum`` here, ``kernel``, ``cokernel``,
+``image``, ``solve_right`` and ``solve_left`` in ``exact``.
 ``rep.Representation`` hashes by value too, keeping the hash once built, and
 the same ``memo`` caches ``mimo.mimo``, ``mimo.transfer``,
 ``decompose.coordinate_blocks``, ``decompose._residue_witness`` and
@@ -34,12 +34,11 @@ from typing import Iterable, Iterator, Sequence
 from .base import SerialBase
 
 # Entries kept by each memoized operation: above the distinct calls one pass
-# of the benchmark's approximation battery makes to any of them (at most 429,
+# of the benchmark's approximation battery makes to any of them (at most 328,
 # to mor_compose, over seeds 1 and 7 and input sets 0-3; _direct_sum gets at
-# most 343, kernel 285, mimo 252, cokernel 230, coordinate_blocks 221,
-# solve_left 196, solve_right 125, transfer 109, _residue_witness 97,
-# _injective_peel 71, image 64, identity_morphism 46 and injective_envelope
-# 42).
+# most 306, mimo 252, coordinate_blocks 217, cokernel 157, solve_right 121,
+# kernel 110, transfer 108, _residue_witness 93, solve_left 84, image 63,
+# identity_morphism 45 and _injective_peel 40).
 MEMO_SIZE = 2048
 memo = lru_cache(maxsize=MEMO_SIZE)
 
@@ -266,12 +265,6 @@ def assemble(base: SerialBase, sources: Sequence[SerialModule], targets: Sequenc
     return SerialMorphism(src, tgt, tuple(tuple(r) for r in rows)), src_pos, tgt_pos
 
 
-def mor_direct_sum(base: SerialBase, morphisms: Sequence[SerialMorphism]) -> SerialMorphism:
-    """Block-diagonal sum f1 (+) f2 (+) ... on the sorted direct sums."""
-    blocks = {(t, t): f for t, f in enumerate(morphisms)}
-    return assemble(base, [f.source for f in morphisms], [f.target for f in morphisms], blocks)[0]
-
-
 def mor_block(f: SerialMorphism, rows: Sequence[int], cols: Sequence[int]) -> SerialMorphism:
     """The block of f on the target parts at ``rows`` and the source parts at
     ``cols`` (increasing positions), as a map between those parts."""
@@ -459,25 +452,3 @@ def automorphism_generators(m: SerialModule):
         out += [transvection(f, other) for other in firsts
                 if other != f and base.hom_length(parts[other], a)]
     return out
-
-
-# -- socle and injective envelope -----------------------------------------------
-
-
-def _generator_sum(base: SerialBase, pairs) -> SerialMorphism:
-    """Direct sum of the canonical generators a -> b over the label pairs."""
-    one = base.one_coeff()
-    return mor_direct_sum(base, [
-        morphism(serial_module(base, (a,)), serial_module(base, (b,)), [[one]]) for a, b in pairs
-    ])
-
-
-@memo
-def injective_envelope(m: SerialModule):
-    """Injective envelope (J, j) with j the canonical left-minimal inclusion."""
-    base = m.base
-    if not base.is_selfinjective:
-        raise ValueError(f"base {base.descriptor()} has no injective envelopes")
-    j = _generator_sum(base, [(p, base.envelope_label(p)) for p in m.parts])
-    assert j.source == m
-    return j.target, j

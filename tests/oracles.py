@@ -5,10 +5,12 @@ generated by given elements, closed element by element; submodule
 inclusions and chains of them by the Smith-form engine, and the split test
 of a chain of masks; the part-by-part generators of Aut(m) that the
 block-by-block list replaced; uniformly drawn automorphisms; the inverse,
-surjectivity test, socle inclusion and direct sum of representations that
-only the tests call; the permutations of hom-space map numbers by
-composition; the listing of hom solution sets; and the Kronecker families
-built from the homogeneous two-variable form model."""
+surjectivity test, socle inclusion, block-diagonal sum of maps and direct
+sum of representations that only the tests call; the injective envelope
+of a module, and the envelope data of ``mimo`` built from the kernel of
+each in-map; the permutations of hom-space map numbers by composition; the
+listing of hom solution sets; and the Kronecker families built from the
+homogeneous two-variable form model."""
 
 import itertools
 import math
@@ -16,9 +18,9 @@ import math
 from monocat.base import chain_base
 from monocat.chainring import _Lazy
 from monocat.enumerate import normalize_p1_point
-from monocat.exact import cokernel, image, is_iso, solve_left, solve_right
+from monocat.exact import cokernel, image, is_iso, kernel, solve_left, solve_right
 from monocat.quiver import builtin_quiver
-from monocat.rep import Representation
+from monocat.rep import Representation, in_map
 from monocat.serialmod import (
     SerialMorphism,
     _unit_generators,
@@ -28,7 +30,6 @@ from monocat.serialmod import (
     identity_morphism,
     mor_block,
     mor_compose,
-    mor_direct_sum,
     morphism,
     serial_module,
     zero_module,
@@ -197,6 +198,12 @@ def is_surjective_map(f) -> bool:
     return cokernel(f)[0].is_zero()
 
 
+def mor_direct_sum(base, morphisms):
+    """Block-diagonal sum f1 (+) f2 (+) ... on the sorted direct sums."""
+    blocks = {(t, t): f for t, f in enumerate(morphisms)}
+    return assemble(base, [f.source for f in morphisms], [f.target for f in morphisms], blocks)[0]
+
+
 def socle(m):
     return serial_module(m.base, (m.base.socle_label(p) for p in m.parts))
 
@@ -209,6 +216,36 @@ def socle_inclusion(m):
                                        serial_module(base, (p,)), [[one]]) for p in m.parts])
     assert f.target == m and f.source == socle(m)
     return f
+
+
+def injective_envelope(m):
+    """Injective envelope (J, j) with j the canonical left-minimal inclusion:
+    the direct sum of the canonical generators a -> E(a), E(a) the
+    injective with label ``envelope_label(a)``."""
+    base = m.base
+    if not base.is_selfinjective:
+        raise ValueError(f"base {base.descriptor()} has no injective envelopes")
+    one = base.one_coeff()
+    j = mor_direct_sum(base, [morphism(serial_module(base, (a,)),
+                                       serial_module(base, (base.envelope_label(a),)), [[one]])
+                              for a in m.parts])
+    assert j.source == m
+    return j.target, j
+
+
+def kernel_envelope_data(r) -> dict:
+    """Envelope data for ``mimo.mo`` by the Smith-form engine: at each
+    vertex the kernel K of the in-map (``exact.kernel``), its injective
+    envelope j: K -> J, and e: X -> J with e o incl = j (``solve_left``),
+    which extends j along the monic inclusion because J is injective."""
+    out = {}
+    for v in r.quiver.vertices:
+        _, incl = kernel(in_map(r, v))
+        J, j = injective_envelope(incl.source)
+        e = solve_left(incl, j)
+        assert e is not None and mor_compose(e, incl) == j
+        out[v] = (J, e)
+    return out
 
 
 def rep_direct_sum(r, s):

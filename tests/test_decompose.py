@@ -6,6 +6,7 @@ from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.decompose import (
     BudgetExceeded,
     _injective_peel,
+    _injective_tops,
     _stable_power,
     coordinate_blocks,
     decompose,
@@ -367,6 +368,29 @@ def test_injective_peel_splits_off_the_injective_tops(base):
             except BudgetExceeded:
                 pass
     assert peeled >= 8 and summed >= 6, (peeled, summed)
+
+
+@pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)
+def test_injective_tops_agree_with_the_tops(base):
+    """``_injective_tops`` is None exactly on the representations that are
+    not monic, and otherwise lists the vertices whose top (``kopf_modules``)
+    has an injective part; on the peel inputs and their coordinate blocks,
+    and on random representations."""
+    rng = random.Random(13)
+    monic = [piece for m in _peel_inputs(base, 11) for piece in coordinate_blocks(m) or [m]]
+    randoms = [random_representation(base, quiver, rng) for quiver in
+               (builtin_quiver("An-linear:3"), builtin_quiver("A4-zigzag")) for _ in range(12)]
+    seen = {None: 0, False: 0, True: 0}
+    for r in monic + randoms:
+        tops = _injective_tops(r)
+        if not is_mono(r):
+            assert tops is None
+            seen[None] += 1
+            continue
+        assert tops == [v for v, t in kopf_modules(r).items()
+                        if any(base.is_injective(p) for p in t.parts)]
+        seen[bool(tops)] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 @pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)

@@ -5,6 +5,7 @@ import pytest
 from monocat import io as mio
 from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.decompose import _residue_witness, is_indecomposable
+from monocat.exact import is_injective_map, kernel
 from monocat.mimo import (
     injective_rep_recognize,
     mimo,
@@ -20,8 +21,10 @@ from monocat.quiver import builtin_quiver
 from monocat.rep import (
     DEFAULT_BUDGET,
     Representation,
+    RepMorphism,
     f_shriek,
     hom_reps,
+    in_map,
     in_map_data,
     is_iso_reps,
     is_mono,
@@ -32,13 +35,14 @@ from monocat.rep import (
 from monocat.serialmod import (
     MEMO_SIZE,
     hom_space,
+    mor_compose,
     mor_equal,
     morphism,
     serial_module,
     zero_module,
     zero_morphism,
 )
-from oracles import rep_direct_sum, rep_homs
+from oracles import injective_envelope, kernel_envelope_data, rep_direct_sum, rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3P = chain_base("poly", 2, 3)
@@ -88,17 +92,31 @@ def test_mo_with_minimal_data_equals_mimo():
         assert m1 == m2
 
 
-def test_mimo_takes_each_in_map_kernel_once(monkeypatch):
-    import monocat.mimo as mimo_mod
+def test_mimo_makes_no_smith_form_call(monkeypatch):
+    """The envelope data come from the socle matrices alone: with every
+    cache of the exact layer and of mimo emptied, approximating non-monic
+    representations never reaches ``exact.snf_free``."""
+    import monocat.exact as exact
 
-    r = random_representation(B3P, A2, random.Random(3))
-    mimo.cache_clear()  # a cached approximation would take no kernel at all
     calls = []
-    kernel = mimo_mod.kernel
-    monkeypatch.setattr(mimo_mod, "kernel", lambda f: calls.append(f) or kernel(f))
-    m, _ = mimo(r)
-    assert len(calls) == len(A2.vertices)
-    assert is_mono(m)
+    snf_free = exact.snf_free
+    monkeypatch.setattr(exact, "snf_free", lambda *args: calls.append(args) or snf_free(*args))
+    rng = random.Random(3)
+    non_monic = 0
+    for base in (B3P, B3I, rad2nak_base(3, 2)):
+        for quiver in (A2, builtin_quiver("A4-zigzag")):
+            for _ in range(6):
+                r = random_representation(base, quiver, rng)
+                if is_mono(r):
+                    continue
+                for fn in (mimo, exact.kernel, exact.cokernel, exact.image, exact.solve_left,
+                           exact.solve_right):
+                    fn.cache_clear()
+                m, _ = mimo(r)
+                assert is_mono(m) and m != r
+                non_monic += 1
+    assert not calls
+    assert non_monic >= 20, non_monic
 
 
 def test_mo_with_padded_injective_adds_induced_summand():
@@ -371,3 +389,70 @@ def test_transfer_raises_on_every_call():
 @pytest.mark.parametrize("fn", [mimo, _residue_witness, transfer], ids=lambda fn: fn.__name__)
 def test_rep_memos_share_the_module_memo_size(fn):
     assert fn.cache_info().maxsize == MEMO_SIZE
+
+
+# -- the envelope data from socles, against the kernel construction -----------------
+
+ENVELOPE_BASES = [chain_base(kind, p, n) for kind in ("int", "poly") for p in (2, 3)
+                  for n in (2, 3, 4)] + [rad2nak_base(3, 2), rad2nak_base(3, 3)]
+ENVELOPE_IDS = [f"chain:{b.ring.kind}:{b.ring.p}:{b.ring.n}" for b in ENVELOPE_BASES[:-2]] + [
+    "rad2nak:3:2", "rad2nak:3:3"]
+ENVELOPE_QUIVERS = [builtin_quiver(name) for name in ("An-linear:2", "An-linear:3", "A4-zigzag", "D4")]
+
+
+def _envelope_inputs(base, seed, count=3):
+    """Random representations over A2, linear A3, the A4 zigzag and D4."""
+    rng = random.Random(seed)
+    for quiver in ENVELOPE_QUIVERS:
+        for _ in range(count):
+            yield random_representation(base, quiver, rng)
+
+
+@pytest.mark.parametrize("base", ENVELOPE_BASES, ids=ENVELOPE_IDS)
+def test_mimo_agrees_with_the_kernel_envelope_construction(base):
+    """mimo(r) is monic, J_v is the injective envelope of the kernel of the
+    in-map (as many parts), mo on the minimal envelope data is mimo(r), and
+    mimo(r) is isomorphic to mo on the data of the kernel, its canonical
+    envelope and a solve_left lift (``oracles.kernel_envelope_data``)."""
+    for r in _envelope_inputs(base, 37):
+        m, p = mimo(r)
+        assert is_mono(m)
+        RepMorphism(m, r, p.components)  # raises unless natural
+        data = minimal_envelope_data(r)
+        for v in r.quiver.vertices:
+            K, _ = kernel(in_map(r, v))
+            assert data[v][0].rank == K.rank and data[v][0] == injective_envelope(K)[0]
+        m2, p2 = mo(r, data)
+        assert m2 == m and all(p2.components[v] == p.components[v] for v in r.quiver.vertices)
+        assert is_iso_reps(m, mo(r, kernel_envelope_data(r))[0])
+
+
+@pytest.mark.parametrize("base", ENVELOPE_BASES, ids=ENVELOPE_IDS)
+def test_mo_socle_check_agrees_with_the_kernel_check(base):
+    """``mo`` accepts (J_v, e_v) iff e_v is monic on the in-map kernel K,
+    decided by composing with the inclusion of K, for random maps e_v into
+    the envelope of K or into a random injective module of at most as many
+    parts, at every vertex where K is not zero; the minimal e_v is one of
+    the random maps into the envelope."""
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for r in _envelope_inputs(base, 43, count=6):
+        data = minimal_envelope_data(r)
+        for v in r.quiver.vertices:
+            K, incl = kernel(in_map(r, v))
+            if K.is_zero():
+                continue
+            kind = rng.randrange(3)
+            J = data[v][0] if kind < 2 else serial_module(
+                base, rng.choices(base.injective_labels(), k=rng.randrange(K.rank + 1)))
+            e = data[v][1] if kind == 0 else hom_space(incl.target, J).random(rng)
+            monic_on_k = is_injective_map(mor_compose(e, incl))
+            try:
+                mo(r, {**data, v: (J, e)})
+                accepted = True
+            except ValueError as err:
+                assert "not monic on the in-map kernel" in str(err)
+                accepted = False
+            assert accepted == monic_on_k
+            verdicts[monic_on_k] += 1
+    assert min(verdicts.values()) >= 5, verdicts

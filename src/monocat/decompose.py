@@ -9,13 +9,14 @@ are block diagonal, so the representation is the direct sum of the
 sub-representations on the components (``coordinate_blocks``), each pushed
 back on the stack with no hom space solved.  A connected monic
 representation over an abelian self-injective base with injective and
-non-injective parts and a top with an injective part (``_injective_tops``)
-is split in one step along its tops (``_injective_peel``): the injective
-parts J of the tops give the path-indexed summand f_!(J), an injective
-object of the monomorphism category, and the rest is its cokernel, whose
-tops have no injective part.  Only what remains is split by an
-endomorphism: one that is neither nilpotent nor invertible has
-complementary stable kernel and stable image.  Such an endomorphism is
+non-injective parts and a top with an injective part is split in one step
+along its tops (``_injective_peel``): the injective tops D, read off one
+socle elimination per vertex (``rep.injective_tops``), give the
+path-indexed summand f_!(J), an injective object of the monomorphism
+category, through the coordinate inclusions of the parts at D, and the
+rest is its cokernel, whose tops have no injective part.  Only what
+remains is split by an endomorphism: one that is neither nilpotent nor
+invertible splits along its stable kernel and image.  Such an endomorphism is
 looked for in the residue algebra of the endomorphism ring by
 ``rep.ResidueSpace.first``, where invertibility and nilpotency are decided
 blockwise over F_p; the Fitting splitting is computed only for the witness
@@ -26,11 +27,11 @@ coordinates, by a peel or by a Fitting splitting, has been through that
 scan.  Equal factors are grouped by ``rep.is_iso_reps`` under the same
 budget, ``rep.DEFAULT_BUDGET`` by default.
 
-``coordinate_blocks`` and ``_injective_peel`` (by representation) and
-``_residue_witness`` (by representation and budget) are memoized with
-``serialmod.memo``; a representation hashes by value, keeping its hash once
-built, and the blocks and the peel (tuples) and the witness returned are
-shared between equal calls and never mutated.
+``coordinate_blocks`` (by representation) and ``_residue_witness`` (by
+representation and budget) are memoized with ``serialmod.memo``; a
+representation hashes by value, keeping its hash once built, and the blocks
+(a tuple) and the witness returned are shared between equal calls and never
+mutated.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from typing import List, Optional, Tuple
 from .exact import (
     _fp_invertible,
     _fp_nilpotent,
-    _Rref,
     cokernel,
     image,
     is_injective_map,
     is_iso,
     kernel,
-    socle_columns,
     solve_left,
     solve_right,
 )
@@ -59,8 +58,8 @@ from .rep import (
     ResidueSpace,
     f_shriek,
     hom_reps,
+    injective_tops,
     is_iso_reps,
-    in_map,
     is_mono,
     rebase,
     rep_morphism_compose,
@@ -216,29 +215,32 @@ def _residue_witness(r: Representation, budget: int):
     return ResidueSpace(hom_reps(r, r)).first(splits, budget)
 
 
-@memo
-def _injective_peel(r: Representation):
-    """(M', F, iota) with r isomorphic to M' (+) F, where F = f_!(J) is the
-    path-indexed representation of the injective parts J of the tops of r
-    and iota: F -> r is monic with cokernel M'; or None when no top of r
-    has an injective part or r is not monic, over an abelian self-injective
-    base.  Memoized by the value of r.
+def _injective_peel(r: Representation, tops):
+    """(M', F, iota) with r isomorphic to M' (+) F: F = f_!(J) is the
+    path-indexed representation of the injective parts J of the tops of r,
+    read off its injective tops D = ``tops`` (``rep.injective_tops``, some
+    D_v not empty), and iota: F -> r is monic with cokernel M'.
 
-    At each vertex v whose top T_v has an injective part
-    (``_injective_tops``) let q_v: R_v -> T_v be the cokernel of the in-map
-    in_v and e_v: J_v -> T_v the inclusion of those parts (J_v = 0 at the
-    other vertices).  Over a self-injective base J_v is projective and q_v
-    is epic, so e_v lifts to s_v: J_v -> R_v with q_v o s_v = e_v
-    (``solve_right``).  The block of iota_w on the copy of J_{p.source} for
-    a path p into w is R_p o s_{p.source}; an arrow a sends the p-block of
-    F to the (a o p)-block, and R_{a o p} = R_a o R_p, so iota is natural.
+    Let q_v: R_v -> T_v = R_v / U_v, U_v = im(in_v), be the top at v, J_v
+    the parts of R_v at D_v, and s_v: J_v -> R_v their coordinate
+    inclusion.  q_v o s_v is monic: s_v maps the essential socle of J_v
+    onto the span of the socle vectors at D_v, which meets soc U_v =
+    in_v(soc X_v) in 0, as each of them raised the rank after the in-map
+    columns.  rad^(L-1) T_v (L the Loewy length of the base) has dimension
+    |D_v|, the number of injective parts of T_v (``rep.injective_tops``).
+    So q_v o s_v, a monomorphism from an injective, splits onto a summand
+    of T_v with |D_v| injective parts: J_v is the injective part of T_v.
+
+    The block of iota_w on the copy of J_{p.source} for a path p into w is
+    R_p o s_{p.source}; an arrow a sends the p-block of F to the (a o
+    p)-block, and R_{a o p} = R_a o R_p, so iota is natural.
 
     iota is monic, by induction in topological order.  The paths into w are
-    e_w and a o p for the arrows a: u -> w and paths p into u, so
+    the trivial one and a o p for the arrows a: u -> w and paths p into u, so
     iota_w(x, y) = s_w(x) + in_w((+)_a iota_u)(y).  If that is zero, then
-    applying q_w, which kills the image of in_w, gives e_w(x) = 0 and x = 0;
-    then in_w((+) iota_u)(y) = 0, and in_w and (by induction) each iota_u
-    are monic, so y = 0.
+    applying q_w, which kills the image of in_w, gives q_w(s_w(x)) = 0 and
+    x = 0, as q_w o s_w is monic; then in_w((+) iota_u)(y) = 0, and in_w
+    and (by induction) each iota_u are monic, so y = 0.
 
     M' = coker iota is monic by the same argument.  Its vertex modules are
     coker(iota_w) with projections pi_w, and its arrow map at a: u -> w is
@@ -247,7 +249,7 @@ def _injective_peel(r: Representation):
     of (+)_a M'_u, lifted to y in (+)_a R_u, go to zero under the in-map of
     M'.  Then pi_w(in_w(y)) = 0, and the kernel of pi_w is the image of
     iota_w, so in_w(y) = iota_w(x, z) for some x in J_w and z in
-    (+)_a F_u; applying q_w gives e_w(x) = 0, so x = 0 and
+    (+)_a F_u; applying q_w gives q_w(s_w(x)) = 0, so x = 0 and
     in_w(y) = in_w((+) iota_u)(z).  As in_w is monic, y = ((+) iota_u)(z),
     and its image in (+) M'_u is zero.
 
@@ -267,13 +269,8 @@ def _injective_peel(r: Representation):
     (``is_injective_map``) and M' is monic (``is_mono``); AssertionError
     if not."""
     base, quiver = r.base, r.quiver
-    lifts = {}
-    for v in _injective_tops(r) or ():
-        top, q = cokernel(in_map(r, v))
-        injective = [i for i, label in enumerate(top.parts) if base.is_injective(label)]
-        lifts[v] = solve_right(q, mor_block(identity_morphism(top), range(top.rank), injective))
-    if not lifts:
-        return None
+    lifts = {v: mor_block(identity_morphism(r.modules[v]), range(r.modules[v].rank), d)
+             for v, d in tops.items() if d}
     # the image of each path's block, R_p o s_{p.source}; a path's prefix
     # comes before it in ``paths`` order, which is by length
     images = {Path(v, v, ()): s for v, s in lifts.items()}
@@ -281,13 +278,13 @@ def _injective_peel(r: Representation):
         if p in images:
             for a in quiver.arrows_out_of(p.target):
                 images[quiver.extend_path(a, p)] = mor_compose(r.maps[a.name], images[p])
-    tops = {v: s.source for v, s in lifts.items()}
-    injective = f_shriek(base, quiver, tops)
+    parts = {v: s.source for v, s in lifts.items()}
+    injective = f_shriek(base, quiver, parts)
     zero = zero_module(base)
     iota, modules, proj = {}, {}, {}
     for w in quiver.vertices:
         paths = quiver.paths_into(w)
-        iota[w] = assemble(base, [tops.get(p.source, zero) for p in paths], [r.modules[w]],
+        iota[w] = assemble(base, [parts.get(p.source, zero) for p in paths], [r.modules[w]],
                            {(0, k): images[p] for k, p in enumerate(paths) if p in images})[0]
         if not is_injective_map(iota[w]):
             raise AssertionError(f"injective peel is not monic at vertex {w}")
@@ -304,36 +301,15 @@ def _injective_peel(r: Representation):
     return rest, injective, RepMorphism(injective, r, iota, check=False)
 
 
-def _injective_tops(r: Representation) -> Optional[List[str]]:
-    """The vertices whose top has an injective part, or None when r (over
-    an abelian self-injective base) is not monic: one F_p elimination per
-    vertex, and no top is built.  Injective indecomposables have the Loewy
-    length L of the base and the others are shorter, so the top R_v / U,
-    U = im(in_v), has an injective part iff rad^(L-1) R_v, spanned by the
-    socles e_i of the injective parts of R_v, is not inside U, that is, not
-    inside soc U.  For monic r, soc U = in_v(soc X_v): the column span of
-    the socle matrix of the maps into v (``exact.socle_columns``, as
-    ``rep.is_mono`` reads it), which the monic test has eliminated."""
-    out = []
-    for v in r.quiver.vertices:
-        m = r.modules[v]
-        rr = _Rref(r.base.ring.p, (), m.rank)
-        if not all(rr.add(column) for a in r.quiver.arrows_into(v)
-                   for column in socle_columns(r.maps[a.name])):
-            return None
-        if any(any(rr.reduce([int(k == i) for k in range(m.rank)])[0])
-               for i, label in enumerate(m.parts) if r.base.is_injective(label)):
-            out.append(v)
-    return out
-
-
-def _peelable(r: Representation) -> bool:
-    """Whether ``_injective_peel`` splits r into two nonzero sides: r has
-    injective and non-injective parts, and a top with an injective part."""
+def _peelable(r: Representation):
+    """The injective tops D of r (``rep.injective_tops``) when the peel
+    splits r into two nonzero sides: r is monic over an abelian
+    self-injective base with injective and non-injective parts, and some D_v
+    is not empty; None otherwise."""
     base = r.base
     kinds = {base.is_injective(label) for m in r.modules.values() for label in m.parts}
-    return (base.is_abelian and base.is_selfinjective and len(kinds) == 2
-            and bool(_injective_tops(r)))
+    tops = base.is_abelian and base.is_selfinjective and len(kinds) == 2 and injective_tops(r)
+    return tops if tops and any(tops.values()) else None
 
 
 def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
@@ -362,11 +338,10 @@ def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
         if blocks is not None:
             stack.extend(blocks)
             continue
-        if _peelable(cur):
-            peeled = _injective_peel(cur)
-            if peeled is not None:
-                stack.extend(peeled[:2])
-                continue
+        tops = _peelable(cur)
+        if tops:
+            stack.extend(_injective_peel(cur, tops)[:2])
+            continue
         witness = _residue_witness(cur, budget)
         if witness is None:
             pieces.append(cur)

@@ -7,10 +7,13 @@ in ``transfer`` are each one change of base ``rep.rebase``.
 The approximation of a representation R places, at each vertex k, one copy of
 the injective envelope J_i of ker(in-map at i) for every path from i to k;
 arrow maps shift the path blocks identically, feed R through its own maps,
-and route R into the new envelope block through e_k: X_k -> J_k, an
-injective envelope on the in-map's kernel read off its socle matrix.  The
-projection onto the original representation is a minimal right
-approximation by monic representations.
+and route R_{s(a)} into the envelope block J_{t(a)} through e_a, one map
+per arrow, read off the one socle elimination of the maps into t(a)
+(``rep.in_socle``); no in-map is assembled.  The projection onto the
+original representation is a minimal right approximation by monic
+representations.  Injective recognition reads the tops off the same
+elimination (``rep.injective_tops``).  All of it needs an abelian
+self-injective backing (``_backing``).
 
 ``mimo`` and ``transfer`` are memoized by the value of their arguments (a
 ``Representation`` hashes by value, bases are interned) with
@@ -26,14 +29,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .base import CHAIN, SerialBase, StableBase, stable_base
-from .exact import _Rref, independent_columns, socle_columns
+from .exact import independent_columns, socle_columns
 from .rep import (
     Representation,
     RepMorphism,
     f_shriek,
-    in_map_data,
+    in_socle,
+    injective_tops,
     is_mono,
-    kopf_modules,
     rebase,
     rep_identity,
 )
@@ -44,7 +47,6 @@ from .serialmod import (
     direct_sum,
     identity_morphism,
     memo,
-    mor_block,
     rebase_map,
     serial_module,
     zero_module,
@@ -52,76 +54,78 @@ from .serialmod import (
 )
 
 
-def _in_maps(r: Representation):
-    """Per vertex v: ``rep.in_map_data(r, v)``, after checking the base."""
+def _backing(r: Representation) -> SerialBase:
+    """r's base, checked to be abelian and self-injective."""
     if not (r.base.is_abelian and r.base.is_selfinjective):
-        raise ValueError("monic approximations need an abelian self-injective backing")
-    return {v: in_map_data(r, v) for v in r.quiver.vertices}
+        raise ValueError("mimo, stripping and recognition need an abelian self-injective backing")
+    return r.base
 
 
-def _minimal_envelope(f: SerialMorphism) -> Tuple[SerialModule, SerialMorphism]:
-    """(J, e) for the in-map f: X -> R at a vertex, e: X -> J an injective
-    envelope on K = ker f, from one F_p elimination of the socle columns of
-    f (``exact.socle_columns``, in X's part order).  With D the parts a_j
-    whose column is in the span of those before it, J = (+)_{j in D} E(a_j),
-    E(a) labelled ``envelope_label(a)``, and e sends part j in D to its part
-    of J by the canonical generator, a monomorphism, and the others to 0.
+def _minimal_envelope(r: Representation, v: str) -> Tuple[SerialModule, Dict[str, SerialMorphism]]:
+    """(J, e) at v, e = {arrow a into v: e_a: R_{s(a)} -> J}, read off the
+    dependent (arrow, part) pairs D of ``rep.in_socle(r, v)``: J =
+    (+)_{(a, j) in D} E(a_j), E(b) labelled ``envelope_label(b)``, and e_a
+    sends part j of R_{s(a)} to its part of J by the canonical generator, a
+    monomorphism, when (a, j) is in D, and to 0 otherwise.
 
-    The columns outside D are independent, and in the socle matrix of
-    (f, e): X -> R (+) J column j in D alone is nonzero at the socle of its
-    part of J; so (f, e) is monic, ker f meets ker e in 0, and e is monic on
-    K.  soc K = K meet soc X is the kernel of the socle matrix of f, of
-    dimension |D| (the nullity), which is dim soc J.  So e maps soc K onto
-    soc J, e(K) is essential in the injective J, and e restricted to K is
-    an injective envelope."""
-    base = f.base
-    rr = _Rref(base.ring.p, (), f.target.rank)
-    dependent = [j for j, column in enumerate(socle_columns(f)) if not rr.add(column)]
-    labels = [base.envelope_label(f.source.parts[j]) for j in dependent]
+    e = (+)_a e_a: X_v -> J is an injective envelope on K = ker(in_v).  The
+    columns outside D are independent, and in the socle matrix of (in_v, e)
+    column (a, j) in D alone is nonzero at the socle of its part of J; so
+    (in_v, e) is monic and e is monic on K.  soc K is the kernel of the
+    socle matrix of in_v, of dimension |D|, which is dim soc J.  So e maps
+    soc K onto soc J, e(K) is essential in the injective J, and e
+    restricted to K is an injective envelope."""
+    base = _backing(r)
+    _, dependent = in_socle(r, v)
+    labels = [base.envelope_label(r.modules[a.source].parts[j]) for a, j in dependent]
     order = sorted(range(len(labels)), key=lambda k: (base.label_sort_key(labels[k]), k))
     one, zero = base.one_coeff(), base.zero_coeff()
     J = SerialModule(base, tuple(labels[k] for k in order))
-    return J, SerialMorphism(f.source, J, tuple(
-        tuple(one if j == dependent[k] else zero for j in range(f.source.rank)) for k in order))
+    return J, {a.name: SerialMorphism(r.modules[a.source], J, tuple(
+        tuple(one if (a, j) == dependent[k] else zero for j in range(r.modules[a.source].rank))
+        for k in order)) for a in r.quiver.arrows_into(v)}
 
 
-def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, SerialMorphism]]):
-    """Monic approximation from caller-supplied envelope data (J_v, e_v) =
-    ``envelope_data[v]``, J_v injective and e_v: X_v -> J_v monic on
-    ker(in_v), checked as (in_v, e_v): X_v -> R_v (+) J_v monic on the socle.
-    Returns the approximating representation and the projection onto r."""
-    base = r.base
-    in_data = _in_maps(r)
+def mo(r: Representation, envelope_data: Dict[str, Tuple[SerialModule, Dict[str, SerialMorphism]]]):
+    """Monic approximation from caller-supplied envelope data (J_v, e) =
+    ``envelope_data[v]``, J_v injective and e = {arrow a into v: e_a:
+    R_{s(a)} -> J_v} monic on ker(in_v), checked as the maps (R_a, e_a):
+    R_{s(a)} -> R_v (+) J_v jointly monic on the socle.  A vertex missing
+    from the data gets J_v = 0.  Returns the approximating representation
+    and the projection onto r."""
+    base = _backing(r)
     envelopes = {}
-    for v, (total, f, _, _) in in_data.items():
-        J, e = envelope_data.get(v, (zero_module(base), zero_morphism(total, zero_module(base))))
+    for v in r.quiver.vertices:
+        arrows = r.quiver.arrows_into(v)
+        J, e = envelope_data.get(v, (zero_module(base), {
+            a.name: zero_morphism(r.modules[a.source], zero_module(base)) for a in arrows}))
         if not all(base.is_injective(label) for label in J.parts):
             raise ValueError(f"envelope module at vertex {v} is not injective")
-        if e.source != total or e.target != J:
+        if set(e) != {a.name for a in arrows} or any(
+                e[a.name].source != r.modules[a.source] or e[a.name].target != J for a in arrows):
             raise ValueError(f"envelope map at vertex {v} has wrong shape")
-        if not independent_columns(base.ring.p, f.target.rank + J.rank,
-                                   (c + d for c, d in zip(socle_columns(f), socle_columns(e)))):
+        if not independent_columns(base.ring.p, r.modules[v].rank + J.rank, (
+                c + d for a in arrows
+                for c, d in zip(socle_columns(r.maps[a.name]), socle_columns(e[a.name])))):
             raise ValueError(f"envelope map at vertex {v} is not monic on the in-map kernel")
         envelopes[v] = (J, e)
-    return _mo(r, envelopes, in_data)
+    return _mo(r, envelopes)
 
 
-def _mo(r: Representation, envelopes, in_data):
-    """``mo`` on checked envelope data and the in-maps of ``_in_maps(r)``.
-    Vertex v carries R_v (summand 0) and J_{s(p)} for each path p into v,
-    the trivial path first (``paths_into`` is ordered by length)."""
+def _mo(r: Representation, envelopes):
+    """``mo`` on checked envelope data.  Vertex v carries R_v (summand 0) and
+    J_{s(p)} for each path p into v, the trivial path first (``paths_into``
+    is ordered by length), so an arrow a: s -> t routes R_s into J_t
+    (summand 1) through e_a."""
     base, quiver = r.base, r.quiver
     paths_into = {v: quiver.paths_into(v) for v in quiver.vertices}
     summands = {v: [r.modules[v]] + [envelopes[p.source][0] for p in paths_into[v]]
                 for v in quiver.vertices}
     maps = {}
     for a in quiver.arrows:
-        _, _, arrows_in, in_pos = in_data[a.target]
-        J, e = envelopes[a.target]
-        # R_a between the rep blocks, the rep block into J_t through e_t, and
+        # R_a between the rep blocks, the rep block into J_t through e_a, and
         # the path blocks shifted identically
-        blocks = {(0, 0): r.maps[a.name],
-                  (1, 0): mor_block(e, range(J.rank), in_pos[arrows_in.index(a)])}
+        blocks = {(0, 0): r.maps[a.name], (1, 0): envelopes[a.target][1][a.name]}
         for k, p in enumerate(paths_into[a.source]):
             q = paths_into[a.target].index(quiver.extend_path(a, p))
             blocks[(1 + q, 1 + k)] = identity_morphism(envelopes[p.source][0])
@@ -137,10 +141,9 @@ def _mo(r: Representation, envelopes, in_data):
     return result, p
 
 
-def minimal_envelope_data(r: Representation) -> Dict[str, Tuple[SerialModule, SerialMorphism]]:
-    """The envelope data of ``mimo``: (J_v, e_v) = ``_minimal_envelope`` of
-    the in-map at each vertex."""
-    return {v: _minimal_envelope(f) for v, (_, f, _, _) in _in_maps(r).items()}
+def minimal_envelope_data(r: Representation) -> Dict[str, Tuple[SerialModule, Dict[str, SerialMorphism]]]:
+    """The envelope data of ``mimo``: ``_minimal_envelope`` at each vertex."""
+    return {v: _minimal_envelope(r, v) for v in r.quiver.vertices}
 
 
 @memo
@@ -148,11 +151,10 @@ def mimo(r: Representation):
     """Minimal monic approximation (M, p: M -> r), memoized by the value of
     r: ``mo`` on ``minimal_envelope_data(r)``, unchecked, and (r, identity)
     when r is monic (every J_v is zero)."""
-    in_data = _in_maps(r)
-    envelopes = {v: _minimal_envelope(f) for v, (_, f, _, _) in in_data.items()}
+    envelopes = minimal_envelope_data(r)
     if all(J.is_zero() for J, _ in envelopes.values()):
         return r, rep_identity(r)
-    return _mo(r, envelopes, in_data)
+    return _mo(r, envelopes)
 
 
 # -- maximal injective summands and the stable category ------------------------------
@@ -160,9 +162,7 @@ def mimo(r: Representation):
 
 def _noninjective_positions(r: Representation):
     """Per vertex, the positions of the non-injective parts of its module."""
-    base = r.base
-    if not (base.is_abelian and base.is_selfinjective):
-        raise ValueError("stripping needs an abelian self-injective backing")
+    base = _backing(r)
     return {v: [i for i, p in enumerate(m.parts) if not base.is_injective(p)]
             for v, m in r.modules.items()}
 
@@ -221,11 +221,13 @@ def is_injective_rep(r: Representation) -> bool:
 
 def injective_rep_recognize(r: Representation) -> Optional[Dict[str, SerialModule]]:
     """If r is injective (``is_injective_rep``), the vertex-indexed J with r
-    isomorphic to the path-indexed representation of J; otherwise None."""
-    base = r.base
-    if not (base.is_abelian and base.is_selfinjective):
-        raise ValueError("injective recognition needs an abelian self-injective backing")
-    return kopf_modules(r) if is_injective_rep(r) else None
+    isomorphic to the path-indexed representation of J; otherwise None.
+    J_v is the top of r at v, whose parts are all injective, so it has the
+    labels at the positions ``rep.injective_tops`` lists."""
+    base = _backing(r)
+    tops = all(base.is_injective(p) for m in r.modules.values() for p in m.parts) and injective_tops(r)
+    return {v: SerialModule(base, tuple(r.modules[v].parts[i] for i in d))
+            for v, d in tops.items()} if tops else None
 
 
 @memo

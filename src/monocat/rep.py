@@ -1,6 +1,8 @@
 """Representations of a finite acyclic quiver over a serial base, and the
 basic functor toolkit: in-maps, top and its first derived functor, the mono
-test (the maps into each vertex, jointly monic on the socle), the left
+test (the maps into each vertex, jointly monic on the socle), the one socle
+elimination of those maps per vertex (``in_socle``) that ``mimo``'s
+envelopes and the injective tops (``injective_tops``) read, the left
 adjoint of the forgetful functor, hom spaces (the kernel of
 phi -> (phi_t o R_a - S_a o phi_s)_a, built as an ``exact.HomSystem``),
 partition vectors, and the residue scan ``ResidueSpace.first``: the one
@@ -35,6 +37,7 @@ from .exact import (
     is_injective_map,
     is_iso,
     kernel,
+    socle_columns,
     solve_left,
 )
 from .quiver import Quiver
@@ -43,6 +46,7 @@ from .serialmod import (
     SerialMorphism,
     assemble,
     direct_sum,
+    hom_space,
     identity_morphism,
     mor_block,
     mor_compose,
@@ -170,32 +174,21 @@ def rebase(r: Representation, base: SerialBase, keep=None) -> Representation:
 # -- in-maps, top, and the mono test ---------------------------------------------
 
 
-def in_map_data(r: Representation, v: str):
-    """(X_v, in-map X_v -> R_v, arrows into v, positions of each R_{s(a)} in X_v)."""
-    arrows = r.quiver.arrows_into(v)
-    blocks = {(0, t): r.maps[a.name] for t, a in enumerate(arrows)}
-    f, positions, _ = assemble(r.base, [r.modules[a.source] for a in arrows], [r.modules[v]], blocks)
-    return f.source, f, arrows, positions
-
-
 def in_map(r: Representation, v: str) -> SerialMorphism:
-    return in_map_data(r, v)[1]
+    """The in-map (+)_a R_{s(a)} -> R_v, the arrows in ``arrows_into`` order."""
+    arrows = r.quiver.arrows_into(v)
+    return assemble(r.base, [r.modules[a.source] for a in arrows], [r.modules[v]],
+                    {(0, t): r.maps[a.name] for t, a in enumerate(arrows)})[0]
 
 
 def l1_kopf(r: Representation) -> Dict[str, tuple]:
     """Vertexwise kernel of the in-map, with the witnessing inclusion."""
-    out = {}
-    for v in r.quiver.vertices:
-        out[v] = kernel(in_map(r, v))
-    return out
+    return {v: kernel(in_map(r, v)) for v in r.quiver.vertices}
 
 
 def kopf(r: Representation) -> Dict[str, tuple]:
     """Vertexwise cokernel of the in-map, with the witnessing projection."""
-    out = {}
-    for v in r.quiver.vertices:
-        out[v] = cokernel(in_map(r, v))
-    return out
+    return {v: cokernel(in_map(r, v)) for v in r.quiver.vertices}
 
 
 def kopf_modules(r: Representation) -> Dict[str, SerialModule]:
@@ -207,6 +200,39 @@ def is_mono(r: Representation) -> bool:
     vertex together; stops at the first vertex where they are not."""
     return all(is_injective_map(*(r.maps[a.name] for a in r.quiver.arrows_into(v)))
                for v in r.quiver.vertices)
+
+
+def in_socle(r: Representation, v: str):
+    """(rr, dependent): one F_p elimination ``rr`` (``exact._Rref``) of the
+    socle columns of the maps into v (``exact.socle_columns``), arrow by
+    arrow in ``arrows_into`` order, and the (arrow, part) pairs whose column
+    is in the span of those before it.  The columns span in_v(soc X_v), and
+    the maps into v are jointly monic iff ``dependent`` is empty."""
+    rr = _Rref(r.base.ring.p, (), r.modules[v].rank)
+    dependent = [(a, j) for a in r.quiver.arrows_into(v)
+                 for j, column in enumerate(socle_columns(r.maps[a.name])) if not rr.add(column)]
+    return rr, dependent
+
+
+def injective_tops(r: Representation) -> Optional[Dict[str, list]]:
+    """None when r (over an abelian self-injective base) is not monic;
+    otherwise, per vertex v, D_v: the positions of the injective parts of
+    R_v whose socle vector raises the rank after the columns of
+    ``in_socle(r, v)``, in order; no top is built.  Injective
+    indecomposables have the Loewy length L of the base and the others are
+    shorter, so the injective socles span rad^(L-1) R_v, whose image in the
+    top T_v = R_v / U, U = im(in_v), is rad^(L-1) T_v, with kernel its meet
+    with soc U = in_v(soc X_v).  So T_v has dim rad^(L-1) T_v = |D_v|
+    injective parts, with the labels at D_v (by simples, in disjoint rows)."""
+    out = {}
+    for v in r.quiver.vertices:
+        rr, dependent = in_socle(r, v)
+        if dependent:
+            return None
+        m = r.modules[v]
+        out[v] = [i for i, label in enumerate(m.parts)
+                  if r.base.is_injective(label) and rr.add([int(k == i) for k in range(m.rank)])]
+    return out
 
 
 def kopf_morphism(phi: RepMorphism) -> Dict[str, SerialMorphism]:
@@ -411,8 +437,5 @@ def random_module(base: SerialBase, rng, max_parts: int = 2) -> SerialModule:
 def random_representation(base: SerialBase, quiver: Quiver, rng,
                           max_parts: int = 2) -> Representation:
     modules = {v: random_module(base, rng, max_parts) for v in quiver.vertices}
-    maps = {}
-    for a in quiver.arrows:
-        from .serialmod import hom_space
-        maps[a.name] = hom_space(modules[a.source], modules[a.target]).random(rng)
+    maps = {a.name: hom_space(modules[a.source], modules[a.target]).random(rng) for a in quiver.arrows}
     return Representation(quiver, base, modules, maps)

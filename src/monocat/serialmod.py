@@ -18,8 +18,7 @@ them are memoized by value with ``memo``: ``identity_morphism``,
 ``image``, ``solve_right`` and ``solve_left`` in ``exact``.
 ``rep.Representation`` hashes by value too, keeping the hash once built, and
 the same ``memo`` caches ``mimo.mimo``, ``mimo.transfer``,
-``decompose.coordinate_blocks``, ``decompose._residue_witness`` and
-``decompose._injective_peel``.
+``decompose.coordinate_blocks`` and ``decompose._residue_witness``.
 This rests on one invariant: their arguments and results are immutable
 values, and nothing mutates a returned module, map or position tuple, nor the
 ``modules``, ``maps`` or ``components`` of a representation or morphism once
@@ -36,9 +35,9 @@ from .base import SerialBase
 # Entries kept by each memoized operation: above the distinct calls one pass
 # of the benchmark's approximation battery makes to any of them (at most 328,
 # to mor_compose, over seeds 1 and 7 and input sets 0-3; _direct_sum gets at
-# most 306, mimo 252, coordinate_blocks 217, cokernel 157, solve_right 121,
-# kernel 110, transfer 108, _residue_witness 93, solve_left 84, image 63,
-# identity_morphism 45 and _injective_peel 40).
+# most 266, mimo 252, coordinate_blocks 217, cokernel 134, kernel 110,
+# transfer 108, solve_right 106, _residue_witness 94, solve_left 84, image 63
+# and identity_morphism 46).
 MEMO_SIZE = 2048
 memo = lru_cache(maxsize=MEMO_SIZE)
 

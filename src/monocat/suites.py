@@ -42,7 +42,7 @@ from .rep import (
     ResidueSpace,
     f_shriek,
     hom_reps,
-    in_map_data,
+    in_map,
     is_iso_reps,
     is_mono,
     kopf,
@@ -377,8 +377,8 @@ def suite_p2(seed: int = 0, budget: int = DEFAULT_ENUM_BUDGET, samples: int = 50
             if not all(k.is_zero() for k, _ in l1_kopf(fs).values()):
                 failures.append(("induced not mono", repr(r)))
             for v in quiver.vertices:
-                total, h, _, _ = in_map_data(fs, v)
-                if solve_left(h, identity_morphism(total)) is None:
+                h = in_map(fs, v)
+                if solve_left(h, identity_morphism(h.source)) is None:
                     failures.append(("in-map not split", v, repr(r)))
         if failures:
             break
@@ -450,16 +450,16 @@ def _lift_through(p: RepMorphism, g: RepMorphism):
 
 def _second_lift_data(r: Representation, rng):
     """Minimal envelope data with the lift perturbed by a morphism vanishing
-    on the in-map kernel (any composite through the in-map itself)."""
+    on the in-map kernel (any composite t o in_v through the in-map itself,
+    arrow by arrow t o R_a)."""
     from .mimo import minimal_envelope_data
     from .serialmod import mor_add
 
     data = dict(minimal_envelope_data(r))
     for v in r.quiver.vertices:
-        total, f, _, _ = in_map_data(r, v)
         J, e = data[v]
         t = hom_space(r.modules[v], J).random(rng)
-        data[v] = (J, mor_add(e, mor_compose(t, f)))
+        data[v] = (J, {a: mor_add(e_a, mor_compose(t, r.maps[a])) for a, e_a in e.items()})
     return data
 
 

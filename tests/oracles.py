@@ -237,14 +237,18 @@ def kernel_envelope_data(r) -> dict:
     """Envelope data for ``mimo.mo`` by the Smith-form engine: at each
     vertex the kernel K of the in-map (``exact.kernel``), its injective
     envelope j: K -> J, and e: X -> J with e o incl = j (``solve_left``),
-    which extends j along the monic inclusion because J is injective."""
+    which extends j along the monic inclusion because J is injective; e is
+    split into its blocks e_a on the arrows' sources at their
+    ``direct_sum`` positions in X."""
     out = {}
     for v in r.quiver.vertices:
         _, incl = kernel(in_map(r, v))
         J, j = injective_envelope(incl.source)
         e = solve_left(incl, j)
         assert e is not None and mor_compose(e, incl) == j
-        out[v] = (J, e)
+        arrows = r.quiver.arrows_into(v)
+        _, positions = direct_sum(r.base, [r.modules[a.source] for a in arrows])
+        out[v] = (J, {a.name: mor_block(e, range(J.rank), pos) for a, pos in zip(arrows, positions)})
     return out
 
 

@@ -6,20 +6,21 @@ from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.decompose import (
     BudgetExceeded,
     _injective_peel,
-    _injective_tops,
     _stable_power,
     coordinate_blocks,
     decompose,
     is_indecomposable,
 )
-from monocat.exact import image, is_injective_map, kernel, solve_right
-from monocat.mimo import injective_rep_recognize, mimo, mimo_from_stable
+from monocat.exact import cokernel, image, is_injective_map, kernel, solve_right
+from monocat.mimo import injective_rep_recognize, is_injective_rep, mimo, mimo_from_stable
 from monocat.quiver import builtin_quiver
 from monocat.rep import (
     Representation,
     RepMorphism,
     f_shriek,
     hom_reps,
+    in_map,
+    injective_tops,
     is_iso_reps,
     is_mono,
     kopf_modules,
@@ -27,7 +28,7 @@ from monocat.rep import (
     rep_morphism_compose,
     vertex_module,
 )
-from monocat.serialmod import mor_compose, morphism, serial_module
+from monocat.serialmod import identity_morphism, mor_block, mor_compose, morphism, serial_module
 from oracles import random_automorphism, rep_direct_sum, rep_homs
 
 B2 = chain_base("poly", 2, 2)
@@ -348,12 +349,12 @@ def test_injective_peel_splits_off_the_injective_tops(base):
     for m in _peel_inputs(base, 3):
         for piece in coordinate_blocks(m) or [m]:
             assert is_mono(piece)
-            split = _injective_peel(piece)
+            d = injective_tops(piece)
             tops = kopf_modules(piece)
-            if split is None:
+            if not any(d.values()):
                 assert not any(base.is_injective(p) for t in tops.values() for p in t.parts)
                 continue
-            rest, injective, iota = split
+            rest, injective, iota = _injective_peel(piece, d)
             assert injective_rep_recognize(injective) == {
                 v: serial_module(base, [p for p in t.parts if base.is_injective(p)])
                 for v, t in tops.items()}
@@ -370,27 +371,65 @@ def test_injective_peel_splits_off_the_injective_tops(base):
     assert peeled >= 8 and summed >= 6, (peeled, summed)
 
 
-@pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)
-def test_injective_tops_agree_with_the_tops(base):
-    """``_injective_tops`` is None exactly on the representations that are
-    not monic, and otherwise lists the vertices whose top (``kopf_modules``)
-    has an injective part; on the peel inputs and their coordinate blocks,
-    and on random representations."""
-    rng = random.Random(13)
-    monic = [piece for m in _peel_inputs(base, 11) for piece in coordinate_blocks(m) or [m]]
-    randoms = [random_representation(base, quiver, rng) for quiver in
-               (builtin_quiver("An-linear:3"), builtin_quiver("A4-zigzag")) for _ in range(12)]
+TOPS_BASES = PEEL_BASES + [chain_base("poly", 2, 3), rad2nak_base(3, 3)]
+TOPS_IDS = PEEL_IDS + ["chain:poly:2:3", "rad2nak:3:3"]
+
+
+def _tops_inputs(base, seed):
+    """Random representations, and the peel inputs (monic approximations
+    and conjugated sums M (+) f_!(I at v)) with their coordinate blocks."""
+    rng = random.Random(seed)
+    for quiver in (builtin_quiver("An-linear:3"), builtin_quiver("A4-zigzag")):
+        for _ in range(8):
+            yield random_representation(base, quiver, rng)
+    for m in _peel_inputs(base, seed, 4):
+        yield m
+        yield from coordinate_blocks(m) or ()
+
+
+@pytest.mark.parametrize("base", TOPS_BASES, ids=TOPS_IDS)
+def test_injective_tops_are_the_injective_parts_of_the_tops(base):
+    """``rep.injective_tops`` is None exactly when r is not monic; otherwise
+    the labels at D_v are the injective parts of the top at v
+    (``kopf_modules``), and the cokernel q_v of the in-map is monic on the
+    coordinate inclusion s_v of the parts at D_v."""
     seen = {None: 0, False: 0, True: 0}
-    for r in monic + randoms:
-        tops = _injective_tops(r)
+    for r in _tops_inputs(base, 13):
+        d = injective_tops(r)
         if not is_mono(r):
-            assert tops is None
+            assert d is None
             seen[None] += 1
             continue
-        assert tops == [v for v, t in kopf_modules(r).items()
-                        if any(base.is_injective(p) for p in t.parts)]
-        seen[bool(tops)] += 1
-    assert min(seen.values()) >= 5, seen
+        for v, top in kopf_modules(r).items():
+            m = r.modules[v]
+            assert sorted(m.parts[i] for i in d[v]) == sorted(
+                p for p in top.parts if base.is_injective(p))
+            s = mor_block(identity_morphism(m), range(m.rank), d[v])
+            assert is_injective_map(mor_compose(cokernel(in_map(r, v))[1], s))
+        seen[any(d.values())] += 1
+    assert min(seen.values()) >= 4, seen
+
+
+@pytest.mark.parametrize("base", TOPS_BASES, ids=TOPS_IDS)
+def test_injective_recognition_reads_the_tops(base):
+    """``injective_rep_recognize(r)`` is the top ``kopf_modules(r)`` on every
+    injective r (``is_injective_rep``): conjugated f_!(J) for random
+    injective J; and None on every other input."""
+    rng = random.Random(17)
+    injective = []
+    for quiver in (builtin_quiver("An-linear:3"), builtin_quiver("A4-zigzag")):
+        for _ in range(4):
+            j = {v: serial_module(base, rng.choices(base.injective_labels(), k=rng.randrange(3)))
+                 for v in quiver.vertices}
+            injective.append(_conjugate(f_shriek(base, quiver, j), rng))
+    seen = {False: 0, True: 0}
+    for r in injective + list(_tops_inputs(base, 19)):
+        if is_injective_rep(r):
+            assert injective_rep_recognize(r) == kopf_modules(r)
+        else:
+            assert injective_rep_recognize(r) is None
+        seen[is_injective_rep(r)] += 1
+    assert min(seen.values()) >= 8, seen
 
 
 @pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)
@@ -400,8 +439,8 @@ def test_decompose_with_and_without_the_peel_agree(base, monkeypatch):
     inputs = list(_peel_inputs(base, 8))
     peels = _counting(monkeypatch, "_injective_peel")
     with_peel = [decompose(m) for m in inputs]
-    assert sum(_injective_peel(r) is not None for r, in peels) >= 6
-    monkeypatch.setattr(dec, "_injective_peel", lambda r: None)
+    assert len(peels) >= 6
+    monkeypatch.setattr(dec, "_peelable", lambda r: None)
     for m, ours in zip(inputs, with_peel):
         _same_factors(ours, decompose(m))
 

@@ -25,7 +25,6 @@ from monocat.rep import (
     f_shriek,
     hom_reps,
     in_map,
-    in_map_data,
     is_iso_reps,
     is_mono,
     random_representation,
@@ -34,7 +33,9 @@ from monocat.rep import (
 )
 from monocat.serialmod import (
     MEMO_SIZE,
+    assemble,
     hom_space,
+    identity_morphism,
     mor_compose,
     mor_equal,
     morphism,
@@ -93,42 +94,59 @@ def test_mo_with_minimal_data_equals_mimo():
 
 
 def test_mimo_makes_no_smith_form_call(monkeypatch):
-    """The envelope data come from the socle matrices alone: with every
-    cache of the exact layer and of mimo emptied, approximating non-monic
-    representations never reaches ``exact.snf_free``."""
+    """The envelope data and the injective tops come from the socle
+    matrices alone: with every cache of the exact layer and of mimo emptied,
+    approximating non-monic representations never reaches
+    ``exact.snf_free``, ``mimo``, ``mo`` and ``injective_rep_recognize``
+    assemble no in-map (``rep.in_map``), and the injective peel of each
+    approximation's coordinate blocks lifts its tops with no
+    ``solve_right``."""
+    import monocat.decompose as dec
     import monocat.exact as exact
+    import monocat.rep as rep_mod
 
-    calls = []
-    snf_free = exact.snf_free
-    monkeypatch.setattr(exact, "snf_free", lambda *args: calls.append(args) or snf_free(*args))
+    caches = (mimo, exact.kernel, exact.cokernel, exact.image, exact.solve_left, exact.solve_right)
+    calls = {"snf_free": [], "in_map": [], "solve_right": []}
+    for module, name in ((exact, "snf_free"), (rep_mod, "in_map"), (exact, "solve_right"),
+                         (dec, "solve_right")):
+        real = getattr(exact if name == "solve_right" else module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls[name].append(args) or real(*args))
     rng = random.Random(3)
-    non_monic = 0
+    non_monic = peeled = recognized = 0
     for base in (B3P, B3I, rad2nak_base(3, 2)):
         for quiver in (A2, builtin_quiver("A4-zigzag")):
             for _ in range(6):
                 r = random_representation(base, quiver, rng)
                 if is_mono(r):
                     continue
-                for fn in (mimo, exact.kernel, exact.cokernel, exact.image, exact.solve_left,
-                           exact.solve_right):
+                for fn in caches:
                     fn.cache_clear()
                 m, _ = mimo(r)
                 assert is_mono(m) and m != r
+                assert mo(r, minimal_envelope_data(r))[0] == m
                 non_monic += 1
-    assert not calls
-    assert non_monic >= 20, non_monic
+                for piece in dec.coordinate_blocks(m) or [m]:
+                    recognized += injective_rep_recognize(piece) is not None
+                assert not calls["snf_free"] and not calls["in_map"]
+                for piece in dec.coordinate_blocks(m) or [m]:
+                    tops = dec._peelable(piece)
+                    if tops:
+                        injective = dec._injective_peel(piece, tops)[1]
+                        assert injective_rep_recognize(injective) is not None
+                        peeled += 1
+                assert not calls["solve_right"] and not calls["in_map"]
+                calls["snf_free"].clear()
+    assert non_monic >= 20 and peeled >= 5 and recognized >= 5, (non_monic, peeled, recognized)
 
 
 def test_mo_with_padded_injective_adds_induced_summand():
     r = simple_at(B2, A2, "1")
     data = dict(minimal_envelope_data(r))
     # pad the envelope at vertex 2 with an extra injective
-    total, f, _, _ = in_map_data(r, "2")
     J, e = data["2"]
-    Jx = serial_module(B2, list(J.parts) + ["M2"])
-    from monocat.serialmod import assemble
-    big_e, _, _ = assemble(B2, [e.source], [J, serial_module(B2, ["M2"])], {(0, 0): e})
-    data["2"] = (big_e.target, big_e)
+    big_e, _, _ = assemble(B2, [r.modules["1"]], [J, serial_module(B2, ["M2"])], {(0, 0): e["a1"]})
+    data["2"] = (big_e.target, {"a1": big_e})
     padded, _ = mo(r, data)
     extra = f_shriek(B2, A2, vertex_module(B2, A2, "2", serial_module(B2, ["M2"])))
     m, _ = mimo(r)
@@ -137,18 +155,24 @@ def test_mo_with_padded_injective_adds_induced_summand():
 
 def test_mo_mono_with_zero_envelopes():
     r = simple_at(B2, A2, "2")
-    data = {v: (zero_module(B2), zero_morphism(in_map_data(r, v)[0], zero_module(B2)))
+    zero = zero_module(B2)
+    data = {v: (zero, {a.name: zero_morphism(r.modules[a.source], zero) for a in A2.arrows_into(v)})
             for v in A2.vertices}
     m, _ = mo(r, data)
     assert m == r
 
 
 def test_mo_rejects_non_monic_envelope_map():
+    """And data of the wrong shape, or into a module that is not injective."""
     r = simple_at(B2, A2, "1")
-    total, f, _, _ = in_map_data(r, "2")
-    bad = {"2": (serial_module(B2, ["M2"]), zero_morphism(total, serial_module(B2, ["M2"])))}
-    with pytest.raises(ValueError):
+    m2 = serial_module(B2, ["M2"])
+    bad = {"2": (m2, {"a1": zero_morphism(r.modules["1"], m2)})}
+    with pytest.raises(ValueError, match="not monic on the in-map kernel"):
         mo(r, bad)
+    with pytest.raises(ValueError, match="wrong shape"):
+        mo(r, {"2": (m2, {})})
+    with pytest.raises(ValueError, match="not injective"):
+        mo(r, {"2": (r.modules["1"], {"a1": identity_morphism(r.modules["1"])})})
 
 
 def test_mimo_approximation_property_exhaustive_small():
@@ -397,11 +421,13 @@ ENVELOPE_BASES = [chain_base(kind, p, n) for kind in ("int", "poly") for p in (2
                   for n in (2, 3, 4)] + [rad2nak_base(3, 2), rad2nak_base(3, 3)]
 ENVELOPE_IDS = [f"chain:{b.ring.kind}:{b.ring.p}:{b.ring.n}" for b in ENVELOPE_BASES[:-2]] + [
     "rad2nak:3:2", "rad2nak:3:3"]
-ENVELOPE_QUIVERS = [builtin_quiver(name) for name in ("An-linear:2", "An-linear:3", "A4-zigzag", "D4")]
+ENVELOPE_QUIVERS = [builtin_quiver(name)
+                    for name in ("An-linear:2", "An-linear:3", "A4-zigzag", "D4", "kronecker")]
 
 
 def _envelope_inputs(base, seed, count=3):
-    """Random representations over A2, linear A3, the A4 zigzag and D4."""
+    """Random representations over A2, linear A3, the A4 zigzag, D4 and the
+    Kronecker quiver (two arrows with one source, so one e_a per arrow)."""
     rng = random.Random(seed)
     for quiver in ENVELOPE_QUIVERS:
         for _ in range(count):
@@ -445,8 +471,12 @@ def test_mo_socle_check_agrees_with_the_kernel_check(base):
             kind = rng.randrange(3)
             J = data[v][0] if kind < 2 else serial_module(
                 base, rng.choices(base.injective_labels(), k=rng.randrange(K.rank + 1)))
-            e = data[v][1] if kind == 0 else hom_space(incl.target, J).random(rng)
-            monic_on_k = is_injective_map(mor_compose(e, incl))
+            arrows = r.quiver.arrows_into(v)
+            e = data[v][1] if kind == 0 else {
+                a.name: hom_space(r.modules[a.source], J).random(rng) for a in arrows}
+            joint = assemble(base, [r.modules[a.source] for a in arrows], [J],
+                             {(0, t): e[a.name] for t, a in enumerate(arrows)})[0]
+            monic_on_k = is_injective_map(mor_compose(joint, incl))
             try:
                 mo(r, {**data, v: (J, e)})
                 accepted = True

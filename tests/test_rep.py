@@ -16,7 +16,6 @@ from monocat.rep import (
     find_iso_reps,
     hom_reps,
     in_map,
-    in_map_data,
     is_iso_reps,
     is_mono,
     kopf,
@@ -30,6 +29,7 @@ from monocat.rep import (
 )
 from monocat.serialmod import (
     automorphism_generators,
+    direct_sum,
     hom_space,
     identity_morphism,
     mor_block,
@@ -76,7 +76,8 @@ def test_in_map_restricts_to_each_arrow_map(base):
         for _ in range(15):
             r = random_representation(base, quiver, rng)
             for v in quiver.vertices:
-                total, f, arrows, positions = in_map_data(r, v)
+                f, arrows = in_map(r, v), quiver.arrows_into(v)
+                total, positions = direct_sum(base, [r.modules[a.source] for a in arrows])
                 assert total == f.source == serial_module(
                     base, [p for a in arrows for p in r.modules[a.source].parts])
                 for a, pos in zip(arrows, positions):

@@ -1,5 +1,5 @@
 """Krull-Schmidt decomposition of representations by coordinate blocks,
-injective peels and Fitting splittings.
+injective splits and Fitting splittings.
 
 ``decompose`` works through a stack of representations, the input first.
 Each one is first cut along its coordinates: the (vertex, part) nodes joined
@@ -9,23 +9,23 @@ are block diagonal, so the representation is the direct sum of the
 sub-representations on the components (``coordinate_blocks``), each pushed
 back on the stack with no hom space solved.  A connected monic
 representation over an abelian self-injective base with injective and
-non-injective parts and a top with an injective part is split in one step
-along its tops (``_injective_peel``): the injective tops D, read off one
-socle elimination per vertex (``rep.injective_tops``), give the
+non-injective parts and a top with an injective part is split in one step by
+the paper's theorem (``mimo.injective_split``): the injective tops D, read
+off one socle elimination per vertex (``rep.injective_tops``), give the
 path-indexed summand f_!(J), an injective object of the monomorphism
-category, through the coordinate inclusions of the parts at D, and the
-rest is its cokernel, whose tops have no injective part.  Only what
-remains is split by an endomorphism: one that is neither nilpotent nor
-invertible splits along its stable kernel and image.  Such an endomorphism is
-looked for in the residue algebra of the endomorphism ring by
-``rep.ResidueSpace.first``, where invertibility and nilpotency are decided
-blockwise over F_p; the Fitting splitting is computed only for the witness
-found there.  Indecomposability is declared only with the exhaustive
-certificate (every residue element blockwise invertible or blockwise
-nilpotent, i.e. a local endomorphism ring), so every factor, cut out by
-coordinates, by a peel or by a Fitting splitting, has been through that
-scan.  Equal factors are grouped by ``rep.is_iso_reps`` under the same
-budget, ``rep.DEFAULT_BUDGET`` by default.
+category, and the rest is the minimal monic approximation of its stable
+reduction, whose tops have no injective part.  Only what remains is split by
+an endomorphism: one that is neither nilpotent nor invertible splits along
+its stable kernel and image.  Such an endomorphism is looked for in the
+residue algebra of the endomorphism ring by ``rep.ResidueSpace.first``,
+where invertibility and nilpotency are decided blockwise over F_p; the
+Fitting splitting is computed only for the witness found there.
+Indecomposability is declared only with the exhaustive certificate (every
+residue element blockwise invertible or blockwise nilpotent, i.e. a local
+endomorphism ring), so every factor, cut out by coordinates, by the
+injective split or by a Fitting splitting, has been through that scan.
+Equal factors are grouped by ``rep.is_iso_reps`` under the same budget,
+``rep.DEFAULT_BUDGET`` by default.
 
 ``coordinate_blocks`` (by representation) and ``_residue_witness`` (by
 representation and budget) are memoized with ``serialmod.memo``; a
@@ -38,33 +38,21 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .exact import (
-    _fp_invertible,
-    _fp_nilpotent,
-    cokernel,
-    image,
-    is_injective_map,
-    is_iso,
-    kernel,
-    solve_left,
-    solve_right,
-)
-from .quiver import Path
+from .exact import _fp_invertible, _fp_nilpotent, image, is_iso, kernel, solve_right
+from .mimo import injective_split
 from .rep import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Representation,
     RepMorphism,
     ResidueSpace,
-    f_shriek,
     hom_reps,
     injective_tops,
     is_iso_reps,
-    is_mono,
     rebase,
     rep_morphism_compose,
 )
-from .serialmod import assemble, identity_morphism, memo, mor_block, mor_compose, zero_module
+from .serialmod import assemble, memo, mor_compose
 
 
 def nonzero_entries(f) -> tuple:
@@ -215,95 +203,9 @@ def _residue_witness(r: Representation, budget: int):
     return ResidueSpace(hom_reps(r, r)).first(splits, budget)
 
 
-def _injective_peel(r: Representation, tops):
-    """(M', F, iota) with r isomorphic to M' (+) F: F = f_!(J) is the
-    path-indexed representation of the injective parts J of the tops of r,
-    read off its injective tops D = ``tops`` (``rep.injective_tops``, some
-    D_v not empty), and iota: F -> r is monic with cokernel M'.
-
-    Let q_v: R_v -> T_v = R_v / U_v, U_v = im(in_v), be the top at v, J_v
-    the parts of R_v at D_v, and s_v: J_v -> R_v their coordinate
-    inclusion.  q_v o s_v is monic: s_v maps the essential socle of J_v
-    onto the span of the socle vectors at D_v, which meets soc U_v =
-    in_v(soc X_v) in 0, as each of them raised the rank after the in-map
-    columns.  rad^(L-1) T_v (L the Loewy length of the base) has dimension
-    |D_v|, the number of injective parts of T_v (``rep.injective_tops``).
-    So q_v o s_v, a monomorphism from an injective, splits onto a summand
-    of T_v with |D_v| injective parts: J_v is the injective part of T_v.
-
-    The block of iota_w on the copy of J_{p.source} for a path p into w is
-    R_p o s_{p.source}; an arrow a sends the p-block of F to the (a o
-    p)-block, and R_{a o p} = R_a o R_p, so iota is natural.
-
-    iota is monic, by induction in topological order.  The paths into w are
-    the trivial one and a o p for the arrows a: u -> w and paths p into u, so
-    iota_w(x, y) = s_w(x) + in_w((+)_a iota_u)(y).  If that is zero, then
-    applying q_w, which kills the image of in_w, gives q_w(s_w(x)) = 0 and
-    x = 0, as q_w o s_w is monic; then in_w((+) iota_u)(y) = 0, and in_w
-    and (by induction) each iota_u are monic, so y = 0.
-
-    M' = coker iota is monic by the same argument.  Its vertex modules are
-    coker(iota_w) with projections pi_w, and its arrow map at a: u -> w is
-    the unique M'_a with M'_a o pi_u = pi_w o R_a (``solve_left``; it exists
-    because pi_w o R_a o iota_u = pi_w o iota_w o F_a = 0).  Let an element
-    of (+)_a M'_u, lifted to y in (+)_a R_u, go to zero under the in-map of
-    M'.  Then pi_w(in_w(y)) = 0, and the kernel of pi_w is the image of
-    iota_w, so in_w(y) = iota_w(x, z) for some x in J_w and z in
-    (+)_a F_u; applying q_w gives q_w(s_w(x)) = 0, so x = 0 and
-    in_w(y) = in_w((+) iota_u)(z).  As in_w is monic, y = ((+) iota_u)(z),
-    and its image in (+) M'_u is zero.
-
-    So 0 -> F -> r -> M' -> 0 is exact with all three terms monic, a
-    conflation of mono(Q, Lambda), and it splits because F = f_!(J) with J
-    injective is an injective object there (``mimo.is_injective_rep``):
-    r = M' (+) F.  The top is additive and top(F) = J (the in-map of F at w
-    is the inclusion of the blocks of the paths of positive length), so
-    T = top(M') (+) J.  By Krull-Schmidt over the base the parts of top(M')
-    are those of T less those of J, which are all the injective ones: top(M')
-    = T/J has no injective part.
-    A summand of M' has a summand of top(M') as its top, so no
-    representation that the decomposition of M' reaches has a top with an
-    injective part, and none needs another peel.
-
-    Checked at run time: iota is monic at each vertex
-    (``is_injective_map``) and M' is monic (``is_mono``); AssertionError
-    if not."""
-    base, quiver = r.base, r.quiver
-    lifts = {v: mor_block(identity_morphism(r.modules[v]), range(r.modules[v].rank), d)
-             for v, d in tops.items() if d}
-    # the image of each path's block, R_p o s_{p.source}; a path's prefix
-    # comes before it in ``paths`` order, which is by length
-    images = {Path(v, v, ()): s for v, s in lifts.items()}
-    for p in quiver.paths():
-        if p in images:
-            for a in quiver.arrows_out_of(p.target):
-                images[quiver.extend_path(a, p)] = mor_compose(r.maps[a.name], images[p])
-    parts = {v: s.source for v, s in lifts.items()}
-    injective = f_shriek(base, quiver, parts)
-    zero = zero_module(base)
-    iota, modules, proj = {}, {}, {}
-    for w in quiver.vertices:
-        paths = quiver.paths_into(w)
-        iota[w] = assemble(base, [parts.get(p.source, zero) for p in paths], [r.modules[w]],
-                           {(0, k): images[p] for k, p in enumerate(paths) if p in images})[0]
-        if not is_injective_map(iota[w]):
-            raise AssertionError(f"injective peel is not monic at vertex {w}")
-        modules[w], proj[w] = cokernel(iota[w])
-    maps = {}
-    for a in quiver.arrows:
-        maps[a.name] = solve_left(proj[a.source], mor_compose(proj[a.target], r.maps[a.name]))
-        if maps[a.name] is None:
-            raise AssertionError(f"arrow {a.name} does not descend to the cokernel")
-    rest = Representation(quiver, base, modules, maps)
-    if not is_mono(rest):
-        raise AssertionError("the rest of an injective peel is not monic")
-    # iota is natural by construction: see above
-    return rest, injective, RepMorphism(injective, r, iota, check=False)
-
-
 def _peelable(r: Representation):
-    """The injective tops D of r (``rep.injective_tops``) when the peel
-    splits r into two nonzero sides: r is monic over an abelian
+    """The injective tops D of r (``rep.injective_tops``) when
+    ``mimo.injective_split`` splits r into two nonzero sides: r is monic over an abelian
     self-injective base with injective and non-injective parts, and some D_v
     is not empty; None otherwise."""
     base = r.base
@@ -319,14 +221,14 @@ def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
     blocks when it has two or more (``coordinate_blocks``).  A connected
     monic one with both injective and non-injective parts and a top with an
     injective part (``_peelable``) sheds the injective summand f_!(J) read
-    off its tops in one step (``_injective_peel``); no top of its rest M',
-    or of a piece of M', has an injective part.  Any other connected one
+    off its tops in one step (``mimo.injective_split``); no top of its rest
+    M', or of a piece of M', has an injective part.  Any other connected one
     has its endomorphism ring scanned (``_residue_witness``) and, when that
     is not local, is split along the witness (``fitting_split``).  The
-    peel's two sides go back on the stack like any other piece, so every
+    split's two sides go back on the stack like any other piece, so every
     factor, whichever step cut it out, carries the exhaustive certificate
     of a local endomorphism ring.  When the coordinate blocks of r are
-    indecomposable they are its factors: an indecomposable has no peel,
+    indecomposable they are its factors: an indecomposable is not split,
     since its top has an injective part only when it is injective itself."""
     pieces: List[Representation] = []
     stack = [r]
@@ -340,7 +242,7 @@ def decompose(r: Representation, budget: int = DEFAULT_BUDGET) -> List[tuple]:
             continue
         tops = _peelable(cur)
         if tops:
-            stack.extend(_injective_peel(cur, tops)[:2])
+            stack.extend(injective_split(cur, tops))
             continue
         witness = _residue_witness(cur, budget)
         if witness is None:

@@ -15,13 +15,19 @@ representations.  Injective recognition reads the tops off the same
 elimination (``rep.injective_tops``).  All of it needs an abelian
 self-injective backing (``_backing``).
 
+A monic representation splits by the paper's theorem, that Mimo inverts
+the stable reduction F on the non-injective indecomposables: r is
+isomorphic to Mimo(F(r)) (+) f_!(J), J the injective parts of its tops
+(``injective_split``).  ``decompose`` splits off injective summands this
+way, and ``transfer`` relabels both halves.
+
 ``mimo`` and ``transfer`` are memoized by the value of their arguments (a
 ``Representation`` hashes by value, bases are interned) with
 ``serialmod.memo``: a result is shared between equal calls and is never
 mutated, and a call that raises is not cached.  So the small indecomposable
 factors that recur across inputs are transferred once, and each repeat skips
-the mono test, the injective recognition, the stable reduction and both
-changes of base.
+the injective tops, the stable reduction, the change of base and the
+approximation.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .rep import (
     injective_tops,
     is_mono,
     rebase,
+    rep_direct_sum,
     rep_identity,
 )
 from .serialmod import (
@@ -230,15 +237,68 @@ def injective_rep_recognize(r: Representation) -> Optional[Dict[str, SerialModul
             for v, d in tops.items()} if tops else None
 
 
+def injective_split(r: Representation, tops=None, target: Optional[SerialBase] = None):
+    """(M', F) for a monic r: F = f_!(J), J_v the parts of R_v at D_v
+    (``tops``, by default ``rep.injective_tops(r)``), and M' =
+    ``mimo_from_stable(red(r))``, red the stable reduction, both relabelled
+    over ``target`` (r's base by default, where r is isomorphic to
+    M' (+) F).  ValueError when r is not monic.
+
+    1. Let s_v: J_v -> R_v be the coordinate inclusion and q_v: R_v -> T_v
+    the top.  q_v o s_v is monic: s_v maps soc J_v onto the socle vectors
+    at D_v, which meet soc im(in_v) = in_v(soc X_v) in 0, as each raised
+    the rank after the in-map columns.  The blocks R_p o s_{p.source} on
+    the paths p give iota: f_!(J) -> r, natural as R_{a o p} = R_a o R_p.
+    It is monic by induction in topological order: in iota_w(x, y) =
+    s_w(x) + in_w((+)_a iota_u)(y), q_w kills the second term, so a zero
+    value has x = 0, and then y = 0 as in_w and each iota_u are monic.
+    Its cokernel M'' is monic: if y in (+)_a R_u has in_w(y) =
+    iota_w(x, z), q_w gives x = 0, so y = ((+)_a iota_u)(z) as in_w is
+    monic, and y is 0 in (+)_a M''_u.  So 0 -> f_!(J) -> r -> M'' -> 0 is
+    a conflation of mono(Q, Lambda), split because f_!(J), J injective, is
+    injective there: r = M'' (+) f_!(J).  The top is additive, top f_!(J)
+    = J, and T_v has |D_v| injective parts (``rep.injective_tops``), so
+    top(M'') = T/J has none.
+
+    2. red sends injective modules to 0, so red(f_!(J)) = 0 and red(r) =
+    red(M'').
+
+    3. An injective summand of M'' would be some f_!(I), I != 0, and I an
+    injective summand of top(M''); so M'' has none.  By the theorem
+    Mimo(red(X)) = X for each indecomposable summand X of M'', and a
+    minimal approximation of a sum is the sum of theirs, so M' =
+    Mimo(red(M'')) = M''.  Hence r = M' (+) F, and no summand of M' has an
+    injective part in its top, so none is split again.
+
+    Checked at run time: M' is monic, and at each vertex the parts of
+    M' (+) F are those of r, as Krull-Schmidt requires; AssertionError if
+    not."""
+    base = _backing(r)
+    target = base if target is None else target
+    if tops is None:
+        tops = injective_tops(r)
+        if tops is None:
+            raise ValueError("the injective split is defined on monic representations")
+    injective = f_shriek(target, r.quiver, {
+        v: serial_module(target, [r.modules[v].parts[i] for i in d]) for v, d in tops.items()})
+    rest = mimo_from_stable(rebase(stable_reduce(r), stable_base(target)))
+    if not is_mono(rest):
+        raise AssertionError("the rest of an injective split is not monic")
+    for v, m in r.modules.items():
+        if direct_sum(target, [rest.modules[v], injective.modules[v]])[0].parts != m.parts:
+            raise AssertionError(f"an injective split changes the parts at vertex {v}")
+    return rest, injective
+
+
 @memo
 def transfer(r: Representation, target: SerialBase) -> Representation:
     """Carry a monic representation between chain rings of equal residue
-    characteristic and equal Loewy length n <= 3.
-
-    Injective representations map to the path-indexed representation of the
-    relabeled socle data; all other monic representations are reduced to the
-    stable category, changed to the target's (``rep.rebase``: M_i -> N_i,
-    digits verbatim) and returned through the minimal monic approximation."""
+    characteristic and equal Loewy length n <= 3: M' (+) F of
+    ``injective_split`` over the target, F the path-indexed representation
+    of r's injective tops relabelled and M' the stable reduction changed to
+    the target's (``rep.rebase``: M_i -> N_i, digits verbatim) and returned
+    through the minimal monic approximation.  So injective summands are
+    kept, and the parts at each vertex are checked to be r's."""
     base = r.base
     if base.backing != CHAIN or target.backing != CHAIN:
         raise ValueError("transfer is defined between chain-ring backings")
@@ -248,12 +308,7 @@ def transfer(r: Representation, target: SerialBase) -> Representation:
         raise ValueError("transfer requires equal residue characteristic")
     if base.ring.n > 3:
         raise ValueError("stable categories of chain rings are not equivalent beyond Loewy length 3")
-    if not is_mono(r):
+    tops = injective_tops(r)
+    if tops is None:
         raise ValueError("transfer is defined on monic representations")
-
-    j = injective_rep_recognize(r)
-    if j is not None:
-        modules = {v: serial_module(target, m.parts) for v, m in j.items()}
-        return f_shriek(target, r.quiver, modules)
-
-    return mimo_from_stable(rebase(stable_reduce(r), stable_base(target)))
+    return rep_direct_sum(*injective_split(r, tops, target))

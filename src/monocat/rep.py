@@ -1,9 +1,9 @@
 """Representations of a finite acyclic quiver over a serial base, and the
-basic functor toolkit: in-maps, top and its first derived functor, the mono
-test (the maps into each vertex, jointly monic on the socle), the one socle
-elimination of those maps per vertex (``in_socle``) that ``mimo``'s
-envelopes and the injective tops (``injective_tops``) read, the left
-adjoint of the forgetful functor, hom spaces (the kernel of
+basic functor toolkit: direct sums, in-maps, top and its first derived
+functor, the mono test (the maps into each vertex, jointly monic on the
+socle), the one socle elimination of those maps per vertex (``in_socle``)
+that ``mimo``'s envelopes and the injective tops (``injective_tops``) read,
+the left adjoint of the forgetful functor, hom spaces (the kernel of
 phi -> (phi_t o R_a - S_a o phi_s)_a, built as an ``exact.HomSystem``),
 partition vectors, and the residue scan ``ResidueSpace.first``: the one
 place where isomorphism here and locality of End(R) in ``decompose`` are
@@ -168,6 +168,19 @@ def rebase(r: Representation, base: SerialBase, keep=None) -> Representation:
         maps = {a.name: rebase_map(r.maps[a.name], modules[a.source], modules[a.target],
                                    keep[a.target], keep[a.source])
                 for a in r.quiver.arrows}
+    return Representation(r.quiver, base, modules, maps)
+
+
+def rep_direct_sum(r: Representation, s: Representation) -> Representation:
+    """r (+) s: the vertex modules' direct sums and block-diagonal arrow maps."""
+    if r.quiver != s.quiver or r.base != s.base:
+        raise ValueError("direct sum requires same quiver and base")
+    base = r.base
+    modules = {v: direct_sum(base, [r.modules[v], s.modules[v]])[0] for v in r.quiver.vertices}
+    maps = {a.name: assemble(base, [r.modules[a.source], s.modules[a.source]],
+                             [r.modules[a.target], s.modules[a.target]],
+                             {(0, 0): r.maps[a.name], (1, 1): s.maps[a.name]})[0]
+            for a in r.quiver.arrows}
     return Representation(r.quiver, base, modules, maps)
 
 

@@ -33,11 +33,11 @@ from typing import Iterable, Iterator, Sequence
 from .base import SerialBase
 
 # Entries kept by each memoized operation: above the distinct calls one pass
-# of the benchmark's approximation battery makes to any of them (at most 328,
-# to mor_compose, over seeds 1 and 7 and input sets 0-3; _direct_sum gets at
-# most 266, mimo 252, coordinate_blocks 217, cokernel 134, kernel 110,
-# transfer 108, solve_right 106, _residue_witness 94, solve_left 84, image 63
-# and identity_morphism 46).
+# of the benchmark's approximation battery makes to any of them (at most 280,
+# to _direct_sum, over seeds 1 and 7 and input sets 0-3; mimo gets at most
+# 255, coordinate_blocks 213, mor_compose 169, transfer 105, kernel 105,
+# solve_right 96, _residue_witness 88, cokernel 60, image 60 and
+# identity_morphism 45, and solve_left none).
 MEMO_SIZE = 2048
 memo = lru_cache(maxsize=MEMO_SIZE)
 

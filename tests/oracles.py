@@ -5,10 +5,10 @@ generated by given elements, closed element by element; submodule
 inclusions and chains of them by the Smith-form engine, and the split test
 of a chain of masks; the part-by-part generators of Aut(m) that the
 block-by-block list replaced; uniformly drawn automorphisms; the inverse,
-surjectivity test, socle inclusion, block-diagonal sum of maps and direct
-sum of representations that only the tests call; the injective envelope
-of a module, and the envelope data of ``mimo`` built from the kernel of
-each in-map; the permutations of hom-space map numbers by composition; the
+surjectivity test, socle inclusion and block-diagonal sum of maps that
+only the tests call; the injective envelope of a module, the envelope
+data of ``mimo`` built from the kernel of each in-map, and the injective
+split of a monic representation built from a cokernel; the permutations of hom-space map numbers by composition; the
 listing of hom solution sets; and the Kronecker families built from the
 homogeneous two-variable form model."""
 
@@ -18,9 +18,9 @@ import math
 from monocat.base import chain_base
 from monocat.chainring import _Lazy
 from monocat.enumerate import normalize_p1_point
-from monocat.exact import cokernel, image, is_iso, kernel, solve_left, solve_right
-from monocat.quiver import builtin_quiver
-from monocat.rep import Representation, in_map
+from monocat.exact import cokernel, image, is_injective_map, is_iso, kernel, solve_left, solve_right
+from monocat.quiver import Path, builtin_quiver
+from monocat.rep import Representation, RepMorphism, f_shriek, in_map, is_mono
 from monocat.serialmod import (
     SerialMorphism,
     _unit_generators,
@@ -252,14 +252,41 @@ def kernel_envelope_data(r) -> dict:
     return out
 
 
-def rep_direct_sum(r, s):
-    """Direct sum with block-diagonal arrow maps."""
-    if r.quiver != s.quiver or r.base != s.base:
-        raise ValueError("direct sum requires same quiver and base")
-    base = r.base
-    modules = {v: direct_sum(base, [r.modules[v], s.modules[v]])[0] for v in r.quiver.vertices}
-    maps = {a.name: mor_direct_sum(base, [r.maps[a.name], s.maps[a.name]]) for a in r.quiver.arrows}
-    return Representation(r.quiver, base, modules, maps)
+def cokernel_peel(r, tops):
+    """(M', F) by the Smith-form engine, the construction that
+    ``mimo.injective_split`` replaced: F = f_!(J), J_v the parts of R_v at
+    the injective tops D_v = ``tops[v]`` (``rep.injective_tops``), iota:
+    F -> r the coordinate inclusions s_v of those parts carried along each
+    path p as R_p o s_{p.source}, and M' = coker iota, one ``cokernel`` per
+    vertex and each arrow map the ``solve_left`` through the projections.
+    Part 1 of the proof at ``injective_split`` shows iota natural and
+    monic, M' monic and r isomorphic to M' (+) F; all three are asserted."""
+    base, quiver = r.base, r.quiver
+    lifts = {v: mor_block(identity_morphism(r.modules[v]), range(r.modules[v].rank), d)
+             for v, d in tops.items() if d}
+    # a path's prefix comes before it in ``paths`` order, which is by length
+    images = {Path(v, v, ()): s for v, s in lifts.items()}
+    for p in quiver.paths():
+        if p in images:
+            for a in quiver.arrows_out_of(p.target):
+                images[quiver.extend_path(a, p)] = mor_compose(r.maps[a.name], images[p])
+    parts = {v: s.source for v, s in lifts.items()}
+    injective = f_shriek(base, quiver, parts)
+    zero = zero_module(base)
+    iota, modules, proj = {}, {}, {}
+    for w in quiver.vertices:
+        paths = quiver.paths_into(w)
+        iota[w] = assemble(base, [parts.get(p.source, zero) for p in paths], [r.modules[w]],
+                           {(0, k): images[p] for k, p in enumerate(paths) if p in images})[0]
+        assert is_injective_map(iota[w]), f"iota is not monic at vertex {w}"
+        modules[w], proj[w] = cokernel(iota[w])
+    maps = {a.name: solve_left(proj[a.source], mor_compose(proj[a.target], r.maps[a.name]))
+            for a in quiver.arrows}
+    assert None not in maps.values(), "an arrow does not descend to the cokernel"
+    rest = Representation(quiver, base, modules, maps)
+    assert is_mono(rest), "the cokernel of iota is not monic"
+    RepMorphism(injective, r, iota)  # raises unless natural
+    return rest, injective
 
 
 # -- permutations of map numbers by composition ------------------------------------------

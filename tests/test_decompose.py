@@ -5,14 +5,19 @@ import pytest
 from monocat.base import chain_base, rad2nak_base, stable_base
 from monocat.decompose import (
     BudgetExceeded,
-    _injective_peel,
     _stable_power,
     coordinate_blocks,
     decompose,
     is_indecomposable,
 )
 from monocat.exact import cokernel, image, is_injective_map, kernel, solve_right
-from monocat.mimo import injective_rep_recognize, is_injective_rep, mimo, mimo_from_stable
+from monocat.mimo import (
+    injective_rep_recognize,
+    injective_split,
+    is_injective_rep,
+    mimo,
+    mimo_from_stable,
+)
 from monocat.quiver import builtin_quiver
 from monocat.rep import (
     Representation,
@@ -25,11 +30,12 @@ from monocat.rep import (
     is_mono,
     kopf_modules,
     random_representation,
+    rep_direct_sum,
     rep_morphism_compose,
     vertex_module,
 )
 from monocat.serialmod import identity_morphism, mor_block, mor_compose, morphism, serial_module
-from oracles import random_automorphism, rep_direct_sum, rep_homs
+from oracles import cokernel_peel, random_automorphism, rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3 = chain_base("int", 2, 3)
@@ -313,7 +319,7 @@ def test_stable_power_matches_the_total_length_power():
     assert checked >= 5
 
 
-# -- the injective peel -------------------------------------------------------------------
+# -- the injective split ------------------------------------------------------------------
 
 PEEL_BASES = [chain_base("int", 2, 3), chain_base("poly", 3, 2), rad2nak_base(3, 2),
               chain_base("int", 3, 3)]
@@ -327,13 +333,13 @@ def _injective_at(base, quiver, rng):
     return f_shriek(base, quiver, vertex_module(base, quiver, v, serial_module(base, [label])))
 
 
-def _peel_inputs(base, seed, count=6):
-    """Monic representations over linear A3 and the A4 zigzag: minimal monic
+def _peel_inputs(base, seed, count=6, quivers=("An-linear:3", "A4-zigzag")):
+    """Monic representations over the named quivers: minimal monic
     approximations of random representations, and those plus an f_!(I at v)
     moved by random vertex automorphisms, which joins their coordinate
     blocks."""
     rng = random.Random(seed)
-    for quiver in (builtin_quiver("An-linear:3"), builtin_quiver("A4-zigzag")):
+    for quiver in map(builtin_quiver, quivers):
         for _ in range(count):
             m = mimo(random_representation(base, quiver, rng))[0]
             yield m
@@ -342,9 +348,10 @@ def _peel_inputs(base, seed, count=6):
 
 @pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)
 def test_injective_peel_splits_off_the_injective_tops(base):
-    """iota: f_!(J) -> M is monic, M' = coker iota is monic with no injective
-    part in its top, and M is isomorphic to M' (+) f_!(J) (checked where
-    the residue scan fits a small budget)."""
+    """``injective_split`` gives a monic M' with no injective part in its
+    top and F = f_!(J), J the injective parts of the tops, and M is
+    isomorphic to M' (+) F (checked where the residue scan fits a small
+    budget)."""
     peeled = summed = 0
     for m in _peel_inputs(base, 3):
         for piece in coordinate_blocks(m) or [m]:
@@ -354,12 +361,11 @@ def test_injective_peel_splits_off_the_injective_tops(base):
             if not any(d.values()):
                 assert not any(base.is_injective(p) for t in tops.values() for p in t.parts)
                 continue
-            rest, injective, iota = _injective_peel(piece, d)
+            rest, injective = injective_split(piece, d)
+            assert (rest, injective) == injective_split(piece)
             assert injective_rep_recognize(injective) == {
                 v: serial_module(base, [p for p in t.parts if base.is_injective(p)])
                 for v, t in tops.items()}
-            RepMorphism(injective, piece, iota.components)  # raises unless natural
-            assert all(is_injective_map(f) for f in iota.components.values())
             assert is_mono(rest)
             assert not any(base.is_injective(p) for t in kopf_modules(rest).values() for p in t.parts)
             peeled += 1
@@ -369,6 +375,41 @@ def test_injective_peel_splits_off_the_injective_tops(base):
             except BudgetExceeded:
                 pass
     assert peeled >= 8 and summed >= 6, (peeled, summed)
+
+
+def test_injective_split_rejects_non_monic():
+    r = Representation(A2, B3, {"1": serial_module(B3, ["M1"])}, {})
+    with pytest.raises(ValueError, match="monic representations"):
+        injective_split(r)
+
+
+SPLIT_BASES = [chain_base(kind, p, n) for kind in ("int", "poly") for p in (2, 3)
+               for n in (2, 3, 4)] + [rad2nak_base(3, 2), rad2nak_base(2, 3)]
+SPLIT_IDS = [f"chain:{b.ring.kind}:{b.ring.p}:{b.ring.n}" for b in SPLIT_BASES[:-2]] + [
+    "rad2nak:3:2", "rad2nak:2:3"]
+
+
+@pytest.mark.parametrize("base", SPLIT_BASES, ids=SPLIT_IDS)
+def test_injective_split_agrees_with_the_cokernel_peel(base):
+    """On the connected peelable pieces of the peel inputs over A2, linear
+    A3, the A4 zigzag, D4 and the Kronecker quiver, ``injective_split``
+    gives the cokernel construction's F exactly and an M' isomorphic to
+    its rest."""
+    import monocat.decompose as dec
+
+    peeled = 0
+    for m in _peel_inputs(base, 23, 4, ("An-linear:2", "An-linear:3", "A4-zigzag", "D4",
+                                        "kronecker")):
+        for piece in coordinate_blocks(m) or [m]:
+            tops = dec._peelable(piece)
+            if not tops:
+                continue
+            rest, injective = injective_split(piece, tops)
+            old_rest, old_injective = cokernel_peel(piece, tops)
+            assert injective == old_injective
+            assert is_iso_reps(rest, old_rest)
+            peeled += 1
+    assert peeled >= 12, peeled
 
 
 TOPS_BASES = PEEL_BASES + [chain_base("poly", 2, 3), rad2nak_base(3, 3)]
@@ -437,12 +478,14 @@ def test_decompose_with_and_without_the_peel_agree(base, monkeypatch):
     import monocat.decompose as dec
 
     inputs = list(_peel_inputs(base, 8))
-    peels = _counting(monkeypatch, "_injective_peel")
+    peels = _counting(monkeypatch, "injective_split")
     with_peel = [decompose(m) for m in inputs]
     assert len(peels) >= 6
     monkeypatch.setattr(dec, "_peelable", lambda r: None)
+    peels.clear()
     for m, ours in zip(inputs, with_peel):
         _same_factors(ours, decompose(m))
+    assert not peels
 
 
 @pytest.mark.parametrize("base", PEEL_BASES, ids=PEEL_IDS)

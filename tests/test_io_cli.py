@@ -20,6 +20,7 @@ from monocat.rep import (
     f_shriek,
     is_iso_reps,
     random_representation,
+    rep_direct_sum,
     vertex_module,
 )
 from monocat.serialmod import morphism, serial_module
@@ -151,6 +152,18 @@ def test_cli_transfer_and_stable_reduce(tmp_path, capsys):
     assert main(["stable-reduce", "-i", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["base"]["kind"] == "stable"
+
+
+def test_cli_transfer_keeps_the_length_vector_of_an_injective_summand(tmp_path, capsys):
+    # (M1 -> M3, the socle inclusion) (+) f_!(M3 at 1) over F_2[x]/(x^3)
+    base = chain_base("poly", 2, 3)
+    q = builtin_quiver("An-linear:2")
+    m1, m3 = serial_module(base, ["M1"]), serial_module(base, ["M3"])
+    socle = Representation(q, base, {"1": m1, "2": m3}, {"a1": morphism(m1, m3, [[1]])})
+    r = rep_direct_sum(socle, f_shriek(base, q, vertex_module(base, q, "1", m3)))
+    path = _write_rep(tmp_path, r)
+    assert main(["transfer", "-i", path, "--base", "chain:int:2:3", "--format", "text"]) == 0
+    assert capsys.readouterr().out == f"transferred: {r.length_vector()}\n"
 
 
 def test_cli_enumerate_rad2_count(capsys):

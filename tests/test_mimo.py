@@ -8,6 +8,7 @@ from monocat.decompose import _residue_witness, is_indecomposable
 from monocat.exact import is_injective_map, kernel
 from monocat.mimo import (
     injective_rep_recognize,
+    injective_split,
     mimo,
     mimo_from_stable,
     minimal_envelope_data,
@@ -28,6 +29,7 @@ from monocat.rep import (
     is_iso_reps,
     is_mono,
     random_representation,
+    rep_direct_sum,
     rep_identity,
     vertex_module,
 )
@@ -43,7 +45,7 @@ from monocat.serialmod import (
     zero_module,
     zero_morphism,
 )
-from oracles import injective_envelope, kernel_envelope_data, rep_direct_sum, rep_homs
+from oracles import injective_envelope, kernel_envelope_data, rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3P = chain_base("poly", 2, 3)
@@ -94,24 +96,27 @@ def test_mo_with_minimal_data_equals_mimo():
 
 
 def test_mimo_makes_no_smith_form_call(monkeypatch):
-    """The envelope data and the injective tops come from the socle
-    matrices alone: with every cache of the exact layer and of mimo emptied,
-    approximating non-monic representations never reaches
-    ``exact.snf_free``, ``mimo``, ``mo`` and ``injective_rep_recognize``
-    assemble no in-map (``rep.in_map``), and the injective peel of each
-    approximation's coordinate blocks lifts its tops with no
-    ``solve_right``."""
+    """The envelope data, the injective tops and the injective split come
+    from the socle matrices and the theorem alone: with every cache of the
+    exact layer and of mimo emptied, approximating non-monic
+    representations never reaches ``exact.snf_free``; ``mimo``, ``mo`` and
+    ``injective_rep_recognize`` assemble no in-map (``rep.in_map``); and
+    ``injective_split`` on each approximation's peelable coordinate blocks
+    makes no ``cokernel``, ``solve_left``, ``solve_right``, ``snf_free`` or
+    ``in_map`` call."""
     import monocat.decompose as dec
     import monocat.exact as exact
+    import monocat.mimo as mimo_mod
     import monocat.rep as rep_mod
 
     caches = (mimo, exact.kernel, exact.cokernel, exact.image, exact.solve_left, exact.solve_right)
-    calls = {"snf_free": [], "in_map": [], "solve_right": []}
-    for module, name in ((exact, "snf_free"), (rep_mod, "in_map"), (exact, "solve_right"),
-                         (dec, "solve_right")):
-        real = getattr(exact if name == "solve_right" else module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, real=real, name=name: calls[name].append(args) or real(*args))
+    calls = {name: [] for name in ("snf_free", "cokernel", "solve_left", "solve_right", "in_map")}
+    for name in calls:
+        for module in (exact, rep_mod, mimo_mod, dec):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                    calls[name].append(args) or real(*args))
     rng = random.Random(3)
     non_monic = peeled = recognized = 0
     for base in (B3P, B3I, rad2nak_base(3, 2)):
@@ -132,11 +137,12 @@ def test_mimo_makes_no_smith_form_call(monkeypatch):
                 for piece in dec.coordinate_blocks(m) or [m]:
                     tops = dec._peelable(piece)
                     if tops:
-                        injective = dec._injective_peel(piece, tops)[1]
+                        for fn in caches:
+                            fn.cache_clear()
+                        injective = injective_split(piece, tops)[1]
                         assert injective_rep_recognize(injective) is not None
                         peeled += 1
-                assert not calls["solve_right"] and not calls["in_map"]
-                calls["snf_free"].clear()
+                assert not any(calls.values()), {name: len(c) for name, c in calls.items()}
     assert non_monic >= 20 and peeled >= 5 and recognized >= 5, (non_monic, peeled, recognized)
 
 

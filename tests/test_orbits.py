@@ -34,7 +34,7 @@ from monocat.enumerate import (
 )
 from monocat.exact import is_iso
 from monocat.quiver import Quiver, builtin_quiver
-from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono
+from monocat.rep import Representation, RepMorphism, is_iso_reps, is_mono, rep_direct_sum
 from monocat.serialmod import (
     SerialMorphism,
     automorphism_generators,
@@ -50,7 +50,6 @@ from oracles import (
     composition_perm,
     element_number,
     module_elements,
-    rep_direct_sum,
     submodule_mask,
     transvection_generators,
 )

@@ -24,6 +24,7 @@ from monocat.rep import (
     l1_kopf,
     partition_vector,
     random_representation,
+    rep_direct_sum,
     rep_identity,
     vertex_module,
 )
@@ -38,7 +39,7 @@ from monocat.serialmod import (
     morphism,
     serial_module,
 )
-from oracles import list_solutions, random_automorphism, rep_direct_sum, rep_homs
+from oracles import list_solutions, random_automorphism, rep_homs
 
 B2 = chain_base("poly", 2, 2)
 B3 = chain_base("int", 2, 3)

@@ -10,6 +10,7 @@ from monocat.rep import (
     is_iso_reps,
     is_mono,
     partition_vector,
+    rep_direct_sum,
     vertex_module,
 )
 from monocat.serialmod import morphism, serial_module
@@ -51,6 +52,30 @@ def test_transfer_injective_case():
     out = transfer(fs, I3)
     expected = f_shriek(I3, A2, vertex_module(I3, A2, "1", serial_module(I3, ["M3"])))
     assert out == expected
+
+
+@pytest.mark.parametrize("base", [P3, I3, chain_base("poly", 3, 2), chain_base("int", 3, 3)],
+                         ids=["chain:poly:2:3", "chain:int:2:3", "chain:poly:3:2", "chain:int:3:3"])
+def test_transfer_of_a_sum_with_an_injective_round_trips(base):
+    """X (+) f_!(M_n at v), X a non-injective indecomposable monic
+    representation, the inclusion M_i -> M_j (1 <= i <= j, i < n) or
+    0 -> M_j (j < n): the partition vector is kept, and transferring there
+    and back gives a representation isomorphic to the input."""
+    n, p = base.ring.n, base.ring.p
+    partner = chain_base("int" if base.ring.kind == "poly" else "poly", p, n)
+    pairs = [(i, j) for i in range(n) for j in range(max(i, 1), n + 1) if i or j < n]
+    for i, j in pairs:
+        mi = serial_module(base, [f"M{i}"] if i else [])
+        mj = serial_module(base, [f"M{j}"])
+        x = Representation(A2, base, {"1": mi, "2": mj},
+                           {"a1": morphism(mi, mj, [[1]] if i else [[]])})
+        for v in A2.vertices:
+            injective = f_shriek(base, A2, vertex_module(base, A2, v, serial_module(base, [f"M{n}"])))
+            r = rep_direct_sum(x, injective)
+            out = transfer(r, partner)
+            assert is_mono(out) and partition_vector(out) == partition_vector(r)
+            assert is_iso_reps(transfer(out, base), r)
+    assert len(pairs) >= 3
 
 
 def test_transfer_length_one_relabels():
